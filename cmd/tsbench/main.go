@@ -312,7 +312,7 @@ func runCell(cc cellConfig) error {
 	fmt.Printf("  query throughput: %.0f points/s (avg query %.3f ms, p50 %.3f, p95 %.3f, p99 %.3f)\n",
 		res.QueryThroughput, res.AvgQueryMillis, res.P50QueryMillis, res.P95QueryMillis, res.P99QueryMillis)
 	fmt.Printf("  flushes: %d, avg flush %.3f ms (sorting %.3f ms, encoding %.3f ms, writing %.3f ms; %d workers)\n",
-		res.FlushCount, res.AvgFlushMs, res.AvgSortMs, res.AvgEncodeMs, res.AvgWriteMs, res.FlushWorkers)
+		res.FlushCount, res.AvgFlushMillis, res.AvgSortMillis, res.AvgEncodeMillis, res.AvgWriteMillis, res.FlushWorkers)
 	fmt.Printf("  engine lock: %d contended acquisitions (avg %.1f µs, p99 ≤ %.0f µs), %d queries blocked, %d sorts skipped\n",
 		res.LockWaits, res.AvgLockWaitMicros, res.P99LockWaitMicros, res.QueriesBlocked, res.SortsSkipped)
 	fmt.Printf("  sort kernel: %d flat sorts (%.3f ms), %d interface sorts (%.3f ms); parallelism %d, threshold %d\n",
@@ -338,9 +338,9 @@ func runCell(cc cellConfig) error {
 	fmt.Printf("  compaction: %d passes, %d bytes read (largest pass %d), %d partitions active, %d dropped\n",
 		res.CompactionPasses, res.CompactionBytesRead, res.MaxCompactionPassBytes,
 		res.PartitionsActive, res.PartitionsDropped)
-	if res.PipelinedConns+res.LegacyConns > 0 {
-		fmt.Printf("  front end: %d pipelined conns, %d legacy conns; queue cap %d (%d workers), %d enqueued, %d rejected\n",
-			res.PipelinedConns, res.LegacyConns, res.IngestQueueCap, res.IngestWorkers,
+	if res.PipelinedConns > 0 {
+		fmt.Printf("  front end: %d pipelined conns; queue cap %d (%d workers), %d enqueued, %d rejected\n",
+			res.PipelinedConns, res.IngestQueueCap, res.IngestWorkers,
 			res.IngestEnqueued, res.IngestRejected)
 	}
 	if len(res.PerShard) > 0 {

@@ -25,7 +25,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s %14.0f %12.3f %12.3f %14v\n",
-			algo, res.QueryThroughput, res.AvgFlushMs, res.AvgSortMs, res.TotalLatency)
+			algo, res.QueryThroughput, res.AvgFlushMillis, res.AvgSortMillis, res.TotalLatency)
 	}
 }
 

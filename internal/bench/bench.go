@@ -179,76 +179,10 @@ type Result struct {
 	// TotalLatency is the wall time of the whole test (Figures
 	// 19–21).
 	TotalLatency time.Duration
-	// Server-side flush metrics (Figures 16–18).
-	FlushCount  int
-	AvgFlushMs  float64
-	AvgSortMs   float64
-	SeqPoints   int64
-	UnseqPoints int64
-	// Server-side flush pipeline and lock contention metrics.
-	FlushWorkers      int
-	AvgEncodeMs       float64
-	AvgWriteMs        float64
-	SortsSkipped      int64
-	LockWaits         int64
-	AvgLockWaitMicros float64
-	P99LockWaitMicros float64
-	QueriesBlocked    int64
-	// Sort kernel routing (flat fast path vs interface path).
-	FlatSorts           int64
-	InterfaceSorts      int64
-	FlatSortMillis      float64
-	InterfaceSortMillis float64
-	SortParallelism     int
-	FlatSortThreshold   int
-	// Durability counters (WAL sync policy, quarantine, recovery).
-	WALSyncs            int64
-	WALCommits          int64
-	QuarantinedFiles    int
-	RecoveredWALBatches int64
-	// Aggregation-pushdown pruning counters.
-	ChunksFromStats int64
-	ChunksDecoded   int64
-	PointsSkipped   int64
-	// Block-level read-amplification counters (tsfile v3).
-	BytesRead       int64
-	BlocksDecoded   int64
-	BlocksSkipped   int64
-	BlocksFromStats int64
-	// Leveled-compaction counters.
-	CompactionPasses       int64
-	CompactionBytesRead    int64
-	MaxCompactionPassBytes int64
-	PartitionsDropped      int64
-	PartitionsActive       int
-	// Label-index counters (series catalog, postings, selector
-	// fan-out), non-zero only when the target routes label series.
-	SeriesCount        int
-	LabelPairs         int
-	PostingsEntries    int64
-	MatcherResolutions int64
-	SelectorQueries    int64
-	FanoutSeries       int64
-	MaxFanoutWidth     int
-	// Adaptive sort-path planner counters, non-zero only when the
-	// target runs with engine.Config.AdaptiveSort.
-	AdaptiveSortEnabled bool
-	SketchSeededFlushes int64
-	SearchItersSaved    int64
-	AdaptiveFixedSorts  int64
-	AdaptiveSeededSorts int64
-	AdaptiveFlatRoutes  int64
-	AdaptiveIfaceRoutes int64
-	AdaptiveMinL        int64
-	AdaptiveMaxL        int64
-	// Ingest front-end counters (bounded dispatch queue, connection
-	// modes), non-zero only when the target is an rpc server.
-	IngestQueueCap int
-	IngestWorkers  int
-	IngestEnqueued int64
-	IngestRejected int64
-	PipelinedConns int64
-	LegacyConns    int64
+	// Stats is the target's aggregate snapshot after the run settled:
+	// the server-side flush metrics of Figures 16–18 (FlushCount,
+	// AvgFlushMillis, AvgSortMillis) and every other engine counter.
+	engine.Stats
 	// PerShard holds the per-shard stats breakdown when the target is
 	// sharded (shard router in-process, or a sharded tsdbd over rpc);
 	// nil against an unsharded target.
@@ -438,63 +372,7 @@ func Run(target Target, cfg Config) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.FlushCount = st.FlushCount
-	res.AvgFlushMs = st.AvgFlushMillis
-	res.AvgSortMs = st.AvgSortMillis
-	res.SeqPoints = st.SeqPoints
-	res.UnseqPoints = st.UnseqPoints
-	res.FlushWorkers = st.FlushWorkers
-	res.AvgEncodeMs = st.AvgEncodeMillis
-	res.AvgWriteMs = st.AvgWriteMillis
-	res.SortsSkipped = st.SortsSkipped
-	res.LockWaits = st.LockWaits
-	res.AvgLockWaitMicros = st.AvgLockWaitMicros
-	res.P99LockWaitMicros = st.P99LockWaitMicros
-	res.QueriesBlocked = st.QueriesBlocked
-	res.FlatSorts = st.FlatSorts
-	res.InterfaceSorts = st.InterfaceSorts
-	res.FlatSortMillis = st.FlatSortMillis
-	res.InterfaceSortMillis = st.InterfaceSortMillis
-	res.SortParallelism = st.SortParallelism
-	res.FlatSortThreshold = st.FlatSortThreshold
-	res.WALSyncs = st.WALSyncs
-	res.WALCommits = st.WALCommits
-	res.QuarantinedFiles = st.QuarantinedFiles
-	res.RecoveredWALBatches = st.RecoveredWALBatches
-	res.ChunksFromStats = st.ChunksFromStats
-	res.ChunksDecoded = st.ChunksDecoded
-	res.PointsSkipped = st.PointsSkipped
-	res.BytesRead = st.BytesRead
-	res.BlocksDecoded = st.BlocksDecoded
-	res.BlocksSkipped = st.BlocksSkipped
-	res.BlocksFromStats = st.BlocksFromStats
-	res.CompactionPasses = st.CompactionPasses
-	res.CompactionBytesRead = st.CompactionBytesRead
-	res.MaxCompactionPassBytes = st.MaxCompactionPassBytes
-	res.PartitionsDropped = st.PartitionsDropped
-	res.PartitionsActive = st.PartitionsActive
-	res.SeriesCount = st.SeriesCount
-	res.LabelPairs = st.LabelPairs
-	res.PostingsEntries = st.PostingsEntries
-	res.MatcherResolutions = st.MatcherResolutions
-	res.SelectorQueries = st.SelectorQueries
-	res.FanoutSeries = st.FanoutSeries
-	res.MaxFanoutWidth = st.MaxFanoutWidth
-	res.AdaptiveSortEnabled = st.AdaptiveSortEnabled
-	res.SketchSeededFlushes = st.SketchSeededFlushes
-	res.SearchItersSaved = st.SearchItersSaved
-	res.AdaptiveFixedSorts = st.AdaptiveFixedSorts
-	res.AdaptiveSeededSorts = st.AdaptiveSeededSorts
-	res.AdaptiveFlatRoutes = st.AdaptiveFlatRoutes
-	res.AdaptiveIfaceRoutes = st.AdaptiveIfaceRoutes
-	res.AdaptiveMinL = st.AdaptiveMinL
-	res.AdaptiveMaxL = st.AdaptiveMaxL
-	res.IngestQueueCap = st.IngestQueueCap
-	res.IngestWorkers = st.IngestWorkers
-	res.IngestEnqueued = st.IngestEnqueued
-	res.IngestRejected = st.IngestRejected
-	res.PipelinedConns = st.PipelinedConns
-	res.LegacyConns = st.LegacyConns
+	res.Stats = st
 	if ss, ok := target.(ShardStatser); ok {
 		per, err := ss.ShardStats()
 		if err != nil {

@@ -305,10 +305,9 @@ type Stats struct {
 	IngestWorkers    int   // shared worker-pool size
 	IngestEnqueued   int64 // ops accepted into the queue (rpc + http)
 	IngestRejected   int64 // ops refused with overloaded/429
-	PipelinedConns   int64 // v7 tagged-frame connections accepted
-	LegacyConns      int64 // v<=6 one-in-flight connections accepted
+	PipelinedConns   int64 // rpc connections accepted past the handshake
 	// HTTP gateway counters, filled only by the gateway's own /stats
-	// view (the rpc stats payload does not carry them).
+	// view (zero in the rpc server's snapshot).
 	HTTPWrites int64 // line-protocol POST /write requests served
 	HTTPPoints int64 // points ingested through the gateway
 }

@@ -150,8 +150,8 @@ type metric struct {
 
 var (
 	metricThroughput = metric{"query throughput (points/s)", func(r bench.Result) float64 { return r.QueryThroughput }, "%.0f", true}
-	metricFlush      = metric{"avg flush time (ms)", func(r bench.Result) float64 { return r.AvgFlushMs }, "%.3f", false}
-	metricSort       = metric{"avg sorting time per flush (ms)", func(r bench.Result) float64 { return r.AvgSortMs }, "%.3f", false}
+	metricFlush      = metric{"avg flush time (ms)", func(r bench.Result) float64 { return r.AvgFlushMillis }, "%.3f", false}
+	metricSort       = metric{"avg sorting time per flush (ms)", func(r bench.Result) float64 { return r.AvgSortMillis }, "%.3f", false}
 	metricLatency    = metric{"total test latency (s)", func(r bench.Result) float64 { return r.TotalLatency.Seconds() }, "%.3f", false}
 )
 

@@ -27,14 +27,11 @@ const (
 var errClientClosed = errors.New("rpc: client closed")
 
 // Client is a connection to a Server. It satisfies bench.Target so
-// benchmark workloads can run client-server. Against a version-7 peer
-// the connection is pipelined: any number of goroutines may issue
-// calls concurrently, each request carries a client-chosen tag, and a
-// demultiplexer routes tagged replies back to their callers — so N
-// requests overlap on one TCP connection instead of serializing on a
-// lock. Against an older peer the client degrades to the classic
-// one-request-at-a-time exchange (concurrent callers queue on a
-// mutex), so cross-version pairs keep working.
+// benchmark workloads can run client-server. The connection is
+// pipelined: any number of goroutines may issue calls concurrently,
+// each request carries a client-chosen tag, and a demultiplexer routes
+// tagged replies back to their callers — so N requests overlap on one
+// TCP connection instead of serializing on a lock.
 //
 // Idempotent calls (Query, Latest, Stats, Aggregate, Flush, Settle)
 // transparently redial and retry with exponential backoff when the
@@ -47,10 +44,9 @@ var errClientClosed = errors.New("rpc: client closed")
 type Client struct {
 	addr string
 
-	mu            sync.Mutex // guards cc, closed, serverVersion; held across redial (single-flight)
-	cc            *clientConn
-	closed        bool
-	serverVersion byte
+	mu     sync.Mutex // guards cc, closed; held across redial (single-flight)
+	cc     *clientConn
+	closed bool
 }
 
 // callResult is one demuxed reply (or the connection's fatal error).
@@ -74,18 +70,12 @@ func (r callResult) decode() ([]byte, error) {
 	}
 }
 
-// clientConn is one live connection. In tagged mode a demux goroutine
-// owns the read side and a coalescing writer goroutine owns the write
-// side; requests register a tag in pend and wait on their channel. In
-// legacy mode there are no goroutines and reqMu serializes classic
-// write-then-read exchanges.
+// clientConn is one live connection. A demux goroutine owns the read
+// side and a coalescing writer goroutine owns the write side; requests
+// register a tag in pend and wait on their channel.
 type clientConn struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer // legacy mode only
-	tagged bool
-
-	reqMu sync.Mutex // legacy mode: one exchange at a time
+	conn net.Conn
+	br   *bufio.Reader
 
 	pendMu  sync.Mutex
 	pend    map[uint32]chan callResult
@@ -99,8 +89,8 @@ type clientConn struct {
 }
 
 // Dial connects to a server and performs the protocol handshake. A
-// peer that is not a tsdb server, or one whose protocol this client
-// cannot speak, fails here with a descriptive error instead of
+// peer that is not a tsdb server, or one announcing any version other
+// than ProtocolVersion, fails here with a descriptive error instead of
 // misparsing frames later.
 func Dial(addr string) (*Client, error) {
 	c := &Client{addr: addr}
@@ -128,12 +118,11 @@ func (c *Client) redialLocked(failed *clientConn) (*clientConn, error) {
 		c.cc.fail(errors.New("rpc: connection replaced"))
 		c.cc = nil
 	}
-	cc, ver, err := dialConn(c.addr)
+	cc, err := dialConn(c.addr)
 	if err != nil {
 		return nil, err
 	}
 	c.cc = cc
-	c.serverVersion = ver
 	return cc, nil
 }
 
@@ -165,56 +154,47 @@ func (c *Client) current() (*clientConn, error) {
 	return c.cc, nil
 }
 
-// dialConn opens a TCP connection, handshakes (always untagged, on
-// any version), and — when both ends speak version 7+ — starts the
-// demux and writer goroutines that run the tagged connection.
-func dialConn(addr string) (*clientConn, byte, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	hello := append([]byte(nil), protocolMagic[:]...)
-	hello = append(hello, ProtocolVersion)
-	if err := writeFrame(bw, OpHello, hello); err != nil {
-		conn.Close()
-		return nil, 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, 0, err
+// handshake runs the client half of the untagged hello exchange.
+func handshake(conn net.Conn, br *bufio.Reader) error {
+	if err := writeFrame(conn, OpHello, helloPayload()); err != nil {
+		return fmt.Errorf("rpc: handshake failed: %w", err)
 	}
 	status, resp, err := readFrame(br)
 	if err != nil {
-		conn.Close()
-		return nil, 0, fmt.Errorf("rpc: handshake failed: %w", err)
+		return fmt.Errorf("rpc: handshake failed: %w", err)
 	}
 	if status != StatusOK {
-		conn.Close()
-		// A version-1 server answers hello with "unknown opcode".
-		return nil, 0, fmt.Errorf("rpc: handshake failed — server predates protocol version %d? (%w: %s)", ProtocolVersion, ErrRemote, resp)
+		// The server refused us: its text names both versions on a
+		// mismatch (a version-1 server says "unknown opcode").
+		return fmt.Errorf("rpc: handshake refused (client speaks protocol version %d): %w: %s",
+			ProtocolVersion, ErrRemote, resp)
 	}
-	if len(resp) < 5 || string(resp[:4]) != string(protocolMagic[:]) {
-		conn.Close()
-		return nil, 0, fmt.Errorf("rpc: handshake reply malformed (not a tsdb server?)")
+	return checkHello(resp, "client", "server")
+}
+
+// dialConn opens a TCP connection, handshakes, and starts the demux
+// and writer goroutines that run the connection.
+func dialConn(addr string) (*clientConn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
 	}
-	ver := resp[4]
+	br := bufio.NewReaderSize(conn, 1<<16)
+	if err := handshake(conn, br); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	cc := &clientConn{
 		conn:    conn,
 		br:      br,
-		bw:      bw,
 		pend:    make(map[uint32]chan callResult),
 		nextTag: 1,
 		stop:    make(chan struct{}),
 		send:    make(chan []byte, 64),
 	}
-	if min(ver, ProtocolVersion) >= pipelineVersion {
-		cc.tagged = true
-		go cc.demux()
-		go cc.writer()
-	}
-	return cc, ver, nil
+	go cc.demux()
+	go cc.writer()
+	return cc, nil
 }
 
 // fail shuts the connection down once: every pending call receives
@@ -245,7 +225,7 @@ func (cc *clientConn) failErr() error {
 	return errors.New("rpc: connection closed")
 }
 
-// demux owns the read side of a tagged connection: it routes each
+// demux owns the read side of the connection: it routes each
 // reply to the caller that registered its tag. A reply for a tag
 // nobody registered means the peer broke framing; the connection is
 // unusable then.
@@ -268,7 +248,7 @@ func (cc *clientConn) demux() {
 	}
 }
 
-// writer owns the write side of a tagged connection. It coalesces:
+// writer owns the write side of the connection. It coalesces:
 // after taking one frame it drains whatever else is already queued
 // and issues a single Write, so 8 pipelined requests cost one
 // syscall, not eight.
@@ -298,7 +278,7 @@ func (cc *clientConn) writer() {
 }
 
 // start registers a tag and queues the encoded frame, returning the
-// channel the reply will arrive on. Tagged connections only.
+// channel the reply will arrive on.
 func (cc *clientConn) start(op byte, payload []byte) (chan callResult, error) {
 	ch := make(chan callResult, 1)
 	cc.pendMu.Lock()
@@ -331,12 +311,8 @@ func (cc *clientConn) forget(tag uint32) {
 	cc.pendMu.Unlock()
 }
 
-// roundTrip performs one request/response exchange, pipelined or
-// legacy depending on the negotiated version.
+// roundTrip performs one request/response exchange.
 func (cc *clientConn) roundTrip(op byte, payload []byte) ([]byte, error) {
-	if !cc.tagged {
-		return cc.legacyExchange(op, payload)
-	}
 	ch, err := cc.start(op, payload)
 	if err != nil {
 		return nil, err
@@ -344,44 +320,8 @@ func (cc *clientConn) roundTrip(op byte, payload []byte) ([]byte, error) {
 	return (<-ch).decode()
 }
 
-// legacyExchange is the classic one-in-flight exchange used against
-// version <= 6 peers: write a frame, read the next frame as its
-// reply, with concurrent callers serialized on reqMu.
-func (cc *clientConn) legacyExchange(op byte, payload []byte) ([]byte, error) {
-	cc.reqMu.Lock()
-	defer cc.reqMu.Unlock()
-	if cc.failed.Load() {
-		return nil, cc.failErr()
-	}
-	if err := writeFrame(cc.bw, op, payload); err != nil {
-		cc.fail(err)
-		return nil, err
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(err)
-		return nil, err
-	}
-	status, resp, err := readFrame(cc.br)
-	if err != nil {
-		cc.fail(err)
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, resp)
-	}
-	return resp, nil
-}
-
 func (cc *clientConn) close() {
 	cc.fail(errClientClosed)
-}
-
-// ServerVersion reports the protocol version the server announced in
-// the handshake.
-func (c *Client) ServerVersion() byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serverVersion
 }
 
 // overloadBackoff turns an overload rejection into a sleep: the
@@ -483,7 +423,7 @@ func (c *Client) InsertBatch(sensor string, times []int64, values []float64) err
 // exactly once, from one goroutine.
 type PendingInsert struct {
 	ch  chan callResult
-	err error // resolved immediately (legacy conn, encode/enqueue failure)
+	err error // resolved immediately (encode/enqueue failure)
 }
 
 // Wait blocks for the server's reply. An overload rejection comes
@@ -501,11 +441,8 @@ func (p *PendingInsert) Wait() error {
 }
 
 // InsertBatchAsync issues an insert without waiting for the reply,
-// returning a PendingInsert to collect it later. On a pipelined
-// (version-7) connection up to the server's in-flight budget of
-// inserts can overlap on one connection; on a legacy connection this
-// degrades to a synchronous insert that is already resolved when it
-// returns.
+// returning a PendingInsert to collect it later. Up to the server's
+// in-flight budget of inserts can overlap on one connection.
 func (c *Client) InsertBatchAsync(sensor string, times []int64, values []float64) *PendingInsert {
 	payload, err := encodeInsert(sensor, times, values)
 	if err != nil {
@@ -513,10 +450,6 @@ func (c *Client) InsertBatchAsync(sensor string, times []int64, values []float64
 	}
 	cc, err := c.current()
 	if err != nil {
-		return &PendingInsert{err: err}
-	}
-	if !cc.tagged {
-		_, err := cc.legacyExchange(OpInsert, payload)
 		return &PendingInsert{err: err}
 	}
 	ch, err := cc.start(OpInsert, payload)
@@ -587,117 +520,20 @@ func (c *Client) Stats() (engine.Stats, error) {
 }
 
 // ShardStats returns the server's per-shard stats breakdown, one entry
-// per shard in shard order. Empty against an unsharded (or legacy
-// version-1) server.
+// per shard in shard order. Empty against an unsharded server.
 func (c *Client) ShardStats() ([]engine.Stats, error) {
 	_, per, err := c.StatsFull()
 	return per, err
 }
 
 // StatsFull returns the aggregate stats and the per-shard breakdown
-// from a single OpStats exchange. A legacy (version-1) stats payload
-// carries no per-shard extension (the breakdown is nil then), a
-// version-2 payload carries no durability extension (the durability
-// counters stay zero), a version-3 payload carries no pruning
-// extension, a version-4 payload carries no read-amplification
-// extension, a version-5 payload carries no label-index extension,
-// and a version-6 payload carries no ingest front-end extension (the
-// missing counters stay zero).
+// from a single OpStats exchange.
 func (c *Client) StatsFull() (engine.Stats, []engine.Stats, error) {
 	resp, err := c.callIdempotent(OpStats, nil)
 	if err != nil {
 		return engine.Stats{}, nil, err
 	}
-	p := &payloadReader{b: resp}
-	st, err := p.stats()
-	if err != nil {
-		return st, nil, err
-	}
-	if p.remaining() == 0 {
-		return st, nil, nil // legacy stats shape: no shard extension
-	}
-	n, err := p.uvarint()
-	if err != nil {
-		return st, nil, err
-	}
-	// Every stats block is well over 30 bytes; reject counts the frame
-	// cannot hold before allocating.
-	if n > uint64(p.remaining())/30+1 {
-		return st, nil, fmt.Errorf("rpc: shard count %d exceeds frame", n)
-	}
-	per := make([]engine.Stats, n)
-	for i := range per {
-		if per[i], err = p.stats(); err != nil {
-			return st, nil, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-2 payload: no durability extension
-	}
-	if err := p.durability(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.durability(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-3 payload: no pruning extension
-	}
-	if err := p.pruning(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.pruning(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-4 payload: no read-amp extension
-	}
-	if err := p.readAmp(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.readAmp(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-5 payload: no label-index extension
-	}
-	if err := p.indexStats(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.indexStats(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-6 payload: no ingest extension
-	}
-	if err := p.ingestStats(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.ingestStats(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	if p.remaining() == 0 {
-		return st, per, nil // version-7 payload: no adaptive-sort extension
-	}
-	if err := p.adaptiveStats(&st); err != nil {
-		return st, per, err
-	}
-	for i := range per {
-		if err := p.adaptiveStats(&per[i]); err != nil {
-			return st, per, err
-		}
-	}
-	return st, per, nil
+	return decodeStatsReply(resp)
 }
 
 // Flush forces a server-side flush.

@@ -10,10 +10,10 @@ import (
 	"repro/internal/shard"
 )
 
-// TestDurabilityStatsOverRPC runs a WALSync=always engine behind the
-// server and checks the version-3 durability extension round-trips:
-// commits and syncs reach the client non-zero, through both the
-// aggregate and (via a sharded backend) the per-shard breakdown.
+// TestDurabilityStatsOverRPC runs a WALSync=always sharded store
+// behind the server and checks the durability counters: every acked
+// insert is one WAL commit, group commit bounds syncs by commits, and
+// the per-shard breakdown sums to the aggregate.
 func TestDurabilityStatsOverRPC(t *testing.T) {
 	r, err := shard.Open(shard.Config{
 		Config: engine.Config{
@@ -168,9 +168,7 @@ func TestReadTimeoutDropsIdleConn(t *testing.T) {
 	}
 	defer conn.Close()
 	// Handshake, then go idle past the read deadline.
-	payload := append([]byte(nil), protocolMagic[:]...)
-	payload = append(payload, ProtocolVersion)
-	if err := writeFrame(conn, OpHello, payload); err != nil {
+	if err := writeFrame(conn, OpHello, helloPayload()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(conn); err != nil {

@@ -1,58 +1,77 @@
 package rpc
 
 import (
-	"math/rand"
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/query"
 )
 
-// TestDispatchSurvivesRandomPayloads throws random bytes at every
-// opcode's decoder: the server must reply with errors, never panic.
-func TestDispatchSurvivesRandomPayloads(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
+// FuzzDispatch throws arbitrary bytes at every opcode's request
+// decoder (and at the handshake check): the server must answer with a
+// reply or an error, never panic, and never allocate beyond what the
+// frame could hold. Seeded with one valid payload per opcode.
+func FuzzDispatch(f *testing.F) {
+	sensor := appendString(nil, "s")
+	insert, err := encodeInsert("s", []int64{3, 1, 2}, []float64{1, 2, 3})
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
+	}
+	rng := binary.AppendVarint(binary.AppendVarint(sensor, 0), 100)
+	agg := sensor
+	for _, v := range []int64{0, 40, 40, int64(query.Avg)} {
+		agg = binary.AppendVarint(agg, v)
+	}
+	f.Add(OpInsert, insert)
+	f.Add(OpQuery, rng)
+	f.Add(OpLatest, sensor)
+	f.Add(OpStats, []byte(nil))
+	f.Add(OpFlush, []byte(nil))
+	f.Add(OpWait, []byte(nil))
+	f.Add(OpAgg, agg)
+	f.Add(OpHello, helloPayload())
+	// A count far beyond the frame must be refused before allocating.
+	f.Add(OpInsert, binary.AppendUvarint(sensor, 1<<40))
+	// A string length that wraps int negative must not index the payload.
+	f.Add(OpInsert, binary.AppendUvarint(nil, 1<<63+5))
+
+	e, err := engine.Open(engine.Config{Dir: f.TempDir(), SyncFlush: true})
+	if err != nil {
+		f.Fatal(err)
 	}
 	defer e.Close()
 	srv := NewServer(e)
-
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 3000; trial++ {
-		op := byte(r.Intn(10)) // includes unknown opcodes
-		payload := make([]byte, r.Intn(64))
-		r.Read(payload)
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("dispatch panicked on op %d payload %x: %v", op, payload, p)
-				}
-			}()
-			_, _ = srv.dispatch(op, payload)
-		}()
-	}
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		_, _ = srv.dispatch(op, payload)
+		_ = checkHello(payload, "server", "client")
+	})
 }
 
-// TestDispatchSurvivesTruncatedValidPayloads replays prefixes of a
-// valid insert payload — every truncation point must decode cleanly
-// into an error.
-func TestDispatchSurvivesTruncatedValidPayloads(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	srv := NewServer(e)
-
-	payload := appendString(nil, "sensor")
-	payload = append(payload, 2) // n=2
-	payload = appendFloat64(appendString(payload[:len(payload)], ""), 0)
-
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := srv.dispatch(OpInsert, payload[:cut]); err == nil && cut < len(payload)-1 {
-			// Some prefixes can be coincidentally valid (e.g. n=0);
-			// the requirement is only "no panic", checked implicitly.
-			continue
+// FuzzStatsDecode feeds arbitrary bytes to the client-side decoder of
+// the OpStats reply: it must return stats or an error, never panic, and
+// never size the per-shard slice beyond what the payload could hold.
+func FuzzStatsDecode(f *testing.F) {
+	var st engine.Stats
+	st.FlushCount, st.AvgFlushMillis, st.AdaptiveSortEnabled = 7, 2.5, true
+	f.Add(appendStatsReply(nil, st, nil))
+	f.Add(appendStatsReply(nil, st, []engine.Stats{st, {}}))
+	f.Add(binary.AppendUvarint(nil, 1<<40))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		agg, per, err := decodeStatsReply(payload)
+		if err != nil {
+			return
 		}
-	}
+		if max := len(payload) / (len(statsKinds) + 1); len(per)+1 > max {
+			t.Fatalf("decoded %d blocks from %d bytes (at most %d fit)", len(per)+1, len(payload), max)
+		}
+		// Whatever decodes survives a canonical re-encode unchanged
+		// (compared as bytes: the fuzzer finds NaNs).
+		canon := appendStatsReply(nil, agg, per)
+		agg2, per2, err := decodeStatsReply(canon)
+		if err != nil || !bytes.Equal(appendStatsReply(nil, agg2, per2), canon) {
+			t.Fatalf("re-encode round trip diverged: %v", err)
+		}
+	})
 }

@@ -2,17 +2,15 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/query"
-	"repro/internal/shard"
 )
 
 // rawDial opens a connection that skips the Client handshake, so tests
@@ -43,7 +41,7 @@ func rawCall(t *testing.T, br *bufio.Reader, bw *bufio.Writer, op byte, payload 
 }
 
 // TestHandshakeRequiredFirst: a client that opens with any opcode other
-// than OpHello (a pre-version-2 client) gets a descriptive error on its
+// than OpHello gets a descriptive error on its
 // first exchange, and the server drops the connection.
 func TestHandshakeRequiredFirst(t *testing.T) {
 	_, addr := startServer(t)
@@ -91,405 +89,152 @@ func TestHandshakeRejectsShortAndZero(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionReported: a well-formed hello succeeds and the
-// Dial-level client records the server's announced version.
-func TestHandshakeVersionReported(t *testing.T) {
+// TestHandshakeVersionMismatch: the protocol is exactly
+// ProtocolVersion. A raw peer announcing the version below or above is
+// refused with a decodable error naming both versions and then hung up
+// on; Dial against a server announcing another version fails the same
+// way instead of misparsing later frames.
+func TestHandshakeVersionMismatch(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != ProtocolVersion {
-		t.Fatalf("server version = %d, want %d", v, ProtocolVersion)
-	}
-}
+	for _, v := range []byte{ProtocolVersion - 1, ProtocolVersion + 1} {
+		bothVersions := []string{fmt.Sprintf("version %d", ProtocolVersion), fmt.Sprintf("version %d", v)}
 
-// TestShardStatsOverRPC: against a sharded backend, StatsFull carries
-// the merged aggregate plus one stats block per shard, and the
-// aggregate's counters equal the sum of the per-shard counters.
-func TestShardStatsOverRPC(t *testing.T) {
-	r, err := shard.Open(shard.Config{ShardCount: 4, Config: engine.Config{
-		Dir:          t.TempDir(),
-		MemTableSize: 1000,
-		SyncFlush:    true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(r)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		r.Close()
-	})
+		_, br, bw := rawDial(t, addr)
+		status, resp := rawCall(t, br, bw, OpHello, append(protocolMagic[:4:4], v))
+		if status != StatusError {
+			t.Fatalf("client version %d: hello status = %d, want StatusError", v, status)
+		}
+		for _, want := range bothVersions {
+			if !strings.Contains(string(resp), want) {
+				t.Fatalf("client version %d: refusal %q does not name %q", v, resp, want)
+			}
+		}
+		if _, _, err := readFrame(br); !errors.Is(err, io.EOF) {
+			t.Fatalf("client version %d: connection not closed after refusal: %v", v, err)
+		}
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for d := 0; d < 8; d++ {
-		sensor := "d" + string(rune('0'+d)) + ".s0"
-		if err := c.InsertBatch(sensor, []int64{3, 1, 2}, []float64{1, 2, 3}); err != nil {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	agg, per, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(per) != 4 {
-		t.Fatalf("per-shard blocks = %d, want 4", len(per))
-	}
-	var sum int64
-	for _, st := range per {
-		sum += st.SeqPoints + st.UnseqPoints
-	}
-	if agg.SeqPoints+agg.UnseqPoints != sum || sum != 24 {
-		t.Fatalf("aggregate %d vs per-shard sum %d (want 24)", agg.SeqPoints+agg.UnseqPoints, sum)
-	}
-	// The convenience accessor returns the same breakdown.
-	per2, err := c.ShardStats()
-	if err != nil || len(per2) != 4 {
-		t.Fatalf("ShardStats = %d blocks, %v", len(per2), err)
-	}
-}
-
-// TestUnshardedStatsEmptyBreakdown: a bare-engine server encodes a
-// zero-length shard extension; clients see an empty breakdown.
-func TestUnshardedStatsEmptyBreakdown(t *testing.T) {
-	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, per, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(per) != 0 {
-		t.Fatalf("unsharded server reported %d shards", len(per))
-	}
-}
-
-// TestLegacyStatsShapeParsed: a version-1 server's OpStats payload ends
-// after the aggregate block (no shard extension). The client must parse
-// it as aggregate-only rather than erroring on the missing extension.
-// Simulated with a hand-rolled server speaking the old shape.
-func TestLegacyStatsShapeParsed(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	want := engine.Stats{FlushCount: 7, SeqPoints: 123, UnseqPoints: 45, Files: 2, FlushWorkers: 1}
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		bw := bufio.NewWriter(conn)
-		for {
-			op, _, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			var resp []byte
-			switch op {
-			case OpHello:
-				// Answer hello normally so Dial succeeds; only the stats
-				// payload is legacy-shaped.
-				resp = append(append([]byte(nil), protocolMagic[:]...), 1)
-			case OpStats:
-				resp = appendStats(nil, want) // v1: no shard extension
-			}
-			if writeFrame(bw, 0, resp) != nil || bw.Flush() != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != 1 {
-		t.Fatalf("server version = %d, want 1", v)
-	}
-	st, per, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if per != nil {
-		t.Fatalf("legacy payload produced a shard breakdown: %+v", per)
-	}
-	if st != want {
-		t.Fatalf("legacy stats = %+v, want %+v", st, want)
-	}
-}
-
-// legacyRawClient speaks the version <= 6 wire format by hand: an
-// untagged hello announcing the given version, then untagged
-// request/response exchanges. It stands in for an old client binary
-// when testing a new server.
-type legacyRawClient struct {
-	t  *testing.T
-	br *bufio.Reader
-	bw *bufio.Writer
-}
-
-func dialLegacyRaw(t *testing.T, addr string, version byte) (*legacyRawClient, byte) {
-	t.Helper()
-	_, br, bw := rawDial(t, addr)
-	lc := &legacyRawClient{t: t, br: br, bw: bw}
-	hello := append(append([]byte(nil), protocolMagic[:]...), version)
-	status, resp := rawCall(t, br, bw, OpHello, hello)
-	if status != StatusOK {
-		t.Fatalf("legacy hello refused: %s", resp)
-	}
-	if len(resp) < 5 || string(resp[:4]) != string(protocolMagic[:]) {
-		t.Fatalf("malformed hello reply: %v", resp)
-	}
-	return lc, resp[4]
-}
-
-func (lc *legacyRawClient) call(op byte, payload []byte) (byte, []byte) {
-	lc.t.Helper()
-	return rawCall(lc.t, lc.br, lc.bw, op, payload)
-}
-
-// TestV6ClientAgainstV7Server drives every op type through a
-// hand-rolled version-6 client against the current server: the server
-// must degrade that connection to untagged one-in-flight framing, so
-// deployed old binaries keep working against an upgraded server.
-func TestV6ClientAgainstV7Server(t *testing.T) {
-	_, addr := startServer(t)
-	lc, serverVersion := dialLegacyRaw(t, addr, 6)
-	if serverVersion != ProtocolVersion {
-		t.Fatalf("server announced version %d, want %d", serverVersion, ProtocolVersion)
-	}
-
-	// OpInsert
-	ins := appendString(nil, "s")
-	ins = binary.AppendUvarint(ins, 3)
-	for i, tt := range []int64{10, 20, 30} {
-		ins = binary.AppendVarint(ins, tt)
-		ins = appendFloat64(ins, float64(i))
-	}
-	if status, resp := lc.call(OpInsert, ins); status != StatusOK {
-		t.Fatalf("legacy insert failed: %s", resp)
-	}
-	// OpFlush, OpWait
-	if status, resp := lc.call(OpFlush, nil); status != StatusOK {
-		t.Fatalf("legacy flush failed: %s", resp)
-	}
-	if status, resp := lc.call(OpWait, nil); status != StatusOK {
-		t.Fatalf("legacy wait failed: %s", resp)
-	}
-	// OpQuery
-	qp := appendString(nil, "s")
-	qp = binary.AppendVarint(qp, 0)
-	qp = binary.AppendVarint(qp, 100)
-	status, resp := lc.call(OpQuery, qp)
-	if status != StatusOK {
-		t.Fatalf("legacy query failed: %s", resp)
-	}
-	p := &payloadReader{b: resp}
-	if n, err := p.uvarint(); err != nil || n != 3 {
-		t.Fatalf("legacy query returned %d points (%v), want 3", n, err)
-	}
-	// OpLatest
-	status, resp = lc.call(OpLatest, appendString(nil, "s"))
-	if status != StatusOK {
-		t.Fatalf("legacy latest failed: %s", resp)
-	}
-	if len(resp) < 1 || resp[0] != 1 {
-		t.Fatalf("legacy latest found nothing: %v", resp)
-	}
-	// OpAgg: avg over [0, 40) window 40 -> one window, value 1.
-	ap := appendString(nil, "s")
-	for _, v := range []int64{0, 40, 40, int64(query.Avg)} {
-		ap = binary.AppendVarint(ap, v)
-	}
-	status, resp = lc.call(OpAgg, ap)
-	if status != StatusOK {
-		t.Fatalf("legacy agg failed: %s", resp)
-	}
-	p = &payloadReader{b: resp}
-	if n, err := p.uvarint(); err != nil || n != 1 {
-		t.Fatalf("legacy agg returned %d windows (%v), want 1", n, err)
-	}
-	// OpStats: the v7 payload shape decodes with the current reader and
-	// carries the ingest extension even over a legacy connection.
-	status, resp = lc.call(OpStats, nil)
-	if status != StatusOK {
-		t.Fatalf("legacy stats failed: %s", resp)
-	}
-	p = &payloadReader{b: resp}
-	st, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SeqPoints+st.UnseqPoints != 3 {
-		t.Fatalf("stats points = %d, want 3", st.SeqPoints+st.UnseqPoints)
-	}
-}
-
-// v6ServerOver serves the version <= 6 wire format over the current
-// dispatch logic: untagged frames, announced version 6. It stands in
-// for an old server binary when testing the new pipelined client.
-func v6ServerOver(t *testing.T, backend Backend) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(backend)
-	go func() {
-		for {
+		go func() { // a server of another version: accepts any hello, announces v
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				bw := bufio.NewWriter(conn)
-				for {
-					op, payload, err := readFrame(br)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					var derr error
-					if op == OpHello {
-						resp = append(append([]byte(nil), protocolMagic[:]...), 6)
-					} else {
-						resp, derr = srv.dispatch(op, payload)
-					}
-					status := StatusOK
-					if derr != nil {
-						status, resp = StatusError, []byte(derr.Error())
-					}
-					if writeFrame(bw, status, resp) != nil || bw.Flush() != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestV7ClientAgainstV6Server drives every client method against a
-// version-6 server: the client must fall back to one-in-flight
-// untagged exchanges, including for concurrent callers and for
-// InsertBatchAsync (which degrades to a synchronous insert).
-func TestV7ClientAgainstV6Server(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	addr := v6ServerOver(t, e)
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ServerVersion(); v != 6 {
-		t.Fatalf("server version = %d, want 6", v)
-	}
-	if err := c.InsertBatch("s", []int64{10, 20, 30}, []float64{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if p := c.InsertBatchAsync("s", []int64{40}, []float64{3}); p.Wait() != nil {
-		t.Fatalf("async insert on legacy conn: %v", p.Wait())
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := c.Query("s", 0, 100)
-	if err != nil || len(pts) != 4 {
-		t.Fatalf("query = %d points, %v; want 4", len(pts), err)
-	}
-	if n, err := c.QueryCount("s", 0, 100); err != nil || n != 4 {
-		t.Fatalf("query count = %d, %v", n, err)
-	}
-	lt, ok, err := c.Latest("s")
-	if err != nil || !ok || lt != 40 {
-		t.Fatalf("latest = %d/%v/%v", lt, ok, err)
-	}
-	ws, err := c.Aggregate("s", 0, 50, 50, query.Avg)
-	if err != nil || len(ws) != 1 || ws[0].Count != 4 {
-		t.Fatalf("aggregate = %+v, %v", ws, err)
-	}
-	st, _, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SeqPoints+st.UnseqPoints != 4 {
-		t.Fatalf("stats points = %d, want 4", st.SeqPoints+st.UnseqPoints)
-	}
-
-	// Concurrent idempotent calls serialize on the legacy exchange
-	// instead of corrupting frames.
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Query("s", 0, 100); err != nil {
-				errs <- err
+			defer conn.Close()
+			if _, _, err := readFrame(conn); err == nil {
+				writeFrame(conn, StatusOK, append(protocolMagic[:4:4], v))
 			}
 		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+		c, err := Dial(ln.Addr().String())
+		ln.Close()
+		if err == nil {
+			c.Close()
+			t.Fatalf("Dial accepted a version-%d server", v)
+		}
+		for _, want := range bothVersions {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("server version %d: Dial error %q does not name %q", v, err, want)
+			}
+		}
 	}
 }
 
-// TestStatsRoundTrip: appendStats/stats are inverses for a fully
-// populated Stats value — a new field added to one side but not the
-// other shows up here.
+// fillStats sets every field of an engine.Stats to a distinct non-zero
+// value derived from seed, by reflection — so a field added to the
+// struct later is covered without editing this test. Signs alternate to
+// exercise negative varints.
+func fillStats(t *testing.T, seed int) engine.Stats {
+	t.Helper()
+	var st engine.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		x := int64(seed*1000 + i + 1)
+		if i%2 == 1 {
+			x = -x
+		}
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(x)
+		case reflect.Float64:
+			f.SetFloat(float64(x) + 0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("engine.Stats.%s: kind %s not handled", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+// statsBackend serves fixed stats; with per set it is a sharded backend.
+type statsBackend struct {
+	blockingBackend
+	agg engine.Stats
+	per []engine.Stats
+}
+
+func (b *statsBackend) Stats() engine.Stats { return b.agg }
+
+type shardedStatsBackend struct{ *statsBackend }
+
+func (b shardedStatsBackend) StatsAll() (engine.Stats, []engine.Stats) { return b.agg, b.per }
+
+// TestStatsRoundTrip: every field of engine.Stats survives the wire
+// through a real server, for a bare engine (empty breakdown) and for a
+// 3-shard backend (aggregate plus three distinct blocks). The server
+// overlays its own front-end counters onto the aggregate, so the
+// aggregate is compared with that same overlay applied to both sides;
+// the per-shard blocks are compared as sent.
 func TestStatsRoundTrip(t *testing.T) {
-	want := engine.Stats{
-		FlushCount: 1, AvgFlushMillis: 2.5, AvgSortMillis: 0.5,
-		SeqPoints: 3, UnseqPoints: 4, Files: 5, MemTablePoints: 6,
-		FlushWorkers: 7, SortsSkipped: 8, LockWaits: 9, QueriesBlocked: 10,
-		AvgEncodeMillis: 1.25, AvgWriteMillis: 0.75, AvgLockWaitMicros: 11.5,
-		MaxLockWaitMicros: 12, P99LockWaitMicros: 13,
-		FlatSorts: 14, InterfaceSorts: 15, FlatSortMillis: 16.5,
-		InterfaceSortMillis: 17.5, SortParallelism: 18, FlatSortThreshold: 19,
-	}
-	p := &payloadReader{b: appendStats(nil, want)}
-	got, err := p.stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v, want %+v", got, want)
-	}
-	if p.remaining() != 0 {
-		t.Fatalf("%d trailing bytes after stats block", p.remaining())
+	agg := fillStats(t, 1)
+	shards := []engine.Stats{fillStats(t, 2), fillStats(t, 3), fillStats(t, 4)}
+	for name, backend := range map[string]Backend{
+		"bare":    &statsBackend{agg: agg},
+		"3-shard": shardedStatsBackend{&statsBackend{agg: agg, per: shards}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := NewServer(backend)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			got, per, err := c.StatsFull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PipelinedConns != 1 || got.IngestQueueCap == 0 {
+				t.Fatalf("front-end overlay missing from the aggregate: %+v", got)
+			}
+			overlaid := func(st engine.Stats) engine.Stats {
+				srv.frontendStats(&st)
+				return st
+			}
+			if g, w := overlaid(got), overlaid(agg); g != w {
+				t.Fatalf("aggregate:\n got %+v\nwant %+v", g, w)
+			}
+			wantPer := shards
+			if name == "bare" {
+				wantPer = []engine.Stats{}
+			}
+			if !reflect.DeepEqual(per, wantPer) {
+				t.Fatalf("per-shard:\n got %+v\nwant %+v", per, wantPer)
+			}
+			// The convenience accessors are views of the same exchange.
+			if st, err := c.Stats(); err != nil || overlaid(st) != overlaid(agg) {
+				t.Fatalf("Stats() = %+v, %v", st, err)
+			}
+			if per2, err := c.ShardStats(); err != nil || !reflect.DeepEqual(per2, wantPer) {
+				t.Fatalf("ShardStats() = %+v, %v", per2, err)
+			}
+		})
 	}
 }

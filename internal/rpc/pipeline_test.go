@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,8 +94,8 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PipelinedConns < 1 || st.LegacyConns != 0 {
-		t.Fatalf("conn counters: pipelined=%d legacy=%d", st.PipelinedConns, st.LegacyConns)
+	if st.PipelinedConns < 1 {
+		t.Fatalf("conn counter: pipelined=%d", st.PipelinedConns)
 	}
 	if st.IngestEnqueued == 0 {
 		t.Fatalf("pipelined ops bypassed the dispatch queue")
@@ -287,8 +290,7 @@ func TestIdleSweepClosesIdleConns(t *testing.T) {
 
 	// A raw handshaken connection left idle gets hung up on.
 	conn, br, bw := rawDial(t, addr)
-	hello := append(append([]byte(nil), protocolMagic[:]...), ProtocolVersion)
-	if status, _ := rawCall(t, br, bw, OpHello, hello); status != StatusOK {
+	if status, _ := rawCall(t, br, bw, OpHello, helloPayload()); status != StatusOK {
 		t.Fatal("handshake refused")
 	}
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -447,8 +449,7 @@ func TestStalledWriterDoesNotWedgePool(t *testing.T) {
 	}
 
 	deaf, br, bw := rawDial(t, addr)
-	hello := append(append([]byte(nil), protocolMagic[:]...), ProtocolVersion)
-	if status, _ := rawCall(t, br, bw, OpHello, hello); status != StatusOK {
+	if status, _ := rawCall(t, br, bw, OpHello, helloPayload()); status != StatusOK {
 		t.Fatal("handshake refused")
 	}
 	qpayload := appendString(nil, "big")
@@ -559,5 +560,85 @@ func TestSharedQueueAcrossServers(t *testing.T) {
 	}
 	if got := q.Stats().Enqueued; got < 2 {
 		t.Fatalf("shared queue saw %d ops across two servers, want >= 2", got)
+	}
+}
+
+// oversizeBackend answers Query("big") with more points than one frame
+// can carry, and parks Query("slow") until release so a second tag is
+// in flight on the same connection meanwhile.
+type oversizeBackend struct {
+	blockingBackend
+	big       []engine.TV
+	bigCalls  atomic.Int64
+	slowCalls atomic.Int64
+}
+
+func (b *oversizeBackend) Query(sensor string, _, _ int64) ([]engine.TV, error) {
+	switch sensor {
+	case "big":
+		b.bigCalls.Add(1)
+		return b.big, nil
+	case "slow":
+		b.slowCalls.Add(1)
+		b.once.Do(func() { close(b.started) })
+		<-b.release
+		return []engine.TV{{T: 1, V: 2}}, nil
+	}
+	return nil, nil
+}
+
+// TestOversizedReplyFailsOneTag: a result that cannot fit MaxFrame is
+// answered as a StatusError on its own tag. The connection survives —
+// a second tag in flight on it completes — and the client, seeing
+// ErrRemote rather than a broken socket, does not redial and
+// re-execute the oversized query.
+func TestOversizedReplyFailsOneTag(t *testing.T) {
+	// MaxInt64 timestamps encode as 10-byte varints: 18 bytes a point.
+	b := &oversizeBackend{
+		blockingBackend: blockingBackend{started: make(chan struct{}), release: make(chan struct{})},
+		big:             make([]engine.TV, MaxFrame/18+1),
+	}
+	for i := range b.big {
+		b.big[i].T = math.MaxInt64
+	}
+	srv := NewServer(b)
+	srv.SetQueueBounds(64, 8) // spare workers: a regression re-executes queries, and must fail below, not starve
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(b.release) })
+	defer release() // before srv.Close, which waits for the parked slow query
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	slow := make(chan error, 1)
+	go func() {
+		pts, err := c.Query("slow", 0, 10)
+		if err == nil && len(pts) != 1 {
+			err = fmt.Errorf("slow query returned %d points, want 1", len(pts))
+		}
+		slow <- err
+	}()
+	<-b.started // the slow tag is executing on the shared connection
+
+	_, err = c.Query("big", 0, 10)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "exceeds MaxFrame") {
+		t.Fatalf("oversized query error = %v, want ErrRemote naming MaxFrame", err)
+	}
+	if n := b.bigCalls.Load(); n != 1 {
+		t.Fatalf("oversized query executed %d times, want exactly 1", n)
+	}
+
+	release()
+	if err := <-slow; err != nil {
+		t.Fatalf("tag in flight beside the oversized reply failed: %v", err)
+	}
+	if n := b.slowCalls.Load(); n != 1 {
+		t.Fatalf("slow query executed %d times: its connection was dropped and redialed", n)
 	}
 }

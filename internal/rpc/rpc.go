@@ -1,80 +1,33 @@
 // Package rpc provides the client/server wire layer that lets the
 // benchmark drive the storage engine over TCP, the way IoTDB-benchmark
-// drives an IoTDB server (Section VI-A2). The protocol is a minimal
-// length-prefixed binary framing:
+// drives an IoTDB server (Section VI-A2). There is exactly one protocol,
+// ProtocolVersion; peers announcing any other version are refused.
 //
-//	request:  uint32 length | byte opcode | payload
-//	response: uint32 length | byte status (0 ok, 1 error) | payload
+// A connection opens with one untagged exchange, the handshake:
 //
-// Payloads use uvarint-prefixed strings, varint timestamps and
-// little-endian float64 values. One connection carries one
-// request/response exchange at a time; clients open several
-// connections for concurrency.
+//	hello: uint32 length | OpHello  | magic "GTSD" | version byte
+//	reply: uint32 length | StatusOK | magic "GTSD" | version byte
 //
-// Every connection starts with a handshake: the client's first frame
-// must be OpHello carrying the 4-byte magic and its protocol version;
-// the server verifies the magic and replies with its own. A
-// mixed-version or non-protocol peer therefore fails on the first
-// exchange with a descriptive error instead of misparsing later
-// frames. Version history:
+// Either side seeing a wrong magic or a version other than its own
+// fails the handshake with an error naming both versions (the server
+// answers StatusError + text first, so the refusal is decodable) and
+// closes. Every later frame carries a client-chosen tag the server
+// echoes, so many requests pipeline on one connection and are answered
+// out of order:
 //
-//	1 — original framing (no handshake; OpStats carries the flat
-//	    engine stats block only)
-//	2 — handshake required; OpStats appends a per-shard extension:
-//	    uvarint shard count followed by that many stats blocks
-//	3 — OpStats appends a durability extension after the per-shard
-//	    blocks: one durability block (WAL syncs, WAL commits,
-//	    quarantined files, recovered WAL batches — all varints) for
-//	    the aggregate, then one per shard
-//	4 — OpStats appends a pruning extension after the durability
-//	    blocks: one pruning block (chunks answered from statistics,
-//	    chunks decoded, points that skipped decoding — all varints)
-//	    for the aggregate, then one per shard
-//	5 — OpStats appends a read-amplification/compaction extension after
-//	    the pruning blocks: one block (bytes read, blocks decoded,
-//	    blocks skipped, blocks answered from statistics, compaction
-//	    passes, compaction bytes read, max single-pass bytes,
-//	    partitions dropped, partitions active — all varints) for the
-//	    aggregate, then one per shard
-//	6 — OpStats appends a label-index extension after the
-//	    read-amplification blocks: one block (series count, label
-//	    pairs, postings entries, matcher resolutions, selector
-//	    queries, fan-out series, max fan-out width — all varints) for
-//	    the aggregate, then one per shard (per-shard blocks are zeros:
-//	    the inverted series index is store-level)
-//	7 — tagged frames: when BOTH peers announce version >= 7 in the
-//	    handshake, every frame after the hello exchange carries a
-//	    4-byte little-endian tag between the kind byte and the
-//	    payload:
+//	request:  uint32 length | byte opcode | uint32 tag | payload
+//	response: uint32 length | byte status | uint32 tag | payload
 //
-//	    request:  uint32 length | byte opcode | uint32 tag | payload
-//	    response: uint32 length | byte status | uint32 tag | payload
+// Integers are little-endian; payloads use uvarint-prefixed strings,
+// varint timestamps and float64 bits. StatusError carries the error
+// text. StatusOverloaded means the bounded dispatch queue (or the
+// connection's in-flight budget) was full: the request was NOT
+// executed and the payload is a uvarint retry-after hint in ms.
 //
-//	    The tag is chosen by the client and echoed by the server, so
-//	    many requests can be pipelined on one connection and answered
-//	    out of order. A mixed-version pair (either side <= 6) keeps
-//	    the untagged framing and one-in-flight semantics — the
-//	    handshake itself is always untagged. Version 7 also adds
-//	    response status 2 ("overloaded"): the server's bounded
-//	    dispatch queue was full, the request was NOT executed, and
-//	    the payload carries a uvarint retry-after hint in
-//	    milliseconds. Finally, OpStats appends an ingest-front-end
-//	    extension after the label-index blocks: one block (queue
-//	    capacity, queue depth, workers, ops enqueued, ops rejected,
-//	    pipelined connections, legacy connections — all varints) for
-//	    the aggregate, then one per shard (per-shard blocks are
-//	    zeros: the dispatch queue is server-level).
-//	8 — OpStats appends an adaptive-sort extension after the ingest
-//	    blocks: one block (enabled flag, sketch-seeded flushes, search
-//	    iterations saved, fixed-L sorts, seeded sorts, flat routes,
-//	    interface routes, min chosen L, max chosen L — all varints)
-//	    for the aggregate, then one per shard. Framing is unchanged:
-//	    tagged frames still require only min(client, server) >= 7.
-//
-// Extensions are strictly trailing, so a newer client reads an older
-// payload by what remains: the per-shard, durability, pruning,
-// read-amplification, label-index, ingest and adaptive-sort
-// extensions are each detected by remaining payload bytes.
+// The OpStats reply is uvarint nShards followed by 1+nShards stats
+// blocks (aggregate first). A block is a uvarint field count, then
+// every field of engine.Stats in declaration order — ints and bools as
+// varints, floats as 8 bytes — so a new Stats field needs no edit here.
 package rpc
 
 import (
@@ -83,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"time"
 
 	"repro/internal/engine"
@@ -93,34 +47,50 @@ const (
 	OpInsert byte = 1 // sensor, n, n*(varint delta-less time, float64)
 	OpQuery  byte = 2 // sensor, minT, maxT -> n, n*(time, value)
 	OpLatest byte = 3 // sensor -> bool, time
-	OpStats  byte = 4 // -> stats block [+ uvarint shard count, shard stats blocks]
+	OpStats  byte = 4 // -> uvarint shard count, aggregate stats block, shard stats blocks
 	OpFlush  byte = 5 // force flush
 	OpWait   byte = 6 // wait for in-flight background flushes
 	OpAgg    byte = 7 // sensor, startT, endT, window, agg -> windows
-	OpHello  byte = 8 // magic, version -> magic, server version
+	OpHello  byte = 8 // magic, version -> magic, version (handshake only, untagged)
 )
 
-// ProtocolVersion is the version byte this build speaks. Bump it when
-// the wire format changes shape; the handshake surfaces the mismatch.
-const ProtocolVersion = 8
+// ProtocolVersion is the one version this build speaks and accepts.
+// Bump it when any frame or payload changes shape: the handshake then
+// refuses the mixed pair instead of letting it misparse.
+const ProtocolVersion = 9
 
-// Response status bytes. Versions <= 6 know only OK and Error;
-// StatusOverloaded is only ever sent on a version-7 tagged connection
-// (legacy connections dispatch inline and cannot overload the queue).
+// Response status bytes.
 const (
 	StatusOK         byte = 0
 	StatusError      byte = 1
 	StatusOverloaded byte = 2
 )
 
-// pipelineVersion is the first protocol version speaking tagged
-// frames; a connection runs tagged iff min(client, server) >= this.
-const pipelineVersion = 7
-
 // protocolMagic opens every handshake payload. Four printable bytes so
 // an accidental connection from an unrelated protocol is rejected with
 // a clear error rather than a frame-length explosion.
 var protocolMagic = [4]byte{'G', 'T', 'S', 'D'}
+
+// helloPayload is what both sides announce in the handshake.
+func helloPayload() []byte {
+	return append(protocolMagic[:4:4], ProtocolVersion) // cap 4: append copies
+}
+
+// checkHello validates the peer's handshake payload. self and peer
+// name the two roles ("server", "client") for the error text.
+func checkHello(payload []byte, self, peer string) error {
+	if len(payload) < 5 {
+		return fmt.Errorf("rpc: short handshake payload (%d bytes)", len(payload))
+	}
+	if string(payload[:4]) != string(protocolMagic[:]) {
+		return fmt.Errorf("rpc: bad handshake magic %q (not a tsdb %s?)", payload[:4], peer)
+	}
+	if payload[4] != ProtocolVersion {
+		return fmt.Errorf("rpc: protocol version mismatch: %s speaks version %d, %s announced version %d",
+			self, ProtocolVersion, peer, payload[4])
+	}
+	return nil
+}
 
 // MaxFrame bounds a frame to keep a malformed peer from forcing a
 // giant allocation. 16 MiB fits > one million points per batch.
@@ -151,7 +121,8 @@ func (e *OverloadedError) Error() string {
 // Unwrap makes errors.Is(err, ErrOverloaded) hold.
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
-// writeFrame sends one length-prefixed frame.
+// writeFrame sends one untagged length-prefixed frame. Only the
+// handshake exchange is untagged.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	var hdr [5]byte
 	if len(payload)+1 > MaxFrame {
@@ -166,7 +137,8 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its kind byte and payload.
+// readFrame reads one untagged frame, returning its kind byte and
+// payload.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -183,33 +155,44 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return buf[0], buf[1:], nil
 }
 
-// writeTaggedFrame sends one version-7 tagged frame: kind byte, then a
-// 4-byte little-endian tag, then the payload.
-func writeTaggedFrame(w io.Writer, kind byte, tag uint32, payload []byte) error {
-	if len(payload)+5 > MaxFrame {
-		return fmt.Errorf("rpc: frame too large: %d", len(payload))
+// taggedOverhead is what a tagged frame adds to its payload inside the
+// length prefix: the kind byte and the 4-byte tag.
+const taggedOverhead = 5
+
+// appendTaggedHeader encodes the header of a tagged frame carrying n
+// payload bytes: length, kind byte, 4-byte little-endian tag.
+func appendTaggedHeader(b []byte, kind byte, tag uint32, n int) ([]byte, error) {
+	if n+taggedOverhead > MaxFrame {
+		return b, fmt.Errorf("rpc: frame too large: %d", n)
 	}
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+5))
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], tag)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	b = binary.LittleEndian.AppendUint32(b, uint32(n+taggedOverhead))
+	b = append(b, kind)
+	return binary.LittleEndian.AppendUint32(b, tag), nil
 }
 
-// appendTaggedFrame encodes the same wire bytes as writeTaggedFrame
-// into b, for senders that batch frames before one Write.
+// appendTaggedFrame encodes one whole tagged frame into b, for senders
+// that batch frames before one Write.
 func appendTaggedFrame(b []byte, kind byte, tag uint32, payload []byte) ([]byte, error) {
-	if len(payload)+5 > MaxFrame {
-		return b, fmt.Errorf("rpc: frame too large: %d", len(payload))
+	b, err := appendTaggedHeader(b, kind, tag, len(payload))
+	if err != nil {
+		return b, err
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)+5))
-	b = append(b, kind)
-	b = binary.LittleEndian.AppendUint32(b, tag)
 	return append(b, payload...), nil
+}
+
+// writeTaggedFrame sends the same wire bytes without copying the
+// payload.
+func writeTaggedFrame(w io.Writer, kind byte, tag uint32, payload []byte) error {
+	var hdr [4 + taggedOverhead]byte
+	h, err := appendTaggedHeader(hdr[:0], kind, tag, len(payload))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(h); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
+	return err
 }
 
 // readTaggedFrame reads one tagged frame, returning its kind byte, tag
@@ -220,7 +203,7 @@ func readTaggedFrame(r io.Reader) (byte, uint32, []byte, error) {
 		return 0, 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 5 || n > MaxFrame {
+	if n < taggedOverhead || n > MaxFrame {
 		return 0, 0, nil, fmt.Errorf("rpc: invalid tagged frame length %d", n)
 	}
 	buf := make([]byte, n)
@@ -285,7 +268,7 @@ func (p *payloadReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if p.pos+int(n) > len(p.b) {
+	if n > uint64(p.remaining()) { // compared unsigned: a huge n must not wrap negative
 		return "", io.ErrUnexpectedEOF
 	}
 	s := string(p.b[p.pos : p.pos+int(n)])
@@ -305,317 +288,116 @@ func (p *payloadReader) float64() (float64, error) {
 // remaining reports how many undecoded payload bytes are left.
 func (p *payloadReader) remaining() int { return len(p.b) - p.pos }
 
-// appendStats encodes one engine stats snapshot. The field order is
-// the version-1 OpStats payload and must never change — version-2
-// payloads repeat the same block per shard after the aggregate.
+// statsKinds is the one walk of engine.Stats the stats codec uses: the
+// kind of every field in declaration order. A field the codec cannot
+// carry is a programming error caught at start-up (and by every test).
+var statsKinds = func() []reflect.Kind {
+	t := reflect.TypeOf(engine.Stats{})
+	kinds := make([]reflect.Kind, t.NumField())
+	for i := range kinds {
+		f := t.Field(i)
+		k := f.Type.Kind()
+		carried := k == reflect.Int || k == reflect.Int64 || k == reflect.Bool || k == reflect.Float64
+		if !carried || !f.IsExported() {
+			panic(fmt.Sprintf("rpc: engine.Stats.%s (%s): the stats codec carries exported int, int64, bool and float64 fields", f.Name, f.Type))
+		}
+		kinds[i] = k
+	}
+	return kinds
+}()
+
+// appendStats encodes one stats block: a uvarint field count, then
+// every field of st — floats as 8 little-endian bytes, ints and bools
+// as varints.
 func appendStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.FlushCount))
-	b = appendFloat64(b, st.AvgFlushMillis)
-	b = appendFloat64(b, st.AvgSortMillis)
-	b = binary.AppendVarint(b, st.SeqPoints)
-	b = binary.AppendVarint(b, st.UnseqPoints)
-	b = binary.AppendVarint(b, int64(st.Files))
-	b = binary.AppendVarint(b, int64(st.MemTablePoints))
-	b = binary.AppendVarint(b, int64(st.FlushWorkers))
-	b = binary.AppendVarint(b, st.SortsSkipped)
-	b = binary.AppendVarint(b, st.LockWaits)
-	b = binary.AppendVarint(b, st.QueriesBlocked)
-	b = appendFloat64(b, st.AvgEncodeMillis)
-	b = appendFloat64(b, st.AvgWriteMillis)
-	b = appendFloat64(b, st.AvgLockWaitMicros)
-	b = appendFloat64(b, st.MaxLockWaitMicros)
-	b = appendFloat64(b, st.P99LockWaitMicros)
-	b = binary.AppendVarint(b, st.FlatSorts)
-	b = binary.AppendVarint(b, st.InterfaceSorts)
-	b = appendFloat64(b, st.FlatSortMillis)
-	b = appendFloat64(b, st.InterfaceSortMillis)
-	b = binary.AppendVarint(b, int64(st.SortParallelism))
-	b = binary.AppendVarint(b, int64(st.FlatSortThreshold))
+	v := reflect.ValueOf(st)
+	b = binary.AppendUvarint(b, uint64(len(statsKinds)))
+	for i, kind := range statsKinds {
+		switch f := v.Field(i); kind {
+		case reflect.Float64:
+			b = appendFloat64(b, f.Float())
+		case reflect.Bool:
+			var x int64
+			if f.Bool() {
+				x = 1
+			}
+			b = binary.AppendVarint(b, x)
+		default:
+			b = binary.AppendVarint(b, f.Int())
+		}
+	}
 	return b
 }
 
-// stats decodes one engine stats block (the inverse of appendStats).
+// stats decodes one stats block (the inverse of appendStats). A field
+// count other than this build's means the peer's engine.Stats differs
+// — a build skew ProtocolVersion should have caught — and is refused
+// rather than misread.
 func (p *payloadReader) stats() (engine.Stats, error) {
 	var st engine.Stats
-	for _, dst := range []*int{&st.FlushCount} {
-		v, err := p.varint()
+	n, err := p.uvarint()
+	if err != nil {
+		return st, err
+	}
+	if n != uint64(len(statsKinds)) {
+		return st, fmt.Errorf("rpc: stats block has %d fields, this build has %d", n, len(statsKinds))
+	}
+	v := reflect.ValueOf(&st).Elem()
+	for i, kind := range statsKinds {
+		f := v.Field(i)
+		if kind == reflect.Float64 {
+			x, err := p.float64()
+			if err != nil {
+				return st, err
+			}
+			f.SetFloat(x)
+			continue
+		}
+		x, err := p.varint()
 		if err != nil {
 			return st, err
 		}
-		*dst = int(v)
-	}
-	var err error
-	if st.AvgFlushMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.AvgSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.SeqPoints, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.UnseqPoints, err = p.varint(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*int{&st.Files, &st.MemTablePoints, &st.FlushWorkers} {
-		v, err := p.varint()
-		if err != nil {
-			return st, err
+		if kind == reflect.Bool {
+			f.SetBool(x != 0)
+		} else {
+			f.SetInt(x)
 		}
-		*dst = int(v)
-	}
-	if st.SortsSkipped, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.LockWaits, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.QueriesBlocked, err = p.varint(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*float64{
-		&st.AvgEncodeMillis, &st.AvgWriteMillis,
-		&st.AvgLockWaitMicros, &st.MaxLockWaitMicros, &st.P99LockWaitMicros,
-	} {
-		if *dst, err = p.float64(); err != nil {
-			return st, err
-		}
-	}
-	if st.FlatSorts, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.InterfaceSorts, err = p.varint(); err != nil {
-		return st, err
-	}
-	if st.FlatSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	if st.InterfaceSortMillis, err = p.float64(); err != nil {
-		return st, err
-	}
-	for _, dst := range []*int{&st.SortParallelism, &st.FlatSortThreshold} {
-		v, err := p.varint()
-		if err != nil {
-			return st, err
-		}
-		*dst = int(v)
 	}
 	return st, nil
 }
 
-// appendDurability encodes the version-3 durability counters for one
-// stats snapshot. The block trails the per-shard extension so that
-// version-2 clients (which stop reading after the shard blocks) are
-// unaffected.
-func appendDurability(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.WALSyncs)
-	b = binary.AppendVarint(b, st.WALCommits)
-	b = binary.AppendVarint(b, int64(st.QuarantinedFiles))
-	b = binary.AppendVarint(b, st.RecoveredWALBatches)
+// appendStatsReply encodes the OpStats reply: uvarint shard count, the
+// aggregate block, then one block per shard.
+func appendStatsReply(b []byte, agg engine.Stats, per []engine.Stats) []byte {
+	b = binary.AppendUvarint(b, uint64(len(per)))
+	b = appendStats(b, agg)
+	for _, st := range per {
+		b = appendStats(b, st)
+	}
 	return b
 }
 
-// durability decodes one durability block into st (the inverse of
-// appendDurability).
-func (p *payloadReader) durability(st *engine.Stats) error {
-	var err error
-	if st.WALSyncs, err = p.varint(); err != nil {
-		return err
-	}
-	if st.WALCommits, err = p.varint(); err != nil {
-		return err
-	}
-	v, err := p.varint()
+// decodeStatsReply is the inverse of appendStatsReply.
+func decodeStatsReply(payload []byte) (engine.Stats, []engine.Stats, error) {
+	p := &payloadReader{b: payload}
+	n, err := p.uvarint()
 	if err != nil {
-		return err
+		return engine.Stats{}, nil, err
 	}
-	st.QuarantinedFiles = int(v)
-	st.RecoveredWALBatches, err = p.varint()
-	return err
-}
-
-// appendPruning encodes the version-4 aggregation-pushdown counters
-// for one stats snapshot. The block trails the durability extension so
-// older clients, which stop reading earlier, are unaffected.
-func appendPruning(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.ChunksFromStats)
-	b = binary.AppendVarint(b, st.ChunksDecoded)
-	b = binary.AppendVarint(b, st.PointsSkipped)
-	return b
-}
-
-// pruning decodes one pruning block into st (the inverse of
-// appendPruning).
-func (p *payloadReader) pruning(st *engine.Stats) error {
-	var err error
-	if st.ChunksFromStats, err = p.varint(); err != nil {
-		return err
+	// A block spends at least one byte per field plus its count; reject
+	// shard counts the frame cannot hold before allocating.
+	if n > uint64(p.remaining())/uint64(len(statsKinds)+1) {
+		return engine.Stats{}, nil, fmt.Errorf("rpc: shard count %d exceeds frame", n)
 	}
-	if st.ChunksDecoded, err = p.varint(); err != nil {
-		return err
-	}
-	st.PointsSkipped, err = p.varint()
-	return err
-}
-
-// appendReadAmp encodes the version-5 read-amplification and
-// compaction counters for one stats snapshot. The block trails the
-// pruning extension so older clients, which stop reading earlier, are
-// unaffected.
-func appendReadAmp(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, st.BytesRead)
-	b = binary.AppendVarint(b, st.BlocksDecoded)
-	b = binary.AppendVarint(b, st.BlocksSkipped)
-	b = binary.AppendVarint(b, st.BlocksFromStats)
-	b = binary.AppendVarint(b, st.CompactionPasses)
-	b = binary.AppendVarint(b, st.CompactionBytesRead)
-	b = binary.AppendVarint(b, st.MaxCompactionPassBytes)
-	b = binary.AppendVarint(b, st.PartitionsDropped)
-	b = binary.AppendVarint(b, int64(st.PartitionsActive))
-	return b
-}
-
-// appendIndexStats encodes the version-6 label-index counters for one
-// stats snapshot. The block trails the read-amplification extension so
-// older clients, which stop reading earlier, are unaffected.
-func appendIndexStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.SeriesCount))
-	b = binary.AppendVarint(b, int64(st.LabelPairs))
-	b = binary.AppendVarint(b, st.PostingsEntries)
-	b = binary.AppendVarint(b, st.MatcherResolutions)
-	b = binary.AppendVarint(b, st.SelectorQueries)
-	b = binary.AppendVarint(b, st.FanoutSeries)
-	b = binary.AppendVarint(b, int64(st.MaxFanoutWidth))
-	return b
-}
-
-// indexStats decodes one label-index block into st (the inverse of
-// appendIndexStats).
-func (p *payloadReader) indexStats(st *engine.Stats) error {
-	v, err := p.varint()
+	agg, err := p.stats()
 	if err != nil {
-		return err
+		return agg, nil, err
 	}
-	st.SeriesCount = int(v)
-	if v, err = p.varint(); err != nil {
-		return err
-	}
-	st.LabelPairs = int(v)
-	if st.PostingsEntries, err = p.varint(); err != nil {
-		return err
-	}
-	if st.MatcherResolutions, err = p.varint(); err != nil {
-		return err
-	}
-	if st.SelectorQueries, err = p.varint(); err != nil {
-		return err
-	}
-	if st.FanoutSeries, err = p.varint(); err != nil {
-		return err
-	}
-	if v, err = p.varint(); err != nil {
-		return err
-	}
-	st.MaxFanoutWidth = int(v)
-	return nil
-}
-
-// appendIngestStats encodes the version-7 ingest-front-end counters
-// for one stats snapshot. The block trails the label-index extension
-// so older clients, which stop reading earlier, are unaffected.
-func appendIngestStats(b []byte, st engine.Stats) []byte {
-	b = binary.AppendVarint(b, int64(st.IngestQueueCap))
-	b = binary.AppendVarint(b, int64(st.IngestQueueDepth))
-	b = binary.AppendVarint(b, int64(st.IngestWorkers))
-	b = binary.AppendVarint(b, st.IngestEnqueued)
-	b = binary.AppendVarint(b, st.IngestRejected)
-	b = binary.AppendVarint(b, st.PipelinedConns)
-	b = binary.AppendVarint(b, st.LegacyConns)
-	return b
-}
-
-// appendAdaptiveStats encodes the version-8 adaptive-sort counters for
-// one stats snapshot. The block trails the ingest extension so older
-// clients, which stop reading earlier, are unaffected.
-func appendAdaptiveStats(b []byte, st engine.Stats) []byte {
-	var enabled int64
-	if st.AdaptiveSortEnabled {
-		enabled = 1
-	}
-	b = binary.AppendVarint(b, enabled)
-	b = binary.AppendVarint(b, st.SketchSeededFlushes)
-	b = binary.AppendVarint(b, st.SearchItersSaved)
-	b = binary.AppendVarint(b, st.AdaptiveFixedSorts)
-	b = binary.AppendVarint(b, st.AdaptiveSeededSorts)
-	b = binary.AppendVarint(b, st.AdaptiveFlatRoutes)
-	b = binary.AppendVarint(b, st.AdaptiveIfaceRoutes)
-	b = binary.AppendVarint(b, st.AdaptiveMinL)
-	b = binary.AppendVarint(b, st.AdaptiveMaxL)
-	return b
-}
-
-// adaptiveStats decodes one adaptive-sort block into st (the inverse
-// of appendAdaptiveStats).
-func (p *payloadReader) adaptiveStats(st *engine.Stats) error {
-	enabled, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.AdaptiveSortEnabled = enabled != 0
-	for _, dst := range []*int64{
-		&st.SketchSeededFlushes, &st.SearchItersSaved,
-		&st.AdaptiveFixedSorts, &st.AdaptiveSeededSorts,
-		&st.AdaptiveFlatRoutes, &st.AdaptiveIfaceRoutes,
-		&st.AdaptiveMinL, &st.AdaptiveMaxL,
-	} {
-		if *dst, err = p.varint(); err != nil {
-			return err
+	per := make([]engine.Stats, n)
+	for i := range per {
+		if per[i], err = p.stats(); err != nil {
+			return agg, nil, err
 		}
 	}
-	return nil
-}
-
-// ingestStats decodes one ingest-front-end block into st (the inverse
-// of appendIngestStats).
-func (p *payloadReader) ingestStats(st *engine.Stats) error {
-	for _, dst := range []*int{&st.IngestQueueCap, &st.IngestQueueDepth, &st.IngestWorkers} {
-		v, err := p.varint()
-		if err != nil {
-			return err
-		}
-		*dst = int(v)
-	}
-	var err error
-	if st.IngestEnqueued, err = p.varint(); err != nil {
-		return err
-	}
-	if st.IngestRejected, err = p.varint(); err != nil {
-		return err
-	}
-	if st.PipelinedConns, err = p.varint(); err != nil {
-		return err
-	}
-	st.LegacyConns, err = p.varint()
-	return err
-}
-
-// readAmp decodes one read-amplification block into st (the inverse
-// of appendReadAmp).
-func (p *payloadReader) readAmp(st *engine.Stats) error {
-	for _, dst := range []*int64{
-		&st.BytesRead, &st.BlocksDecoded, &st.BlocksSkipped, &st.BlocksFromStats,
-		&st.CompactionPasses, &st.CompactionBytesRead, &st.MaxCompactionPassBytes,
-		&st.PartitionsDropped,
-	} {
-		var err error
-		if *dst, err = p.varint(); err != nil {
-			return err
-		}
-	}
-	v, err := p.varint()
-	if err != nil {
-		return err
-	}
-	st.PartitionsActive = int(v)
-	return nil
+	return agg, per, nil
 }

@@ -243,76 +243,3 @@ func TestServerCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestStatsSortKernelFieldsOverRPC checks the six sort-kernel stats
-// fields survive the wire: a server with a low flat threshold reports
-// kernel activity; one with the kernel disabled reports -1.
-func TestStatsSortKernelFieldsOverRPC(t *testing.T) {
-	open := func(threshold, par int) (*engine.Engine, string) {
-		t.Helper()
-		e, err := engine.Open(engine.Config{
-			Dir:               t.TempDir(),
-			MemTableSize:      500,
-			SyncFlush:         true,
-			FlatSortThreshold: threshold,
-			SortParallelism:   par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(e)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			srv.Close()
-			e.Close()
-		})
-		return e, addr
-	}
-
-	_, addr := open(100, 3)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	times := make([]int64, 600)
-	vals := make([]float64, 600)
-	for i := range times {
-		times[i] = int64(600 - i)
-		vals[i] = float64(i)
-	}
-	if err := c.InsertBatch("s", times, vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FlatSorts == 0 {
-		t.Fatalf("no flat sorts over RPC: %+v", st)
-	}
-	if st.SortParallelism != 3 || st.FlatSortThreshold != 100 {
-		t.Fatalf("kernel config lost on the wire: parallelism %d, threshold %d",
-			st.SortParallelism, st.FlatSortThreshold)
-	}
-
-	_, addr2 := open(-1, 0)
-	c2, err := Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	st2, err := c2.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.FlatSortThreshold != -1 || st2.FlatSorts != 0 {
-		t.Fatalf("disabled kernel misreported over RPC: %+v", st2)
-	}
-}

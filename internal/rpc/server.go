@@ -70,12 +70,10 @@ type servConn struct {
 
 func (sc *servConn) touch() { sc.lastActive.Store(time.Now().UnixNano()) }
 
-// Server exposes a backend over TCP. Connections negotiating protocol
-// version >= 7 are multiplexed: a per-connection reader goroutine
-// feeds the bounded dispatch queue, a shared worker pool executes ops,
-// and a single per-connection writer goroutine serializes tagged
-// replies in completion order. Version <= 6 peers keep the legacy
-// one-in-flight read/dispatch/reply loop.
+// Server exposes a backend over TCP. Every connection is multiplexed:
+// a per-connection reader goroutine feeds the bounded dispatch queue,
+// a shared worker pool executes ops, and a single per-connection
+// writer goroutine serializes tagged replies in completion order.
 type Server struct {
 	eng Backend
 
@@ -95,7 +93,6 @@ type Server struct {
 	stopCh   chan struct{}
 
 	pipelinedConns atomic.Int64
-	legacyConns    atomic.Int64
 }
 
 // NewServer wraps a backend (an engine or a shard router).
@@ -111,8 +108,7 @@ func NewServer(eng Backend) *Server {
 // a connection may sit between request frames (an idle or stalled peer
 // is dropped after it), write the longest one response frame may take
 // to drain into the socket. Zero disables the respective deadline —
-// except that a pipelined connection's writer always caps a single
-// socket write at defaultWriteStall, because with many replies queued
+// except that a connection's writer always caps a single socket write at defaultWriteStall, because with many replies queued
 // behind one stalled write a truly unbounded write would let a peer
 // that stops reading pin the connection's buffered replies forever.
 // Call before Listen.
@@ -240,16 +236,14 @@ func (s *Server) isDraining() bool {
 }
 
 // serveConn owns one connection: it runs the untagged handshake
-// exchange, then hands off to the pipelined or legacy loop depending
-// on the negotiated protocol version.
+// exchange, refusing any peer that does not announce ProtocolVersion,
+// then hands off to the pipelined loop.
 func (s *Server) serveConn(sc *servConn) {
 	conn := sc.conn
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
-	// The handshake is always untagged, whatever the versions: the
-	// client's first frame must be OpHello carrying magic + version.
 	if s.readTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 	}
@@ -258,79 +252,28 @@ func (s *Server) serveConn(sc *servConn) {
 		return
 	}
 	sc.touch()
-	var resp []byte
-	var derr error
+	// A refusal goes out in the untagged response framing every
+	// version since 1 can decode, so a stale peer sees why.
+	status, resp := StatusOK, helloPayload()
+	var herr error
 	if op != OpHello {
-		// Pre-handshake clients would misparse newer payloads; refuse
-		// them with a message they can still decode (the untagged
-		// response framing is unchanged across versions).
-		derr = fmt.Errorf("rpc: handshake required: server speaks protocol version %d, client sent opcode %d first (older client?)",
+		herr = fmt.Errorf("rpc: handshake required: server speaks protocol version %d, client sent opcode %d first",
 			ProtocolVersion, op)
 	} else {
-		resp, derr = s.dispatch(op, payload)
+		herr = checkHello(payload, "server", "client")
 	}
-	status := StatusOK
-	if derr != nil {
-		status = StatusError
-		resp = []byte(derr.Error())
+	if herr != nil {
+		status, resp = StatusError, []byte(herr.Error())
 	}
 	if s.writeTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	}
-	if writeFrame(bw, status, resp) != nil || bw.Flush() != nil {
-		return
-	}
-	if derr != nil {
+	if writeFrame(bw, status, resp) != nil || bw.Flush() != nil || herr != nil {
 		return // failed handshake: drop the connection
 	}
 	sc.touch()
-	peerVersion := payload[4] // dispatch validated the payload shape
-	if min(peerVersion, ProtocolVersion) >= pipelineVersion {
-		s.pipelinedConns.Add(1)
-		s.servePipelined(sc, br, bw)
-	} else {
-		s.legacyConns.Add(1)
-		s.serveLegacy(sc, br, bw)
-	}
-}
-
-// serveLegacy is the version <= 6 loop: one untagged frame in, one
-// dispatched inline, one untagged reply out. Exactly the pre-v7
-// behavior, so old peers observe nothing new.
-func (s *Server) serveLegacy(sc *servConn, br *bufio.Reader, bw *bufio.Writer) {
-	conn := sc.conn
-	for {
-		if s.isDraining() {
-			return // graceful shutdown: the last exchange has completed
-		}
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-		}
-		op, payload, err := readFrame(br)
-		if err != nil {
-			return // client went away, stalled past the deadline, or sent garbage
-		}
-		sc.touch()
-		sc.inFlight.Add(1)
-		resp, derr := s.dispatch(op, payload)
-		status := StatusOK
-		if derr != nil {
-			status = StatusError
-			resp = []byte(derr.Error())
-		}
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		err = writeFrame(bw, status, resp)
-		if err == nil {
-			err = bw.Flush()
-		}
-		sc.inFlight.Add(-1)
-		sc.touch()
-		if err != nil {
-			return
-		}
-	}
+	s.pipelinedConns.Add(1)
+	s.servePipelined(sc, br, bw)
 }
 
 // wireReply is one tagged response waiting for the writer goroutine.
@@ -340,7 +283,7 @@ type wireReply struct {
 	payload []byte
 }
 
-// servePipelined is the version-7 loop. The calling goroutine is the
+// servePipelined is the connection loop. The calling goroutine is the
 // reader: it decodes tagged frames and submits each op to the shared
 // dispatch queue, answering StatusOverloaded immediately when the
 // queue (or this connection's in-flight budget) is full. Workers
@@ -427,6 +370,11 @@ func (s *Server) servePipelined(sc *servConn, br *bufio.Reader, bw *bufio.Writer
 		task := func() {
 			defer pending.Done()
 			resp, derr := s.dispatch(op, payload)
+			if derr == nil && len(resp)+taggedOverhead > MaxFrame {
+				// Fail this one tag; the writer must never meet a frame
+				// it cannot send, or every other tag dies with the conn.
+				derr = fmt.Errorf("rpc: reply %d bytes exceeds MaxFrame (%d); narrow the range", len(resp), MaxFrame)
+			}
 			rep := wireReply{tag: tag, status: StatusOK, payload: resp}
 			if derr != nil {
 				rep.status, rep.payload = StatusError, []byte(derr.Error())
@@ -490,7 +438,6 @@ func (s *Server) frontendStats(st *engine.Stats) {
 		st.IngestRejected = qs.Rejected
 	}
 	st.PipelinedConns = s.pipelinedConns.Load()
-	st.LegacyConns = s.legacyConns.Load()
 }
 
 func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
@@ -560,73 +507,17 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return binary.AppendVarint(resp, t), nil
 
 	case OpStats:
-		// Aggregate stats in the version-1 block layout, then the
-		// version-2 per-shard extension (absent shards encode as 0, so
-		// clients against a bare engine see an empty breakdown), then
-		// the version-3 durability, version-4 pruning, version-5
-		// read-amplification, version-6 label-index, version-7 ingest
-		// and version-8 adaptive-sort extensions in the same
-		// aggregate-then-per-shard shape. Older clients stop reading
-		// before the extensions they do not know.
-		var resp []byte
+		// A bare engine has no shards: its reply carries a zero shard
+		// count and clients see an empty breakdown.
+		var agg engine.Stats
+		var per []engine.Stats
 		if sb, ok := s.eng.(shardedBackend); ok {
-			merged, per := sb.StatsAll()
-			s.frontendStats(&merged)
-			resp = appendStats(nil, merged)
-			resp = binary.AppendUvarint(resp, uint64(len(per)))
-			for _, shardStats := range per {
-				resp = appendStats(resp, shardStats)
-			}
-			resp = appendDurability(resp, merged)
-			for _, shardStats := range per {
-				resp = appendDurability(resp, shardStats)
-			}
-			resp = appendPruning(resp, merged)
-			for _, shardStats := range per {
-				resp = appendPruning(resp, shardStats)
-			}
-			resp = appendReadAmp(resp, merged)
-			for _, shardStats := range per {
-				resp = appendReadAmp(resp, shardStats)
-			}
-			resp = appendIndexStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendIndexStats(resp, shardStats)
-			}
-			resp = appendIngestStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendIngestStats(resp, shardStats)
-			}
-			resp = appendAdaptiveStats(resp, merged)
-			for _, shardStats := range per {
-				resp = appendAdaptiveStats(resp, shardStats)
-			}
+			agg, per = sb.StatsAll()
 		} else {
-			st := s.eng.Stats()
-			s.frontendStats(&st)
-			resp = appendStats(nil, st)
-			resp = binary.AppendUvarint(resp, 0)
-			resp = appendDurability(resp, st)
-			resp = appendPruning(resp, st)
-			resp = appendReadAmp(resp, st)
-			resp = appendIndexStats(resp, st)
-			resp = appendIngestStats(resp, st)
-			resp = appendAdaptiveStats(resp, st)
+			agg = s.eng.Stats()
 		}
-		return resp, nil
-
-	case OpHello:
-		if len(payload) < 5 {
-			return nil, fmt.Errorf("rpc: short handshake payload (%d bytes)", len(payload))
-		}
-		if string(payload[:4]) != string(protocolMagic[:]) {
-			return nil, fmt.Errorf("rpc: bad handshake magic %q (not a tsdb client?)", payload[:4])
-		}
-		if payload[4] == 0 {
-			return nil, fmt.Errorf("rpc: invalid protocol version 0")
-		}
-		resp := append([]byte(nil), protocolMagic[:]...)
-		return append(resp, ProtocolVersion), nil
+		s.frontendStats(&agg)
+		return appendStatsReply(nil, agg, per), nil
 
 	case OpFlush:
 		s.eng.Flush()
@@ -683,7 +574,7 @@ func (s *Server) Shutdown(drain time.Duration) error {
 	if s.listener != nil {
 		err = s.listener.Close()
 	}
-	// Unblock readers parked in readFrame/readTaggedFrame waiting for
+	// Unblock readers parked in readTaggedFrame waiting for
 	// a request that will never come; ops mid-dispatch are unaffected
 	// until their connection next reads.
 	deadline := time.Now().Add(drain)

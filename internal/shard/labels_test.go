@@ -161,9 +161,14 @@ func TestSelectorFanoutMatchesOracle(t *testing.T) {
 		})
 	}
 
-	st := r.Stats()
+	st, per := r.StatsAll()
 	if st.SeriesCount != 1000 || st.SelectorQueries == 0 || st.MaxFanoutWidth != 1000 {
 		t.Fatalf("index stats not surfaced: %+v", st)
+	}
+	for i, s := range per { // the index is store-level: shards report none of it
+		if s.SeriesCount != 0 || s.SelectorQueries != 0 {
+			t.Fatalf("shard %d carries store-level index counters: %+v", i, s)
+		}
 	}
 	if st.MatcherResolutions == 0 || st.PostingsEntries != 2000 || st.LabelPairs != 70 {
 		t.Fatalf("postings stats wrong: pairs=%d entries=%d resolutions=%d",
