@@ -1,17 +1,11 @@
 // Command tsbench is the IoTDB-benchmark analog: it drives the storage
 // engine (in-process, or a remote tsdbd over TCP) with a mixed
-// write/query workload and reports the paper's system metrics. It
-// regenerates the data of Figures 13–21.
+// write/query workload and reports the paper's system metrics — one
+// cell of Figures 13–21 (cmd/repro -fig regenerates whole figures).
 //
 // Run one cell:
 //
 //	tsbench -dataset lognormal -mu 1 -sigma 4 -write-pct 0.9 -algo backward
-//
-// Run a full figure group (all panels × write percentages × paper
-// algorithms):
-//
-//	tsbench -fig 13            # AbsNormal throughput (+16/19 metrics)
-//	tsbench -fig 15 -scale paper
 //
 // Against a remote server:
 //
@@ -26,15 +20,12 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/shard"
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure group to regenerate: 13, 14, 15, 16, 17, 18, 19, 20, 21 (empty = single cell)")
-	scale := flag.String("scale", "small", "workload scale: small or paper")
 	dataset := flag.String("dataset", "lognormal", "dataset: absnormal, lognormal, or a real-world name")
 	mu := flag.Float64("mu", 1, "delay distribution μ")
 	sigma := flag.Float64("sigma", 2, "delay distribution σ")
@@ -48,11 +39,7 @@ func main() {
 	memtable := flag.Int("memtable", 100000, "memtable flush threshold (points, per shard)")
 	shards := flag.Int("shards", 1, "engine shards for the in-process engine: 1 = unsharded, N > 1 = hash-routed shards, 0 = GOMAXPROCS shards")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size for the in-process engine, shared across shards (0 = GOMAXPROCS)")
-	sortParallelism := flag.Int("sort-parallelism", 0, "flat-sort kernel phase-2 workers for the in-process engine (0 = 1, sequential)")
-	flatThreshold := flag.Int("flat-threshold", 0, "TVList length routing backward-sorts through the flat kernel (0 = default, negative = interface path only)")
-	adaptive := flag.Bool("adaptive", false, "enable the adaptive sort path: per-sensor disorder sketches plan each flush's kernel routing and block-size search")
-	fixedBlock := flag.Int("fixed-block", 0, "pin the backward-sort block size for every flush sort (0 = per-flush search; ignored with -adaptive)")
-	legacyLocking := flag.Bool("legacy-locking", false, "queries sort under the engine lock, blocking writes (IoTDB/paper mode)")
+	paperProfile := flag.Bool("paper-profile", false, "run the in-process engine as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, no planner")
 	walOn := flag.Bool("wal", false, "enable the write-ahead log for the in-process engine")
 	walSync := flag.String("wal-sync", engine.WALSyncNone, "WAL durability policy for the in-process engine: none, interval, or always (non-none implies -wal)")
 	addr := flag.String("addr", "", "remote tsdbd address (empty = in-process engine)")
@@ -76,16 +63,7 @@ func main() {
 	conns := flag.Int("conns", 0, "pipelined-ingest mode: connections to open (> 0 enables the mode; drives -addr, or an in-process server)")
 	pipeline := flag.Int("pipeline", 1, "pipelined-ingest mode: async inserts kept in flight per connection")
 	ingestSmoke := flag.Bool("ingest-smoke", false, "run the multiplexed-front-end smoke check (pipeline 8 vs 1 at 64 conns, overload reject-not-hang at queue=1) and exit")
-	adaptiveSmoke := flag.Bool("adaptive-smoke", false, "run the adaptive-sort smoke check (adaptive beats every static threshold/block-size setting on drifting delays, stays within 5% on stationary ones) and exit")
 	flag.Parse()
-
-	if *adaptiveSmoke {
-		if err := runAdaptiveSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *ingestSmoke {
 		if err := runIngestSmoke(); err != nil {
@@ -123,22 +101,13 @@ func main() {
 		}
 		return
 	}
-	if *fig != "" {
-		if err := runFigure(*fig, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	cell := cellConfig{
 		addr: *addr, dir: *dir, dataset: *dataset, algo: *algo,
 		mu: *mu, sigma: *sigma, writePct: *writePct,
 		ops: *ops, batch: *batch, clients: *clients, memtable: *memtable,
 		devices: *devices, sensorsPerDevice: *sensorsPerDevice,
 		shards:       *shards,
-		flushWorkers: *flushWorkers, sortParallelism: *sortParallelism,
-		flatThreshold: *flatThreshold, legacyLocking: *legacyLocking,
-		adaptive: *adaptive, fixedBlock: *fixedBlock,
+		flushWorkers: *flushWorkers, paperProfile: *paperProfile,
 		wal: *walOn, walSync: *walSync,
 		blockPoints: *blockPoints, partitionDuration: *partitionDuration,
 		l0Files: *l0Files, levelBase: *levelBase,
@@ -179,11 +148,7 @@ type cellConfig struct {
 	devices, sensorsPerDevice     int
 	shards                        int
 	flushWorkers                  int
-	sortParallelism               int
-	flatThreshold                 int
-	adaptive                      bool
-	fixedBlock                    int
-	legacyLocking                 bool
+	paperProfile                  bool
 	wal                           bool
 	walSync                       string
 	blockPoints                   int
@@ -199,56 +164,12 @@ type cellConfig struct {
 func (cc cellConfig) engineConfig(dir string) engine.Config {
 	return engine.Config{
 		Dir: dir, MemTableSize: cc.memtable, Algorithm: cc.algo,
-		FlushWorkers: cc.flushWorkers, SortParallelism: cc.sortParallelism,
-		FlatSortThreshold: cc.flatThreshold, AdaptiveSort: cc.adaptive,
-		FixedBlockSize: cc.fixedBlock, LegacyLockedQueries: cc.legacyLocking,
+		FlushWorkers: cc.flushWorkers, PaperProfile: cc.paperProfile,
 		WAL: cc.wal, WALSync: cc.walSync,
 		BlockPoints: cc.blockPoints, PartitionDuration: cc.partitionDuration,
 		L0CompactFiles: cc.l0Files, LevelBaseBytes: cc.levelBase,
 		LevelGrowth: cc.levelGrowth, MaxLevel: cc.maxLevel,
 	}
-}
-
-func runFigure(fig, scale string) error {
-	var sc experiments.Scale
-	switch scale {
-	case "small":
-		sc = experiments.SmallScale()
-	case "medium":
-		sc = experiments.MediumScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
-	}
-	var specs []experiments.SystemSpec
-	switch fig {
-	case "13", "16", "19":
-		specs = experiments.AbsNormalSpecs()
-	case "14", "17", "20":
-		specs = experiments.LogNormalSpecs()
-	case "15", "18", "21":
-		specs = experiments.RealWorldSpecs()
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
-	}
-	set, err := experiments.RunSystemGroup(specs, sc)
-	if err != nil {
-		return err
-	}
-	var tables []*experiments.Table
-	switch fig {
-	case "13", "14", "15":
-		tables = set.ThroughputTables("fig" + fig)
-	case "16", "17", "18":
-		tables = set.FlushTables("fig" + fig)
-	case "19", "20", "21":
-		tables = set.LatencyTables("fig" + fig)
-	}
-	for _, t := range tables {
-		t.Print(os.Stdout)
-	}
-	return nil
 }
 
 func runCell(cc cellConfig) error {
@@ -315,15 +236,12 @@ func runCell(cc cellConfig) error {
 		res.FlushCount, res.AvgFlushMillis, res.AvgSortMillis, res.AvgEncodeMillis, res.AvgWriteMillis, res.FlushWorkers)
 	fmt.Printf("  engine lock: %d contended acquisitions (avg %.1f µs, p99 ≤ %.0f µs), %d queries blocked, %d sorts skipped\n",
 		res.LockWaits, res.AvgLockWaitMicros, res.P99LockWaitMicros, res.QueriesBlocked, res.SortsSkipped)
-	fmt.Printf("  sort kernel: %d flat sorts (%.3f ms), %d interface sorts (%.3f ms); parallelism %d, threshold %d\n",
-		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis,
-		res.SortParallelism, res.FlatSortThreshold)
-	if res.AdaptiveSortEnabled {
-		fmt.Printf("  adaptive: %d sketch-seeded flushes, %d search iters saved; %d pinned + %d seeded sorts; routes flat=%d iface=%d; chosen L %d..%d\n",
-			res.SketchSeededFlushes, res.SearchItersSaved, res.AdaptiveFixedSorts,
-			res.AdaptiveSeededSorts, res.AdaptiveFlatRoutes, res.AdaptiveIfaceRoutes,
-			res.AdaptiveMinL, res.AdaptiveMaxL)
-	}
+	fmt.Printf("  sort kernel: %d flat sorts (%.3f ms), %d interface sorts (%.3f ms)\n",
+		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis)
+	fmt.Printf("  adaptive: %d sketch-seeded flushes, %d search iters saved; %d pinned + %d seeded sorts; routes flat=%d iface=%d; chosen L %d..%d\n",
+		res.SketchSeededFlushes, res.SearchItersSaved, res.AdaptiveFixedSorts,
+		res.AdaptiveSeededSorts, res.AdaptiveFlatRoutes, res.AdaptiveIfaceRoutes,
+		res.AdaptiveMinL, res.AdaptiveMaxL)
 	fmt.Printf("  separation: %d seq points, %d unseq points\n", res.SeqPoints, res.UnseqPoints)
 	avgGroup := 0.0
 	if res.WALSyncs > 0 {

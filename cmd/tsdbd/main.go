@@ -53,10 +53,7 @@ func main() {
 	shards := flag.Int("shards", 1, "engine shards: 1 = single unsharded engine (legacy flat layout), N > 1 = hash-routed shards, 0 = GOMAXPROCS shards")
 	labelsOn := flag.Bool("labels", false, "run the shard router (with its label index) even at -shards 1; required for label-series workloads against a single shard")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
-	sortParallelism := flag.Int("sort-parallelism", 0, "flat-sort kernel phase-2 workers (0 = 1, sequential)")
-	flatThreshold := flag.Int("flat-threshold", 0, "TVList length routing backward-sorts through the flat kernel (0 = default, negative = interface path only)")
-	adaptiveOn := flag.Bool("adaptive", false, "enable the adaptive sort path: per-sensor disorder sketches plan each flush's kernel routing and block-size search (overrides -flat-threshold routing per sensor)")
-	legacyLocking := flag.Bool("legacy-locking", false, "queries sort under the engine lock, blocking writes (IoTDB/paper mode)")
+	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, no planner")
 	blockPoints := flag.Int("block-points", 0, "target points per v3 chunk block (0 = default, negative = legacy v2 single-unit chunks)")
 	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width in timestamp units; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/) with O(1) retention drops")
 	l0Files := flag.Int("l0-compact-files", 0, "L0 file count triggering a leveled merge per partition (0 = default)")
@@ -73,23 +70,20 @@ func main() {
 		*walOn = true // a sync policy is meaningless without the log
 	}
 	engCfg := engine.Config{
-		Dir:                 *dir,
-		MemTableSize:        *memtable,
-		ArrayLen:            *arrayLen,
-		Algorithm:           *algo,
-		WAL:                 *walOn,
-		WALSync:             *walSync,
-		FlushWorkers:        *flushWorkers,
-		SortParallelism:     *sortParallelism,
-		FlatSortThreshold:   *flatThreshold,
-		AdaptiveSort:        *adaptiveOn,
-		LegacyLockedQueries: *legacyLocking,
-		BlockPoints:         *blockPoints,
-		PartitionDuration:   *partitionDuration,
-		L0CompactFiles:      *l0Files,
-		LevelBaseBytes:      *levelBase,
-		LevelGrowth:         *levelGrowth,
-		MaxLevel:            *maxLevel,
+		Dir:               *dir,
+		MemTableSize:      *memtable,
+		ArrayLen:          *arrayLen,
+		Algorithm:         *algo,
+		WAL:               *walOn,
+		WALSync:           *walSync,
+		FlushWorkers:      *flushWorkers,
+		PaperProfile:      *paperProfile,
+		BlockPoints:       *blockPoints,
+		PartitionDuration: *partitionDuration,
+		L0CompactFiles:    *l0Files,
+		LevelBaseBytes:    *levelBase,
+		LevelGrowth:       *levelGrowth,
+		MaxLevel:          *maxLevel,
 	}
 	// The backend is either one bare engine (-shards 1, the legacy
 	// flat directory layout) or the shard router; both implement the

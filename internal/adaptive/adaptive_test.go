@@ -78,7 +78,7 @@ func TestSketchPredictionTracksSearch(t *testing.T) {
 		for _, ts := range ser.Times {
 			sk.Observe(ts)
 		}
-		p := NewPlanner(Config{})
+		p := NewPlanner()
 		var pred int
 		for g := 0; g < 3; g++ { // a few generations so decay washes out
 			d := p.Plan(sc.name, sk.Snapshot(), len(ser.Times))
@@ -120,7 +120,7 @@ func snap(n, ooo, late, interval int64) Snapshot {
 }
 
 func TestPlannerStabilizesThenSkips(t *testing.T) {
-	p := NewPlanner(Config{})
+	p := NewPlanner()
 	// Half the points are 200 ticks (= 20 records) late: the search
 	// needs L ≈ 32 to clear Θ.
 	gen := snap(10000, 5000, 200, 10)
@@ -155,7 +155,7 @@ func TestPlannerStabilizesThenSkips(t *testing.T) {
 }
 
 func TestPlannerReactsToDrift(t *testing.T) {
-	p := NewPlanner(Config{})
+	p := NewPlanner()
 	calm := snap(10000, 5000, 200, 10) // → modest L
 	var lastCalm Decision
 	for flush := 1; flush <= 7; flush++ {
@@ -189,7 +189,7 @@ func TestPlannerReactsToDrift(t *testing.T) {
 }
 
 func TestPlannerRouting(t *testing.T) {
-	p := NewPlanner(Config{})
+	p := NewPlanner()
 	dirty := snap(10000, 2000, 100, 10)
 	clean := snap(10000, 3, 100, 10) // disorder 3e-4 < 1/256
 
@@ -215,7 +215,7 @@ func TestPlannerRouting(t *testing.T) {
 }
 
 func TestPlannerColdStart(t *testing.T) {
-	p := NewPlanner(Config{})
+	p := NewPlanner()
 	d := p.Plan("s1", snap(10, 2, 50, 10), 100000)
 	if d.Sketched || d.FixedL != 0 || d.SeedL != 0 {
 		t.Fatalf("10 samples should not inform a decision: %+v", d)

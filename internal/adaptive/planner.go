@@ -3,78 +3,49 @@ package adaptive
 import (
 	"math/bits"
 	"sync"
+
+	"repro/internal/core"
 )
 
-// Config tunes the Planner. The zero value selects defaults matched to
-// the paper's search parameters (L0 = 4, Θ = 0.04).
-type Config struct {
-	// L0 is the block-size search floor (default 4, the paper's L0).
-	L0 int
-	// Theta is the empirical IIR threshold Θ the prediction targets
-	// (default 0.04, the paper's Θ̃).
-	Theta float64
-	// Decay is the weight kept on prior flush generations when a new
-	// generation's sketch is folded in (default 0.5): the per-sensor
-	// state is an exponentially decayed histogram over generations, so
-	// a drifting delay distribution is forgotten in a few flushes.
-	Decay float64
+// The planner's parameters are constants, fixed once like the paper
+// fixes Θ̃ and L0 in §VI-B: nothing in the repository ever ran with
+// other values.
+const (
+	// searchL0 and theta are the floor and the empirical IIR threshold
+	// of the block-size search the prediction stands in for — the
+	// sort kernels' own defaults, the paper's L0 and Θ̃.
+	searchL0 = core.DefaultInitialBlockSize
+	theta    = core.DefaultThreshold
+	// decay is the weight kept on prior flush generations when a new
+	// generation's sketch is folded in: the per-sensor state is an
+	// exponentially decayed histogram over generations, so a drifting
+	// delay distribution is forgotten in a few flushes.
+	decay = 0.5
 	// StableRuns is how many consecutive searches must confirm the
-	// same L before the planner skips the search (default 3).
-	StableRuns int
-	// RevalidateEvery forces a real (seeded) search every Nth flush of
-	// a sensor even when its prediction is stable (default 8), so a
-	// drift the sketch underestimates cannot pin a bad L forever.
-	RevalidateEvery int64
-	// MinSamples is the decayed point count below which the planner
-	// makes no sketch-informed decision (default 64).
-	MinSamples float64
-	// FlatMinLen is the chunk length at which a *near-clean* chunk
-	// takes the flat kernel (default 4096, the engine's default
-	// flat-sort threshold): when almost nothing is out of order the
-	// sort is a near-no-op and routing defers to the static threshold.
-	FlatMinLen int
-	// FlatDirtyMinLen is the far lower flat floor for chunks the
-	// sketch knows to be disordered (default 32): on dirty data the
-	// kernel's contiguous sort beats the interface path's per-record
-	// indirection by 2-3x at every measured size, so the
-	// coalesce/scatter copies amortize almost immediately — the
-	// per-sensor routing win a single global threshold cannot express.
-	FlatDirtyMinLen int
-	// MinDisorderForFlat is the disorder fraction separating the two
-	// floors above (default 1/256).
-	MinDisorderForFlat float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.L0 <= 0 {
-		c.L0 = 4
-	}
-	if c.Theta <= 0 {
-		c.Theta = 0.04
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		c.Decay = 0.5
-	}
-	if c.StableRuns <= 0 {
-		c.StableRuns = 3
-	}
-	if c.RevalidateEvery <= 0 {
-		c.RevalidateEvery = 8
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 64
-	}
-	if c.FlatMinLen <= 0 {
-		c.FlatMinLen = 4096
-	}
-	if c.FlatDirtyMinLen <= 0 {
-		c.FlatDirtyMinLen = 32
-	}
-	if c.MinDisorderForFlat <= 0 {
-		c.MinDisorderForFlat = 1.0 / 256
-	}
-	return c
-}
+	// same L before the planner skips the search.
+	StableRuns = 3
+	// revalidateEvery forces a real (seeded) search every Nth flush of
+	// a sensor even when its prediction is stable, so a drift the
+	// sketch underestimates cannot pin a bad L forever.
+	revalidateEvery = 8
+	// minSamples is the decayed point count below which the planner
+	// makes no sketch-informed decision.
+	minSamples = 64
+	// flatMinLen is the chunk length at which a *near-clean* chunk
+	// takes the flat kernel: when almost nothing is out of order the
+	// sort is a near-no-op, and below this length the kernel's 2·O(n)
+	// coalesce/scatter copies and pool round-trip rival its
+	// constant-factor win.
+	flatMinLen = 4096
+	// flatDirtyMinLen is the far lower flat floor for chunks known to
+	// be disordered: on dirty data the kernel's contiguous sort beats
+	// the interface path's per-record indirection by 2-3x at every
+	// measured size, so the copies amortize almost immediately.
+	flatDirtyMinLen = 32
+	// minDisorderForFlat is the disorder fraction separating the two
+	// floors above.
+	minDisorderForFlat = 1.0 / 256
+)
 
 // maxPredictL caps the predicted block size; BackwardSort clamps L to
 // the chunk length anyway, so a prediction beyond this only wastes
@@ -119,7 +90,7 @@ type sensorState struct {
 	n        float64
 	ooo      float64
 	interval float64
-	phase    int   // per-sensor subsample anchor, fixed at first sight
+	phase    int   // per-sensor subsample anchor (phaseOf)
 	lastL    int   // last search-confirmed (or stably predicted) block size
 	agree    int   // consecutive confirmations of lastL
 	flushes  int64 // flush generations folded in
@@ -131,17 +102,12 @@ type sensorState struct {
 // for concurrent use by the engine's flush workers.
 type Planner struct {
 	mu      sync.Mutex
-	cfg     Config
-	phase   int
 	sensors map[string]*sensorState
 }
 
-// NewPlanner creates a Planner with the given configuration.
-func NewPlanner(cfg Config) *Planner {
-	return &Planner{
-		cfg:     cfg.withDefaults(),
-		sensors: make(map[string]*sensorState),
-	}
+// NewPlanner creates an empty Planner.
+func NewPlanner() *Planner {
+	return &Planner{sensors: make(map[string]*sensorState)}
 }
 
 // Plan folds one flush generation's sketch into the sensor's decayed
@@ -152,17 +118,13 @@ func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
 
 	st := p.sensors[sensor]
 	if st == nil {
-		// A large prime stride spreads the per-sensor anchors across
-		// residues of any small block size.
-		p.phase += 7919
-		st = &sensorState{phase: p.phase}
+		st = &sensorState{phase: phaseOf(sensor)}
 		p.sensors[sensor] = st
 	}
 	st.flushes++
 	d := Decision{Phase: st.phase}
 
 	// Fold the generation in under exponential decay.
-	decay := p.cfg.Decay
 	st.n = decay*st.n + float64(sk.N)
 	st.ooo = decay*st.ooo + float64(sk.OOO)
 	for i := range st.late {
@@ -177,34 +139,23 @@ func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
 		}
 	}
 
-	if st.n < p.cfg.MinSamples {
-		// Not enough signal: default routing, default search.
-		d.UseFlat = chunkLen >= p.cfg.FlatMinLen
+	d.UseFlat = st.useFlat(chunkLen)
+	if st.n < minSamples {
+		// Not enough signal: default search.
 		st.agree = 0
 		st.lastL = 0
 		return d
 	}
 	d.Sketched = true
 
-	// Per-sensor flat-vs-interface routing: a chunk the sketch knows
-	// to be dirty takes the flat kernel from FlatDirtyMinLen up, a
-	// near-clean one only from the static threshold up, and tiny
-	// chunks stay on the in-place interface path.
-	disorder := st.ooo / st.n
-	if disorder >= p.cfg.MinDisorderForFlat {
-		d.UseFlat = chunkLen >= p.cfg.FlatDirtyMinLen
-	} else {
-		d.UseFlat = chunkLen >= p.cfg.FlatMinLen
-	}
-
-	pred := p.predictL(st)
+	pred := predictL(st)
 	// Seed the search at half the prediction: one cheap estimate
 	// below the target confirms it from underneath, and an
 	// overestimated sketch cannot pin an oversized L because the
 	// doubling search never descends.
 	seed := pred / 2
-	if seed < p.cfg.L0 {
-		seed = p.cfg.L0
+	if seed < searchL0 {
+		seed = searchL0
 	}
 	// Pinning keys on search stability — the same L confirmed
 	// StableRuns times — with the prediction as a drift tripwire only:
@@ -218,19 +169,53 @@ func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
 	// of flushes instead of sorting calm chunks at the burst's L. The
 	// pinned value is the search-confirmed lastL: measurement trumps
 	// prediction.
-	if st.agree >= p.cfg.StableRuns &&
+	if st.agree >= StableRuns &&
 		pred <= st.lastL*2 && st.lastL <= pred*2 &&
-		st.flushes%p.cfg.RevalidateEvery != 0 {
+		st.flushes%revalidateEvery != 0 {
 		// Stable and not a revalidation turn: skip the search. The
 		// default search would have tested L0, 2L0, …, lastL — count
 		// those scans as saved.
 		d.FixedL = st.lastL
-		d.SavedIterations = log2Ratio(st.lastL, p.cfg.L0) + 1
+		d.SavedIterations = log2Ratio(st.lastL, searchL0) + 1
 		return d
 	}
 	d.SeedL = seed
-	d.SavedIterations = log2Ratio(seed, p.cfg.L0)
+	d.SavedIterations = log2Ratio(seed, searchL0)
 	return d
+}
+
+// Route is the read-only half of Plan: the flat-vs-interface route for
+// a chunk of the sensor from the state earlier flushes left behind and
+// the default block-size search — no fold, and no Observe owed.
+// Query-side sorts use it: they run many times per flush generation
+// and must not advance state that decays once per generation.
+func (p *Planner) Route(sensor string, chunkLen int) Decision {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.sensors[sensor]
+	if st == nil {
+		return Decision{UseFlat: chunkLen >= flatMinLen}
+	}
+	return Decision{Phase: st.phase, UseFlat: st.useFlat(chunkLen)}
+}
+
+// RouteDirty is the decision for a chunk that is disordered by
+// construction — an unsequence chunk holds only points that arrived
+// behind the flushed watermark: the dirty floor and the default
+// search, without consulting or feeding any per-sensor state.
+func RouteDirty(chunkLen int) Decision {
+	return Decision{UseFlat: chunkLen >= flatDirtyMinLen}
+}
+
+// useFlat is the per-sensor flat-vs-interface rule: a sensor the
+// decayed state knows to be dirty takes the flat kernel from
+// flatDirtyMinLen up, a near-clean or not-yet-measured one only from
+// flatMinLen up, and tiny chunks stay on the in-place interface path.
+func (st *sensorState) useFlat(chunkLen int) bool {
+	if st.n >= minSamples && st.ooo/st.n >= minDisorderForFlat {
+		return chunkLen >= flatDirtyMinLen
+	}
+	return chunkLen >= flatMinLen
 }
 
 // Observe feeds back the result of a real (seeded or default) search:
@@ -266,21 +251,35 @@ func (p *Planner) Observe(sensor string, chosenL int) {
 	}
 }
 
+// phaseOf derives a sensor's subsample anchor from its name (FNV-1a),
+// which spreads the anchors across residues of any small block size.
+// A function of the name alone, not of the order flush workers happen
+// to reach the planner in: two engines fed the same writes plan the
+// same sorts, so even the arbitrary tie order Backward-Sort leaves
+// among equal timestamps is reproducible.
+func phaseOf(sensor string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(sensor); i++ {
+		h = (h ^ uint32(sensor[i])) * 16777619
+	}
+	return int(h >> 1)
+}
+
 // predictL converts the decayed lateness histogram into the block size
 // the paper's search would pick: the smallest L = L0·2^k whose
 // predicted empirical IIR clears Θ. A point late by ℓ ticks sits
 // ≈ ℓ/interval records behind its in-order position, so
 // P(t_i > t_{i+L}) ≈ P(lateness > L·interval) — the histogram tail
 // above L·interval, with the straddling bucket interpolated linearly.
-func (p *Planner) predictL(st *sensorState) int {
-	L := p.cfg.L0
+func predictL(st *sensorState) int {
+	L := searchL0
 	iv := st.interval
 	if iv < 1 {
 		iv = 1
 	}
 	for L < maxPredictL {
 		x := float64(L) * iv
-		if histTail(&st.late, x)/st.n < p.cfg.Theta {
+		if histTail(&st.late, x)/st.n < theta {
 			break
 		}
 		L *= 2

@@ -179,6 +179,14 @@ func AppendGorilla(dst []byte, values []float64) []byte {
 // DecodeGorilla decodes a sequence produced by AppendGorilla,
 // returning the values and the number of bytes consumed.
 func DecodeGorilla(src []byte) ([]float64, int, error) {
+	return DecodeGorillaPrefix(src, math.MaxInt)
+}
+
+// DecodeGorillaPrefix is DecodeGorilla stopped after the first limit
+// values. The XOR chain can only be decoded from its head, so a reader
+// that wants no more than a prefix saves the cost of the tail; the
+// bytes consumed still span the whole sequence.
+func DecodeGorillaPrefix(src []byte, limit int) ([]float64, int, error) {
 	n, read := binary.Uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: gorilla count", ErrCorrupt)
@@ -195,7 +203,14 @@ func DecodeGorilla(src []byte) ([]float64, int, error) {
 	if uint64(len(src)-pos) < blobLen {
 		return nil, 0, fmt.Errorf("%w: gorilla blob truncated", ErrCorrupt)
 	}
-	r := &bitReader{buf: src[pos : pos+int(blobLen)]}
+	consumed := pos + int(blobLen)
+	if k := uint64(max(limit, 0)); k < n {
+		n = k
+	}
+	if n == 0 {
+		return nil, consumed, nil
+	}
+	r := &bitReader{buf: src[pos:consumed]}
 	out := make([]float64, n)
 	first, err := r.readBits(64)
 	if err != nil {
@@ -245,7 +260,6 @@ func DecodeGorilla(src []byte) ([]float64, int, error) {
 		prev ^= v << trail
 		out[i] = math.Float64frombits(prev)
 	}
-	consumed := pos + int(blobLen)
 	return out, consumed, nil
 }
 

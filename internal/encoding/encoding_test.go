@@ -109,6 +109,20 @@ func TestGorillaRoundTrip(t *testing.T) {
 				t.Fatalf("%v: value %d round-tripped to %v", c, i, got[i])
 			}
 		}
+		// Every prefix decodes to the head of the full decode and
+		// still consumes the whole sequence.
+		for limit := -1; limit <= len(c)+1; limit++ {
+			head, n, err := DecodeGorillaPrefix(enc, limit)
+			want := got[:min(max(limit, 0), len(got))]
+			if err != nil || n != len(enc) || len(head) != len(want) {
+				t.Fatalf("%v limit %d: %d values, consumed %d, %v", c, limit, len(head), n, err)
+			}
+			for i := range want {
+				if math.Float64bits(head[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v limit %d: value %d = %v", c, limit, i, head[i])
+				}
+			}
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func (s *fileSource) next() (TV, bool, error) {
 			}
 			b := s.curBlocks[0]
 			s.curBlocks = s.curBlocks[1:]
-			ts, vs, err := s.fh.reader.ReadBlock(s.cur, b)
+			ts, vs, err := s.fh.reader.ReadBlockUpTo(s.cur, b, s.maxT)
 			if err != nil {
 				return TV{}, false, err
 			}
@@ -270,8 +270,8 @@ func (qs *querySources) release() {
 // in [minT, maxT], ordered newest generation first (within a
 // generation, unsequence before sequence). The engine lock is held
 // only to snapshot; sorting and scanning of snapshotted chunks happen
-// after it is released. Config.LegacyLockedQueries restores the
-// paper's behavior of sorting the live working TVLists under the lock.
+// after it is released. Config.PaperProfile restores the paper's
+// behavior of sorting the live working TVLists under the lock.
 func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, error) {
 	qs := &querySources{}
 
@@ -280,21 +280,24 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 		e.mu.Unlock()
 		return nil, fmt.Errorf("engine: closed")
 	}
-	var workChunks []*tvlist.TVList[float64]
-	if e.cfg.LegacyLockedQueries {
-		for _, mt := range []*memtable.MemTable{e.workingUn, e.working} {
-			if chunk := mt.Chunk(sensor); chunk != nil {
-				e.sortChunk(chunk)
-				if out := scanChunk(chunk, minT, maxT); len(out) > 0 {
-					qs.mem = append(qs.mem, out)
-				}
-			}
+	// sortScan sorts one memtable chunk (routed read-only: queries
+	// never advance the planner) and collects its records in range.
+	sortScan := func(c *tvlist.TVList[float64], unseq bool) {
+		e.sortChunk(c, e.route(sensor, unseq, c.Len()))
+		if out := scanChunk(c, minT, maxT); len(out) > 0 {
+			qs.mem = append(qs.mem, out)
 		}
-	} else {
-		for _, mt := range []*memtable.MemTable{e.workingUn, e.working} {
-			if c := mt.SnapshotChunk(sensor); c != nil {
-				workChunks = append(workChunks, c)
+	}
+	// Unsequence before sequence — index 0 is the unsequence memtable,
+	// here and in the flushing units below.
+	var workChunks [2]*tvlist.TVList[float64]
+	for i, mt := range []*memtable.MemTable{e.workingUn, e.working} {
+		if e.cfg.PaperProfile {
+			if chunk := mt.Chunk(sensor); chunk != nil {
+				sortScan(chunk, i == 0)
 			}
+		} else {
+			workChunks[i] = mt.SnapshotChunk(sensor)
 		}
 	}
 	unitRefs := append([]*flushUnit(nil), e.flushing...)
@@ -307,10 +310,9 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 
 	// Snapshotted working chunks: sorted and scanned outside the lock;
 	// writers proceed in parallel.
-	for _, c := range workChunks {
-		e.sortChunk(c)
-		if out := scanChunk(c, minT, maxT); len(out) > 0 {
-			qs.mem = append(qs.mem, out)
+	for i, c := range workChunks {
+		if c != nil {
+			sortScan(c, i == 0)
 		}
 	}
 
@@ -318,19 +320,15 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	// the older in-flight generation it rewrites.
 	for i := len(unitRefs) - 1; i >= 0; i-- {
 		unit := unitRefs[i]
-		for _, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
+		for j, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
 			chunk := mt.Chunk(sensor)
 			if chunk == nil {
 				continue
 			}
 			mu := unit.lockChunk(chunk)
 			mu.Lock()
-			e.sortChunk(chunk)
-			out := scanChunk(chunk, minT, maxT)
+			sortScan(chunk, j == 0)
 			mu.Unlock()
-			if len(out) > 0 {
-				qs.mem = append(qs.mem, out)
-			}
 		}
 	}
 	return qs, nil

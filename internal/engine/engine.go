@@ -16,8 +16,7 @@
 //   - queries snapshot the engine state under the engine lock and do
 //     their sorting outside it. IoTDB's original query-blocks-writes
 //     behavior (Section VI-D1, the contention of Figures 13–15) is
-//     preserved behind Config.LegacyLockedQueries for the paper
-//     reproduction.
+//     preserved behind Config.PaperProfile for the paper reproduction.
 package engine
 
 import (
@@ -67,12 +66,6 @@ const DefaultWALSyncPeriod = 200 * time.Millisecond
 // 100,000 as "the appropriate memory points size in the IoTDB".
 const DefaultMemTableSize = 100000
 
-// DefaultFlatSortThreshold is the TVList length at or above which a
-// backward-sort routes through the contiguous flat kernel. Below it
-// the 2·O(n) coalesce/scatter copies and the pool round-trip rival the
-// kernel's constant-factor win; above it the kernel dominates.
-const DefaultFlatSortThreshold = 4096
-
 // DefaultBlockPoints is the target points-per-block for the v3 chunk
 // layout when Config.BlockPoints is zero. Small enough that a
 // narrow-range query decodes a fraction of a big chunk, large enough
@@ -97,7 +90,8 @@ type Config struct {
 	// ArrayLen is the TVList array length (default 32).
 	ArrayLen int
 	// Algorithm names the sorting algorithm (sortalgo registry;
-	// default "backward").
+	// default "backward"). Only "backward" has a flat kernel and a
+	// planner; any other algorithm sorts through the interface.
 	Algorithm string
 	// SyncFlush makes flushes run inline on the triggering Insert,
 	// for deterministic tests. Production-style async is the default.
@@ -107,43 +101,17 @@ type Config struct {
 	// drain fully sequential, as the original IoTDB-style pipeline
 	// was.
 	FlushWorkers int
-	// FlatSortThreshold is the TVList length at or above which
-	// backward-sorts take the compact-to-flat kernel path instead of
-	// the in-place interface path (0 selects
-	// DefaultFlatSortThreshold; negative disables the kernel, pinning
-	// every sort to the interface path — cmd/repro uses that so the
-	// reproduced figures keep measuring the algorithm, not the
-	// kernel). Only the "backward" algorithm has a flat kernel; other
-	// algorithms always sort through the interface.
-	FlatSortThreshold int
-	// SortParallelism bounds the flat kernel's phase-2 block-sorting
-	// workers (default 1: block sorting stays on the sorting
-	// goroutine, which composes predictably with FlushWorkers — raise
-	// it when flushes are the bottleneck and cores are spare).
-	SortParallelism int
-	// FixedBlockSize, when positive, pins the backward-sort block size
-	// for every flush sort instead of running the doubling search per
-	// chunk — the fully static configuration the adaptive planner is
-	// benchmarked against. Only meaningful for the "backward"
-	// algorithm; ignored (with the search kept) otherwise, and ignored
-	// when AdaptiveSort is on.
-	FixedBlockSize int
-	// AdaptiveSort self-tunes the flush sort path per sensor from
-	// online disorder sketches (internal/adaptive): every insert feeds
-	// a per-sensor O(1) sketch, and each flush plans the sort — seed
-	// the block-size search with the sketch-predicted L, skip the
-	// search entirely once the prediction is stable, and route
-	// flat-vs-interface per sensor instead of by the global
-	// FlatSortThreshold. Off by default, and only the "backward"
-	// algorithm supports it; cmd/repro leaves it off so the reproduced
-	// figures keep measuring the paper's static configuration.
-	AdaptiveSort bool
-	// LegacyLockedQueries restores IoTDB's query-blocks-writes
-	// behavior: queries sort the live working TVLists in place while
-	// holding the engine lock. Off by default — queries snapshot under
-	// the lock and sort outside it. cmd/repro turns it on so Figures
-	// 13–15 keep measuring the contention the paper describes.
-	LegacyLockedQueries bool
+	// PaperProfile runs the engine as the paper benchmarked IoTDB:
+	// queries sort the live working TVLists in place while holding the
+	// engine lock (the query-blocks-writes contention of Figures
+	// 13–15), and every sort goes through the core.Sortable interface
+	// with the registry algorithm — no disorder sketches, no planner,
+	// no flat kernel. Off by default: queries snapshot under the lock
+	// and sort outside it, and the disorder planner
+	// (internal/adaptive) routes every sort. cmd/repro turns it on so
+	// the reproduced figures keep measuring the paper's algorithm and
+	// locking, not this repository's.
+	PaperProfile bool
 	// WAL enables the write-ahead log: every batch is logged before
 	// it is acknowledged, and unflushed memtable contents are
 	// replayed (and immediately flushed) on Open. Off by default —
@@ -233,14 +201,12 @@ type Stats struct {
 	InterfaceSorts      int64
 	FlatSortMillis      float64
 	InterfaceSortMillis float64
-	SortParallelism     int // resolved phase-2 worker bound
-	FlatSortThreshold   int // resolved routing threshold (<0 = kernel off)
-	// Adaptive sort-path counters (Config.AdaptiveSort): how often the
-	// per-sensor disorder sketches informed flush sorts, the doubling
-	// -search scan iterations they avoided, the per-sensor routing
-	// outcomes, and the range of block sizes the planned sorts ran
-	// with (a two-sided histogram summary; 0 = no planned sort yet).
-	AdaptiveSortEnabled bool
+	// Planner counters (all zero without a planner, see
+	// Config.PaperProfile): how often the per-sensor disorder sketches
+	// informed flush sorts, the doubling-search scan iterations they
+	// avoided, the per-sensor routing outcomes, and the range of block
+	// sizes the planned sorts ran with (a two-sided histogram summary;
+	// 0 = no planned sort yet).
 	SketchSeededFlushes int64 // flushes with ≥1 sketch-informed sort decision
 	SearchItersSaved    int64 // block-size search iterations skipped via seeding/pinning
 	AdaptiveFixedSorts  int64 // planned sorts that pinned L and skipped the search
@@ -339,25 +305,17 @@ type Engine struct {
 	walTickStop chan struct{}
 	walTickDone chan struct{}
 
-	// Flat-kernel routing, resolved at Open: lists of at least
-	// flatThreshold records sort through tvlist.EnsureSortedFlat when
-	// useFlat (algorithm is "backward" and the threshold is not
-	// negative); everything else takes the interface path.
-	useFlat       bool
-	flatThreshold int
-	flatOpts      core.FlatOptions
-
-	// Adaptive sort path (Config.AdaptiveSort): the planner persists
+	// planner routes every sort (sortChunk) when the algorithm is
+	// "backward" outside the paper profile; nil otherwise. It persists
 	// per-sensor decayed disorder state across flush generations;
-	// per-generation sketches live in the memtables.
-	adaptive bool
-	planner  *adaptive.Planner
+	// per-generation sketches live in the sequence memtables.
+	planner *adaptive.Planner
 
 	// mu is the engine lock. It guards the mutable engine state: the
 	// working memtables, the flushing list, the files list, the
-	// watermarks and the sequence counters. Unless
-	// Config.LegacyLockedQueries is set, queries hold it only long
-	// enough to snapshot — never across a sort.
+	// watermarks and the sequence counters. Unless Config.PaperProfile
+	// is set, queries hold it only long enough to snapshot — never
+	// across a sort.
 	mu          sync.Mutex
 	working     *memtable.MemTable // sequence writes
 	workingUn   *memtable.MemTable // unsequence writes (separation policy)
@@ -396,8 +354,8 @@ type Engine struct {
 	flatSortNanos  atomic.Int64
 	ifaceSortNanos atomic.Int64
 
-	// Adaptive sort-path observability (lock-free; planned flush sorts
-	// feed them through sortChunkPlanned).
+	// Planner observability (lock-free; the flush drain's planned
+	// sorts feed them through notePlanned).
 	sketchSeededFlushes atomic.Int64
 	searchItersSaved    atomic.Int64
 	adaptiveFixedSorts  atomic.Int64
@@ -507,12 +465,6 @@ func Open(cfg Config) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown sort algorithm %q", cfg.Algorithm)
 	}
-	if cfg.FixedBlockSize > 0 && cfg.Algorithm == "backward" && !cfg.AdaptiveSort {
-		// Fully static block size: pin L on the interface path too (the
-		// flat kernel gets it through flatOpts below).
-		fixed := core.Options{FixedBlockSize: cfg.FixedBlockSize}
-		algo = func(s core.Sortable) { core.BackwardSort(s, fixed) }
-	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("engine: Dir is required")
 	}
@@ -522,14 +474,6 @@ func Open(cfg Config) (*Engine, error) {
 	workers := cfg.FlushWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	flatThreshold := cfg.FlatSortThreshold
-	if flatThreshold == 0 {
-		flatThreshold = DefaultFlatSortThreshold
-	}
-	sortPar := cfg.SortParallelism
-	if sortPar <= 0 {
-		sortPar = 1
 	}
 	switch cfg.WALSync {
 	case "", WALSyncNone, WALSyncInterval, WALSyncAlways:
@@ -566,27 +510,20 @@ func Open(cfg Config) (*Engine, error) {
 		cfg.MaxLevel = DefaultMaxLevel
 	}
 	e := &Engine{
-		cfg:           cfg,
-		algo:          algo,
-		fs:            fs,
-		walDurable:    cfg.WAL && (cfg.WALSync == WALSyncInterval || cfg.WALSync == WALSyncAlways),
-		walAlways:     cfg.WAL && cfg.WALSync == WALSyncAlways,
-		useFlat:       flatThreshold > 0 && cfg.Algorithm == "backward",
-		flatThreshold: flatThreshold,
-		flatOpts:      core.FlatOptions{Parallelism: sortPar, FixedBlockSize: fixedBlock(cfg)},
-		adaptive:      cfg.AdaptiveSort && cfg.Algorithm == "backward",
-		working:       memtable.New(cfg.ArrayLen),
-		workingUn:     memtable.New(cfg.ArrayLen),
-		lastFlushed:   make(map[string]int64),
-		latest:        make(map[string]int64),
-		blockPoints:   blockPoints,
-		partitioned:   cfg.PartitionDuration > 0,
+		cfg:         cfg,
+		algo:        algo,
+		fs:          fs,
+		walDurable:  cfg.WAL && (cfg.WALSync == WALSyncInterval || cfg.WALSync == WALSyncAlways),
+		walAlways:   cfg.WAL && cfg.WALSync == WALSyncAlways,
+		lastFlushed: make(map[string]int64),
+		latest:      make(map[string]int64),
+		blockPoints: blockPoints,
+		partitioned: cfg.PartitionDuration > 0,
 	}
-	if e.adaptive {
-		e.planner = adaptive.NewPlanner(adaptive.Config{FlatMinLen: flatThreshold})
-		e.working.TrackDisorder()
-		e.workingUn.TrackDisorder()
+	if cfg.Algorithm == "backward" && !cfg.PaperProfile {
+		e.planner = adaptive.NewPlanner()
 	}
+	e.newWorking()
 	if cfg.SharedPool != nil {
 		e.pool = cfg.SharedPool.p
 		e.poolShared = true
@@ -1035,16 +972,22 @@ func (e *Engine) rotateLocked() *flushUnit {
 			e.lastFlushed[s] = maxT
 		}
 	}
+	e.newWorking()
+	return unit
+}
+
+// newWorking installs fresh working memtables. With a planner the
+// sequence memtable sketches each sensor's disorder; fresh memtables
+// start fresh sketches, so per-generation disorder state never leaks
+// across the rotation — the planner holds the decayed cross-generation
+// memory. The unsequence memtable is never sketched: its chunks are
+// late by construction and always take the dirty route.
+func (e *Engine) newWorking() {
 	e.working = memtable.New(e.cfg.ArrayLen)
 	e.workingUn = memtable.New(e.cfg.ArrayLen)
-	if e.adaptive {
-		// Fresh memtables start fresh sketches: per-generation disorder
-		// state never leaks across the rotation — the planner holds the
-		// decayed cross-generation memory.
+	if e.planner != nil {
 		e.working.TrackDisorder()
-		e.workingUn.TrackDisorder()
 	}
-	return unit
 }
 
 // recordFlushErr stores the first background failure for Query/Close
@@ -1176,14 +1119,25 @@ func (e *Engine) drain(unit *flushUnit) {
 				chunk := mt.Chunk(sensor)
 				mu := unit.lockChunk(chunk)
 				mu.Lock()
-				if sk, ok := mt.Sketch(sensor); e.adaptive && ok {
-					dec := e.planner.Plan(sensor, sk, chunk.Len())
+				// A sequence chunk under a planner is planned: fold
+				// the generation's sketch in, sort as decided, feed
+				// the search result back. Everything else is routed
+				// read-only, as on the query side.
+				planned := e.planner != nil && !part.unseq
+				var dec adaptive.Decision
+				if planned {
+					sk, _ := mt.Sketch(sensor)
+					dec = e.planner.Plan(sensor, sk, chunk.Len())
 					if dec.Sketched {
 						sketchInformed.Store(true)
 					}
-					sortNanos.Add(e.sortChunkPlanned(sensor, chunk, dec))
 				} else {
-					sortNanos.Add(e.sortChunk(chunk))
+					dec = e.route(sensor, part.unseq, chunk.Len())
+				}
+				tr, d := e.sortChunk(chunk, dec)
+				sortNanos.Add(d)
+				if planned {
+					e.notePlanned(sensor, dec, tr)
 				}
 				ts, vs := chunk.ToSlices()
 				mu.Unlock()
@@ -1344,7 +1298,7 @@ func (e *Engine) Flush() {
 // result is then produced by a streaming k-way merge over the
 // snapshotted sources with rank-based newest-wins dedup, decoding file
 // chunks lazily — one chunk per file is in memory at a time instead of
-// every overlapping chunk at once. Config.LegacyLockedQueries restores
+// every overlapping chunk at once. Config.PaperProfile restores
 // the paper's behavior of sorting the live working TVLists under the
 // lock, blocking writers.
 func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
@@ -1442,13 +1396,6 @@ func (e *Engine) Stats() Stats {
 	s.InterfaceSorts = e.ifaceSorts.Load()
 	s.FlatSortMillis = float64(e.flatSortNanos.Load()) / 1e6
 	s.InterfaceSortMillis = float64(e.ifaceSortNanos.Load()) / 1e6
-	s.SortParallelism = e.flatOpts.Parallelism
-	if e.useFlat {
-		s.FlatSortThreshold = e.flatThreshold
-	} else {
-		s.FlatSortThreshold = -1
-	}
-	s.AdaptiveSortEnabled = e.adaptive
 	s.SketchSeededFlushes = e.sketchSeededFlushes.Load()
 	s.SearchItersSaved = e.searchItersSaved.Load()
 	s.AdaptiveFixedSorts = e.adaptiveFixedSorts.Load()
@@ -1570,16 +1517,6 @@ func (e *Engine) Close() error {
 
 // Algorithm returns the engine's configured sorting algorithm name.
 func (e *Engine) Algorithm() string { return e.cfg.Algorithm }
-
-// fixedBlock resolves Config.FixedBlockSize: the static pin applies
-// only to the "backward" algorithm, and the adaptive planner overrides
-// it per sensor.
-func fixedBlock(cfg Config) int {
-	if cfg.FixedBlockSize > 0 && cfg.Algorithm == "backward" && !cfg.AdaptiveSort {
-		return cfg.FixedBlockSize
-	}
-	return 0
-}
 
 // sortableGuard: the engine relies on TVList implementing
 // core.Sortable; keep the dependency explicit.

@@ -84,74 +84,88 @@ func (e *Engine) lockContended(isQuery bool) {
 	}
 }
 
-// sortChunk orders one TVList, routing it through the contiguous flat
-// kernel when the engine's backward algorithm has one and the list is
-// big enough to amortize the coalesce/scatter copies, and through the
-// configured interface algorithm otherwise. It returns the elapsed
-// sort nanoseconds (0 when the sorted flag let the sort be skipped —
-// an earlier query or drain paid for it, or the data arrived ordered —
-// which feeds the SortsSkipped counter) and tallies per-path counts
-// and cumulative time for Stats.
-func (e *Engine) sortChunk(c *tvlist.TVList[float64]) int64 {
+// sortChunk is the engine's one sort entry point: every TVList sort,
+// in the flush drain and on the query side, goes through it. With a
+// planner, dec picks the kernel (contiguous flat vs in-place
+// interface) and the block size (pinned, seeded, or default-searched).
+// Without one — the paper profile, or an algorithm other than
+// "backward" — dec is ignored and the configured registry algorithm
+// sorts through the core.Sortable interface, which is also the
+// reference the planned routes are tested against.
+//
+// It returns the sort's Trace (zero when there is no planner or no
+// sort ran) and the elapsed nanoseconds (0 when the sorted flag let
+// the sort be skipped — an earlier query or drain paid for it, or the
+// data arrived ordered — which feeds the SortsSkipped counter), and
+// tallies per-path counts and cumulative time for Stats.
+func (e *Engine) sortChunk(c *tvlist.TVList[float64], dec adaptive.Decision) (core.Trace, int64) {
 	if c.Sorted() {
 		e.sortsSkipped.Add(1)
-		return 0
-	}
-	t0 := time.Now()
-	if e.useFlat && c.Len() >= e.flatThreshold {
-		c.EnsureSortedFlat(e.flatOpts)
-		d := int64(time.Since(t0))
-		e.flatSorts.Add(1)
-		e.flatSortNanos.Add(d)
-		return d
-	}
-	c.EnsureSorted(e.algo)
-	d := int64(time.Since(t0))
-	e.ifaceSorts.Add(1)
-	e.ifaceSortNanos.Add(d)
-	return d
-}
-
-// sortChunkPlanned is sortChunk for the adaptive path: the planner's
-// per-sensor decision chooses the kernel (flat vs interface) and the
-// block size (pinned, seeded, or default-searched), and the sort's
-// actual Trace is fed back so the planner counts stability on
-// confirmed measurements. Only the flush drain takes this path —
-// query-side snapshot sorts keep the static routing, where a planner
-// round-trip per read would buy nothing (the planner's state advances
-// once per flushed generation, not per query).
-func (e *Engine) sortChunkPlanned(sensor string, c *tvlist.TVList[float64], dec adaptive.Decision) int64 {
-	if c.Sorted() {
-		e.sortsSkipped.Add(1)
-		return 0
+		return core.Trace{}, 0
 	}
 	var tr core.Trace
+	flat := false
 	t0 := time.Now()
-	var d int64
-	if dec.UseFlat && e.useFlat {
-		opts := e.flatOpts
-		opts.FixedBlockSize = dec.FixedL
-		opts.InitialBlockSize = dec.SeedL
-		opts.SearchPhase = dec.Phase
-		tr, _ = c.EnsureSortedFlatTrace(opts)
-		d = int64(time.Since(t0))
-		e.flatSorts.Add(1)
-		e.flatSortNanos.Add(d)
-		e.adaptiveFlatRoutes.Add(1)
-	} else {
-		// The adaptive flag requires the "backward" algorithm, so the
-		// interface path can call the kernel directly with the planned
-		// options instead of going through the parameterless registry
-		// entry in e.algo.
+	switch {
+	case e.planner == nil:
+		c.EnsureSorted(e.algo)
+	case dec.UseFlat:
+		flat = true
+		tr, _ = c.EnsureSortedFlatTrace(core.FlatOptions{
+			FixedBlockSize:   dec.FixedL,
+			InitialBlockSize: dec.SeedL,
+			SearchPhase:      dec.Phase,
+		})
+	default:
+		// A planner implies the "backward" algorithm, so the interface
+		// path calls it directly with the planned options instead of
+		// the parameterless registry entry in e.algo.
 		opts := core.Options{
 			FixedBlockSize:   dec.FixedL,
 			InitialBlockSize: dec.SeedL,
 			SearchPhase:      dec.Phase,
 		}
 		c.EnsureSorted(func(s core.Sortable) { tr = core.BackwardSort(s, opts) })
-		d = int64(time.Since(t0))
+	}
+	d := int64(time.Since(t0))
+	if flat {
+		e.flatSorts.Add(1)
+		e.flatSortNanos.Add(d)
+	} else {
 		e.ifaceSorts.Add(1)
 		e.ifaceSortNanos.Add(d)
+	}
+	return tr, d
+}
+
+// route is the read-only sort decision for chunks the planner does not
+// plan: every query-side sort, and unsequence chunks on both sides
+// (late by construction, so they take the dirty floor and never touch
+// per-sensor state). Without a planner the zero Decision is returned
+// and ignored.
+func (e *Engine) route(sensor string, unseq bool, chunkLen int) adaptive.Decision {
+	switch {
+	case e.planner == nil:
+		return adaptive.Decision{}
+	case unseq:
+		return adaptive.RouteDirty(chunkLen)
+	default:
+		return e.planner.Route(sensor, chunkLen)
+	}
+}
+
+// notePlanned records the outcome of one planned flush sort: the
+// planner counters, and the block size a real search chose fed back so
+// the planner counts stability on confirmed measurements. tr is what
+// sortChunk returned for dec; a zero BlockSize means the sort was
+// skipped and there is nothing to record.
+func (e *Engine) notePlanned(sensor string, dec adaptive.Decision, tr core.Trace) {
+	if tr.BlockSize == 0 {
+		return
+	}
+	if dec.UseFlat {
+		e.adaptiveFlatRoutes.Add(1)
+	} else {
 		e.adaptiveIfaceRoutes.Add(1)
 	}
 	switch {
@@ -169,11 +183,8 @@ func (e *Engine) sortChunkPlanned(sensor string, c *tvlist.TVList[float64], dec 
 		// so stability can build.
 		e.planner.Observe(sensor, tr.BlockSize)
 	}
-	if tr.BlockSize > 0 {
-		atomicMin(&e.adaptiveMinL, int64(tr.BlockSize))
-		atomicMax(&e.adaptiveMaxL, int64(tr.BlockSize))
-	}
-	return d
+	atomicMin(&e.adaptiveMinL, int64(tr.BlockSize))
+	atomicMax(&e.adaptiveMaxL, int64(tr.BlockSize))
 }
 
 // atomicMin lowers v to x unless v is already ≤ x; 0 means unset.

@@ -104,17 +104,15 @@ func runSystemCell(spec SystemSpec, pct float64, algo string, sc Scale) (bench.R
 		// step does.
 		SyncFlush: true,
 		// Paper mode: one flush worker (so per-flush sort time is the
-		// algorithm's sequential cost, not pool scheduling) and legacy
-		// locked queries (queries sort under the engine lock, blocking
-		// writes — the contention Figures 13–15 measure). The
-		// engine's default concurrent pipeline is deliberately NOT
-		// what the paper benchmarked.
-		FlushWorkers:        1,
-		LegacyLockedQueries: true,
-		// The flat-sort kernel is disabled too: the reproduced figures
-		// measure the paper's algorithm through the TVList interface
-		// path, not this repository's devirtualized kernel.
-		FlatSortThreshold: -1,
+		// algorithm's sequential cost, not pool scheduling) and the
+		// paper profile: queries sort under the engine lock, blocking
+		// writes — the contention Figures 13–15 measure — and every
+		// sort runs the paper's algorithm through the TVList interface
+		// path, not this repository's planner and devirtualized
+		// kernel. The engine's default concurrent pipeline is
+		// deliberately NOT what the paper benchmarked.
+		FlushWorkers: 1,
+		PaperProfile: true,
 		// Legacy v2 chunk layout: the reproduced write path stays
 		// byte-for-byte what the paper measured, not the block-indexed
 		// v3 format.

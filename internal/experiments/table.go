@@ -1,7 +1,7 @@
 // Package experiments regenerates the data series behind every figure
 // in the paper's evaluation (Section VI). Each FigNN function returns
 // one or more Tables containing exactly the rows/series the paper
-// plots; cmd/repro and cmd/sortlab print them, and bench_test.go wraps
+// plots; cmd/repro prints them, and bench_test.go wraps
 // them in testing.B benchmarks. Sizes are parameterized by Scale so
 // the full paper-sized runs and fast CI-sized runs share one code
 // path.

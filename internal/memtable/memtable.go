@@ -41,15 +41,24 @@ func (s State) String() string {
 // query takes the lock and blocks the write process — Section VI-D1).
 type MemTable struct {
 	state    State
-	chunks   map[string]*tvlist.TVList[float64]
+	series   map[string]series
 	arrayLen int
 	points   int
-	// sketches, when non-nil, holds one adaptive disorder sketch per
-	// sensor, updated on every Write. A fresh memtable starts with
-	// fresh (zero) sketches: sketch state never survives the flush
-	// rotation — cross-generation memory lives in the planner, not
-	// here.
-	sketches map[string]*adaptive.Sketch
+	// track makes every new sensor start with a disorder sketch
+	// (TrackDisorder).
+	track bool
+}
+
+// series is everything the memtable holds for one sensor, so a Write
+// resolves the sensor with one map lookup.
+type series struct {
+	chunk *tvlist.TVList[float64]
+	// sketch is the sensor's adaptive disorder sketch, updated on every
+	// Write; nil unless disorder tracking is on. A fresh memtable
+	// starts with fresh (zero) sketches: sketch state never survives
+	// the flush rotation — cross-generation memory lives in the
+	// planner, not here.
+	sketch *adaptive.Sketch
 }
 
 // New creates an empty working memtable whose TVLists use the given
@@ -59,7 +68,7 @@ func New(arrayLen int) *MemTable {
 		arrayLen = tvlist.DefaultArrayLen
 	}
 	return &MemTable{
-		chunks:   make(map[string]*tvlist.TVList[float64]),
+		series:   make(map[string]series),
 		arrayLen: arrayLen,
 	}
 }
@@ -71,20 +80,18 @@ func (m *MemTable) Write(sensor string, t int64, v float64) {
 	if m.state != Working {
 		panic("memtable: write to non-working memtable")
 	}
-	c, ok := m.chunks[sensor]
+	s, ok := m.series[sensor]
 	if !ok {
-		c = tvlist.NewWithArrayLen[float64](m.arrayLen)
-		m.chunks[sensor] = c
-	}
-	c.Put(t, v)
-	m.points++
-	if m.sketches != nil {
-		sk := m.sketches[sensor]
-		if sk == nil {
-			sk = &adaptive.Sketch{}
-			m.sketches[sensor] = sk
+		s.chunk = tvlist.NewWithArrayLen[float64](m.arrayLen)
+		if m.track {
+			s.sketch = &adaptive.Sketch{}
 		}
-		sk.Observe(t)
+		m.series[sensor] = s
+	}
+	s.chunk.Put(t, v)
+	m.points++
+	if s.sketch != nil {
+		s.sketch.Observe(t)
 	}
 }
 
@@ -92,18 +99,14 @@ func (m *MemTable) Write(sensor string, t int64, v float64) {
 // subsequent Write also feeds the sensor's sketch (O(1) per point).
 // Call it on a fresh memtable, before any writes, under the same
 // serialization that guards Write.
-func (m *MemTable) TrackDisorder() {
-	if m.sketches == nil {
-		m.sketches = make(map[string]*adaptive.Sketch)
-	}
-}
+func (m *MemTable) TrackDisorder() { m.track = true }
 
 // Sketch returns a snapshot of the sensor's disorder sketch. ok is
 // false when disorder tracking is off or the sensor has no data. Like
 // every MemTable accessor it must be called under the engine's
 // serialization (or after the memtable turned immutable).
 func (m *MemTable) Sketch(sensor string) (adaptive.Snapshot, bool) {
-	sk := m.sketches[sensor]
+	sk := m.series[sensor].sketch
 	if sk == nil {
 		return adaptive.Snapshot{}, false
 	}
@@ -112,7 +115,7 @@ func (m *MemTable) Sketch(sensor string) (adaptive.Snapshot, bool) {
 
 // Chunk returns the sensor's TVList, or nil if the sensor has no data.
 func (m *MemTable) Chunk(sensor string) *tvlist.TVList[float64] {
-	return m.chunks[sensor]
+	return m.series[sensor].chunk
 }
 
 // SnapshotChunk returns a deep copy of the sensor's TVList, or nil if
@@ -123,8 +126,8 @@ func (m *MemTable) Chunk(sensor string) *tvlist.TVList[float64] {
 // sorted flag, so an in-order chunk's snapshot skips its sort
 // entirely.
 func (m *MemTable) SnapshotChunk(sensor string) *tvlist.TVList[float64] {
-	c, ok := m.chunks[sensor]
-	if !ok {
+	c := m.series[sensor].chunk
+	if c == nil {
 		return nil
 	}
 	return c.Clone()
@@ -133,8 +136,8 @@ func (m *MemTable) SnapshotChunk(sensor string) *tvlist.TVList[float64] {
 // Sensors returns the sensors present, sorted for deterministic
 // iteration.
 func (m *MemTable) Sensors() []string {
-	out := make([]string, 0, len(m.chunks))
-	for s := range m.chunks {
+	out := make([]string, 0, len(m.series))
+	for s := range m.series {
 		out = append(out, s)
 	}
 	sort.Strings(out)

@@ -54,7 +54,7 @@ func FuzzDispatch(f *testing.F) {
 // never size the per-shard slice beyond what the payload could hold.
 func FuzzStatsDecode(f *testing.F) {
 	var st engine.Stats
-	st.FlushCount, st.AvgFlushMillis, st.AdaptiveSortEnabled = 7, 2.5, true
+	st.FlushCount, st.AvgFlushMillis, st.FlatSorts = 7, 2.5, 3
 	f.Add(appendStatsReply(nil, st, nil))
 	f.Add(appendStatsReply(nil, st, []engine.Stats{st, {}}))
 	f.Add(binary.AppendUvarint(nil, 1<<40))

@@ -381,18 +381,14 @@ func (r *Router) Algorithm() string { return r.shards[0].Algorithm() }
 // shard's flush count and per-wait averages by its wait count; the max
 // lock wait is the max across shards, and the aggregate p99 is the
 // worst per-shard p99 (a conservative upper bound — exact cross-shard
-// percentiles would need the raw histograms). Configuration echoes
-// (workers, thresholds) come from the first shard, which all shards
-// share.
+// percentiles would need the raw histograms). The worker-count echo
+// comes from the first shard, which all shards share.
 func MergeStats(per []engine.Stats) engine.Stats {
 	var m engine.Stats
 	if len(per) == 0 {
 		return m
 	}
 	m.FlushWorkers = per[0].FlushWorkers
-	m.SortParallelism = per[0].SortParallelism
-	m.FlatSortThreshold = per[0].FlatSortThreshold
-	m.AdaptiveSortEnabled = per[0].AdaptiveSortEnabled
 	var flushWeight, lockWeight float64
 	for _, s := range per {
 		m.FlushCount += s.FlushCount

@@ -53,6 +53,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"repro/internal/encoding"
 	"repro/internal/faultfs"
@@ -863,6 +864,15 @@ func (r *Reader) Index() []ChunkMeta {
 // block's extent was validated against the file layout at Open, so a
 // read never leaves the chunk region.
 func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, error) {
+	return r.ReadBlockUpTo(meta, b, math.MaxInt64)
+}
+
+// ReadBlockUpTo is ReadBlock cut at maxT: it returns the block's
+// records up to and including time maxT and does not decode the values
+// after them. A narrow range read pays for a whole block per file it
+// touches; this keeps it from paying for the part of the block past
+// its range. The whole block is still read and CRC-checked.
+func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64, []float64, error) {
 	buf := make([]byte, b.Size)
 	if _, err := r.f.ReadAt(buf, b.Offset); err != nil {
 		return nil, nil, fmt.Errorf("%w: block read: %v", ErrCorrupt, err)
@@ -879,12 +889,14 @@ func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, err
 	if len(times) != b.Count {
 		return nil, nil, fmt.Errorf("%w: block count %d, index says %d", ErrCorrupt, len(times), b.Count)
 	}
-	values, _, err := encoding.DecodeGorilla(payload[consumed:])
+	// A block's times are nondecreasing (enforced at write time).
+	times = times[:sort.Search(len(times), func(i int) bool { return times[i] > maxT })]
+	values, _, err := encoding.DecodeGorillaPrefix(payload[consumed:], len(times))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: block values: %v", ErrCorrupt, err)
 	}
-	if len(values) != b.Count {
-		return nil, nil, fmt.Errorf("%w: block value count %d, index says %d", ErrCorrupt, len(values), b.Count)
+	if len(values) != len(times) {
+		return nil, nil, fmt.Errorf("%w: block has %d values for %d of %d timestamps", ErrCorrupt, len(values), len(times), b.Count)
 	}
 	return times, values, nil
 }
@@ -1018,7 +1030,7 @@ func (r *Reader) QuerySensor(sensor string, minT, maxT int64) ([]int64, []float6
 				if b.MaxTime < minT || b.MinTime > maxT {
 					continue
 				}
-				ts, vs, err := r.ReadBlock(m, b)
+				ts, vs, err := r.ReadBlockUpTo(m, b, maxT)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -87,6 +89,17 @@ func TestV3RoundTrip(t *testing.T) {
 				t.Fatalf("block stats %+v disagree with decode", *b.Stats)
 			}
 			sum += b.Count
+			// A read cut at maxT returns exactly the records up to it.
+			for _, maxT := range []int64{b.MinTime - 1, b.MinTime, bt[len(bt)/2], b.MaxTime} {
+				ct, cv, err := r.ReadBlockUpTo(m, b, maxT)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := sort.Search(len(bt), func(i int) bool { return bt[i] > maxT })
+				if !slices.Equal(ct, bt[:want]) || !slices.Equal(cv, bv[:want]) {
+					t.Fatalf("block %+v cut at %d: got %d records, want the first %d", b, maxT, len(ct), want)
+				}
+			}
 		}
 		if sum != m.Count {
 			t.Fatalf("block counts sum to %d, want %d", sum, m.Count)

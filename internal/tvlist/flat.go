@@ -78,9 +78,9 @@ func valuesHoldRefs[V any]() bool {
 // 2), scatter back. It reports whether a sort was actually performed.
 //
 // The caller chooses between this and the in-place interface path; the
-// engine routes lists at or above its flat-sort threshold here, where
-// the 2·O(n) copy cost is far below the constant-factor savings, and
-// keeps small lists on EnsureSorted.
+// engine routes lists here when they are dirty or long enough that the
+// 2·O(n) copy cost is far below the constant-factor savings, and keeps
+// the rest on EnsureSorted.
 func (l *TVList[V]) EnsureSortedFlat(opts core.FlatOptions) bool {
 	_, sorted := l.EnsureSortedFlatTrace(opts)
 	return sorted
