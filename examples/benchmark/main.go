@@ -59,7 +59,7 @@ func runOne(algo string) (bench.Result, error) {
 		WritePercent: 0.9,
 		BatchSize:    500,
 		Operations:   400,
-		Sensors:      4,
+		Devices:      4,
 		Dataset:      "lognormal",
 		Mu:           1,
 		Sigma:        4,

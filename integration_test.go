@@ -143,7 +143,7 @@ func TestBenchmarkAgainstEveryAlgorithmEndToEnd(t *testing.T) {
 			WritePercent: 0.8,
 			BatchSize:    200,
 			Operations:   40,
-			Sensors:      2,
+			Devices:      2,
 			Dataset:      "lognormal",
 			Mu:           1,
 			Sigma:        2,

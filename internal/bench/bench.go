@@ -41,9 +41,8 @@ type Target interface {
 }
 
 // ShardStatser is optionally implemented by targets that can report a
-// per-shard stats breakdown (the rpc client against a sharded server,
-// or EngineTarget over a shard router). A nil slice means the target
-// is unsharded.
+// per-shard stats breakdown (the rpc client against a sharded server).
+// A nil slice means the target is unsharded.
 type ShardStatser interface {
 	ShardStats() ([]engine.Stats, error)
 }
@@ -87,15 +86,6 @@ func (t EngineTarget) Settle() error {
 // Stats implements Target.
 func (t EngineTarget) Stats() (engine.Stats, error) { return t.E.Stats(), nil }
 
-// ShardStats implements ShardStatser: per-shard stats when the wrapped
-// engine is sharded, nil otherwise.
-func (t EngineTarget) ShardStats() ([]engine.Stats, error) {
-	if s, ok := t.E.(interface{ ShardStats() []engine.Stats }); ok {
-		return s.ShardStats(), nil
-	}
-	return nil, nil
-}
-
 // Config is one benchmark run.
 type Config struct {
 	// WritePercent in [0,1]: fraction of operations that are batch
@@ -114,10 +104,6 @@ type Config struct {
 	// memory table may have multiple chunks, and each chunk contains
 	// one TVList that corresponds to one sensor", Section V-A).
 	SensorsPerDevice int
-	// Sensors is a deprecated alias for Devices kept for terse
-	// configs: when Devices is 0 it seeds Devices (with one sensor
-	// each).
-	Sensors int
 	// Dataset names the generator: "absnormal", "lognormal" (with Mu,
 	// Sigma), or a real-world dataset name from the dataset package.
 	Dataset string
@@ -140,11 +126,7 @@ func (c Config) withDefaults() Config {
 		c.Operations = 200
 	}
 	if c.Devices <= 0 {
-		if c.Sensors > 0 {
-			c.Devices = c.Sensors
-		} else {
-			c.Devices = 4
-		}
+		c.Devices = 4
 	}
 	if c.SensorsPerDevice <= 0 {
 		c.SensorsPerDevice = 1
@@ -184,8 +166,7 @@ type Result struct {
 	// AvgFlushMillis, AvgSortMillis) and every other engine counter.
 	engine.Stats
 	// PerShard holds the per-shard stats breakdown when the target is
-	// sharded (shard router in-process, or a sharded tsdbd over rpc);
-	// nil against an unsharded target.
+	// a sharded tsdbd over rpc; empty against an unsharded target.
 	PerShard []engine.Stats
 }
 

@@ -28,7 +28,7 @@ func TestRunMixedWorkload(t *testing.T) {
 		WritePercent: 0.75,
 		BatchSize:    100,
 		Operations:   80,
-		Sensors:      2,
+		Devices:      2,
 		Dataset:      "lognormal",
 		Mu:           1,
 		Sigma:        2,
@@ -70,7 +70,7 @@ func TestRunWriteOnly(t *testing.T) {
 		WritePercent: 1.0,
 		BatchSize:    50,
 		Operations:   40,
-		Sensors:      1,
+		Devices:      1,
 		Dataset:      "absnormal",
 		Mu:           1,
 		Sigma:        1,
@@ -94,7 +94,7 @@ func TestRunRealWorldDatasetsAndClients(t *testing.T) {
 			WritePercent: 0.9,
 			BatchSize:    200,
 			Operations:   40,
-			Sensors:      3,
+			Devices:      3,
 			Dataset:      ds,
 			Clients:      4,
 			Seed:         3,
@@ -178,11 +178,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Clients != 1 || c.Devices <= 0 || c.SensorsPerDevice <= 0 || c.Operations <= 0 || c.WindowTicks <= 0 {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
-	// The legacy Sensors field seeds Devices.
-	c2 := Config{Sensors: 7}.withDefaults()
-	if c2.Devices != 7 {
-		t.Fatalf("Sensors alias ignored: %+v", c2)
-	}
 }
 
 func TestStreamWraps(t *testing.T) {
@@ -192,7 +187,7 @@ func TestStreamWraps(t *testing.T) {
 		WritePercent: 1.0,
 		BatchSize:    500,
 		Operations:   30,
-		Sensors:      1,
+		Devices:      1,
 		Dataset:      "samsung-d5",
 		Seed:         5,
 	})

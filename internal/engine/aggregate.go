@@ -89,7 +89,7 @@ type fileSource struct {
 	minT, maxT int64
 	buf        []TV
 	pos        int
-	cur        tsfile.ChunkMeta  // blocked chunk being streamed
+	cur        tsfile.ChunkMeta // blocked chunk being streamed
 	curBlocks  []tsfile.BlockMeta
 	inChunk    bool
 }

@@ -120,9 +120,24 @@ func TestAggregatePushdownMatchesOracle(t *testing.T) {
 
 			if di == 0 {
 				// The in-order scenario must actually exercise the
-				// pushdown, or this whole test is vacuous.
-				if st := e.Stats(); st.ChunksFromStats == 0 {
-					t.Fatal("in-order scenario never answered a chunk from statistics")
+				// pushdown, or this whole test is vacuous. No overwrite
+				// reached the upper half, where each flush holds one
+				// 64-tick window: windowed there, the pushdown must
+				// decode at least 10x fewer points than the decode-all
+				// oracle and still agree with it.
+				lo, hi := int64(n/2+63)/64*64, int64(n)/64*64
+				s0 := e.Stats()
+				got, err := e.AggregateWindows("s", lo, hi, 64, winagg.Avg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				skipped := e.Stats().PointsSkipped - s0.PointsSkipped
+				if want := oracleWindows(t, e, "s", lo, hi, 64, winagg.Avg); !sameWindows(got, want) {
+					t.Fatalf("pushdown %v != oracle %v", got, want)
+				}
+				all := hi - lo // in order: one point per tick
+				if decoded := all - skipped; decoded*10 > all {
+					t.Fatalf("pushdown decoded %d of %d points, want at least 10x fewer", decoded, all)
 				}
 			}
 		})

@@ -856,6 +856,12 @@ func (e *Engine) InsertBatch(sensor string, times []int64, values []float64) err
 	if len(times) != len(values) {
 		return fmt.Errorf("engine: batch shape mismatch: %d times, %d values", len(times), len(values))
 	}
+	// Refused before the WAL append: an acknowledged name the chunk
+	// format cannot store would fail every later flush and, replayed
+	// from the WAL, every reopen.
+	if len(sensor) > tsfile.MaxSensorName {
+		return fmt.Errorf("engine: sensor name is %d bytes, the limit is %d", len(sensor), tsfile.MaxSensorName)
+	}
 	e.lockContended(false)
 	if e.closed {
 		e.mu.Unlock()

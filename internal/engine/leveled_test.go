@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -103,6 +104,55 @@ func TestBlockIndexMatchesLegacyOracle(t *testing.T) {
 				t.Fatalf("v3 engine never exercised the block index: %+v", st)
 			}
 		})
+	}
+}
+
+// TestBlockIndexCutsReadAmplification: a narrow range read seeks to
+// the v3 blocks it overlaps, where a legacy v2 chunk decodes whole. The
+// same 128 narrow queries over the same in-order store must return the
+// same points and read at least 10x fewer bytes from v3 than from v2.
+func TestBlockIndexCutsReadAmplification(t *testing.T) {
+	const (
+		chunkPts = 4096 // memtable size: one chunk per flush
+		files    = 16
+		total    = chunkPts * files
+		queries  = 128
+		width    = 40 // ~1% of a chunk's time span
+	)
+	build := func(blockPoints int) *Engine {
+		e := openTest(t, Config{MemTableSize: chunkPts, BlockPoints: blockPoints})
+		times := make([]int64, chunkPts)
+		values := make([]float64, chunkPts)
+		for f := 0; f < files; f++ {
+			for i := range times {
+				times[i] = int64(f*chunkPts + i)
+				values[i] = float64(times[i]%911) * 0.5
+			}
+			if err := e.InsertBatch("s", times, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	read := func(e *Engine) (bytes int64, out []TV) {
+		before := e.Stats().BytesRead
+		for q := int64(0); q < queries; q++ {
+			lo := q * (total / queries)
+			pts, err := e.Query("s", lo, lo+width-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, pts...)
+		}
+		return e.Stats().BytesRead - before, out
+	}
+	v2Bytes, v2Out := read(build(-1))
+	v3Bytes, v3Out := read(build(128))
+	if len(v2Out) != queries*width || !slices.Equal(v2Out, v3Out) {
+		t.Fatalf("answers differ: v2 %d points, v3 %d points, want %d each", len(v2Out), len(v3Out), queries*width)
+	}
+	if v3Bytes <= 0 || v2Bytes < 10*v3Bytes {
+		t.Fatalf("v3 read %d bytes, v2 %d: want at least 10x fewer", v3Bytes, v2Bytes)
 	}
 }
 

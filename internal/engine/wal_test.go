@@ -2,9 +2,11 @@ package engine
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/tsfile"
 	"repro/internal/wal"
 )
 
@@ -176,5 +178,54 @@ func TestWALRewriteAfterRecoveryKeepsLatestValue(t *testing.T) {
 	}
 	if len(out) != 1 {
 		t.Fatalf("duplicate timestamps after recovery: %+v", out)
+	}
+}
+
+// TestOverlongSensorNameRejected: a sensor name the chunk format
+// cannot store is refused at insert, before the WAL append. Accepted,
+// it would fail the flush of its generation and with it every query,
+// Close, and — replayed from the WAL — every later Open.
+func TestOverlongSensorNameRejected(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, MemTableSize: 4, WAL: true, SyncFlush: true}
+	e1, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", tsfile.MaxSensorName+1)
+	if err := e1.InsertBatch(long, []int64{1, 2}, []float64{1, 2}); err == nil {
+		t.Fatalf("%d-byte sensor name accepted", len(long))
+	}
+	if err := e1.Insert(long, 3, 3); err == nil {
+		t.Fatalf("%d-byte sensor name accepted by Insert", len(long))
+	}
+	limit := strings.Repeat("y", tsfile.MaxSensorName)
+	for i := int64(0); i < 10; i++ { // crosses the flush threshold twice
+		if err := e1.Insert(limit, i, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e1.Insert("s", i, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := e1.Query("s", 0, 9); err != nil || len(out) != 10 {
+		t.Fatalf("query after the rejected insert: %d points, %v", len(out), err)
+	}
+	crash(e1)
+
+	e2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	for _, sensor := range []string{limit, "s"} {
+		if out, err := e2.Query(sensor, 0, 9); err != nil || len(out) != 10 {
+			t.Fatalf("%d-byte sensor after reopen: %d points, %v", len(sensor), len(out), err)
+		}
+	}
+	if out, err := e2.Query(long, 0, 9); err != nil || len(out) != 0 {
+		t.Fatalf("rejected sensor after reopen: %d points, %v", len(out), err)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ingestq"
+	"repro/internal/tsfile"
 )
 
 // --- line protocol parser ---
@@ -84,6 +85,7 @@ func TestParseLineProtocolErrors(t *testing.T) {
 		"cpu,h=a,h=b usage=1",   // duplicate tag
 		"cpu usage=1 notatime",  // bad timestamp
 		"cpu usage=1 1 trailer", // too many sections
+		"cpu,host=" + strings.Repeat("h", tsfile.MaxSensorName) + " usage=1", // sensor name over the limit
 	} {
 		if _, err := ParseLineProtocol([]byte(bad), fixedNow); err == nil {
 			t.Errorf("line %q parsed without error", bad)
@@ -149,15 +151,26 @@ func TestWriteQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsMalformed: one bad line fails the whole payload with
+// 400 and writes nothing, not even the payload's good lines. A sensor
+// name too long for the chunk format is a bad line: accepted, it would
+// fail every later flush of the engine.
 func TestWriteRejectsMalformed(t *testing.T) {
-	_, srv := newTestGateway(t, nil)
-	resp, err := http.Post(srv.URL+"/write", "text/plain", strings.NewReader("cpu usage=notanumber"))
-	if err != nil {
-		t.Fatal(err)
+	g, srv := newTestGateway(t, nil)
+	longTag := strings.Repeat("h", tsfile.MaxSensorName)
+	for _, bad := range []string{"cpu usage=notanumber", "cpu,host=" + longTag + " usage=1 2"} {
+		body := "cpu usage=1 1\n" + bad + "\n"
+		resp, err := http.Post(srv.URL+"/write", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%.40q: write status = %d, want 400", bad, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed write status = %d, want 400", resp.StatusCode)
+	if pts, err := g.backend.Query("cpu.usage", 0, 10); err != nil || len(pts) != 0 {
+		t.Fatalf("rejected payloads wrote %d points (%v)", len(pts), err)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/tsfile"
 )
 
 // Point is one parsed line-protocol sample, flattened to the
@@ -38,7 +40,8 @@ type Point struct {
 // timestamps are UNIX nanoseconds, defaulting to now() when absent.
 // Backslash escapes ('\ ', '\,', '\=') are honored in measurement,
 // tag and field names and tag values. Blank lines and '#' comment
-// lines are skipped. A malformed line fails the whole payload with an
+// lines are skipped. A malformed line — including one whose sensor
+// name exceeds tsfile.MaxSensorName — fails the whole payload with an
 // error naming the line, so partial writes never slip in silently.
 func ParseLineProtocol(data []byte, now func() int64) ([]Point, error) {
 	var out []Point
@@ -118,11 +121,11 @@ func parseLine(line string, now func() int64) ([]Point, error) {
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", unescape(eq[0]), err)
 		}
-		pts = append(pts, Point{
-			Sensor: series + "." + unescape(eq[0]),
-			T:      ts,
-			V:      v,
-		})
+		sensor := series + "." + unescape(eq[0])
+		if len(sensor) > tsfile.MaxSensorName {
+			return nil, fmt.Errorf("sensor name is %d bytes, the limit is %d", len(sensor), tsfile.MaxSensorName)
+		}
+		pts = append(pts, Point{Sensor: sensor, T: ts, V: v})
 	}
 	return pts, nil
 }

@@ -10,63 +10,75 @@ import (
 	"repro/internal/shard"
 )
 
-// TestDurabilityStatsOverRPC runs a WALSync=always sharded store
-// behind the server and checks the durability counters: every acked
-// insert is one WAL commit, group commit bounds syncs by commits, and
-// the per-shard breakdown sums to the aggregate.
+// TestDurabilityStatsOverRPC runs a sharded store with the WAL on
+// behind the server and checks the durability counters per sync
+// policy. Under always, every acked insert is one WAL commit, group
+// commit bounds syncs by commits, and the per-shard breakdown sums to
+// the aggregate. Under none — the paper's timing profile — nothing is
+// ever fsynced.
 func TestDurabilityStatsOverRPC(t *testing.T) {
-	r, err := shard.Open(shard.Config{
-		Config: engine.Config{
-			Dir:       t.TempDir(),
-			SyncFlush: true,
-			WAL:       true,
-			WALSync:   engine.WALSyncAlways,
-		},
-		ShardCount: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(r)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		r.Close()
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, policy := range []string{engine.WALSyncNone, engine.WALSyncAlways} {
+		t.Run(policy, func(t *testing.T) {
+			r, err := shard.Open(shard.Config{
+				Config: engine.Config{
+					Dir:       t.TempDir(),
+					SyncFlush: true,
+					WAL:       true,
+					WALSync:   policy,
+				},
+				ShardCount: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(r)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				srv.Close()
+				r.Close()
+			})
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	for i := 0; i < 8; i++ {
-		s := "d" + string(rune('0'+i)) + ".s0"
-		if err := c.InsertBatch(s, []int64{1, 2}, []float64{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg, per, err := c.StatsFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.WALCommits != 8 {
-		t.Fatalf("aggregate WALCommits = %d, want 8", agg.WALCommits)
-	}
-	if agg.WALSyncs <= 0 || agg.WALSyncs > agg.WALCommits {
-		t.Fatalf("aggregate WALSyncs = %d, want in (0, %d]", agg.WALSyncs, agg.WALCommits)
-	}
-	if len(per) != 2 {
-		t.Fatalf("per-shard breakdown has %d entries, want 2", len(per))
-	}
-	var sum int64
-	for _, s := range per {
-		sum += s.WALCommits
-	}
-	if sum != agg.WALCommits {
-		t.Fatalf("per-shard WALCommits sum %d != aggregate %d", sum, agg.WALCommits)
+			for i := 0; i < 8; i++ {
+				s := "d" + string(rune('0'+i)) + ".s0"
+				if err := c.InsertBatch(s, []int64{1, 2}, []float64{1, 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agg, per, err := c.StatsFull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(per) != 2 {
+				t.Fatalf("per-shard breakdown has %d entries, want 2", len(per))
+			}
+			if policy == engine.WALSyncNone {
+				if agg.WALSyncs != 0 {
+					t.Fatalf("WALSync none issued %d syncs", agg.WALSyncs)
+				}
+				return
+			}
+			if agg.WALCommits != 8 {
+				t.Fatalf("aggregate WALCommits = %d, want 8", agg.WALCommits)
+			}
+			if agg.WALSyncs <= 0 || agg.WALSyncs > agg.WALCommits {
+				t.Fatalf("aggregate WALSyncs = %d, want in (0, %d]", agg.WALSyncs, agg.WALCommits)
+			}
+			var sum int64
+			for _, s := range per {
+				sum += s.WALCommits
+			}
+			if sum != agg.WALCommits {
+				t.Fatalf("per-shard WALCommits sum %d != aggregate %d", sum, agg.WALCommits)
+			}
+		})
 	}
 }
 

@@ -159,8 +159,6 @@ func fillStats(t *testing.T, seed int) engine.Stats {
 			f.SetInt(x)
 		case reflect.Float64:
 			f.SetFloat(float64(x) + 0.5)
-		case reflect.Bool:
-			f.SetBool(true)
 		default:
 			t.Fatalf("engine.Stats.%s: kind %s not handled", v.Type().Field(i).Name, f.Kind())
 		}

@@ -26,8 +26,8 @@
 //
 // The OpStats reply is uvarint nShards followed by 1+nShards stats
 // blocks (aggregate first). A block is a uvarint field count, then
-// every field of engine.Stats in declaration order — ints and bools as
-// varints, floats as 8 bytes — so a new Stats field needs no edit here.
+// every field of engine.Stats in declaration order — ints as varints,
+// floats as 8 bytes — so a new Stats field needs no edit here.
 package rpc
 
 import (
@@ -297,9 +297,9 @@ var statsKinds = func() []reflect.Kind {
 	for i := range kinds {
 		f := t.Field(i)
 		k := f.Type.Kind()
-		carried := k == reflect.Int || k == reflect.Int64 || k == reflect.Bool || k == reflect.Float64
+		carried := k == reflect.Int || k == reflect.Int64 || k == reflect.Float64
 		if !carried || !f.IsExported() {
-			panic(fmt.Sprintf("rpc: engine.Stats.%s (%s): the stats codec carries exported int, int64, bool and float64 fields", f.Name, f.Type))
+			panic(fmt.Sprintf("rpc: engine.Stats.%s (%s): the stats codec carries exported int, int64 and float64 fields", f.Name, f.Type))
 		}
 		kinds[i] = k
 	}
@@ -307,8 +307,8 @@ var statsKinds = func() []reflect.Kind {
 }()
 
 // appendStats encodes one stats block: a uvarint field count, then
-// every field of st — floats as 8 little-endian bytes, ints and bools
-// as varints.
+// every field of st — floats as 8 little-endian bytes, ints as
+// varints.
 func appendStats(b []byte, st engine.Stats) []byte {
 	v := reflect.ValueOf(st)
 	b = binary.AppendUvarint(b, uint64(len(statsKinds)))
@@ -316,12 +316,6 @@ func appendStats(b []byte, st engine.Stats) []byte {
 		switch f := v.Field(i); kind {
 		case reflect.Float64:
 			b = appendFloat64(b, f.Float())
-		case reflect.Bool:
-			var x int64
-			if f.Bool() {
-				x = 1
-			}
-			b = binary.AppendVarint(b, x)
 		default:
 			b = binary.AppendVarint(b, f.Int())
 		}
@@ -357,11 +351,7 @@ func (p *payloadReader) stats() (engine.Stats, error) {
 		if err != nil {
 			return st, err
 		}
-		if kind == reflect.Bool {
-			f.SetBool(x != 0)
-		} else {
-			f.SetInt(x)
-		}
+		f.SetInt(x)
 	}
 	return st, nil
 }

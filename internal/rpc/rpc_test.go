@@ -161,7 +161,7 @@ func TestBenchOverRPC(t *testing.T) {
 		WritePercent: 0.8,
 		BatchSize:    100,
 		Operations:   50,
-		Sensors:      2,
+		Devices:      2,
 		Dataset:      "lognormal",
 		Mu:           1,
 		Sigma:        1,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/labels"
 	"repro/internal/query"
+	"repro/internal/tsfile"
 )
 
 // Label-series layer: the Router owns the inverted series index
@@ -42,8 +43,12 @@ type SeriesWindows struct {
 }
 
 // EnsureSeries registers ls in the series index (persisting the
-// registration) and returns its stable ID.
+// registration) and returns its stable ID. A label set whose canonical
+// encoding is too long to be a sensor name is refused unregistered.
 func (r *Router) EnsureSeries(ls labels.Set) (index.SeriesID, error) {
+	if n := len(ls.Canonical()); n > tsfile.MaxSensorName {
+		return 0, fmt.Errorf("shard: label set encodes to %d bytes, the sensor name limit is %d", n, tsfile.MaxSensorName)
+	}
 	id, _, err := r.idx.EnsureSeries(ls)
 	return id, err
 }
@@ -51,7 +56,7 @@ func (r *Router) EnsureSeries(ls labels.Set) (index.SeriesID, error) {
 // InsertSeries ingests a batch for the label series ls, registering it
 // on first sight and routing by the canonical encoding.
 func (r *Router) InsertSeries(ls labels.Set, times []int64, values []float64) error {
-	if _, _, err := r.idx.EnsureSeries(ls); err != nil {
+	if _, err := r.EnsureSeries(ls); err != nil {
 		return err
 	}
 	return r.InsertBatch(ls.Canonical(), times, values)

@@ -3,11 +3,13 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/labels"
 	"repro/internal/query"
+	"repro/internal/tsfile"
 )
 
 func openLabelRouter(t *testing.T, dir string, shards int) *Router {
@@ -58,6 +60,16 @@ func TestCanonicalRouting(t *testing.T) {
 	}
 	if len(sp) != 1 || len(sp[0].Points) != 3 {
 		t.Fatalf("merged series query: %+v", sp)
+	}
+
+	// A label set whose encoding no chunk file can store as a sensor
+	// name is refused before it registers.
+	long := labels.MustNew(labels.Label{Name: "host", Value: strings.Repeat("h", tsfile.MaxSensorName)})
+	if err := r.InsertSeries(long, []int64{1}, []float64{1}); err == nil {
+		t.Fatal("over-long label set accepted")
+	}
+	if n := r.SeriesCount(); n != 1 {
+		t.Fatalf("SeriesCount = %d after the refused insert, want 1", n)
 	}
 }
 
@@ -159,6 +171,23 @@ func TestSelectorFanoutMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Cross-series sum over one host's 20 series, in one window, equals
+	// the total of the values seed1000 wrote.
+	wins, err := r.AggregateSeriesGroup(
+		[]*labels.Matcher{labels.MustMatcher(labels.MatchEq, "host", "h03")}, 0, 80, 80, query.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for m := 0; m < 20; m++ {
+		for i := 0; i < 8; i++ {
+			want += float64(3*1000 + m*10 + i)
+		}
+	}
+	if len(wins) != 1 || wins[0].Value != want || wins[0].Count != 20*8 {
+		t.Fatalf("cross-series sum %+v, want value %v count %d", wins, want, 20*8)
 	}
 
 	st, per := r.StatsAll()

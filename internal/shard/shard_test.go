@@ -336,6 +336,16 @@ func TestRouterSpreadsSensors(t *testing.T) {
 	if sum != 64 || merged.SeqPoints+merged.UnseqPoints != 64 {
 		t.Fatalf("points: per-shard sum %d, merged %d, want 64", sum, merged.SeqPoints+merged.UnseqPoints)
 	}
+	// The CI client/server step runs `tsbench -devices 8` against a
+	// 4-shard tsdbd and requires every shard to ingest: the bench's
+	// sensor names d0.s0..d7.s0 must reach all four shards.
+	hit := map[int]bool{}
+	for d := 0; d < 8; d++ {
+		hit[Index(fmt.Sprintf("d%d.s0", d), 4)] = true
+	}
+	if len(hit) != 4 {
+		t.Fatalf("tsbench's 8 device sensors reach only %d of 4 shards", len(hit))
+	}
 }
 
 // TestOpenRejectsBadConfig covers the config validation paths.

@@ -21,12 +21,6 @@ func fuzzSeed(tb testing.TB) []byte {
 	if err := w.WriteChunk("s2", []int64{10, 20}, []float64{7, 8}); err != nil {
 		tb.Fatal(err)
 	}
-	if err := WriteTypedChunk(w, "i", []int64{5, 6}, []int64{100, 200}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := WriteTypedChunk(w, "t", []int64{5, 6}, []string{"a", "bb"}); err != nil {
-		tb.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -59,9 +53,6 @@ func fuzzSeedV3(tb testing.TB) []byte {
 	if err := w.WriteChunk("s2", times[:3], values[:3]); err != nil {
 		tb.Fatal(err)
 	}
-	if err := WriteTypedChunk(w, "i", []int64{5, 6}, []int64{100, 200}); err != nil {
-		tb.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -73,7 +64,7 @@ func fuzzSeedV3(tb testing.TB) []byte {
 }
 
 // FuzzOpen feeds arbitrary bytes through the full read path: Open,
-// index iteration, ReadChunk, ReadTypedChunk, and QuerySensor. The
+// index iteration, ReadChunk, and QuerySensor. The
 // invariant under test is that hostile input produces an error (almost
 // always ErrCorrupt), never a panic, hang, or unbounded allocation.
 func FuzzOpen(f *testing.F) {
@@ -119,7 +110,6 @@ func FuzzOpen(f *testing.F) {
 		defer r.Close()
 		for _, m := range r.Index() {
 			r.ReadChunk(m)
-			r.ReadTypedChunk(m)
 			r.QuerySensor(m.Sensor, m.MinTime, m.MaxTime)
 		}
 	})

@@ -49,35 +49,6 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTypedDoubleChunkGetsStats(t *testing.T) {
-	path := tmpPath(t)
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTypedChunk(w, "dbl", []int64{1, 2}, []float64{10, 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTypedChunk(w, "int", []int64{1, 2}, []int64{10, 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	idx := r.Index()
-	if idx[0].Stats == nil || idx[0].Stats.Sum != 30 {
-		t.Fatalf("double typed chunk stats: %+v", idx[0].Stats)
-	}
-	if idx[1].Stats != nil {
-		t.Fatal("int64 typed chunk has float stats")
-	}
-}
-
 // rewriteAsV1 converts a (v2) file on disk to the original
 // statistics-free index format, so back-compat tests can exercise the
 // version negotiation without an old binary.
@@ -191,10 +162,6 @@ func TestAppendEncodedRejectsOutOfOrderSensorChunks(t *testing.T) {
 	// Other sensors are independent.
 	if err := w.WriteChunk("other", []int64{1}, []float64{1}); err != nil {
 		t.Fatal(err)
-	}
-	// Typed writes share the same invariant.
-	if err := WriteTypedChunk(w, "s", []int64{5}, []float64{9}); err == nil {
-		t.Fatal("typed out-of-order chunk accepted")
 	}
 }
 

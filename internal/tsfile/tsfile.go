@@ -73,10 +73,12 @@ const tailLen = int64(8 + len(magicTailV1))
 // ErrCorrupt is wrapped by every integrity failure the reader detects.
 var ErrCorrupt = errors.New("tsfile: corrupt file")
 
-// maxSensorName bounds sensor names so that a plain chunk's first
-// payload byte (the name-length uvarint) can never be the 0xFF marker
-// that identifies typed chunks.
-const maxSensorName = 120
+// MaxSensorName is the longest sensor name, in bytes, a chunk file
+// stores. It bounds the format: the reader rejects longer index names
+// and chunk headers as corrupt, so a name past it is refused at the
+// front doors (engine inserts, line protocol) before it is acknowledged
+// rather than at flush, where it would fail every later flush.
+const MaxSensorName = 120
 
 // ValueStats summarizes a value column, written into the v2+ index at
 // flush/compaction time so windowed aggregations can answer from
@@ -107,12 +109,12 @@ type BlockMeta struct {
 }
 
 // ChunkMeta describes one chunk in a file's index. Stats is nil when
-// the chunk carries no value statistics: v1 files, typed chunks whose
-// column has no float statistics, and chunks containing duplicate
-// timestamps. Size is the chunk's byte extent in the file (derived
-// from the neighboring index entries at load time, not stored).
-// Blocks is non-nil only for v3 blocked chunks, in nondecreasing time
-// order; their point counts sum to Count.
+// the chunk carries no value statistics: v1 files and chunks
+// containing duplicate timestamps. Size is the chunk's byte extent in
+// the file (derived from the neighboring index entries at load time,
+// not stored). Blocks is non-nil exactly for the chunks of v3 files,
+// which are all blocked, in nondecreasing time order; their point
+// counts sum to Count.
 type ChunkMeta struct {
 	Sensor  string
 	Offset  int64
@@ -288,7 +290,7 @@ func validateChunk(sensor string, times []int64, values []float64) (dup bool, er
 	if len(times) == 0 || len(times) != len(values) {
 		return false, fmt.Errorf("tsfile: bad chunk shape: %d times, %d values", len(times), len(values))
 	}
-	if len(sensor) > maxSensorName {
+	if len(sensor) > MaxSensorName {
 		return false, fmt.Errorf("tsfile: sensor name too long (%d bytes)", len(sensor))
 	}
 	for i := 1; i < len(times); i++ {
@@ -336,8 +338,9 @@ func (w *Writer) AppendEncoded(enc *EncodedChunk) error {
 	if w.cur != nil {
 		return errors.New("tsfile: AppendEncoded during an open streaming chunk")
 	}
-	if enc.blocked && w.BlockPoints <= 0 {
-		return errors.New("tsfile: blocked chunk on a legacy-format writer")
+	if enc.blocked != (w.BlockPoints > 0) {
+		return fmt.Errorf("tsfile: chunk layout (blocked=%v) does not match the writer's (BlockPoints %d)",
+			enc.blocked, w.BlockPoints)
 	}
 	meta := enc.Meta
 	// Same-sensor chunks must land in nondecreasing time order:
@@ -402,7 +405,7 @@ func (w *Writer) BeginChunk(sensor string) error {
 	if w.cur != nil {
 		return fmt.Errorf("tsfile: BeginChunk(%q) with chunk for %q still open", sensor, w.cur.sensor)
 	}
-	if len(sensor) > maxSensorName {
+	if len(sensor) > MaxSensorName {
 		return fmt.Errorf("tsfile: sensor name too long (%d bytes)", len(sensor))
 	}
 	hdr := binary.AppendUvarint(nil, uint64(len(sensor)))
@@ -695,7 +698,7 @@ func (r *Reader) loadIndex() error {
 		if err != nil {
 			return fmt.Errorf("%w: index entry %d: %v", ErrCorrupt, i, err)
 		}
-		if nameLen > maxSensorName {
+		if nameLen > MaxSensorName {
 			return fmt.Errorf("%w: index entry %d: sensor name %d bytes", ErrCorrupt, i, nameLen)
 		}
 		name, err := br.take(int(nameLen))
@@ -783,11 +786,9 @@ func (r *Reader) loadBlockIndex(br *sliceReader, m *ChunkMeta, i uint64, indexOf
 	if err != nil {
 		return fmt.Errorf("%w: index entry %d block count: %v", ErrCorrupt, i, err)
 	}
-	if blockCount == 0 {
-		return nil // unblocked entry (typed chunks)
-	}
-	// Every block holds at least one point.
-	if blockCount > uint64(m.Count) {
+	// Every v3 chunk is blocked, and every block holds at least one
+	// point.
+	if blockCount == 0 || blockCount > uint64(m.Count) {
 		return fmt.Errorf("%w: index entry %d: %d blocks for %d points", ErrCorrupt, i, blockCount, m.Count)
 	}
 	blocks := make([]BlockMeta, 0, blockCount)
@@ -905,7 +906,7 @@ func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64
 // chunk against its index entry.
 func (r *Reader) verifyChunkName(meta ChunkMeta) error {
 	hdrLen := meta.Blocks[0].Offset - meta.Offset
-	if hdrLen <= 0 || hdrLen > int64(maxSensorName+10) {
+	if hdrLen <= 0 || hdrLen > int64(MaxSensorName+10) {
 		return fmt.Errorf("%w: chunk header %d bytes", ErrCorrupt, hdrLen)
 	}
 	buf := make([]byte, hdrLen)
@@ -963,9 +964,6 @@ func (r *Reader) ReadChunk(meta ChunkMeta) ([]int64, []float64, error) {
 		return nil, nil, err
 	}
 	buf = buf[:n]
-	if len(buf) > 0 && buf[0] == 0xFF {
-		return nil, nil, fmt.Errorf("tsfile: chunk at %d is typed; use ReadTypedChunk", meta.Offset)
-	}
 	br := &sliceReader{b: buf}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {

@@ -1,6 +1,7 @@
 package tsfile
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,8 +30,14 @@ func TestV3RoundTrip(t *testing.T) {
 	if err := w.WriteChunk("s2", times[:5], values[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTypedChunk(w, "txt", []int64{1, 2}, []string{"a", "b"}); err != nil {
+	// A v3 file is all-blocked by construction: an unblocked chunk is
+	// refused.
+	legacy, err := EncodeChunk("s3", times[:5], values[:5])
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := w.AppendEncoded(legacy); err == nil {
+		t.Fatal("v3 writer accepted an unblocked chunk")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -45,17 +52,17 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Fatalf("version = %d, want 3", r.Version())
 	}
 	idx := r.Index()
-	if len(idx) != 3 {
+	if len(idx) != 2 {
 		t.Fatalf("index has %d entries", len(idx))
 	}
 	// 100 points at 16 per block → 7 blocks.
 	if got := len(idx[0].Blocks); got != 7 {
 		t.Fatalf("s1 has %d blocks, want 7", got)
 	}
-	if len(idx[1].Blocks) != 1 || len(idx[2].Blocks) != 0 {
-		t.Fatalf("blocks: s2=%d typed=%d", len(idx[1].Blocks), len(idx[2].Blocks))
+	if len(idx[1].Blocks) != 1 {
+		t.Fatalf("s2 has %d blocks, want 1", len(idx[1].Blocks))
 	}
-	for _, m := range idx[:2] {
+	for _, m := range idx {
 		ts, vs, err := r.ReadChunk(m)
 		if err != nil {
 			t.Fatal(err)
@@ -311,9 +318,41 @@ func TestV3BlockBoundaryDuplicates(t *testing.T) {
 	}
 }
 
-// TestV3RejectsCorruptBlockIndex flips bytes across a v3 file and
-// requires Open/ReadChunk to fail with ErrCorrupt rather than
-// mis-read.
+// TestV3UnblockedEntryIsCorrupt: every v3 chunk is blocked, so a v3
+// index entry with a zero block count — here a v2 entry relabelled v3
+// — fails to open with ErrCorrupt.
+func TestV3UnblockedEntryIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unblocked.gtsf")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteChunk("s", []int64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one entry ends the index: append its block count, 0, and
+	// swap the footer magic.
+	ftr := len(raw) - int(tailLen)
+	out := append(append([]byte(nil), raw[:ftr]...), 0)
+	out = append(out, raw[ftr:ftr+8]...)
+	out = append(out, magicTailV3...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unblocked v3 entry: Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestV3TornTailReadsAsCorrupt truncates a v3 file at every cut in its
+// tail and requires Open to fail rather than mis-read.
 func TestV3TornTailReadsAsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.gtsf")
 	w, err := Create(path)
