@@ -54,7 +54,6 @@ func main() {
 	labelsOn := flag.Bool("labels", false, "run the shard router (with its label index) even at -shards 1; required for label-series workloads against a single shard")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
 	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, no planner")
-	blockPoints := flag.Int("block-points", 0, "target points per v3 chunk block (0 = default, negative = legacy v2 single-unit chunks)")
 	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width in timestamp units; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/) with O(1) retention drops")
 	l0Files := flag.Int("l0-compact-files", 0, "L0 file count triggering a leveled merge per partition (0 = default)")
 	levelBase := flag.Int64("level-base-bytes", 0, "level-0 size bound in bytes; level n is bounded by base*growth^n (0 = default)")
@@ -78,7 +77,6 @@ func main() {
 		WALSync:           *walSync,
 		FlushWorkers:      *flushWorkers,
 		PaperProfile:      *paperProfile,
-		BlockPoints:       *blockPoints,
 		PartitionDuration: *partitionDuration,
 		L0CompactFiles:    *l0Files,
 		LevelBaseBytes:    *levelBase,

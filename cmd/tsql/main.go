@@ -41,7 +41,6 @@ func main() {
 	walOn := flag.Bool("wal", false, "enable the write-ahead log")
 	shards := flag.Int("shards", 1, "engine shards: 1 = unsharded (legacy flat layout), N > 1 = hash-routed shards, 0 = GOMAXPROCS shards; STATS then prints the per-shard breakdown")
 	labelsOn := flag.Bool("labels", false, "run the shard router (with its label index) even at -shards 1, enabling series{...} selector statements")
-	blockPoints := flag.Int("block-points", 0, "target points per v3 chunk block (0 = default, negative = legacy v2 single-unit chunks)")
 	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/)")
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 		MemTableSize:      *memtable,
 		Algorithm:         *algo,
 		WAL:               *walOn,
-		BlockPoints:       *blockPoints,
 		PartitionDuration: *partitionDuration,
 	}
 	// -labels forces the router even at one shard: selector statements

@@ -6,8 +6,7 @@
 //     timestamp;
 //   - Gorilla: XOR-based float64 compression (Facebook's Gorilla
 //     scheme, used by IoTDB for floating point columns) — slowly
-//     varying sensor values cost a few bits per point;
-//   - RLE: run-length encoding for boolean columns.
+//     varying sensor values cost a few bits per point.
 //
 // All encoders append to a caller-provided buffer and all decoders
 // report malformed input as errors rather than panicking: encoded
@@ -261,55 +260,6 @@ func DecodeGorillaPrefix(src []byte, limit int) ([]float64, int, error) {
 		out[i] = math.Float64frombits(prev)
 	}
 	return out, consumed, nil
-}
-
-// --- RLE (booleans) ---------------------------------------------------------
-
-// AppendRLEBool encodes bools as alternating run lengths, starting
-// with the length of the initial false-run (possibly zero).
-func AppendRLEBool(dst []byte, values []bool) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(values)))
-	if len(values) == 0 {
-		return dst
-	}
-	cur := false
-	var run uint64
-	for _, v := range values {
-		if v == cur {
-			run++
-			continue
-		}
-		dst = binary.AppendUvarint(dst, run)
-		cur = v
-		run = 1
-	}
-	return binary.AppendUvarint(dst, run)
-}
-
-// DecodeRLEBool decodes a sequence produced by AppendRLEBool.
-func DecodeRLEBool(src []byte) ([]bool, int, error) {
-	n, read := binary.Uvarint(src)
-	if read <= 0 {
-		return nil, 0, fmt.Errorf("%w: rle count", ErrCorrupt)
-	}
-	pos := read
-	out := make([]bool, 0, n)
-	cur := false
-	for uint64(len(out)) < n {
-		run, read := binary.Uvarint(src[pos:])
-		if read <= 0 {
-			return nil, 0, fmt.Errorf("%w: rle run", ErrCorrupt)
-		}
-		pos += read
-		if run > n-uint64(len(out)) {
-			return nil, 0, fmt.Errorf("%w: rle run overflows count", ErrCorrupt)
-		}
-		for i := uint64(0); i < run; i++ {
-			out = append(out, cur)
-		}
-		cur = !cur
-	}
-	return out, pos, nil
 }
 
 // --- Plain (float64) ---------------------------------------------------------

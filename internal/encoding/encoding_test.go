@@ -209,59 +209,6 @@ func TestGorillaCorruptFuzz(t *testing.T) {
 	}
 }
 
-func TestRLEBoolRoundTrip(t *testing.T) {
-	cases := [][]bool{
-		nil,
-		{true},
-		{false},
-		{false, false, true, true, true, false},
-		{true, false, true, false},
-	}
-	for _, c := range cases {
-		enc := AppendRLEBool(nil, c)
-		got, n, err := DecodeRLEBool(enc)
-		if err != nil || n != len(enc) || len(got) != len(c) {
-			t.Fatalf("%v: got %v, n=%d, err=%v", c, got, n, err)
-		}
-		for i := range c {
-			if got[i] != c[i] {
-				t.Fatalf("%v: got %v", c, got)
-			}
-		}
-	}
-}
-
-func TestRLEBoolQuick(t *testing.T) {
-	f := func(vals []bool) bool {
-		enc := AppendRLEBool(nil, vals)
-		got, _, err := DecodeRLEBool(enc)
-		if err != nil || len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRLEBoolCorrupt(t *testing.T) {
-	enc := AppendRLEBool(nil, []bool{true, true, false})
-	if _, _, err := DecodeRLEBool(enc[:1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("truncated RLE accepted")
-	}
-	// A run longer than the declared count.
-	bad := []byte{2, 5} // count=2 but first run=5
-	if _, _, err := DecodeRLEBool(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("overflowing run accepted")
-	}
-}
-
 func TestPlainFloat64RoundTrip(t *testing.T) {
 	vals := []float64{1.5, -2.25, math.Inf(1), 0}
 	enc := AppendPlainFloat64(nil, vals)

@@ -10,9 +10,9 @@
 // at a time, so a long range scan holds one chunk's points in memory
 // per file rather than materializing everything before sorting.
 //
-// AggregateWindows additionally prunes: a chunk — or, in v3 blocked
-// files, an individual block — whose index entry carries value
-// statistics is answered from those statistics, without decoding, when
+// AggregateWindows additionally prunes: a chunk — or an individual
+// block of it — whose index entry carries value statistics is
+// answered from those statistics, without decoding, when
 // the stats provably equal its contribution to the deduplicated
 // stream. The condition (checked per candidate span in
 // buildAggPlan/spanEligible) is:
@@ -70,17 +70,15 @@ func (s *sliceSource) next() (TV, bool, error) {
 	return tv, true, nil
 }
 
-// fileSource streams one file's chunks for a sensor, decoding lazily —
-// chunk by chunk, and inside v3 blocked chunks block by block, seeking
-// past blocks whose time bounds miss [minT, maxT] without any I/O. It
-// relies on the tsfile invariant (enforced at write and load time)
-// that a sensor's chunks, and a chunk's blocks, appear in
-// nondecreasing time order.
+// fileSource streams one file's chunks for a sensor, decoding lazily
+// block by block and seeking past blocks whose time bounds miss
+// [minT, maxT] without any I/O. It relies on the tsfile invariant
+// (enforced at write and load time) that a sensor's chunks, and a
+// chunk's blocks, appear in nondecreasing time order.
 //
 // blockSets, when non-nil, runs parallel to chunks and pre-selects the
-// exact blocks to decode per blocked chunk (the aggregation planner
-// uses it to decode only the blocks its statistics could not answer);
-// a nil entry falls back to pruning by time range.
+// exact blocks to decode per chunk (the aggregation planner uses it to
+// decode only the blocks its statistics could not answer).
 type fileSource struct {
 	e          *Engine
 	fh         *fileHandle
@@ -89,19 +87,8 @@ type fileSource struct {
 	minT, maxT int64
 	buf        []TV
 	pos        int
-	cur        tsfile.ChunkMeta // blocked chunk being streamed
-	curBlocks  []tsfile.BlockMeta
-	inChunk    bool
-}
-
-func (s *fileSource) fill(ts []int64, vs []float64) {
-	s.buf = s.buf[:0]
-	s.pos = 0
-	for i, t := range ts {
-		if t >= s.minT && t <= s.maxT {
-			s.buf = append(s.buf, TV{t, vs[i]})
-		}
-	}
+	cur        tsfile.ChunkMeta   // chunk being streamed
+	pending    []tsfile.BlockMeta // its blocks still to decode
 }
 
 func (s *fileSource) next() (TV, bool, error) {
@@ -111,58 +98,44 @@ func (s *fileSource) next() (TV, bool, error) {
 			s.pos++
 			return tv, true, nil
 		}
-		if s.inChunk {
-			if len(s.curBlocks) == 0 {
-				s.inChunk = false
-				continue
-			}
-			b := s.curBlocks[0]
-			s.curBlocks = s.curBlocks[1:]
+		if len(s.pending) != 0 {
+			b := s.pending[0]
+			s.pending = s.pending[1:]
 			ts, vs, err := s.fh.reader.ReadBlockUpTo(s.cur, b, s.maxT)
 			if err != nil {
 				return TV{}, false, err
 			}
 			s.e.blocksDecoded.Add(1)
 			s.e.bytesRead.Add(b.Size)
-			s.fill(ts, vs)
+			s.buf = s.buf[:0]
+			s.pos = 0
+			for i, t := range ts {
+				if t >= s.minT {
+					s.buf = append(s.buf, TV{t, vs[i]})
+				}
+			}
 			continue
 		}
 		if len(s.chunks) == 0 {
 			return TV{}, false, nil
 		}
-		m := s.chunks[0]
+		s.cur = s.chunks[0]
 		s.chunks = s.chunks[1:]
-		var preset []tsfile.BlockMeta
 		if s.blockSets != nil {
-			preset = s.blockSets[0]
+			s.pending = s.blockSets[0]
 			s.blockSets = s.blockSets[1:]
-		}
-		if len(m.Blocks) > 0 {
-			blocks := preset
-			if blocks == nil {
-				for _, b := range m.Blocks {
-					if b.MaxTime < s.minT || b.MinTime > s.maxT {
-						s.e.blocksSkipped.Add(1)
-						continue
-					}
-					blocks = append(blocks, b)
+		} else {
+			for _, b := range s.cur.Blocks {
+				if b.MaxTime < s.minT || b.MinTime > s.maxT {
+					s.e.blocksSkipped.Add(1)
+					continue
 				}
+				s.pending = append(s.pending, b)
 			}
-			if len(blocks) > 0 {
-				s.e.chunksDecoded.Add(1)
-			}
-			s.cur = m
-			s.curBlocks = blocks
-			s.inChunk = true
-			continue
 		}
-		ts, vs, err := s.fh.reader.ReadChunk(m)
-		if err != nil {
-			return TV{}, false, err
+		if len(s.pending) != 0 {
+			s.e.chunksDecoded.Add(1)
 		}
-		s.e.chunksDecoded.Add(1)
-		s.e.bytesRead.Add(m.Size)
-		s.fill(ts, vs)
 	}
 }
 
@@ -449,19 +422,19 @@ func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op 
 }
 
 // aggSpan is one pruning unit the aggregation planner considers: a
-// whole (unblocked) chunk or a single block of a v3 chunk. chunkID
-// ties sibling blocks to their chunk so a whole-chunk candidate can
-// exclude its own blocks from the overlap check.
+// single block of a chunk. chunkID ties sibling blocks to their chunk
+// so a whole-chunk candidate can exclude its own blocks from the
+// overlap check.
 type aggSpan struct {
 	chunkID    int
 	minT, maxT int64
 }
 
-// buildAggPlan partitions every overlapping chunk — at block
-// granularity where the v3 index allows — into stats-answered
-// contributions and decode sources. The overlap check needs every
-// candidate span across all files: a span fully inside the query range
-// can only be shadowed by spans that also intersect the range.
+// buildAggPlan partitions every overlapping chunk — whole, or block by
+// block — into stats-answered contributions and decode sources. The
+// overlap check needs every candidate span across all files: a span
+// fully inside the query range can only be shadowed by spans that also
+// intersect the range.
 func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, window int64) ([]statsContrib, []pointSource) {
 	perFile := make([][]tsfile.ChunkMeta, len(qs.files))
 	var spans []aggSpan
@@ -471,14 +444,10 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 		perFile[i] = overlapping(fh, sensor, startT, maxT)
 		for _, m := range perFile[i] {
 			chunkSpanStart = append(chunkSpanStart, len(spans))
-			if len(m.Blocks) > 0 {
-				for _, b := range m.Blocks {
-					if b.MaxTime >= startT && b.MinTime <= maxT {
-						spans = append(spans, aggSpan{chunkID, b.MinTime, b.MaxTime})
-					}
+			for _, b := range m.Blocks {
+				if b.MaxTime >= startT && b.MinTime <= maxT {
+					spans = append(spans, aggSpan{chunkID, b.MinTime, b.MaxTime})
 				}
-			} else {
-				spans = append(spans, aggSpan{chunkID, m.MinTime, m.MaxTime})
 			}
 			chunkID++
 		}
@@ -526,11 +495,6 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 				contribs = append(contribs, statsContrib{m.MinTime, m.Count, m.Stats})
 				e.chunksFromStats.Add(1)
 				e.pointsSkipped.Add(int64(m.Count))
-				continue
-			}
-			if len(m.Blocks) == 0 {
-				decode = append(decode, m)
-				decodeBlocks = append(decodeBlocks, nil)
 				continue
 			}
 			// Block granularity: answer what the per-block statistics

@@ -11,9 +11,8 @@
 //     eventually folded back so reads stop paying a merge penalty); in
 //     the partitioned layout, every partition's files — plus the slice
 //     of any legacy flat-layout file that falls inside the partition —
-//     into one terminal-level file per partition. Pre-v3 files are
-//     upgraded to the block-indexed layout whenever the engine writes
-//     v3.
+//     into one terminal-level file per partition. Legacy v2 files are
+//     upgraded to the block-indexed layout.
 //   - maybeCompact rides the flush path in partitioned mode: when a
 //     partition's L0 file count or a level's total size crosses its
 //     bound, a bounded pass merges an oldest-first prefix of that
@@ -77,11 +76,10 @@ func (s *compactSource) next() (TV, bool, error) {
 
 // mergeInto streams the newest-wins merge of inputs (ordered oldest
 // generation first, as in e.files), restricted to [minT, maxT], into w
-// — sensor by sensor in sorted order, block by block in bounded
-// memory. blockPoints > 0 writes v3 chunks through the streaming
-// writer; otherwise legacy chunks are emitted in DefaultBlockPoints
-// slices so a huge sensor never has to materialize at once.
-func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64, blockPoints int) error {
+// — sensor by sensor in sorted order, through the streaming writer in
+// blocks of ~w.BlockPoints points, so a huge sensor never has to
+// materialize at once.
+func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 	seen := map[string]bool{}
 	var sensors []string
 	for _, fh := range inputs {
@@ -93,7 +91,7 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64, blockPo
 		}
 	}
 	sort.Strings(sensors)
-	cut := blockPoints
+	cut := w.BlockPoints
 	if cut <= 0 {
 		cut = DefaultBlockPoints
 	}
@@ -116,17 +114,13 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64, blockPo
 			if len(ts) == 0 {
 				return nil
 			}
-			if blockPoints > 0 {
-				if !begun {
-					if err := w.BeginChunk(sensor); err != nil {
-						return err
-					}
-					begun = true
-				}
-				if err := w.AppendBlock(ts, vs); err != nil {
+			if !begun {
+				if err := w.BeginChunk(sensor); err != nil {
 					return err
 				}
-			} else if err := w.WriteChunk(sensor, ts, vs); err != nil {
+				begun = true
+			}
+			if err := w.AppendBlock(ts, vs); err != nil {
 				return err
 			}
 			ts, vs = ts[:0], vs[:0]
@@ -183,11 +177,11 @@ func (e *Engine) notePass(bytes int64) {
 }
 
 // needsRewrite reports whether a lone file still warrants a Compact:
-// a pre-v3 file is upgraded to the block-indexed layout when the
-// engine writes v3, and a legacy flat-layout file is migrated into the
-// partition tree when partitioning is on.
+// a v2 file is upgraded to the block-indexed layout, and a legacy
+// flat-layout file is migrated into the partition tree when
+// partitioning is on.
 func (e *Engine) needsRewrite(fh *fileHandle) bool {
-	if e.blockPoints > 0 && fh.reader.Version() < 3 {
+	if fh.reader.Version() < 3 {
 		return true
 	}
 	return e.partitioned && !fh.partitioned
@@ -346,7 +340,7 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", part), fmt.Sprintf("L%d", outLevel),
 		fmt.Sprintf("seq-%06d.gtsf", seq))
 	err := e.writeChunkFile(path, true, func(w *tsfile.Writer) error {
-		return mergeInto(w, inputs, math.MinInt64, math.MaxInt64, e.blockPoints)
+		return mergeInto(w, inputs, math.MinInt64, math.MaxInt64)
 	})
 	if err != nil {
 		return fmt.Errorf("engine: compact p%d/L%d: %w", part, level, err)
@@ -398,8 +392,8 @@ func (e *Engine) maybeCompact() {
 // partition's files fold into one terminal-level (MaxLevel) file per
 // partition, and legacy flat-layout files are migrated: each one's
 // points are split at partition boundaries and folded into the
-// partitions they belong to. Either way pre-v3 inputs come out in the
-// engine's configured chunk layout — the v1/v2 → v3 upgrade path.
+// partitions they belong to. Either way v2 inputs come out as v3 —
+// the legacy upgrade path.
 // Newest-wins semantics for rewritten timestamps are preserved, and
 // queries that snapshotted the old files keep reading them through
 // their reference counts even after the files are unlinked. As a
@@ -444,7 +438,7 @@ func (e *Engine) Compact() error {
 	e.mu.Unlock()
 	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("seq-%06d.gtsf", seq))
 	err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
-		return mergeInto(w, old, math.MinInt64, math.MaxInt64, e.blockPoints)
+		return mergeInto(w, old, math.MinInt64, math.MaxInt64)
 	})
 	if err != nil {
 		releaseOld()
@@ -534,7 +528,7 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.MaxLevel),
 			fmt.Sprintf("seq-%06d.gtsf", seq))
 		err := e.writeChunkFile(path, true, func(w *tsfile.Writer) error {
-			return mergeInto(w, inputs, lo, hi, e.blockPoints)
+			return mergeInto(w, inputs, lo, hi)
 		})
 		if err != nil {
 			return fail(fmt.Errorf("engine: compact p%d: %w", p, err))

@@ -66,11 +66,9 @@ const DefaultWALSyncPeriod = 200 * time.Millisecond
 // 100,000 as "the appropriate memory points size in the IoTDB".
 const DefaultMemTableSize = 100000
 
-// DefaultBlockPoints is the target points-per-block for the v3 chunk
-// layout when Config.BlockPoints is zero. Small enough that a
-// narrow-range query decodes a fraction of a big chunk, large enough
-// that the per-block CRC + index entry stays under ~1% overhead.
-const DefaultBlockPoints = 4096
+// DefaultBlockPoints is the target points per block of every flushed
+// and compacted chunk.
+const DefaultBlockPoints = tsfile.DefaultBlockPoints
 
 // Leveled-compaction defaults (Config.L0CompactFiles and friends).
 const (
@@ -137,13 +135,6 @@ type Config struct {
 	// FlushWorkers is ignored then, and Close leaves the pool running
 	// for its owner to stop.
 	SharedPool *SharedFlushPool
-	// BlockPoints selects the tsfile chunk layout for flushed and
-	// compacted files: > 0 writes format v3 with ~BlockPoints points
-	// per independently CRC'd, independently indexed block, 0 selects
-	// DefaultBlockPoints, and a negative value pins the legacy v2
-	// single-unit chunks — cmd/repro uses -1 so the paper's write path
-	// stays byte-for-byte.
-	BlockPoints int
 	// PartitionDuration, when > 0, enables time-partitioned leveled
 	// storage: flush output lands under p<epoch>/L0/ (epoch =
 	// floor(t / PartitionDuration)), per-level size bounds trigger
@@ -168,6 +159,10 @@ type Config struct {
 	// (default DefaultMaxLevel). The terminal level is never rewritten
 	// by the automatic path; a full Compact still folds it.
 	MaxLevel int
+
+	// blockPoints overrides DefaultBlockPoints for package tests that
+	// need many blocks from few points.
+	blockPoints int
 }
 
 // TV is one query result record.
@@ -235,7 +230,7 @@ type Stats struct {
 	ChunksFromStats int64
 	ChunksDecoded   int64
 	PointsSkipped   int64
-	// Read-amplification counters (v3 block index): file bytes
+	// Read-amplification counters (block index): file bytes
 	// fetched for decode on the query path, and the per-block outcome
 	// of the time-range seek — decoded vs skipped without I/O.
 	// BlocksFromStats counts blocks answered from per-block statistics
@@ -384,9 +379,7 @@ type Engine struct {
 	maxCompactionPass   atomic.Int64
 	partitionsDropped   atomic.Int64
 
-	// Partitioned-mode settings, resolved at Open. blockPoints <= 0
-	// means the legacy v2 chunk layout.
-	blockPoints int
+	// Partitioned-mode setting, resolved at Open.
 	partitioned bool
 }
 
@@ -487,13 +480,6 @@ func Open(cfg Config) (*Engine, error) {
 	if fs == nil {
 		fs = faultfs.OS
 	}
-	blockPoints := cfg.BlockPoints
-	if blockPoints == 0 {
-		blockPoints = DefaultBlockPoints
-	}
-	if blockPoints < 0 {
-		blockPoints = 0 // legacy v2 chunk layout
-	}
 	if cfg.PartitionDuration < 0 {
 		return nil, fmt.Errorf("engine: negative PartitionDuration %d", cfg.PartitionDuration)
 	}
@@ -517,7 +503,6 @@ func Open(cfg Config) (*Engine, error) {
 		walAlways:   cfg.WAL && cfg.WALSync == WALSyncAlways,
 		lastFlushed: make(map[string]int64),
 		latest:      make(map[string]int64),
-		blockPoints: blockPoints,
 		partitioned: cfg.PartitionDuration > 0,
 	}
 	if cfg.Algorithm == "backward" && !cfg.PaperProfile {
@@ -1044,7 +1029,7 @@ func (e *Engine) writeChunkFile(path string, mkdir bool, write func(w *tsfile.Wr
 	if err != nil {
 		return fmt.Errorf("engine: flush create %s: %w", tmp, err)
 	}
-	w.BlockPoints = e.blockPoints
+	w.BlockPoints = e.cfg.blockPoints
 	w.SyncOnClose = e.walDurable
 	if err := write(w); err != nil {
 		w.Close()
@@ -1150,7 +1135,7 @@ func (e *Engine) drain(unit *flushUnit) {
 				t1 := time.Now()
 				defer func() { encodeNanos.Add(int64(time.Since(t1))) }()
 				if !e.partitioned {
-					enc, err := tsfile.EncodeChunkBlocks(sensor, ts, vs, e.blockPoints)
+					enc, err := tsfile.EncodeChunkBlocks(sensor, ts, vs, e.cfg.blockPoints)
 					if err != nil {
 						errs[i] = err
 						return
@@ -1166,7 +1151,7 @@ func (e *Engine) drain(unit *flushUnit) {
 					for end < len(ts) && e.partitionOf(ts[end]) == p {
 						end++
 					}
-					enc, err := tsfile.EncodeChunkBlocks(sensor, ts[start:end], vs[start:end], e.blockPoints)
+					enc, err := tsfile.EncodeChunkBlocks(sensor, ts[start:end], vs[start:end], e.cfg.blockPoints)
 					if err != nil {
 						errs[i] = err
 						return

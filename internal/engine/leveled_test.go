@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/delay"
@@ -19,10 +19,11 @@ import (
 
 // TestBlockIndexMatchesLegacyOracle ingests identical workloads —
 // random delay scenarios plus cross-generation overwrites of
-// already-flushed ranges — into a v3 engine with small blocks and a
-// legacy-v2 engine, and requires bit-identical answers from Query and
-// AggregateWindows while the v3 engine demonstrably exercises its
-// block index.
+// already-flushed ranges — into an engine with 32-point blocks and an
+// oracle engine whose blocks are as large as its memtable (one block
+// per chunk), and requires bit-identical answers from Query and
+// AggregateWindows while the small-block engine demonstrably exercises
+// its block index.
 func TestBlockIndexMatchesLegacyOracle(t *testing.T) {
 	dists := []delay.Distribution{
 		delay.Constant{C: 0}, // fully in order: maximal block pruning
@@ -33,15 +34,15 @@ func TestBlockIndexMatchesLegacyOracle(t *testing.T) {
 		dist := dist
 		t.Run(dist.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(4200 + di)))
-			v3 := openTest(t, Config{MemTableSize: 256, BlockPoints: 32})
-			v2 := openTest(t, Config{MemTableSize: 256, BlockPoints: -1})
+			blocked := openTest(t, Config{MemTableSize: 256, blockPoints: 32})
+			oracle := openTest(t, Config{MemTableSize: 256, blockPoints: 256})
 			const n = 3000
 			insert := func(ts int64, v float64) {
 				t.Helper()
-				if err := v3.Insert("s", ts, v); err != nil {
+				if err := blocked.Insert("s", ts, v); err != nil {
 					t.Fatal(err)
 				}
-				if err := v2.Insert("s", ts, v); err != nil {
+				if err := oracle.Insert("s", ts, v); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -50,30 +51,30 @@ func TestBlockIndexMatchesLegacyOracle(t *testing.T) {
 				insert(ts, float64(ts%173)+0.5)
 			}
 			// Cross-generation overwrites: newer files rewriting slices
-			// of old ranges must win in both layouts, and must also
+			// of old ranges must win in both engines, and must also
 			// disqualify the shadowed older blocks from stats answers.
 			for i := 0; i < 150; i++ {
 				insert(int64(rng.Intn(n/2)), -2000-float64(i))
 			}
-			v3.Flush()
-			v2.Flush()
+			blocked.Flush()
+			oracle.Flush()
 
 			check := func(lo, hi int64) {
 				t.Helper()
-				got, err := v3.Query("s", lo, hi)
+				got, err := blocked.Query("s", lo, hi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := v2.Query("s", lo, hi)
+				want, err := oracle.Query("s", lo, hi)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("[%d,%d]: v3 %d points, v2 %d points", lo, hi, len(got), len(want))
+					t.Fatalf("[%d,%d]: blocked %d points, oracle %d points", lo, hi, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("[%d,%d] record %d: v3 %+v, v2 %+v", lo, hi, i, got[i], want[i])
+						t.Fatalf("[%d,%d] record %d: blocked %+v, oracle %+v", lo, hi, i, got[i], want[i])
 					}
 				}
 			}
@@ -87,30 +88,31 @@ func TestBlockIndexMatchesLegacyOracle(t *testing.T) {
 				endT := startT + int64(1+rng.Intn(n/2))
 				window := int64(1 + rng.Intn(250))
 				for op := winagg.Count; op <= winagg.Last; op++ {
-					got, err := v3.AggregateWindows("s", startT, endT, window, op)
+					got, err := blocked.AggregateWindows("s", startT, endT, window, op)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := v2.AggregateWindows("s", startT, endT, window, op)
+					want, err := oracle.AggregateWindows("s", startT, endT, window, op)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !sameWindows(got, want) {
-						t.Fatalf("%v [%d,%d) w=%d: v3 %v, v2 %v", op, startT, endT, window, got, want)
+						t.Fatalf("%v [%d,%d) w=%d: blocked %v, oracle %v", op, startT, endT, window, got, want)
 					}
 				}
 			}
-			if st := v3.Stats(); st.BlocksDecoded+st.BlocksFromStats == 0 || st.BlocksSkipped == 0 {
-				t.Fatalf("v3 engine never exercised the block index: %+v", st)
+			if st := blocked.Stats(); st.BlocksDecoded+st.BlocksFromStats == 0 || st.BlocksSkipped == 0 {
+				t.Fatalf("blocked engine never exercised the block index: %+v", st)
 			}
 		})
 	}
 }
 
 // TestBlockIndexCutsReadAmplification: a narrow range read seeks to
-// the v3 blocks it overlaps, where a legacy v2 chunk decodes whole. The
-// same 128 narrow queries over the same in-order store must return the
-// same points and read at least 10x fewer bytes from v3 than from v2.
+// the blocks it overlaps, where a chunk stored as one block decodes
+// whole. The same 128 narrow queries over the same in-order store must
+// return the same points and read at least 10x fewer bytes with
+// 128-point blocks than with one block per 4096-point chunk.
 func TestBlockIndexCutsReadAmplification(t *testing.T) {
 	const (
 		chunkPts = 4096 // memtable size: one chunk per flush
@@ -120,7 +122,7 @@ func TestBlockIndexCutsReadAmplification(t *testing.T) {
 		width    = 40 // ~1% of a chunk's time span
 	)
 	build := func(blockPoints int) *Engine {
-		e := openTest(t, Config{MemTableSize: chunkPts, BlockPoints: blockPoints})
+		e := openTest(t, Config{MemTableSize: chunkPts, blockPoints: blockPoints})
 		times := make([]int64, chunkPts)
 		values := make([]float64, chunkPts)
 		for f := 0; f < files; f++ {
@@ -146,20 +148,34 @@ func TestBlockIndexCutsReadAmplification(t *testing.T) {
 		}
 		return e.Stats().BytesRead - before, out
 	}
-	v2Bytes, v2Out := read(build(-1))
-	v3Bytes, v3Out := read(build(128))
-	if len(v2Out) != queries*width || !slices.Equal(v2Out, v3Out) {
-		t.Fatalf("answers differ: v2 %d points, v3 %d points, want %d each", len(v2Out), len(v3Out), queries*width)
+	wholeBytes, wholeOut := read(build(chunkPts))
+	smallBytes, smallOut := read(build(128))
+	if len(wholeOut) != queries*width || !slices.Equal(wholeOut, smallOut) {
+		t.Fatalf("answers differ: one block per chunk %d points, 128-point blocks %d points, want %d each",
+			len(wholeOut), len(smallOut), queries*width)
 	}
-	if v3Bytes <= 0 || v2Bytes < 10*v3Bytes {
-		t.Fatalf("v3 read %d bytes, v2 %d: want at least 10x fewer", v3Bytes, v2Bytes)
+	if smallBytes <= 0 || wholeBytes < 10*smallBytes {
+		t.Fatalf("128-point blocks read %d bytes, one block per chunk %d: want at least 10x fewer", smallBytes, wholeBytes)
 	}
 }
 
-// rewriteEngineFileAsV1 transcodes one of the engine's v2 chunk files
-// to the original statistics-free v1 index in place — the engine-level
-// analog of the tsfile package's back-compat fixture, built from the
-// documented on-disk layout so compat tests need no old binary.
+// copyGoldenV2 places tsfile's golden v2 file — written by the last v2
+// writer: sensor "s" with t = i, v = i/2 for i < 400 in four chunks,
+// and sensor "d" with a duplicate timestamp — at path.
+func copyGoldenV2(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "tsfile", "testdata", "v2.gtsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteEngineFileAsV1 transcodes a v2 chunk file to the original
+// statistics-free v1 index in place, built from the documented on-disk
+// layout so the compat test needs no old binary.
 func rewriteEngineFileAsV1(t *testing.T, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -218,38 +234,56 @@ func rewriteEngineFileAsV1(t *testing.T, path string) {
 	}
 }
 
-// TestBackwardCompatUpgradeToV3 is the version matrix: a store holding
-// v1 and v2 files opens and queries correctly under the v3-default
-// configuration, the first compaction rewrites everything into a v3
-// file, and answers are unchanged before, after, and across a reopen.
-func TestBackwardCompatUpgradeToV3(t *testing.T) {
-	dir := t.TempDir()
-	const n = 400
-	e1, err := Open(Config{Dir: dir, MemTableSize: 100, SyncFlush: true, BlockPoints: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := e1.Insert("s", int64(i), float64(i)*0.5); err != nil {
+// fileVersions returns the index format version of every live chunk
+// file in dir.
+func fileVersions(t *testing.T, dir string) []int {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
+	var out []int
+	for _, f := range files {
+		r, err := tsfile.Open(f)
+		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, r.Version())
+		r.Close()
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
-	if len(files) < 2 {
-		t.Fatalf("fixture needs several v2 files, got %v", files)
-	}
-	sort.Strings(files)
-	rewriteEngineFileAsV1(t, files[0])
+	return out
+}
 
-	e2, err := Open(Config{Dir: dir, MemTableSize: 100, SyncFlush: true, BlockPoints: 64})
+// TestBackwardCompatUpgradeToV3 is the version matrix: a store holding
+// the golden v2 file, a v1 file and freshly flushed v3 files opens with
+// the v1 file quarantined, answers from v2 and v3 together, and its
+// first compaction rewrites everything into one v3 file with identical
+// answers, before and across a reopen.
+func TestBackwardCompatUpgradeToV3(t *testing.T) {
+	dir := t.TempDir()
+	copyGoldenV2(t, filepath.Join(dir, "seq-000001.gtsf"))
+	v1 := filepath.Join(dir, "seq-000002.gtsf")
+	copyGoldenV2(t, v1)
+	rewriteEngineFileAsV1(t, v1)
+
+	e, err := Open(Config{Dir: dir, MemTableSize: 100, SyncFlush: true, blockPoints: 64})
 	if err != nil {
 		t.Fatalf("mixed v1/v2 store rejected: %v", err)
 	}
-	defer e2.Close()
-	verify := func(e *Engine) {
+	defer func() { e.Close() }()
+	if got := e.Stats().QuarantinedFiles; got != 1 || e.FileCount() != 1 {
+		t.Fatalf("v1 file: QuarantinedFiles = %d, FileCount = %d; want 1, 1", got, e.FileCount())
+	}
+	if _, err := os.Stat(v1 + ".quarantine"); err != nil {
+		t.Fatalf("v1 file not quarantined: %v", err)
+	}
+	const n = 600
+	for i := 400; i < n; i++ {
+		if err := e.Insert("s", int64(i), float64(i)*0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{2, 3, 3}) {
+		t.Fatalf("store versions %v, want one v2 file and two v3 files", got)
+	}
+	answers := func(e *Engine) string {
 		t.Helper()
 		out, err := e.Query("s", -1, n+1)
 		if err != nil {
@@ -263,71 +297,69 @@ func TestBackwardCompatUpgradeToV3(t *testing.T) {
 				t.Fatalf("record %d corrupted: %+v", i, tv)
 			}
 		}
+		d, err := e.Query("d", 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws []winagg.Window
+		for op := winagg.Count; op <= winagg.Last; op++ {
+			w, err := e.AggregateWindows("s", 50, 550, 64, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws = append(ws, w...)
+		}
+		return fmt.Sprint(d, ws)
 	}
-	verify(e2)
-	if err := e2.Compact(); err != nil {
+	want := answers(e)
+	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	verify(e2)
-	files, _ = filepath.Glob(filepath.Join(dir, "*.gtsf"))
-	if len(files) != 1 {
-		t.Fatalf("files after upgrade compaction: %v", files)
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{3}) {
+		t.Fatalf("store versions after compaction %v, want one v3 file", got)
 	}
-	r, err := tsfile.Open(files[0])
+	if got := answers(e); got != want {
+		t.Fatalf("answers changed by the upgrade:\n got %s\nwant %s", got, want)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Config{Dir: dir, SyncFlush: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.Version(); v != 3 {
-		r.Close()
-		t.Fatalf("compaction produced a v%d file, want v3", v)
+	if got := answers(e); got != want {
+		t.Fatalf("answers changed across reopen:\n got %s\nwant %s", got, want)
 	}
-	r.Close()
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e3, err := Open(Config{Dir: dir, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e3.Close()
-	verify(e3)
 }
 
 // TestCompactRewritesSingleLegacyFile pins the needsRewrite rule: one
-// file is normally a compaction no-op, but a single legacy file still
-// upgrades to v3 when blocks are enabled.
+// file is normally a compaction no-op, but a lone v2 file still
+// upgrades to v3.
 func TestCompactRewritesSingleLegacyFile(t *testing.T) {
 	dir := t.TempDir()
-	e1, err := Open(Config{Dir: dir, MemTableSize: 100, SyncFlush: true, BlockPoints: -1})
+	copyGoldenV2(t, filepath.Join(dir, "seq-000001.gtsf"))
+	e, err := Open(Config{Dir: dir, SyncFlush: true, blockPoints: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		e1.Insert("s", int64(i), 1)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(Config{Dir: dir, SyncFlush: true, BlockPoints: 16})
+	defer e.Close()
+	want, err := e.Query("s", math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	if err := e2.Compact(); err != nil {
+	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
-	if len(files) != 1 {
-		t.Fatalf("files = %v", files)
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{3}) {
+		t.Fatalf("single legacy file not upgraded: versions %v", got)
 	}
-	r, err := tsfile.Open(files[0])
+	got, err := e.Query("s", math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if v := r.Version(); v != 3 {
-		t.Fatalf("single legacy file not upgraded: v%d", v)
+	if len(got) != 400 || !slices.Equal(got, want) {
+		t.Fatalf("upgrade changed answers: %d points, want the same 400", len(got))
 	}
 }
 
@@ -336,7 +368,7 @@ func TestCompactRewritesSingleLegacyFile(t *testing.T) {
 // recovery instead of served or fatal.
 func TestTornV3FileQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	e1, err := Open(Config{Dir: dir, MemTableSize: 64, SyncFlush: true, BlockPoints: 16})
+	e1, err := Open(Config{Dir: dir, MemTableSize: 64, SyncFlush: true, blockPoints: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +390,7 @@ func TestTornV3FileQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(Config{Dir: dir, SyncFlush: true, BlockPoints: 16})
+	e2, err := Open(Config{Dir: dir, SyncFlush: true, blockPoints: 16})
 	if err != nil {
 		t.Fatalf("open with torn v3 file: %v", err)
 	}

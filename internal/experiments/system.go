@@ -113,10 +113,6 @@ func runSystemCell(spec SystemSpec, pct float64, algo string, sc Scale) (bench.R
 		// deliberately NOT what the paper benchmarked.
 		FlushWorkers: 1,
 		PaperProfile: true,
-		// Legacy v2 chunk layout: the reproduced write path stays
-		// byte-for-byte what the paper measured, not the block-indexed
-		// v3 format.
-		BlockPoints: -1,
 	}})
 	if err != nil {
 		return bench.Result{}, err

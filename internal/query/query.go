@@ -46,11 +46,7 @@ const (
 )
 
 // WindowResult is one aggregated window [Start, Start+Width).
-type WindowResult struct {
-	Start int64
-	Count int
-	Value float64
-}
+type WindowResult = winagg.Window
 
 // AggregateWindows buckets the points into fixed windows
 // [startT + k·window, startT + (k+1)·window) for startT <= t < endT
@@ -134,15 +130,7 @@ func WindowQuery(e Source, sensor string, startT, endT, window int64, agg Aggreg
 		return nil, nil
 	}
 	if wa, ok := e.(WindowAggregator); ok {
-		ws, err := wa.AggregateWindows(sensor, startT, endT, window, agg)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]WindowResult, len(ws))
-		for i, w := range ws {
-			out[i] = WindowResult{Start: w.Start, Count: w.Count, Value: w.Value}
-		}
-		return out, nil
+		return wa.AggregateWindows(sensor, startT, endT, window, agg)
 	}
 	points, err := e.Query(sensor, startT, endT-1)
 	if err != nil {

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-// fuzzSeed builds a small valid v2 file and returns its raw bytes.
-func fuzzSeed(tb testing.TB) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
-	path := filepath.Join(dir, "seed.gtsf")
-	w, err := Create(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.WriteChunk("s1", []int64{1, 2, 3}, []float64{1.5, -2, 3}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.WriteChunk("s2", []int64{10, 20}, []float64{7, 8}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return raw
-}
-
 // fuzzSeedV3 builds a small valid v3 (blocked) file and returns its
 // raw bytes, so the fuzzer mutates block indexes too.
 func fuzzSeedV3(tb testing.TB) []byte {
@@ -63,12 +38,13 @@ func fuzzSeedV3(tb testing.TB) []byte {
 	return raw
 }
 
-// FuzzOpen feeds arbitrary bytes through the full read path: Open,
-// index iteration, ReadChunk, and QuerySensor. The
-// invariant under test is that hostile input produces an error (almost
-// always ErrCorrupt), never a panic, hang, or unbounded allocation.
+// FuzzOpen feeds arbitrary bytes through the read calls the engine
+// makes: Open, index iteration, ReadChunk, and ReadBlockUpTo cut in the
+// middle of every block. The invariant under test is that hostile
+// input produces an error (almost always ErrCorrupt), never a panic,
+// hang, or unbounded allocation.
 func FuzzOpen(f *testing.F) {
-	seed := fuzzSeed(f)
+	seed := goldenV2(f)
 	f.Add(seed)
 	// A few targeted mutations so the corpus starts near the
 	// interesting surfaces: footer, index offset, index body.
@@ -110,7 +86,9 @@ func FuzzOpen(f *testing.F) {
 		defer r.Close()
 		for _, m := range r.Index() {
 			r.ReadChunk(m)
-			r.QuerySensor(m.Sensor, m.MinTime, m.MaxTime)
+			for _, b := range m.Blocks {
+				r.ReadBlockUpTo(m, b, b.MinTime/2+b.MaxTime/2)
+			}
 		}
 	})
 }

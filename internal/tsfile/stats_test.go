@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -49,94 +50,145 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// rewriteAsV1 converts a (v2) file on disk to the original
-// statistics-free index format, so back-compat tests can exercise the
-// version negotiation without an old binary.
-func rewriteAsV1(t *testing.T, path string) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
+// goldenV2 returns testdata/v2.gtsf, a file written by the last v2
+// writer: sensor "s" in four 100-point chunks (t = i, v = i/2 for
+// i < 400), then sensor "d" with points (1, 5), (1, 6), (2, 7), whose
+// duplicate timestamp leaves it without statistics.
+func goldenV2(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2.gtsf"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ftr := len(raw) - int(tailLen)
-	indexOff := int64(binary.LittleEndian.Uint64(raw[ftr : ftr+8]))
-	idx := raw[indexOff:ftr]
-	out := append([]byte(nil), raw[:indexOff]...)
+	return raw
+}
 
-	// Transcode the v2 index (entries end with a flags byte + optional
-	// stats) into v1 (entries stop after maxTime).
-	br := &sliceReader{b: idx}
-	count, err := binary.ReadUvarint(br)
+// indexOffset reads the index offset from a file's footer.
+func indexOffset(raw []byte) int64 {
+	ftr := len(raw) - int(tailLen)
+	return int64(binary.LittleEndian.Uint64(raw[ftr : ftr+8]))
+}
+
+// withIndex returns raw's bytes up to dataEnd followed by idx and a
+// footer pointing at it with the given magic.
+func withIndex(raw []byte, dataEnd int64, idx []byte, magic string) []byte {
+	out := append([]byte(nil), raw[:dataEnd]...)
+	out = append(out, idx...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(dataEnd))
+	return append(out, magic...)
+}
+
+// appendEntry appends m's index entry fields up to and including a
+// flags byte saying "no statistics" — a whole v2 entry, or a v3 entry
+// still missing its block list.
+func appendEntry(idx []byte, m ChunkMeta) []byte {
+	idx = binary.AppendUvarint(idx, uint64(len(m.Sensor)))
+	idx = append(idx, m.Sensor...)
+	idx = binary.AppendUvarint(idx, uint64(m.Offset))
+	idx = binary.AppendUvarint(idx, uint64(m.Count))
+	idx = binary.AppendVarint(idx, m.MinTime)
+	idx = binary.AppendVarint(idx, m.MaxTime)
+	return append(idx, 0)
+}
+
+func writeFile(t *testing.T, raw []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "f.gtsf")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestV1FileRejected: the statistics-free v1 index has not been
+// written since value statistics landed, and is no longer read. A v1
+// transcode of the golden v2 file fails to open with ErrCorrupt, so
+// the engine quarantines it.
+func TestV1FileRejected(t *testing.T) {
+	raw := goldenV2(t)
+	r, err := Open(writeFile(t, raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := binary.AppendUvarint(nil, count)
-	for i := uint64(0); i < count; i++ {
-		nameLen, _ := binary.ReadUvarint(br)
-		name, _ := br.take(int(nameLen))
-		off, _ := binary.ReadUvarint(br)
-		cnt, _ := binary.ReadUvarint(br)
-		minT, _ := binary.ReadVarint(br)
-		maxT, _ := binary.ReadVarint(br)
-		flags, _ := br.ReadByte()
-		if flags&1 != 0 {
-			if _, err := br.take(5 * 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-		v1 = binary.AppendUvarint(v1, nameLen)
-		v1 = append(v1, name...)
-		v1 = binary.AppendUvarint(v1, off)
-		v1 = binary.AppendUvarint(v1, cnt)
-		v1 = binary.AppendVarint(v1, minT)
-		v1 = binary.AppendVarint(v1, maxT)
+	var v1 []byte
+	v1 = binary.AppendUvarint(v1, uint64(len(r.Index())))
+	for _, m := range r.Index() {
+		v1 = appendEntry(v1, m)
+		v1 = v1[:len(v1)-1] // v1 entries stop after maxTime
 	}
-	out = append(out, v1...)
-	var foot [8]byte
-	binary.LittleEndian.PutUint64(foot[:], uint64(indexOff))
-	out = append(out, foot[:]...)
-	out = append(out, magicTailV1...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
+	r.Close()
+	path := writeFile(t, withIndex(raw, indexOffset(raw), v1, "GTSFEND1"))
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 file: Open = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestV1FileStillReadable(t *testing.T) {
-	path := tmpPath(t)
-	w, err := Create(path)
+// TestV2GoldenReadable opens the golden v2 file: each legacy chunk is
+// one block past its name header, reads back exactly what was written,
+// and its CRC still covers the name header.
+func TestV2GoldenReadable(t *testing.T) {
+	raw := goldenV2(t)
+	r, err := Open(writeFile(t, raw))
 	if err != nil {
 		t.Fatal(err)
-	}
-	times := []int64{10, 20, 30}
-	values := []float64{1, 2, 3}
-	if err := w.WriteChunk("s", times, values); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rewriteAsV1(t, path)
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
 	}
 	defer r.Close()
+	if r.Version() != 2 {
+		t.Fatalf("version = %d, want 2", r.Version())
+	}
 	idx := r.Index()
-	if len(idx) != 1 || idx[0].Count != 3 || idx[0].MinTime != 10 || idx[0].MaxTime != 30 {
-		t.Fatalf("v1 index wrong: %+v", idx)
+	if len(idx) != 5 {
+		t.Fatalf("index has %d entries, want 5", len(idx))
 	}
-	if idx[0].Stats != nil {
-		t.Fatal("v1 entry has statistics")
+	for i, m := range idx {
+		if len(m.Blocks) != 1 {
+			t.Fatalf("chunk %d has %d blocks, want 1", i, len(m.Blocks))
+		}
+		b := m.Blocks[0]
+		hdr := int64(1 + len(m.Sensor))
+		if b.Offset != m.Offset+hdr || b.Size != m.Size-hdr || b.Count != m.Count ||
+			b.MinTime != m.MinTime || b.MaxTime != m.MaxTime || b.Stats != m.Stats {
+			t.Fatalf("chunk %d: block %+v does not mirror chunk %+v", i, b, m)
+		}
+		ts, vs, err := r.ReadChunk(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sensor == "d" {
+			if m.Stats != nil || !slices.Equal(ts, []int64{1, 1, 2}) || !slices.Equal(vs, []float64{5, 6, 7}) {
+				t.Fatalf("chunk d: %v %v, stats %+v", ts, vs, m.Stats)
+			}
+			continue
+		}
+		base := int64(i * 100)
+		for j := range ts {
+			if ts[j] != base+int64(j) || vs[j] != float64(ts[j])*0.5 {
+				t.Fatalf("chunk %d record %d: (%d, %v)", i, j, ts[j], vs[j])
+			}
+		}
+		if want := (ValueStats{Min: float64(base) * 0.5, Max: float64(base+99) * 0.5,
+			Sum: float64(100*base+4950) * 0.5, First: float64(base) * 0.5, Last: float64(base+99) * 0.5}); m.Stats == nil || *m.Stats != want {
+			t.Fatalf("chunk %d stats %+v, want %+v", i, m.Stats, want)
+		}
+		if ct, _, err := r.ReadBlockUpTo(m, b, base+50); err != nil || len(ct) != 51 {
+			t.Fatalf("chunk %d cut at %d: %d records, %v", i, base+50, len(ct), err)
+		}
 	}
-	ts, vs, err := r.ReadChunk(idx[0])
+	// The v2 CRC covers the name header: renaming a chunk's sensor
+	// in place fails every read of it.
+	bad := append([]byte(nil), raw...)
+	bad[idx[1].Offset+1] = 't'
+	rb, err := Open(writeFile(t, bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range times {
-		if ts[i] != times[i] || vs[i] != values[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
+	defer rb.Close()
+	m := rb.Index()[1]
+	if _, _, err := rb.ReadBlockUpTo(m, m.Blocks[0], m.MaxTime); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("renamed chunk: ReadBlockUpTo = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := rb.ReadChunk(m); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("renamed chunk: ReadChunk = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -165,49 +217,21 @@ func TestAppendEncodedRejectsOutOfOrderSensorChunks(t *testing.T) {
 	}
 }
 
-// corruptIndexEntry rewrites the first index entry of a freshly
-// written single-chunk v2 file via mutate and returns the path.
+// corruptIndexEntry cuts the golden v2 file down to its first chunk,
+// rewrites that chunk's index entry via mutate and returns the path.
 func corruptIndexEntry(t *testing.T, mutate func(m *ChunkMeta)) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "c.gtsf")
-	w, err := Create(path)
+	raw := goldenV2(t)
+	r, err := Open(writeFile(t, raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteChunk("s", []int64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	metas := w.Index()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftr := len(raw) - int(tailLen)
-	indexOff := int64(binary.LittleEndian.Uint64(raw[ftr : ftr+8]))
-	m := metas[0]
-	m.Offset = int64(len(magicHead))
+	m := r.Index()[0]
+	r.Close()
+	dataEnd := m.Offset + m.Size
 	mutate(&m)
-	idx := binary.AppendUvarint(nil, 1)
-	idx = binary.AppendUvarint(idx, uint64(len(m.Sensor)))
-	idx = append(idx, m.Sensor...)
-	idx = binary.AppendUvarint(idx, uint64(m.Offset))
-	idx = binary.AppendUvarint(idx, uint64(m.Count))
-	idx = binary.AppendVarint(idx, m.MinTime)
-	idx = binary.AppendVarint(idx, m.MaxTime)
-	idx = append(idx, 0) // no stats
-	out := append([]byte(nil), raw[:indexOff]...)
-	out = append(out, idx...)
-	var foot [8]byte
-	binary.LittleEndian.PutUint64(foot[:], uint64(indexOff))
-	out = append(out, foot[:]...)
-	out = append(out, magicTailV2...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	idx := appendEntry(binary.AppendUvarint(nil, 1), m)
+	return writeFile(t, withIndex(raw, dataEnd, idx, magicTailV2))
 }
 
 func TestLoadIndexRejectsHostileEntries(t *testing.T) {
@@ -233,52 +257,29 @@ func TestLoadIndexRejectsHostileEntries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean rewrite rejected: %v", err)
 	}
-	r.Close()
+	defer r.Close()
+	if ts, _, err := r.ReadChunk(r.Index()[0]); err != nil || len(ts) != 100 {
+		t.Fatalf("clean rewrite: ReadChunk = %d points, %v", len(ts), err)
+	}
 }
 
 func TestLoadIndexRejectsOutOfOrderSensorChunks(t *testing.T) {
-	// Build a file whose index lists a sensor's chunks out of time
-	// order — QuerySensor's concatenation would be unsorted.
-	path := filepath.Join(t.TempDir(), "o.gtsf")
-	w, err := Create(path)
+	// An index whose offsets ascend but which lists a sensor's chunks
+	// out of time order: the engine's merge would see unsorted points.
+	raw := goldenV2(t)
+	r, err := Open(writeFile(t, raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteChunk("s", []int64{1, 2}, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChunk("s", []int64{10, 20}, []float64{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	metas := w.Index()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftr := len(raw) - int(tailLen)
-	indexOff := int64(binary.LittleEndian.Uint64(raw[ftr : ftr+8]))
+	metas := r.Index()
+	r.Close()
+	first, second := metas[0], metas[1]
+	first.Count, first.MinTime, first.MaxTime = metas[1].Count, metas[1].MinTime, metas[1].MaxTime
+	second.Count, second.MinTime, second.MaxTime = metas[0].Count, metas[0].MinTime, metas[0].MaxTime
 	idx := binary.AppendUvarint(nil, 2)
-	for _, m := range []ChunkMeta{metas[1], metas[0]} { // swapped
-		idx = binary.AppendUvarint(idx, uint64(len(m.Sensor)))
-		idx = append(idx, m.Sensor...)
-		idx = binary.AppendUvarint(idx, uint64(m.Offset))
-		idx = binary.AppendUvarint(idx, uint64(m.Count))
-		idx = binary.AppendVarint(idx, m.MinTime)
-		idx = binary.AppendVarint(idx, m.MaxTime)
-		idx = append(idx, 0)
-	}
-	out := append([]byte(nil), raw[:indexOff]...)
-	out = append(out, idx...)
-	var foot [8]byte
-	binary.LittleEndian.PutUint64(foot[:], uint64(indexOff))
-	out = append(out, foot[:]...)
-	out = append(out, magicTailV2...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	idx = appendEntry(idx, first)
+	idx = appendEntry(idx, second)
+	path := writeFile(t, withIndex(raw, metas[2].Offset, idx, magicTailV2))
 	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-order index accepted: %v", err)
 	}

@@ -10,34 +10,33 @@
 //	magic "GTSF0001"
 //	chunk*   — per (sensor) chunk:
 //	             uvarint nameLen, name bytes
-//	             v1/v2 body: TS2Diff-encoded timestamps (encoding
-//	               package), Gorilla-encoded float64 values, uint32
-//	               CRC-32 (IEEE) of the chunk payload
-//	             v3 body: block*, where each block is an independently
-//	               decodable [TS2Diff timestamps | Gorilla values |
-//	               uint32 CRC-32 of the block] unit covering a bounded
-//	               point range
+//	             block*, where each block is an independently decodable
+//	               [TS2Diff timestamps | Gorilla values | uint32 CRC-32
+//	               (IEEE) of the block] unit covering a bounded point
+//	               range — IoTDB's page, the TSM block
 //	index    — uvarint entryCount, then per chunk:
 //	             uvarint nameLen, name, uvarint offset, uvarint count,
 //	             varint minTime, varint maxTime,
-//	             byte flags, [5 × float64 value statistics when flags&1]
-//	             v3 only: uvarint blockCount, then per block:
+//	             byte flags, [5 × float64 value statistics when flags&1],
+//	             uvarint blockCount, then per block:
 //	               uvarint offsetDelta (from the chunk offset),
 //	               uvarint size, uvarint count, varint minTime,
 //	               varint maxTime, byte flags, [5 × float64 statistics
 //	               when flags&1]
 //	footer   — 8-byte little-endian index offset, magic "GTSFEND3"
 //
-// The footer magic doubles as the index format version: files ending
-// in "GTSFEND1" carry the original statistics-free index (entries stop
-// after maxTime), files ending in "GTSFEND2" carry per-chunk value
-// statistics but no block index, and both remain fully readable. The
-// v3 block index is what lets narrow-range reads seek to just the
+// The block index is what lets narrow-range reads seek to just the
 // blocks overlapping their time window instead of decoding whole
 // chunks, and per-block statistics extend aggregation pushdown from
-// chunk granularity to block granularity. A Writer emits the v3
-// layout when BlockPoints > 0 and the exact legacy v2 bytes
-// otherwise, so the paper-reproduction write path is unchanged.
+// chunk granularity to block granularity.
+//
+// The footer magic doubles as the index format version. Files ending
+// in "GTSFEND2", written before the block index existed, stay readable:
+// each of their chunks is one unit [name header | timestamps | values |
+// CRC-32 of all three] with no block entries, and Open presents it as a
+// chunk of one block whose CRC starts at the chunk offset. Every chunk
+// a Reader returns therefore has at least one block. The engine
+// rewrites such files to v3 on its next compaction.
 //
 // Sorted regular timestamps compress to ~1–2 bytes each under TS2Diff
 // (IoTDB's TS_2DIFF family) and slowly varying values to a few bits
@@ -61,14 +60,20 @@ import (
 
 const (
 	magicHead   = "GTSF0001"
-	magicTailV1 = "GTSFEND1" // statistics-free index entries
-	magicTailV2 = "GTSFEND2" // entries carry a flags byte + value statistics
-	magicTailV3 = "GTSFEND3" // entries additionally carry a per-block index
+	magicTailV2 = "GTSFEND2" // legacy: single-unit chunks, no block index
+	magicTailV3 = "GTSFEND3" // blocked chunks with a per-block index
 )
 
 // tailLen is the footer size: 8-byte index offset + 8-byte magic,
 // identical across index versions.
-const tailLen = int64(8 + len(magicTailV1))
+const tailLen = int64(8 + len(magicTailV3))
+
+// DefaultBlockPoints is the target points per block when
+// Writer.BlockPoints (or EncodeChunkBlocks' blockPoints) is <= 0. Small
+// enough that a narrow-range query decodes a fraction of a big chunk,
+// large enough that the per-block CRC + index entry stays under ~1%
+// overhead.
+const DefaultBlockPoints = 4096
 
 // ErrCorrupt is wrapped by every integrity failure the reader detects.
 var ErrCorrupt = errors.New("tsfile: corrupt file")
@@ -80,7 +85,7 @@ var ErrCorrupt = errors.New("tsfile: corrupt file")
 // rather than at flush, where it would fail every later flush.
 const MaxSensorName = 120
 
-// ValueStats summarizes a value column, written into the v2+ index at
+// ValueStats summarizes a value column, written into the index at
 // flush/compaction time so windowed aggregations can answer from
 // metadata without decoding (count lives in ChunkMeta.Count /
 // BlockMeta.Count). First and Last are the values at the earliest and
@@ -93,8 +98,8 @@ type ValueStats struct {
 	Last  float64
 }
 
-// BlockMeta describes one block of a v3 chunk: an independently
-// CRC'd, independently decodable run of the chunk's points covering
+// BlockMeta describes one block of a chunk: an independently CRC'd,
+// independently decodable run of the chunk's points covering
 // [MinTime, MaxTime]. Offset is absolute in the file; Size includes
 // the block's trailing CRC. Stats is nil when the block contains
 // duplicate timestamps (statistics over the raw points would disagree
@@ -109,12 +114,10 @@ type BlockMeta struct {
 }
 
 // ChunkMeta describes one chunk in a file's index. Stats is nil when
-// the chunk carries no value statistics: v1 files and chunks
-// containing duplicate timestamps. Size is the chunk's byte extent in
-// the file (derived from the neighboring index entries at load time,
-// not stored). Blocks is non-nil exactly for the chunks of v3 files,
-// which are all blocked, in nondecreasing time order; their point
-// counts sum to Count.
+// the chunk contains duplicate timestamps. Size is the chunk's byte
+// extent in the file (derived from the neighboring index entries at
+// load time, not stored). Blocks holds at least one block, in
+// nondecreasing time order; their point counts sum to Count.
 type ChunkMeta struct {
 	Sensor  string
 	Offset  int64
@@ -136,11 +139,8 @@ type Writer struct {
 	lastMax map[string]int64 // per-sensor max time of the last appended chunk
 	closed  bool
 	cur     *streamChunk // in-progress BeginChunk/AppendBlock chunk
-	// BlockPoints, when > 0, selects the v3 blocked layout: plain
-	// chunks are split into independently encoded and CRC'd blocks of
-	// at most ~BlockPoints points each, and the index carries per-block
-	// entries. Zero or negative keeps the exact legacy v2 layout. Set
-	// it before the first write and do not change it afterwards.
+	// BlockPoints is the target points per block WriteChunk splits a
+	// chunk into; <= 0 means DefaultBlockPoints.
 	BlockPoints int
 	// SyncOnClose forces an fsync in Close. The storage engine leaves
 	// it off unless a WAL sync policy is active — like IoTDB's default
@@ -173,8 +173,8 @@ func CreateFS(fs faultfs.FS, path string) (*Writer, error) {
 
 // WriteChunk appends one chunk. times must be nondecreasing — the
 // invariant sorting establishes before flush — and len(times) must
-// equal len(values) and be > 0. Under BlockPoints > 0 the chunk is
-// split into blocks transparently.
+// equal len(values) and be > 0. The chunk is split into blocks of
+// ~BlockPoints points.
 func (w *Writer) WriteChunk(sensor string, times []int64, values []float64) error {
 	enc, err := EncodeChunkBlocks(sensor, times, values, w.BlockPoints)
 	if err != nil {
@@ -184,48 +184,23 @@ func (w *Writer) WriteChunk(sensor string, times []int64, values []float64) erro
 }
 
 // EncodedChunk is a chunk encoded away from the Writer — validation,
-// column encoding and the CRC all happen here, so several chunks can
+// column encoding and the CRCs all happen here, so several chunks can
 // be prepared concurrently on different goroutines and then appended
-// to the file sequentially in a chosen order. Meta.Offset (and the
-// block offsets, for blocked chunks) are filled in by AppendEncoded.
+// to the file sequentially in a chosen order. Meta.Offset and the
+// block offsets are filled in by AppendEncoded.
 type EncodedChunk struct {
 	Meta    ChunkMeta
 	payload []byte
-	crc     uint32 // unblocked chunks only; blocked payloads carry per-block CRCs
-	blocked bool
-}
-
-// EncodeChunk validates and encodes one chunk in the legacy
-// single-unit layout, without touching any Writer. It is safe to call
-// from multiple goroutines.
-func EncodeChunk(sensor string, times []int64, values []float64) (*EncodedChunk, error) {
-	dup, err := validateChunk(sensor, times, values)
-	if err != nil {
-		return nil, err
-	}
-	payload := encodeChunk(sensor, times, values)
-	return &EncodedChunk{
-		Meta: ChunkMeta{
-			Sensor:  sensor,
-			Size:    int64(len(payload)) + 4,
-			Count:   len(times),
-			MinTime: times[0],
-			MaxTime: times[len(times)-1],
-			Stats:   computeStats(values, dup),
-		},
-		payload: payload,
-		crc:     crc32.ChecksumIEEE(payload),
-	}, nil
 }
 
 // EncodeChunkBlocks validates and encodes one chunk, splitting it into
 // independently decodable blocks of at most ~blockPoints points each
 // (a block never splits a run of equal timestamps, so it may run a few
-// points long). blockPoints <= 0 falls back to the legacy single-unit
-// encoding. Safe to call from multiple goroutines.
+// points long). blockPoints <= 0 means DefaultBlockPoints. Safe to
+// call from multiple goroutines.
 func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoints int) (*EncodedChunk, error) {
 	if blockPoints <= 0 {
-		return EncodeChunk(sensor, times, values)
+		blockPoints = DefaultBlockPoints
 	}
 	dup, err := validateChunk(sensor, times, values)
 	if err != nil {
@@ -280,7 +255,6 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 			Blocks:  blocks,
 		},
 		payload: payload,
-		blocked: true,
 	}, nil
 }
 
@@ -327,10 +301,9 @@ func computeStats(values []float64, hasDupTimes bool) *ValueStats {
 	return s
 }
 
-// AppendEncoded appends a chunk prepared by EncodeChunk or
-// EncodeChunkBlocks. Like the rest of Writer it is not safe for
-// concurrent use — parallel encoders must funnel their results through
-// one appender.
+// AppendEncoded appends a chunk prepared by EncodeChunkBlocks. Like
+// the rest of Writer it is not safe for concurrent use — parallel
+// encoders must funnel their results through one appender.
 func (w *Writer) AppendEncoded(enc *EncodedChunk) error {
 	if w.closed {
 		return errors.New("tsfile: write after Close")
@@ -338,44 +311,29 @@ func (w *Writer) AppendEncoded(enc *EncodedChunk) error {
 	if w.cur != nil {
 		return errors.New("tsfile: AppendEncoded during an open streaming chunk")
 	}
-	if enc.blocked != (w.BlockPoints > 0) {
-		return fmt.Errorf("tsfile: chunk layout (blocked=%v) does not match the writer's (BlockPoints %d)",
-			enc.blocked, w.BlockPoints)
-	}
 	meta := enc.Meta
-	// Same-sensor chunks must land in nondecreasing time order:
-	// QuerySensor and the engine's streaming merge return their
-	// concatenation as "sorted" without re-checking.
+	// Same-sensor chunks must land in nondecreasing time order: the
+	// engine's streaming merge returns their concatenation as "sorted"
+	// without re-checking.
 	if last, ok := w.lastMax[meta.Sensor]; ok && meta.MinTime < last {
 		return fmt.Errorf("tsfile: chunk for %q out of time order: min %d after previous max %d",
 			meta.Sensor, meta.MinTime, last)
 	}
 	w.lastMax[meta.Sensor] = meta.MaxTime
 	meta.Offset = w.off
-	if enc.blocked {
-		// Rebase the block offsets (relative to the payload start) to
-		// absolute file offsets, on a copy — the EncodedChunk may be
-		// retained by its producer.
-		blocks := make([]BlockMeta, len(meta.Blocks))
-		copy(blocks, meta.Blocks)
-		for i := range blocks {
-			blocks[i].Offset += w.off
-		}
-		meta.Blocks = blocks
+	// Rebase the block offsets (relative to the payload start) to
+	// absolute file offsets, on a copy — the EncodedChunk may be
+	// retained by its producer.
+	blocks := make([]BlockMeta, len(meta.Blocks))
+	copy(blocks, meta.Blocks)
+	for i := range blocks {
+		blocks[i].Offset += w.off
 	}
+	meta.Blocks = blocks
 	if _, err := w.w.Write(enc.payload); err != nil {
 		return err
 	}
 	w.off += int64(len(enc.payload))
-	if !enc.blocked {
-		var crcBuf [4]byte
-		binary.LittleEndian.PutUint32(crcBuf[:], enc.crc)
-		if _, err := w.w.Write(crcBuf[:]); err != nil {
-			return err
-		}
-		w.off += 4
-	}
-	meta.Size = w.off - meta.Offset
 	w.index = append(w.index, meta)
 	return nil
 }
@@ -393,14 +351,11 @@ type streamChunk struct {
 // BeginChunk starts a streaming chunk for sensor: blocks are appended
 // one at a time with AppendBlock and the index entry is completed by
 // EndChunk, so a compaction can write an arbitrarily large chunk while
-// holding only one block of points in memory. Requires the v3 layout
-// (BlockPoints > 0).
+// holding only one block of points in memory. The caller sizes the
+// blocks; BlockPoints does not apply.
 func (w *Writer) BeginChunk(sensor string) error {
 	if w.closed {
 		return errors.New("tsfile: write after Close")
-	}
-	if w.BlockPoints <= 0 {
-		return errors.New("tsfile: BeginChunk requires the v3 blocked layout (BlockPoints > 0)")
 	}
 	if w.cur != nil {
 		return fmt.Errorf("tsfile: BeginChunk(%q) with chunk for %q still open", sensor, w.cur.sensor)
@@ -509,15 +464,6 @@ func (w *Writer) EndChunk() error {
 	return nil
 }
 
-func encodeChunk(sensor string, times []int64, values []float64) []byte {
-	buf := make([]byte, 0, len(sensor)+16+len(times)*3+len(values)*8)
-	buf = binary.AppendUvarint(buf, uint64(len(sensor)))
-	buf = append(buf, sensor...)
-	buf = encoding.AppendTS2Diff(buf, times)
-	buf = encoding.AppendGorilla(buf, values)
-	return buf
-}
-
 // appendStatsEntry serializes the flags byte + optional statistics.
 func appendStatsEntry(idx []byte, s *ValueStats) []byte {
 	if s == nil {
@@ -539,7 +485,6 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("tsfile: Close with streaming chunk for %q still open", w.cur.sensor)
 	}
 	w.closed = true
-	v3 := w.BlockPoints > 0
 	indexOff := w.off
 	idx := make([]byte, 0, 64*len(w.index))
 	idx = binary.AppendUvarint(idx, uint64(len(w.index)))
@@ -551,16 +496,14 @@ func (w *Writer) Close() error {
 		idx = binary.AppendVarint(idx, m.MinTime)
 		idx = binary.AppendVarint(idx, m.MaxTime)
 		idx = appendStatsEntry(idx, m.Stats)
-		if v3 {
-			idx = binary.AppendUvarint(idx, uint64(len(m.Blocks)))
-			for _, b := range m.Blocks {
-				idx = binary.AppendUvarint(idx, uint64(b.Offset-m.Offset))
-				idx = binary.AppendUvarint(idx, uint64(b.Size))
-				idx = binary.AppendUvarint(idx, uint64(b.Count))
-				idx = binary.AppendVarint(idx, b.MinTime)
-				idx = binary.AppendVarint(idx, b.MaxTime)
-				idx = appendStatsEntry(idx, b.Stats)
-			}
+		idx = binary.AppendUvarint(idx, uint64(len(m.Blocks)))
+		for _, b := range m.Blocks {
+			idx = binary.AppendUvarint(idx, uint64(b.Offset-m.Offset))
+			idx = binary.AppendUvarint(idx, uint64(b.Size))
+			idx = binary.AppendUvarint(idx, uint64(b.Count))
+			idx = binary.AppendVarint(idx, b.MinTime)
+			idx = binary.AppendVarint(idx, b.MaxTime)
+			idx = appendStatsEntry(idx, b.Stats)
 		}
 	}
 	if _, err := w.w.Write(idx); err != nil {
@@ -571,11 +514,7 @@ func (w *Writer) Close() error {
 	if _, err := w.w.Write(foot[:]); err != nil {
 		return err
 	}
-	tail := magicTailV2
-	if v3 {
-		tail = magicTailV3
-	}
-	if _, err := w.w.WriteString(tail); err != nil {
+	if _, err := w.w.WriteString(magicTailV3); err != nil {
 		return err
 	}
 	if err := w.w.Flush(); err != nil {
@@ -597,12 +536,12 @@ func (w *Writer) Index() []ChunkMeta {
 	return out
 }
 
-// Reader reads a tsfile. It is safe for concurrent ReadChunk calls.
+// Reader reads a tsfile. It is safe for concurrent ReadChunk and
+// ReadBlockUpTo calls.
 type Reader struct {
 	f       *os.File
 	index   []ChunkMeta
-	dataEnd int64 // index offset: first byte past the chunk region
-	version int   // index format version: 1, 2 or 3
+	version int // index format version: 2 or 3
 }
 
 // Open opens a tsfile and loads its index.
@@ -619,7 +558,7 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// Version reports the file's index format version (1, 2 or 3).
+// Version reports the file's index format version (2 or 3).
 func (r *Reader) Version() int { return r.version }
 
 // readStatsEntry parses a flags byte + optional statistics.
@@ -664,8 +603,6 @@ func (r *Reader) loadIndex() error {
 		return err
 	}
 	switch string(tail[8:]) {
-	case magicTailV1:
-		r.version = 1
 	case magicTailV2:
 		r.version = 2
 	case magicTailV3:
@@ -677,7 +614,6 @@ func (r *Reader) loadIndex() error {
 	if indexOff < int64(len(magicHead)) || indexOff >= st.Size()-tailLen {
 		return fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, indexOff)
 	}
-	r.dataEnd = indexOff
 	idx := make([]byte, st.Size()-tailLen-indexOff)
 	if _, err := r.f.ReadAt(idx, indexOff); err != nil {
 		return err
@@ -744,19 +680,17 @@ func (r *Reader) loadIndex() error {
 			return fmt.Errorf("%w: index entry %d: min time %d > max time %d",
 				ErrCorrupt, i, m.MinTime, m.MaxTime)
 		}
-		// QuerySensor and the engine's streaming merge rely on a
-		// sensor's chunks being indexed in nondecreasing time order.
+		// The engine's streaming merge relies on a sensor's chunks being
+		// indexed in nondecreasing time order.
 		if last, ok := lastMax[m.Sensor]; ok && m.MinTime < last {
 			return fmt.Errorf("%w: index entry %d: chunks for %q out of time order (%d after %d)",
 				ErrCorrupt, i, m.Sensor, m.MinTime, last)
 		}
 		lastMax[m.Sensor] = m.MaxTime
-		if r.version >= 2 {
-			if m.Stats, err = readStatsEntry(br); err != nil {
-				return fmt.Errorf("%w: index entry %d stats: %v", ErrCorrupt, i, err)
-			}
+		if m.Stats, err = readStatsEntry(br); err != nil {
+			return fmt.Errorf("%w: index entry %d stats: %v", ErrCorrupt, i, err)
 		}
-		if r.version >= 3 {
+		if r.version == 3 {
 			if err := r.loadBlockIndex(br, &m, i, indexOff); err != nil {
 				return err
 			}
@@ -766,17 +700,43 @@ func (r *Reader) loadIndex() error {
 	// Offsets ascend, so each chunk's extent ends where the next chunk
 	// (or the index) starts.
 	for i := range r.index {
+		m := &r.index[i]
 		end := indexOff
 		if i+1 < len(r.index) {
 			end = r.index[i+1].Offset
 		}
-		r.index[i].Size = end - r.index[i].Offset
-		if bs := r.index[i].Blocks; len(bs) > 0 {
-			if last := &bs[len(bs)-1]; last.Offset+last.Size > end {
-				return fmt.Errorf("%w: index entry %d: block region past chunk end %d", ErrCorrupt, i, end)
+		m.Size = end - m.Offset
+		if r.version == 2 {
+			if err := legacyBlock(m, i); err != nil {
+				return err
 			}
 		}
+		if last := &m.Blocks[len(m.Blocks)-1]; last.Offset+last.Size > end {
+			return fmt.Errorf("%w: index entry %d: block region past chunk end %d", ErrCorrupt, i, end)
+		}
 	}
+	return nil
+}
+
+// legacyBlock presents a v2 chunk — one unit of timestamps, values and
+// a CRC after the name header — as a chunk of one block spanning the
+// rest of its extent. The name header's length follows from the
+// indexed name.
+func legacyBlock(m *ChunkMeta, i int) error {
+	var hdr [binary.MaxVarintLen64]byte
+	hdrLen := int64(binary.PutUvarint(hdr[:], uint64(len(m.Sensor))) + len(m.Sensor))
+	size := m.Size - hdrLen
+	if size < 5 || uint64(m.Count) > 8*uint64(size) {
+		return fmt.Errorf("%w: index entry %d: %d points in a %d-byte chunk", ErrCorrupt, i, m.Count, m.Size)
+	}
+	m.Blocks = []BlockMeta{{
+		Offset:  m.Offset + hdrLen,
+		Size:    size,
+		Count:   m.Count,
+		MinTime: m.MinTime,
+		MaxTime: m.MaxTime,
+		Stats:   m.Stats,
+	}}
 	return nil
 }
 
@@ -861,7 +821,7 @@ func (r *Reader) Index() []ChunkMeta {
 	return out
 }
 
-// ReadBlock decodes one block of a v3 chunk, verifying its CRC. The
+// ReadBlock decodes one block of a chunk, verifying its CRC. The
 // block's extent was validated against the file layout at Open, so a
 // read never leaves the chunk region.
 func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, error) {
@@ -874,8 +834,13 @@ func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, err
 // touches; this keeps it from paying for the part of the block past
 // its range. The whole block is still read and CRC-checked.
 func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64, []float64, error) {
-	buf := make([]byte, b.Size)
-	if _, err := r.f.ReadAt(buf, b.Offset); err != nil {
+	// A v2 chunk's CRC also covers its name header.
+	start := b.Offset
+	if r.version == 2 {
+		start = meta.Offset
+	}
+	buf := make([]byte, b.Offset+b.Size-start)
+	if _, err := r.f.ReadAt(buf, start); err != nil {
 		return nil, nil, fmt.Errorf("%w: block read: %v", ErrCorrupt, err)
 	}
 	payload := buf[:len(buf)-4]
@@ -883,6 +848,7 @@ func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, nil, fmt.Errorf("%w: block crc mismatch: %08x != %08x", ErrCorrupt, got, want)
 	}
+	payload = payload[b.Offset-start:]
 	times, consumed, err := encoding.DecodeTS2Diff(payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: block timestamps: %v", ErrCorrupt, err)
@@ -902,8 +868,8 @@ func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64
 	return times, values, nil
 }
 
-// verifyChunkName checks the name header at the start of a blocked
-// chunk against its index entry.
+// verifyChunkName checks the name header at the start of a chunk
+// against its index entry.
 func (r *Reader) verifyChunkName(meta ChunkMeta) error {
 	hdrLen := meta.Blocks[0].Offset - meta.Offset
 	if hdrLen <= 0 || hdrLen > int64(MaxSensorName+10) {
@@ -928,121 +894,23 @@ func (r *Reader) verifyChunkName(meta ChunkMeta) error {
 	return nil
 }
 
-// ReadChunk decodes the chunk at meta, verifying its CRC (per block,
-// for v3 blocked chunks).
+// ReadChunk decodes the whole chunk at meta, verifying its name header
+// and every block's CRC.
 func (r *Reader) ReadChunk(meta ChunkMeta) ([]int64, []float64, error) {
-	if len(meta.Blocks) > 0 {
-		if err := r.verifyChunkName(meta); err != nil {
-			return nil, nil, err
-		}
-		times := make([]int64, 0, meta.Count)
-		values := make([]float64, 0, meta.Count)
-		for _, b := range meta.Blocks {
-			ts, vs, err := r.ReadBlock(meta, b)
-			if err != nil {
-				return nil, nil, err
-			}
-			times = append(times, ts...)
-			values = append(values, vs...)
-		}
-		return times, values, nil
-	}
-	// Upper-bound the payload size: name + worst-case TS2Diff varints
-	// (10 B/value) + worst-case Gorilla (~10 B/value: 2 control bits +
-	// 11 window bits + 64 payload bits) + headers + crc. Never read past
-	// the chunk region — the index's Count is untrusted input.
-	maxLen := 10 + len(meta.Sensor) + meta.Count*21 + 64
-	if region := r.dataEnd - meta.Offset; maxLen < 0 || int64(maxLen) > region {
-		if region < 0 {
-			return nil, nil, fmt.Errorf("%w: chunk offset %d past data end %d", ErrCorrupt, meta.Offset, r.dataEnd)
-		}
-		maxLen = int(region)
-	}
-	buf := make([]byte, maxLen)
-	n, err := r.f.ReadAt(buf, meta.Offset)
-	if err != nil && err != io.EOF {
+	if err := r.verifyChunkName(meta); err != nil {
 		return nil, nil, err
 	}
-	buf = buf[:n]
-	br := &sliceReader{b: buf}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: chunk name len: %v", ErrCorrupt, err)
-	}
-	name, err := br.take(int(nameLen))
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: chunk name: %v", ErrCorrupt, err)
-	}
-	if string(name) != meta.Sensor {
-		return nil, nil, fmt.Errorf("%w: chunk sensor %q, index says %q", ErrCorrupt, name, meta.Sensor)
-	}
-	times, consumed, err := encoding.DecodeTS2Diff(buf[br.pos:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: timestamps: %v", ErrCorrupt, err)
-	}
-	br.pos += consumed
-	if len(times) != meta.Count {
-		return nil, nil, fmt.Errorf("%w: chunk count %d, index says %d", ErrCorrupt, len(times), meta.Count)
-	}
-	values, consumed, err := encoding.DecodeGorilla(buf[br.pos:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: values: %v", ErrCorrupt, err)
-	}
-	br.pos += consumed
-	if len(values) != meta.Count {
-		return nil, nil, fmt.Errorf("%w: value count %d, index says %d", ErrCorrupt, len(values), meta.Count)
-	}
-	payloadLen := br.pos
-	crcBytes, err := br.take(4)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: crc: %v", ErrCorrupt, err)
-	}
-	want := binary.LittleEndian.Uint32(crcBytes)
-	if got := crc32.ChecksumIEEE(buf[:payloadLen]); got != want {
-		return nil, nil, fmt.Errorf("%w: chunk crc mismatch: %08x != %08x", ErrCorrupt, got, want)
-	}
-	return times, values, nil
-}
-
-// QuerySensor returns all (time, value) records of sensor within
-// [minT, maxT], merged across the file's chunks in time order. Chunks
-// — and, in v3 files, individual blocks — whose time bounds do not
-// intersect the range are pruned without touching the disk.
-func (r *Reader) QuerySensor(sensor string, minT, maxT int64) ([]int64, []float64, error) {
-	var outT []int64
-	var outV []float64
-	appendRange := func(ts []int64, vs []float64) {
-		for i, t := range ts {
-			if t >= minT && t <= maxT {
-				outT = append(outT, t)
-				outV = append(outV, vs[i])
-			}
-		}
-	}
-	for _, m := range r.index {
-		if m.Sensor != sensor || m.MaxTime < minT || m.MinTime > maxT {
-			continue
-		}
-		if len(m.Blocks) > 0 {
-			for _, b := range m.Blocks {
-				if b.MaxTime < minT || b.MinTime > maxT {
-					continue
-				}
-				ts, vs, err := r.ReadBlockUpTo(m, b, maxT)
-				if err != nil {
-					return nil, nil, err
-				}
-				appendRange(ts, vs)
-			}
-			continue
-		}
-		ts, vs, err := r.ReadChunk(m)
+	times := make([]int64, 0, meta.Count)
+	values := make([]float64, 0, meta.Count)
+	for _, b := range meta.Blocks {
+		ts, vs, err := r.ReadBlock(meta, b)
 		if err != nil {
 			return nil, nil, err
 		}
-		appendRange(ts, vs)
+		times = append(times, ts...)
+		values = append(values, vs...)
 	}
-	return outT, outV, nil
+	return times, values, nil
 }
 
 // Close closes the underlying file.

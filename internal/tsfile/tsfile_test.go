@@ -2,10 +2,12 @@ package tsfile
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -150,54 +152,6 @@ func TestWriteAfterClose(t *testing.T) {
 	}
 }
 
-func TestQuerySensorPruningAndFilter(t *testing.T) {
-	path := tmpPath(t)
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two chunks for sensor a with disjoint time ranges, one for b.
-	if err := w.WriteChunk("a", []int64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChunk("a", []int64{10, 20, 30}, []float64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChunk("b", []int64{2, 4}, []float64{-2, -4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	ts, vs, err := r.QuerySensor("a", 2, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 3 || ts[0] != 2 || ts[1] != 3 || ts[2] != 10 || vs[2] != 10 {
-		t.Fatalf("QuerySensor = %v %v", ts, vs)
-	}
-	ts, _, err = r.QuerySensor("b", 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 2 {
-		t.Fatalf("sensor b results: %v", ts)
-	}
-	ts, _, err = r.QuerySensor("nope", 0, 100)
-	if err != nil || len(ts) != 0 {
-		t.Fatalf("unknown sensor should be empty, got %v %v", ts, err)
-	}
-	ts, _, err = r.QuerySensor("a", 1000, 2000)
-	if err != nil || len(ts) != 0 {
-		t.Fatalf("out-of-range query should be empty, got %v %v", ts, err)
-	}
-}
-
 func TestCorruptionDetected(t *testing.T) {
 	path := tmpPath(t)
 	w, err := Create(path)
@@ -315,11 +269,11 @@ func TestEncodeAppendMatchesWriteChunk(t *testing.T) {
 
 	staged := tmpPath(t)
 	// Encode out of append order — Offset is only assigned at append.
-	encB, err := EncodeChunk("b", times2, vals2)
+	encB, err := EncodeChunkBlocks("b", times2, vals2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encA, err := EncodeChunk("a", times1, vals1)
+	encA, err := EncodeChunkBlocks("a", times1, vals1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +313,88 @@ func TestEncodeAppendMatchesWriteChunk(t *testing.T) {
 }
 
 func TestEncodeChunkValidation(t *testing.T) {
-	if _, err := EncodeChunk("s", nil, nil); err == nil {
+	if _, err := EncodeChunkBlocks("s", nil, nil, 0); err == nil {
 		t.Fatal("empty chunk should fail")
 	}
-	if _, err := EncodeChunk("s", []int64{1, 2}, []float64{1}); err == nil {
+	if _, err := EncodeChunkBlocks("s", []int64{1, 2}, []float64{1}, 0); err == nil {
 		t.Fatal("mismatched lengths should fail")
 	}
-	if _, err := EncodeChunk("s", []int64{2, 1}, []float64{1, 2}); err == nil {
+	if _, err := EncodeChunkBlocks("s", []int64{2, 1}, []float64{1, 2}, 0); err == nil {
 		t.Fatal("unsorted times should fail")
+	}
+}
+
+// TestConcurrentReads: a Reader is shared by every query that touches
+// its file, so block and chunk reads must be safe from many goroutines
+// at once — on a v3 file and on a legacy v2 file alike. Run under -race.
+func TestConcurrentReads(t *testing.T) {
+	path := tmpPath(t)
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BlockPoints = 16
+	times := make([]int64, 400)
+	values := make([]float64, 400)
+	for i := range times {
+		times[i] = int64(i)
+		values[i] = float64(i) * 0.5
+	}
+	for c := 0; c < 4; c++ {
+		if err := w.WriteChunk("s", times[c*100:(c+1)*100], values[c*100:(c+1)*100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, filepath.Join("testdata", "v2.gtsf")} {
+		r, err := Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					for _, m := range r.Index() {
+						if m.Sensor != "s" {
+							continue
+						}
+						if (g+round)%2 == 0 {
+							ts, vs, err := r.ReadChunk(m)
+							if err == nil && (len(ts) != m.Count || ts[0] != m.MinTime || vs[0] != float64(ts[0])*0.5) {
+								err = fmt.Errorf("ReadChunk %+v: %d records from %d", m, len(ts), ts[0])
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+							continue
+						}
+						for _, b := range m.Blocks {
+							maxT := b.MinTime + int64(g)
+							ts, _, err := r.ReadBlockUpTo(m, b, maxT)
+							if want := min(int64(b.Count), maxT-b.MinTime+1); err == nil && int64(len(ts)) != want {
+								err = fmt.Errorf("ReadBlockUpTo(%d) %+v: %d records, want %d", maxT, b, len(ts), want)
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%s: %v", p, err)
+		}
 	}
 }

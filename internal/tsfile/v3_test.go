@@ -1,6 +1,7 @@
 package tsfile
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -29,15 +30,6 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 	if err := w.WriteChunk("s2", times[:5], values[:5]); err != nil {
 		t.Fatal(err)
-	}
-	// A v3 file is all-blocked by construction: an unblocked chunk is
-	// refused.
-	legacy, err := EncodeChunk("s3", times[:5], values[:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendEncoded(legacy); err == nil {
-		t.Fatal("v3 writer accepted an unblocked chunk")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -114,64 +106,81 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3QueryMatchesV2 writes identical data in v2 and v3 layouts and
-// requires QuerySensor to agree bit-for-bit on random ranges.
-func TestV3QueryMatchesV2(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(7))
-	const n = 1000
-	times := make([]int64, n)
-	values := make([]float64, n)
-	tick := int64(0)
-	for i := range times {
-		tick += int64(rng.Intn(3)) // duplicates and gaps
-		times[i] = tick
-		values[i] = rng.NormFloat64()
-	}
-	paths := map[string]int{"v2.gtsf": 0, "v3.gtsf": 13}
-	readers := map[string]*Reader{}
-	for name, bp := range paths {
-		p := filepath.Join(dir, name)
-		w, err := Create(p)
-		if err != nil {
-			t.Fatal(err)
+// rangeRead returns sensor's records within [lo, hi] the way the
+// engine's file source reads them: chunks and blocks whose bounds miss
+// the range are skipped, and each block is cut at hi.
+func rangeRead(t *testing.T, r *Reader, sensor string, lo, hi int64) (ts []int64, vs []float64) {
+	t.Helper()
+	for _, m := range r.Index() {
+		if m.Sensor != sensor || m.MaxTime < lo || m.MinTime > hi {
+			continue
 		}
-		w.BlockPoints = bp
-		// Two chunks per sensor to cover cross-chunk merging.
-		if err := w.WriteChunk("s", times[:n/2], values[:n/2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteChunk("s", times[n/2:], values[n/2:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		readers[name] = r
-	}
-	for q := 0; q < 200; q++ {
-		lo := int64(rng.Intn(int(tick))) - 5
-		hi := lo + int64(rng.Intn(40)) // narrow ranges exercise block pruning
-		t2, v2, err := readers["v2.gtsf"].QuerySensor("s", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t3, v3, err := readers["v3.gtsf"].QuerySensor("s", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(t2) != len(t3) {
-			t.Fatalf("[%d,%d]: v2 %d points, v3 %d", lo, hi, len(t2), len(t3))
-		}
-		for i := range t2 {
-			if t2[i] != t3[i] || v2[i] != v3[i] {
-				t.Fatalf("[%d,%d] point %d: v2 (%d,%v) v3 (%d,%v)", lo, hi, i, t2[i], v2[i], t3[i], v3[i])
+		for _, b := range m.Blocks {
+			if b.MaxTime < lo || b.MinTime > hi {
+				continue
 			}
+			bt, bv, err := r.ReadBlockUpTo(m, b, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range bt {
+				if v >= lo {
+					ts = append(ts, v)
+					vs = append(vs, bv[i])
+				}
+			}
+		}
+	}
+	return ts, vs
+}
+
+// TestV3QueryMatchesV2 rewrites the golden v2 file's chunks as small
+// v3 blocks and requires block-pruned range reads of both files to
+// agree bit-for-bit on random ranges.
+func TestV3QueryMatchesV2(t *testing.T) {
+	v2, err := Open(filepath.Join("testdata", "v2.gtsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if v2.Version() != 2 {
+		t.Fatalf("golden file is v%d, want v2", v2.Version())
+	}
+	p := filepath.Join(t.TempDir(), "v3.gtsf")
+	w, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BlockPoints = 13
+	for _, m := range v2.Index() {
+		ts, vs, err := v2.ReadChunk(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteChunk(m.Sensor, ts, vs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v3.Close()
+	rng := rand.New(rand.NewSource(7))
+	for q := 0; q < 200; q++ {
+		sensor := "s"
+		if q%10 == 0 {
+			sensor = "d"
+		}
+		lo := int64(rng.Intn(410)) - 5
+		hi := lo + int64(rng.Intn(40)) // narrow ranges exercise block pruning
+		t2, v2s := rangeRead(t, v2, sensor, lo, hi)
+		t3, v3s := rangeRead(t, v3, sensor, lo, hi)
+		if !slices.Equal(t2, t3) || !slices.Equal(v2s, v3s) {
+			t.Fatalf("%s [%d,%d]: v2 %v %v, v3 %v %v", sensor, lo, hi, t2, v2s, t3, v3s)
 		}
 	}
 }
@@ -245,10 +254,6 @@ func TestV3StreamingGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BeginChunk("s"); err == nil {
-		t.Fatal("BeginChunk accepted on a v2 writer")
-	}
-	w.BlockPoints = 4
 	if err := w.AppendBlock([]int64{1}, []float64{1}); err == nil {
 		t.Fatal("AppendBlock without BeginChunk accepted")
 	}
@@ -319,8 +324,7 @@ func TestV3BlockBoundaryDuplicates(t *testing.T) {
 }
 
 // TestV3UnblockedEntryIsCorrupt: every v3 chunk is blocked, so a v3
-// index entry with a zero block count — here a v2 entry relabelled v3
-// — fails to open with ErrCorrupt.
+// index entry with a zero block count fails to open with ErrCorrupt.
 func TestV3UnblockedEntryIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "unblocked.gtsf")
 	w, err := Create(path)
@@ -330,6 +334,7 @@ func TestV3UnblockedEntryIsCorrupt(t *testing.T) {
 	if err := w.WriteChunk("s", []int64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	m := w.Index()[0]
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,16 +342,9 @@ func TestV3UnblockedEntryIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The one entry ends the index: append its block count, 0, and
-	// swap the footer magic.
-	ftr := len(raw) - int(tailLen)
-	out := append(append([]byte(nil), raw[:ftr]...), 0)
-	out = append(out, raw[ftr:ftr+8]...)
-	out = append(out, magicTailV3...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+	idx := appendEntry(binary.AppendUvarint(nil, 1), m)
+	idx = append(idx, 0) // block count
+	if _, err := Open(writeFile(t, withIndex(raw, indexOffset(raw), idx, magicTailV3))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unblocked v3 entry: Open = %v, want ErrCorrupt", err)
 	}
 }
