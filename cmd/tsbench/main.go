@@ -92,12 +92,10 @@ func report(res bench.Result) {
 		res.PartitionsActive, res.PartitionsDropped)
 	fmt.Printf("  front end: %d pipelined conns; queue cap %d (%d workers), %d enqueued, %d rejected\n",
 		res.PipelinedConns, res.IngestQueueCap, res.IngestWorkers, res.IngestEnqueued, res.IngestRejected)
-	if len(res.PerShard) > 0 {
-		fmt.Printf("  shards: %d\n", len(res.PerShard))
-		for i, s := range res.PerShard {
-			fmt.Printf("    shard %d: points=%d (seq=%d, unseq=%d) flushes=%d files=%d memtable=%d\n",
-				i, s.SeqPoints+s.UnseqPoints, s.SeqPoints, s.UnseqPoints, s.FlushCount, s.Files, s.MemTablePoints)
-		}
+	fmt.Printf("  shards: %d\n", len(res.PerShard))
+	for i, s := range res.PerShard {
+		fmt.Printf("    shard %d: points=%d (seq=%d, unseq=%d) flushes=%d files=%d memtable=%d\n",
+			i, s.SeqPoints+s.UnseqPoints, s.SeqPoints, s.UnseqPoints, s.FlushCount, s.Files, s.MemTablePoints)
 	}
 	fmt.Printf("  total test latency: %v\n", res.TotalLatency)
 }

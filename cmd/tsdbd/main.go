@@ -1,13 +1,13 @@
 // Command tsdbd runs the storage engine as a standalone TCP server, so
 // tsbench can drive it client-server the way IoTDB-benchmark drives an
-// IoTDB server. With -shards N (or -shards 0 for one per core) the
-// server runs the storage-group layer: sensors are hash-partitioned
-// across N independent engine shards, each with its own directory, WAL
-// and memtable budget, sharing one machine-wide flush worker bound.
+// IoTDB server. The server always runs the storage-group layer:
+// sensors are hash-partitioned across -shards N independent engine
+// shards (default 1, 0 = one per core), each with its own directory
+// <dir>/shard-NNN/, WAL and memtable budget, sharing one machine-wide
+// flush worker bound and one label index.
 //
 //	tsdbd -addr 127.0.0.1:6668 -dir ./data -algo backward
 //	tsdbd -addr 127.0.0.1:6668 -dir ./data -shards 0   # GOMAXPROCS shards
-//	tsdbd -addr 127.0.0.1:6668 -dir ./data -labels     # router + label index at one shard
 //	tsdbd -addr 127.0.0.1:6668 -dir ./data -http :8086 # + HTTP line-protocol gateway
 //
 // With -http the server also exposes the InfluxDB-style HTTP gateway
@@ -41,7 +41,6 @@ func main() {
 	dir := flag.String("dir", "", "data directory (required)")
 	algo := flag.String("algo", "backward", "sorting algorithm")
 	memtable := flag.Int("memtable", engine.DefaultMemTableSize, "memtable flush threshold (points, per shard)")
-	arrayLen := flag.Int("arraylen", 32, "TVList array length")
 	walOn := flag.Bool("wal", false, "enable the write-ahead log")
 	walSync := flag.String("wal-sync", engine.WALSyncNone, "WAL durability policy: none, interval, or always (non-none implies -wal)")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-exchange connection deadline for reads and writes (0 = none)")
@@ -50,15 +49,10 @@ func main() {
 	ingestWorkers := flag.Int("ingest-workers", 0, "ingest worker pool size shared by both front ends (0 = GOMAXPROCS)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle longer than this, reclaiming their goroutines (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown drain deadline on SIGTERM/SIGINT")
-	shards := flag.Int("shards", 1, "engine shards: 1 = single unsharded engine (legacy flat layout), N > 1 = hash-routed shards, 0 = GOMAXPROCS shards")
-	labelsOn := flag.Bool("labels", false, "run the shard router (with its label index) even at -shards 1; required for label-series workloads against a single shard")
+	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
 	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, no planner")
 	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width in timestamp units; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/) with O(1) retention drops")
-	l0Files := flag.Int("l0-compact-files", 0, "L0 file count triggering a leveled merge per partition (0 = default)")
-	levelBase := flag.Int64("level-base-bytes", 0, "level-0 size bound in bytes; level n is bounded by base*growth^n (0 = default)")
-	levelGrowth := flag.Int("level-growth", 0, "per-level size-bound multiplier (0 = default)")
-	maxLevel := flag.Int("max-level", 0, "deepest level automatic compaction creates (0 = default)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -68,50 +62,28 @@ func main() {
 	if *walSync != engine.WALSyncNone {
 		*walOn = true // a sync policy is meaningless without the log
 	}
-	engCfg := engine.Config{
-		Dir:               *dir,
-		MemTableSize:      *memtable,
-		ArrayLen:          *arrayLen,
-		Algorithm:         *algo,
-		WAL:               *walOn,
-		WALSync:           *walSync,
-		FlushWorkers:      *flushWorkers,
-		PaperProfile:      *paperProfile,
-		PartitionDuration: *partitionDuration,
-		L0CompactFiles:    *l0Files,
-		LevelBaseBytes:    *levelBase,
-		LevelGrowth:       *levelGrowth,
-		MaxLevel:          *maxLevel,
-	}
-	// The backend is either one bare engine (-shards 1, the legacy
-	// flat directory layout) or the shard router; both implement the
-	// rpc server surface.
-	// -labels forces the router even at one shard: the label index and
-	// series catalog live a layer above the engine, in the router.
-	var backend rpc.Backend
-	var closeBackend func() error
-	shardCount := 1
-	if *shards == 1 && !*labelsOn {
-		eng, err := engine.Open(engCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsdbd: %v\n", err)
-			os.Exit(1)
-		}
-		backend, closeBackend = eng, eng.Close
-	} else {
-		router, err := shard.Open(shard.Config{Config: engCfg, ShardCount: *shards})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsdbd: %v\n", err)
-			os.Exit(1)
-		}
-		backend, closeBackend = router, router.Close
-		shardCount = router.ShardCount()
+	router, err := shard.Open(shard.Config{
+		Config: engine.Config{
+			Dir:               *dir,
+			MemTableSize:      *memtable,
+			Algorithm:         *algo,
+			WAL:               *walOn,
+			WALSync:           *walSync,
+			FlushWorkers:      *flushWorkers,
+			PaperProfile:      *paperProfile,
+			PartitionDuration: *partitionDuration,
+		},
+		ShardCount: *shards,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tsdbd: %v\n", err)
+		os.Exit(1)
 	}
 	// One bounded dispatch queue feeds both front ends: pipelined RPC
 	// connections and HTTP /write submit to the same slots, so the two
 	// saturate — and shed load — together.
 	queue := ingestq.New(*ingestQueue, *ingestWorkers)
-	srv := rpc.NewServer(backend)
+	srv := rpc.NewServer(router)
 	srv.SetTimeouts(*rpcTimeout, *rpcTimeout)
 	srv.SetIdleTimeout(*idleTimeout)
 	srv.SetIngestQueue(queue)
@@ -120,12 +92,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tsdbd: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("tsdbd listening on %s (algo=%s, memtable=%d, shards=%d, wal-sync=%s)\n", bound, *algo, *memtable, shardCount, *walSync)
+	fmt.Printf("tsdbd listening on %s (algo=%s, memtable=%d, shards=%d, wal-sync=%s)\n", bound, *algo, *memtable, router.ShardCount(), *walSync)
 
 	var gw *httpgw.Gateway
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		gw = httpgw.New(backend, queue)
+		gw = httpgw.New(router, queue)
 		httpSrv = &http.Server{Handler: gw.Handler()}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
@@ -172,7 +144,7 @@ func main() {
 	if gw != nil {
 		gw.Close()
 	}
-	if err := closeBackend(); err != nil {
+	if err := router.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "tsdbd: engine close: %v\n", err)
 		os.Exit(1)
 	}

@@ -10,9 +10,10 @@
 //	> FLUSH
 //	> COMPACT
 //
-// With -shards N (or -labels at one shard) the label data model is
-// available: series are named by label sets and queried by selector,
-// fanning out across the matching series.
+// The store is always the shard router (-shards 1 by default, data
+// under <dir>/shard-NNN/), so the label data model is available too:
+// series are named by label sets and queried by selector, fanning out
+// across the matching series.
 //
 //	tsql -dir ./data -shards 4
 //	> INSERT INTO series{host="a", metric="cpu"} VALUES (1, 0.5)
@@ -39,8 +40,7 @@ func main() {
 	algo := flag.String("algo", "backward", "sorting algorithm")
 	memtable := flag.Int("memtable", engine.DefaultMemTableSize, "memtable flush threshold (points, per shard)")
 	walOn := flag.Bool("wal", false, "enable the write-ahead log")
-	shards := flag.Int("shards", 1, "engine shards: 1 = unsharded (legacy flat layout), N > 1 = hash-routed shards, 0 = GOMAXPROCS shards; STATS then prints the per-shard breakdown")
-	labelsOn := flag.Bool("labels", false, "run the shard router (with its label index) even at -shards 1, enabling series{...} selector statements")
+	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir; STATS prints the per-shard breakdown")
 	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/)")
 	flag.Parse()
 
@@ -48,33 +48,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tsql: -dir is required")
 		os.Exit(2)
 	}
-	engCfg := engine.Config{
-		Dir:               *dir,
-		MemTableSize:      *memtable,
-		Algorithm:         *algo,
-		WAL:               *walOn,
-		PartitionDuration: *partitionDuration,
+	router, err := shard.Open(shard.Config{
+		Config: engine.Config{
+			Dir:               *dir,
+			MemTableSize:      *memtable,
+			Algorithm:         *algo,
+			WAL:               *walOn,
+			PartitionDuration: *partitionDuration,
+		},
+		ShardCount: *shards,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tsql: %v\n", err)
+		os.Exit(1)
 	}
-	// -labels forces the router even at one shard: selector statements
-	// need the label index, which lives in the router.
-	var eng tsql.Engine
-	var closeEng func() error
-	if *shards == 1 && !*labelsOn {
-		e, err := engine.Open(engCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsql: %v\n", err)
-			os.Exit(1)
-		}
-		eng, closeEng = e, e.Close
-	} else {
-		r, err := shard.Open(shard.Config{Config: engCfg, ShardCount: *shards})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsql: %v\n", err)
-			os.Exit(1)
-		}
-		eng, closeEng = r, r.Close
-	}
-	defer closeEng()
+	defer router.Close()
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
@@ -88,7 +76,7 @@ func main() {
 		case "QUIT", "EXIT":
 			return
 		}
-		res, err := tsql.Run(eng, line)
+		res, err := tsql.Run(router, line)
 		if err != nil {
 			fmt.Printf("error: %v\n> ", err)
 			continue

@@ -16,7 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/rpc"
-	"repro/internal/stream"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -26,23 +26,26 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	eng, err := engine.Open(engine.Config{Dir: dir, MemTableSize: 30000, Algorithm: "backward"})
+	store, err := shard.Open(shard.Config{
+		Config:     engine.Config{Dir: dir, MemTableSize: 30000, Algorithm: "backward"},
+		ShardCount: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer store.Close()
 
 	// 100k out-of-order points; generation interval is 1000 ticks, so
 	// a "minute" window of 60 samples is 60,000 ticks.
 	s := dataset.LogNormal(100000, 1, 2, 21)
 	for i := range s.Times {
-		if err := eng.Insert("engine.speed", s.Times[i], 60+s.Values[i]); err != nil {
+		if err := store.Insert("engine.speed", s.Times[i], 60+s.Values[i]); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	const window = 60000
-	wins, err := query.WindowQuery(eng, "engine.speed", 0, 10*window, window, query.Avg)
+	wins, err := query.WindowQuery(store, "engine.speed", 0, 10*window, window, query.Avg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func main() {
 		fmt.Printf("  [%8d, %8d): avg %.2f over %d samples\n", w.Start, w.Start+window, w.Value, w.Count)
 	}
 
-	maxWins, err := query.WindowQuery(eng, "engine.speed", 0, 5*window, window, query.Max)
+	maxWins, err := query.WindowQuery(store, "engine.speed", 0, 5*window, window, query.Max)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,29 +63,8 @@ func main() {
 		fmt.Printf("  [%8d, %8d): max %.2f\n", w.Start, w.Start+window, w.Value)
 	}
 
-	// The streaming alternative (related work §VII-B): aggregate
-	// out-of-order events on arrival with a watermark + allowed
-	// lateness instead of sorting. With lateness covering the delays
-	// it matches the sorted answer; with less it silently drops.
-	var streamed []stream.WindowResult
-	agg, err := stream.NewAggregator(window, 200000, query.Avg, func(w stream.WindowResult) {
-		streamed = append(streamed, w)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range s.Times {
-		agg.Insert(s.Times[i], 60+s.Values[i])
-	}
-	agg.Close()
-	fmt.Printf("streaming path: %d windows emitted, %d events dropped as too late\n",
-		agg.Emitted(), agg.Dropped())
-	if len(streamed) > 0 && len(wins) > 0 {
-		fmt.Printf("first window, streaming vs sorted: %.2f vs %.2f\n", streamed[0].Value, wins[0].Value)
-	}
-
 	// The same aggregation over the wire, the way a dashboard would.
-	srv := rpc.NewServer(eng)
+	srv := rpc.NewServer(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

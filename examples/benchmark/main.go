@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/rpc"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -36,13 +37,16 @@ func runOne(algo string) (bench.Result, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	eng, err := engine.Open(engine.Config{Dir: dir, MemTableSize: 50000, Algorithm: algo})
+	store, err := shard.Open(shard.Config{
+		Config:     engine.Config{Dir: dir, MemTableSize: 50000, Algorithm: algo},
+		ShardCount: 1,
+	})
 	if err != nil {
 		return bench.Result{}, err
 	}
-	defer eng.Close()
+	defer store.Close()
 
-	srv := rpc.NewServer(eng)
+	srv := rpc.NewServer(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return bench.Result{}, err

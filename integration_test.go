@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/rpc"
+	"repro/internal/shard"
 	"repro/internal/tsql"
 	"repro/internal/wal"
 )
@@ -21,14 +22,19 @@ import (
 func TestFullStackLifecycle(t *testing.T) {
 	dir := t.TempDir()
 
-	// Phase 1: ingest out-of-order data over the wire with WAL on.
-	e1, err := engine.Open(engine.Config{
-		Dir:          dir,
-		MemTableSize: 5000,
-		Algorithm:    "backward",
-		WAL:          true,
-		SyncFlush:    true,
-	})
+	// Phase 1: ingest out-of-order data over the wire with WAL on, into
+	// the one-shard router a default tsdbd serves.
+	cfg := shard.Config{
+		Config: engine.Config{
+			Dir:          dir,
+			MemTableSize: 5000,
+			Algorithm:    "backward",
+			WAL:          true,
+			SyncFlush:    true,
+		},
+		ShardCount: 1,
+	}
+	e1, err := shard.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +80,7 @@ func TestFullStackLifecycle(t *testing.T) {
 	e1.WaitFlushes()
 
 	// Phase 3: recover, compact, and interrogate through SQL.
-	e2, err := engine.Open(engine.Config{
-		Dir:          dir,
-		MemTableSize: 5000,
-		Algorithm:    "backward",
-		WAL:          true,
-		SyncFlush:    true,
-	})
+	e2, err := shard.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFullStackLifecycle(t *testing.T) {
 	if e2.FileCount() != 1 {
 		t.Fatalf("files after compaction = %d", e2.FileCount())
 	}
-	segs, _ := wal.Segments(dir)
+	segs, _ := wal.Segments(filepath.Join(dir, "shard-000"))
 	if len(segs) != 1 { // only the fresh active segment
 		t.Fatalf("unexpected WAL segments: %v", segs)
 	}
@@ -127,15 +127,16 @@ func TestFullStackLifecycle(t *testing.T) {
 }
 
 // TestBenchmarkAgainstEveryAlgorithmEndToEnd smoke-runs the benchmark
-// harness against all six paper algorithms in-process.
+// harness against all six paper algorithms in-process, each behind a
+// one-shard router.
 func TestBenchmarkAgainstEveryAlgorithmEndToEnd(t *testing.T) {
 	for _, algo := range []string{"backward", "tim", "patience", "quick", "ck", "y"} {
-		e, err := engine.Open(engine.Config{
+		e, err := shard.Open(shard.Config{ShardCount: 1, Config: engine.Config{
 			Dir:          filepath.Join(t.TempDir(), algo),
 			MemTableSize: 2000,
 			Algorithm:    algo,
 			SyncFlush:    true,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestBenchmarkAgainstEveryAlgorithmEndToEnd(t *testing.T) {
 // TestServerSurvivesHostileClients throws malformed frames at the TCP
 // server and verifies well-behaved clients keep working.
 func TestServerSurvivesHostileClients(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
+	e, err := shard.Open(shard.Config{Config: engine.Config{Dir: t.TempDir(), SyncFlush: true}, ShardCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

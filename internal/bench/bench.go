@@ -41,14 +41,15 @@ type Target interface {
 }
 
 // ShardStatser is optionally implemented by targets that can report a
-// per-shard stats breakdown (the rpc client against a sharded server).
-// A nil slice means the target is unsharded.
+// per-shard stats breakdown: the rpc client, whose server always
+// reports one block per shard. In-process targets report none.
 type ShardStatser interface {
 	ShardStats() ([]engine.Stats, error)
 }
 
-// LocalEngine is the in-process storage surface EngineTarget adapts —
-// a bare *engine.Engine or the shard router.
+// LocalEngine is the in-process storage surface EngineTarget adapts:
+// the shard router cmd/repro measures through, or an *engine.Engine in
+// package tests.
 type LocalEngine interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
@@ -57,7 +58,7 @@ type LocalEngine interface {
 	Stats() engine.Stats
 }
 
-// EngineTarget adapts a local engine (or shard router) to Target.
+// EngineTarget adapts a LocalEngine to Target.
 type EngineTarget struct{ E LocalEngine }
 
 // InsertBatch implements Target.
@@ -166,7 +167,7 @@ type Result struct {
 	// AvgFlushMillis, AvgSortMillis) and every other engine counter.
 	engine.Stats
 	// PerShard holds the per-shard stats breakdown when the target is
-	// a sharded tsdbd over rpc; empty against an unsharded target.
+	// a tsdbd over rpc; empty against an in-process target.
 	PerShard []engine.Stats
 }
 

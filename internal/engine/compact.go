@@ -155,11 +155,11 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 }
 
 // levelBound is level n's total-size bound:
-// LevelBaseBytes · LevelGrowth^n.
+// DefaultLevelBaseBytes · DefaultLevelGrowth^n (tests shrink both).
 func (e *Engine) levelBound(level int) int64 {
-	b := e.cfg.LevelBaseBytes
+	b := e.cfg.levelBaseBytes
 	for i := 0; i < level; i++ {
-		b *= int64(e.cfg.LevelGrowth)
+		b *= int64(e.cfg.levelGrowth)
 	}
 	return b
 }
@@ -257,10 +257,10 @@ func (e *Engine) retireInputs(inputs []*fileHandle) error {
 // and returns a pinned oldest-first prefix of its files as the next
 // pass's inputs (nil when nothing is due). A level triggers at its
 // size bound with at least two files present — and L0 additionally at
-// L0CompactFiles files — and the terminal level never triggers. The
-// selected prefix stops once it would exceed the level bound (after
-// the two-file minimum), so a pass never reads more than one level's
-// bound.
+// DefaultL0CompactFiles files — and the terminal level never
+// triggers. The selected prefix stops once it would exceed the level
+// bound (after the two-file minimum), so a pass never reads more than
+// one level's bound.
 func (e *Engine) pickCompaction() (inputs []*fileHandle, part int64, level int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -274,7 +274,7 @@ func (e *Engine) pickCompaction() (inputs []*fileHandle, part int64, level int) 
 	groups := map[key][]*fileHandle{}
 	var keys []key
 	for _, fh := range e.files {
-		if !fh.partitioned || fh.level >= e.cfg.MaxLevel {
+		if !fh.partitioned || fh.level >= e.cfg.maxLevel {
 			continue
 		}
 		k := key{fh.part, fh.level}
@@ -297,7 +297,7 @@ func (e *Engine) pickCompaction() (inputs []*fileHandle, part int64, level int) 
 		}
 		bound := e.levelBound(k.level)
 		due := total >= bound && len(fhs) >= 2
-		if k.level == 0 && len(fhs) >= e.cfg.L0CompactFiles {
+		if k.level == 0 && len(fhs) >= e.cfg.l0CompactFiles {
 			due = true
 		}
 		if !due {
@@ -389,9 +389,9 @@ func (e *Engine) maybeCompact() {
 // Compact folds the whole store. In the flat layout every flushed file
 // — sequence and unsequence — merges into a single sorted sequence
 // file and the originals are deleted. In the partitioned layout every
-// partition's files fold into one terminal-level (MaxLevel) file per
-// partition, and legacy flat-layout files are migrated: each one's
-// points are split at partition boundaries and folded into the
+// partition's files fold into one terminal-level (DefaultMaxLevel)
+// file per partition, and legacy flat-layout files are migrated: each
+// one's points are split at partition boundaries and folded into the
 // partitions they belong to. Either way v2 inputs come out as v3 —
 // the legacy upgrade path.
 // Newest-wins semantics for rewritten timestamps are preserved, and
@@ -525,7 +525,7 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 		e.fileSeq++
 		seq := e.fileSeq
 		e.mu.Unlock()
-		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.MaxLevel),
+		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.maxLevel),
 			fmt.Sprintf("seq-%06d.gtsf", seq))
 		err := e.writeChunkFile(path, true, func(w *tsfile.Writer) error {
 			return mergeInto(w, inputs, lo, hi)
@@ -539,7 +539,7 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 			return fail(err)
 		}
 		out := newFileHandle(path, r, false)
-		out.partitioned, out.part, out.level, out.seqNo = true, p, e.cfg.MaxLevel, seq
+		out.partitioned, out.part, out.level, out.seqNo = true, p, e.cfg.maxLevel, seq
 		outputs = append(outputs, out)
 		for _, fh := range inputs {
 			inputsUsed[fh] = true

@@ -70,7 +70,10 @@ const DefaultMemTableSize = 100000
 // and compacted chunk.
 const DefaultBlockPoints = tsfile.DefaultBlockPoints
 
-// Leveled-compaction defaults (Config.L0CompactFiles and friends).
+// Leveled-compaction bounds: a partition's L0 merges at
+// DefaultL0CompactFiles files, level n is bounded by
+// DefaultLevelBaseBytes · DefaultLevelGrowth^n bytes, and automatic
+// compaction creates levels up to DefaultMaxLevel.
 const (
 	DefaultL0CompactFiles = 4
 	DefaultLevelBaseBytes = 4 << 20
@@ -85,8 +88,6 @@ type Config struct {
 	// MemTableSize is the point-count flush threshold across all
 	// sensors (default DefaultMemTableSize).
 	MemTableSize int
-	// ArrayLen is the TVList array length (default 32).
-	ArrayLen int
 	// Algorithm names the sorting algorithm (sortalgo registry;
 	// default "backward"). Only "backward" has a flat kernel and a
 	// planner; any other algorithm sorts through the interface.
@@ -143,26 +144,12 @@ type Config struct {
 	// keeps the flat single-directory layout and Compact's
 	// fold-everything semantics.
 	PartitionDuration int64
-	// L0CompactFiles triggers a level-0 merge in a partition once its
-	// L0 holds at least this many files (default
-	// DefaultL0CompactFiles). Partitioned mode only.
-	L0CompactFiles int
-	// LevelBaseBytes is the level-0 size bound; level n is bounded by
-	// LevelBaseBytes · LevelGrowth^n (defaults DefaultLevelBaseBytes /
-	// DefaultLevelGrowth). An automatic compaction pass never reads
-	// more than one level's bound per pass.
-	LevelBaseBytes int64
-	// LevelGrowth is the per-level bound multiplier (default
-	// DefaultLevelGrowth).
-	LevelGrowth int
-	// MaxLevel is the deepest level automatic compaction creates
-	// (default DefaultMaxLevel). The terminal level is never rewritten
-	// by the automatic path; a full Compact still folds it.
-	MaxLevel int
 
-	// blockPoints overrides DefaultBlockPoints for package tests that
-	// need many blocks from few points.
-	blockPoints int
+	// Package tests that need many blocks, arrays or levels from few
+	// points override DefaultBlockPoints, tvlist.DefaultArrayLen and
+	// the leveled-compaction bounds here; zero keeps the default.
+	blockPoints, arrayLen, l0CompactFiles, levelGrowth, maxLevel int
+	levelBaseBytes                                               int64
 }
 
 // TV is one query result record.
@@ -483,17 +470,17 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.PartitionDuration < 0 {
 		return nil, fmt.Errorf("engine: negative PartitionDuration %d", cfg.PartitionDuration)
 	}
-	if cfg.L0CompactFiles <= 0 {
-		cfg.L0CompactFiles = DefaultL0CompactFiles
+	if cfg.l0CompactFiles <= 0 {
+		cfg.l0CompactFiles = DefaultL0CompactFiles
 	}
-	if cfg.LevelBaseBytes <= 0 {
-		cfg.LevelBaseBytes = DefaultLevelBaseBytes
+	if cfg.levelBaseBytes <= 0 {
+		cfg.levelBaseBytes = DefaultLevelBaseBytes
 	}
-	if cfg.LevelGrowth <= 1 {
-		cfg.LevelGrowth = DefaultLevelGrowth
+	if cfg.levelGrowth <= 1 {
+		cfg.levelGrowth = DefaultLevelGrowth
 	}
-	if cfg.MaxLevel <= 0 {
-		cfg.MaxLevel = DefaultMaxLevel
+	if cfg.maxLevel <= 0 {
+		cfg.maxLevel = DefaultMaxLevel
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -695,11 +682,8 @@ func (e *Engine) recoverChunkDir(dir string, partitioned bool, part int64, level
 			}
 			continue
 		}
-		if filepath.Ext(name) != ".gtsf" {
-			continue
-		}
-		unseq := strings.HasPrefix(name, "unseq-")
-		if !unseq && !strings.HasPrefix(name, "seq-") {
+		unseq, ok := chunkFileKind(name)
+		if !ok {
 			continue
 		}
 		path := filepath.Join(dir, name)
@@ -726,6 +710,31 @@ func (e *Engine) recoverChunkDir(dir string, partitioned bool, part int64, level
 		out = append(out, fh)
 	}
 	return out, nil
+}
+
+// chunkFileKind reports whether name is a published chunk file
+// (seq-*.gtsf or unseq-*.gtsf) and whether it holds unsequence data.
+func chunkFileKind(name string) (unseq, ok bool) {
+	if filepath.Ext(name) != ".gtsf" {
+		return false, false
+	}
+	unseq = strings.HasPrefix(name, "unseq-")
+	return unseq, unseq || strings.HasPrefix(name, "seq-")
+}
+
+// IsStoreEntry reports whether a directory entry is part of an engine
+// store, by the names recover reads: a chunk file or its flush
+// temporary, a WAL segment, or a p<epoch>/ partition directory. The
+// shard router uses it to refuse a root that holds an engine store of
+// its own, whose data no shard would ever open.
+func IsStoreEntry(name string, isDir bool) bool {
+	if isDir {
+		_, ok := parsePartitionDir(name)
+		return ok
+	}
+	_, chunk := chunkFileKind(name)
+	_, seg := wal.SeqFromName(name)
+	return chunk || seg || strings.HasSuffix(name, ".gtsf.tmp")
 }
 
 // parsePartitionDir parses a time-partition directory name ("p<epoch>",
@@ -974,8 +983,8 @@ func (e *Engine) rotateLocked() *flushUnit {
 // memory. The unsequence memtable is never sketched: its chunks are
 // late by construction and always take the dirty route.
 func (e *Engine) newWorking() {
-	e.working = memtable.New(e.cfg.ArrayLen)
-	e.workingUn = memtable.New(e.cfg.ArrayLen)
+	e.working = memtable.New(e.cfg.arrayLen)
+	e.workingUn = memtable.New(e.cfg.arrayLen)
 	if e.planner != nil {
 		e.working.TrackDisorder()
 	}

@@ -415,8 +415,8 @@ func TestLeveledCompactionBoundsAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Dir: dir, MemTableSize: 500, SyncFlush: true,
-		PartitionDuration: 5000, L0CompactFiles: 3,
-		LevelBaseBytes: 8 << 10, LevelGrowth: 4, MaxLevel: 2,
+		PartitionDuration: 5000, l0CompactFiles: 3,
+		levelBaseBytes: 8 << 10, levelGrowth: 4, maxLevel: 2,
 	}
 	e, err := Open(cfg)
 	if err != nil {
@@ -435,11 +435,11 @@ func TestLeveledCompactionBoundsAndRecovery(t *testing.T) {
 	if st.CompactionPasses == 0 {
 		t.Fatal("no automatic compaction passes ran")
 	}
-	// Automatic compaction reads from levels 0..MaxLevel-1, and a pass
+	// Automatic compaction reads from levels 0..maxLevel-1, and a pass
 	// out of level l takes inputs up to that level's bound.
-	bound := cfg.LevelBaseBytes
-	for l := 1; l < cfg.MaxLevel; l++ {
-		bound *= int64(cfg.LevelGrowth)
+	bound := cfg.levelBaseBytes
+	for l := 1; l < cfg.maxLevel; l++ {
+		bound *= int64(cfg.levelGrowth)
 	}
 	if st.MaxCompactionPassBytes > bound {
 		t.Fatalf("largest pass read %d input bytes, above the %d-byte level bound", st.MaxCompactionPassBytes, bound)
@@ -456,8 +456,8 @@ func TestLeveledCompactionBoundsAndRecovery(t *testing.T) {
 	}
 	for p := 0; p < 4; p++ {
 		l0, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("p%d", p), "L0", "*.gtsf"))
-		if len(l0) >= cfg.L0CompactFiles {
-			t.Fatalf("partition %d retains %d L0 files, trigger is %d", p, len(l0), cfg.L0CompactFiles)
+		if len(l0) >= cfg.l0CompactFiles {
+			t.Fatalf("partition %d retains %d L0 files, trigger is %d", p, len(l0), cfg.l0CompactFiles)
 		}
 	}
 	verify := func(e *Engine) {

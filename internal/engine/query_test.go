@@ -61,7 +61,7 @@ func TestQueryAfterManyGenerations(t *testing.T) {
 }
 
 func TestArrayLenConfigPropagates(t *testing.T) {
-	e := openTest(t, Config{ArrayLen: 4, MemTableSize: 100})
+	e := openTest(t, Config{arrayLen: 4, MemTableSize: 100})
 	for i := 0; i < 10; i++ {
 		e.Insert("s", int64(i), 0)
 	}

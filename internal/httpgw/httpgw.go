@@ -21,9 +21,9 @@ import (
 // the binary protocol.
 const MaxBody = 16 << 20
 
-// Backend is the storage the gateway fronts — a bare engine or the
-// shard router. It is the query/insert subset of the RPC server's
-// backend, so the same value serves both front ends.
+// Backend is the storage the gateway fronts — the shard router tsdbd
+// serves. It is the query/insert subset of the RPC server's backend
+// plus the aggregate Stats, so the same value serves both front ends.
 type Backend interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)

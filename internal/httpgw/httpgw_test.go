@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ingestq"
+	"repro/internal/shard"
 	"repro/internal/tsfile"
 )
 
@@ -93,11 +94,11 @@ func TestParseLineProtocolErrors(t *testing.T) {
 	}
 }
 
-// --- gateway over a real engine ---
+// --- gateway over the one-shard router a default tsdbd serves ---
 
 func newTestGateway(t *testing.T, q *ingestq.Queue) (*Gateway, *httptest.Server) {
 	t.Helper()
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
+	e, err := shard.Open(shard.Config{Config: engine.Config{Dir: t.TempDir(), SyncFlush: true}, ShardCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

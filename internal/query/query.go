@@ -92,9 +92,9 @@ func AggregateWindows(points []engine.TV, startT, endT, window int64, agg Aggreg
 	return out, nil
 }
 
-// Source is anything that can answer sorted time-range queries — a
-// bare engine.Engine or the shard router, which fans the engine API
-// out over hash-partitioned shards.
+// Source is anything that can answer sorted time-range queries — the
+// shard router every server and CLI opens, or one engine.Engine (a
+// router's shard, or an in-process library user).
 type Source interface {
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
 }

@@ -513,14 +513,14 @@ func (c *Client) Latest(sensor string) (int64, bool, error) {
 }
 
 // Stats implements bench.Target: it returns the server's aggregate
-// stats (merged across shards when the server is sharded).
+// stats, merged across its shards.
 func (c *Client) Stats() (engine.Stats, error) {
 	st, _, err := c.StatsFull()
 	return st, err
 }
 
 // ShardStats returns the server's per-shard stats breakdown, one entry
-// per shard in shard order. Empty against an unsharded server.
+// per shard in shard order.
 func (c *Client) ShardStats() ([]engine.Stats, error) {
 	_, per, err := c.StatsFull()
 	return per, err

@@ -87,11 +87,7 @@ func TestDurabilityStatsOverRPC(t *testing.T) {
 // transparently redial and succeed, while the original connection is
 // long dead.
 func TestClientRetriesAcrossRestart(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -129,11 +125,7 @@ func TestClientRetriesAcrossRestart(t *testing.T) {
 // redialing — the client cannot know whether the lost response meant a
 // lost write.
 func TestInsertDoesNotRetry(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -161,11 +153,7 @@ func TestInsertDoesNotRetry(t *testing.T) {
 // verifies an idle connection is dropped, while a fresh one still
 // serves.
 func TestReadTimeoutDropsIdleConn(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	srv.SetTimeouts(50*time.Millisecond, time.Second)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -209,11 +197,7 @@ func TestReadTimeoutDropsIdleConn(t *testing.T) {
 // exchange complete (and its connection close cleanly) instead of
 // cutting it mid-response, and that post-shutdown dials are refused.
 func TestGracefulShutdownDrains(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -37,11 +37,7 @@ func FuzzDispatch(f *testing.F) {
 	// A string length that wraps int negative must not index the payload.
 	f.Add(OpInsert, binary.AppendUvarint(nil, 1<<63+5))
 
-	e, err := engine.Open(engine.Config{Dir: f.TempDir(), SyncFlush: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer e.Close()
+	e := openRouter(f, engine.Config{Dir: f.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		_, _ = srv.dispatch(op, payload)

@@ -166,33 +166,30 @@ func fillStats(t *testing.T, seed int) engine.Stats {
 	return st
 }
 
-// statsBackend serves fixed stats; with per set it is a sharded backend.
+// statsBackend serves fixed aggregate and per-shard stats.
 type statsBackend struct {
 	blockingBackend
 	agg engine.Stats
 	per []engine.Stats
 }
 
-func (b *statsBackend) Stats() engine.Stats { return b.agg }
-
-type shardedStatsBackend struct{ *statsBackend }
-
-func (b shardedStatsBackend) StatsAll() (engine.Stats, []engine.Stats) { return b.agg, b.per }
+func (b *statsBackend) StatsAll() (engine.Stats, []engine.Stats) { return b.agg, b.per }
 
 // TestStatsRoundTrip: every field of engine.Stats survives the wire
-// through a real server, for a bare engine (empty breakdown) and for a
-// 3-shard backend (aggregate plus three distinct blocks). The server
+// through a real server, for a 1-shard backend (aggregate plus one
+// block) and for a 3-shard backend (aggregate plus three distinct
+// blocks). The server
 // overlays its own front-end counters onto the aggregate, so the
 // aggregate is compared with that same overlay applied to both sides;
 // the per-shard blocks are compared as sent.
 func TestStatsRoundTrip(t *testing.T) {
 	agg := fillStats(t, 1)
-	shards := []engine.Stats{fillStats(t, 2), fillStats(t, 3), fillStats(t, 4)}
-	for name, backend := range map[string]Backend{
-		"bare":    &statsBackend{agg: agg},
-		"3-shard": shardedStatsBackend{&statsBackend{agg: agg, per: shards}},
+	for name, shards := range map[string][]engine.Stats{
+		"1-shard": {fillStats(t, 2)},
+		"3-shard": {fillStats(t, 2), fillStats(t, 3), fillStats(t, 4)},
 	} {
 		t.Run(name, func(t *testing.T) {
+			backend := &statsBackend{agg: agg, per: shards}
 			srv := NewServer(backend)
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
@@ -219,18 +216,14 @@ func TestStatsRoundTrip(t *testing.T) {
 			if g, w := overlaid(got), overlaid(agg); g != w {
 				t.Fatalf("aggregate:\n got %+v\nwant %+v", g, w)
 			}
-			wantPer := shards
-			if name == "bare" {
-				wantPer = []engine.Stats{}
-			}
-			if !reflect.DeepEqual(per, wantPer) {
-				t.Fatalf("per-shard:\n got %+v\nwant %+v", per, wantPer)
+			if !reflect.DeepEqual(per, shards) {
+				t.Fatalf("per-shard:\n got %+v\nwant %+v", per, shards)
 			}
 			// The convenience accessors are views of the same exchange.
 			if st, err := c.Stats(); err != nil || overlaid(st) != overlaid(agg) {
 				t.Fatalf("Stats() = %+v, %v", st, err)
 			}
-			if per2, err := c.ShardStats(); err != nil || !reflect.DeepEqual(per2, wantPer) {
+			if per2, err := c.ShardStats(); err != nil || !reflect.DeepEqual(per2, shards) {
 				t.Fatalf("ShardStats() = %+v, %v", per2, err)
 			}
 		})

@@ -36,9 +36,11 @@ func (b *blockingBackend) InsertBatch(string, []int64, []float64) error {
 }
 func (b *blockingBackend) Query(string, int64, int64) ([]engine.TV, error) { return nil, nil }
 func (b *blockingBackend) LatestTime(string) (int64, bool)                 { return 0, false }
-func (b *blockingBackend) Stats() engine.Stats                             { return engine.Stats{} }
-func (b *blockingBackend) Flush()                                          {}
-func (b *blockingBackend) WaitFlushes()                                    {}
+func (b *blockingBackend) StatsAll() (engine.Stats, []engine.Stats) {
+	return engine.Stats{}, []engine.Stats{{}}
+}
+func (b *blockingBackend) Flush()       {}
+func (b *blockingBackend) WaitFlushes() {}
 
 // TestPipelinedConcurrentCalls hammers one connection from many
 // goroutines: the tag table must route every reply to its caller with
@@ -221,11 +223,7 @@ func TestOverloadRetriesInIdempotentPath(t *testing.T) {
 // reconnect — the replacement server sees a single connection, and no
 // loser socket leaks.
 func TestRedialSingleFlight(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -275,11 +273,7 @@ func TestRedialSingleFlight(t *testing.T) {
 // connection with nothing in flight is closed by the sweeper, while
 // the Dial-level client transparently redials on its next call.
 func TestIdleSweepClosesIdleConns(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
 	srv := NewServer(e)
 	srv.SetIdleTimeout(100 * time.Millisecond)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -320,11 +314,7 @@ func TestIdleSweepClosesIdleConns(t *testing.T) {
 // session time exceeds it — the deadline must reset per frame, not
 // run once per connection.
 func TestPerFrameDeadlineReset(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
 	srv := NewServer(e)
 	srv.SetTimeouts(200*time.Millisecond, time.Second)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -350,11 +340,7 @@ func TestPerFrameDeadlineReset(t *testing.T) {
 // goroutine baseline — no reader, writer, demux, worker, or sweeper
 // goroutines left behind.
 func TestNoGoroutineLeakAfterDrain(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
 	// Warm the engine's background machinery before the baseline.
 	if err := e.InsertBatch("warm", []int64{1}, []float64{1}); err != nil {
 		t.Fatal(err)
@@ -423,11 +409,7 @@ func TestStalledWriterDoesNotWedgePool(t *testing.T) {
 	defaultWriteStall = 200 * time.Millisecond
 	t.Cleanup(func() { defaultWriteStall = oldStall })
 
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1 << 20, SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1 << 20, SyncFlush: true})
 	// A sensor big enough that a few hundred query replies overwhelm
 	// any socket buffering between server and a client that never
 	// reads.
@@ -534,11 +516,7 @@ func TestSharedQueueAcrossServers(t *testing.T) {
 	defer q.Close()
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
+		e := openRouter(t, engine.Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true})
 		srv := NewServer(e)
 		srv.SetIngestQueue(q)
 		addr, err := srv.Listen("127.0.0.1:0")

@@ -24,10 +24,11 @@
 // connection's in-flight budget) was full: the request was NOT
 // executed and the payload is a uvarint retry-after hint in ms.
 //
-// The OpStats reply is uvarint nShards followed by 1+nShards stats
-// blocks (aggregate first). A block is a uvarint field count, then
-// every field of engine.Stats in declaration order — ints as varints,
-// floats as 8 bytes — so a new Stats field needs no edit here.
+// The OpStats reply is uvarint nShards (at least one: the server fronts
+// the shard router) followed by 1+nShards stats blocks (aggregate
+// first). A block is a uvarint field count, then every field of
+// engine.Stats in declaration order — ints as varints, floats as 8
+// bytes — so a new Stats field needs no edit here.
 package rpc
 
 import (

@@ -9,27 +9,34 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
-func startServer(t *testing.T) (*engine.Engine, string) {
+// openRouter opens the one-shard router a default tsdbd serves; it
+// closes when the test ends.
+func openRouter(tb testing.TB, cfg engine.Config) *shard.Router {
+	tb.Helper()
+	r, err := shard.Open(shard.Config{Config: cfg, ShardCount: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	return r
+}
+
+func startServer(t *testing.T) (*shard.Router, string) {
 	t.Helper()
-	e, err := engine.Open(engine.Config{
+	e := openRouter(t, engine.Config{
 		Dir:          t.TempDir(),
 		MemTableSize: 1000,
 		SyncFlush:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		e.Close()
-	})
+	t.Cleanup(func() { srv.Close() })
 	return e, addr
 }
 
@@ -227,11 +234,7 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), SyncFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := openRouter(t, engine.Config{Dir: t.TempDir(), SyncFlush: true})
 	srv := NewServer(e)
 	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -15,24 +15,18 @@ import (
 	"repro/internal/query"
 )
 
-// Backend is the storage surface the server dispatches onto — a bare
-// *engine.Engine or the shard router, which fans the same API out over
-// hash-partitioned shards.
+// Backend is the storage surface the server dispatches onto — the
+// shard router, which fans the engine API out over hash-partitioned
+// shards. StatsAll returns the merged aggregate and the per-shard
+// snapshots from one collection pass, so the OpStats payload is
+// internally consistent.
 type Backend interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
 	LatestTime(sensor string) (int64, bool)
-	Stats() engine.Stats
+	StatsAll() (engine.Stats, []engine.Stats)
 	Flush()
 	WaitFlushes()
-}
-
-// shardedBackend is optionally implemented by backends that hold
-// per-shard state (the shard router): StatsAll returns the merged
-// aggregate and the per-shard snapshots from one collection pass, so
-// the OpStats payload is internally consistent.
-type shardedBackend interface {
-	StatsAll() (engine.Stats, []engine.Stats)
 }
 
 // maxConnInFlight bounds how many ops one pipelined connection may
@@ -95,7 +89,7 @@ type Server struct {
 	pipelinedConns atomic.Int64
 }
 
-// NewServer wraps a backend (an engine or a shard router).
+// NewServer wraps a backend (the shard router).
 func NewServer(eng Backend) *Server {
 	return &Server{
 		eng:    eng,
@@ -507,15 +501,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return binary.AppendVarint(resp, t), nil
 
 	case OpStats:
-		// A bare engine has no shards: its reply carries a zero shard
-		// count and clients see an empty breakdown.
-		var agg engine.Stats
-		var per []engine.Stats
-		if sb, ok := s.eng.(shardedBackend); ok {
-			agg, per = sb.StatsAll()
-		} else {
-			agg = s.eng.Stats()
-		}
+		agg, per := s.eng.StatsAll()
 		s.frontendStats(&agg)
 		return appendStatsReply(nil, agg, per), nil
 

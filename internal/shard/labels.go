@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -91,17 +92,13 @@ func (r *Router) noteFanout(width int) {
 	}
 }
 
-// forEachSeries runs f(i, id) for every selected series on the bounded
-// fan-out pool and returns the first error by selection order.
+// forEachSeries runs f(i, id) for every selected series on a fan-out
+// pool of up to GOMAXPROCS workers and returns the first error by
+// selection order. The bound is per selector query; concurrent queries
+// each get their own.
 func (r *Router) forEachSeries(ids []index.SeriesID, f func(i int, id index.SeriesID) error) error {
 	r.noteFanout(len(ids))
-	workers := r.fanWorkers
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), len(ids)), 1)
 	errs := make([]error, len(ids))
 	next := make(chan int)
 	var wg sync.WaitGroup

@@ -49,11 +49,6 @@ type Config struct {
 	// ShardCount is the number of engine shards (default GOMAXPROCS).
 	// It must match the layout of an existing data directory.
 	ShardCount int
-	// FanOutWorkers bounds the per-selector-query worker pool that runs
-	// multi-series fan-out (default GOMAXPROCS). It limits concurrency
-	// within one selector query; concurrent queries each get their own
-	// budget, matching how per-shard engine locks already serialize.
-	FanOutWorkers int
 }
 
 // Router fans the engine API out over hash-partitioned shards. All
@@ -66,7 +61,6 @@ type Router struct {
 	// Label-series layer (labels.go): store-level inverted index plus
 	// selector fan-out accounting.
 	idx             *index.Index
-	fanWorkers      int
 	selectorQueries atomic.Int64
 	fanoutSeries    atomic.Int64
 	maxFanoutWidth  atomic.Int64
@@ -97,6 +91,9 @@ func Index(sensor string, n int) int {
 // cfg.WAL is set) runs in parallel too. Reopening a directory with a
 // different ShardCount fails: hash routing is stable only for a fixed
 // N, so a mismatch would silently strand data on unreachable shards.
+// So does a root that holds an engine store of its own (chunk files,
+// WAL segments or partition directories beside the shard
+// directories): no shard would ever open that data.
 func Open(cfg Config) (*Router, error) {
 	if cfg.ShardCount < 0 {
 		return nil, fmt.Errorf("shard: ShardCount must be positive, got %d", cfg.ShardCount)
@@ -110,9 +107,22 @@ func Open(cfg Config) (*Router, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if existing, err := countShardDirs(cfg.Dir); err != nil {
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
 		return nil, err
-	} else if existing > 0 && existing != cfg.ShardCount {
+	}
+	existing := 0
+	for _, ent := range entries {
+		if engine.IsStoreEntry(ent.Name(), ent.IsDir()) {
+			return nil, fmt.Errorf("shard: directory %s holds an unsharded engine store (%s at its root); "+
+				"move its chunk files, WAL segments and p<epoch>/ directories into %s and reopen with one shard (-shards 1)",
+				cfg.Dir, ent.Name(), filepath.Join(cfg.Dir, fmt.Sprintf(shardDirFmt, 0)))
+		}
+		if ent.IsDir() && strings.HasPrefix(ent.Name(), "shard-") {
+			existing++
+		}
+	}
+	if existing > 0 && existing != cfg.ShardCount {
 		return nil, fmt.Errorf("shard: directory %s holds %d shard(s) but %d requested; routing would not be stable",
 			cfg.Dir, existing, cfg.ShardCount)
 	}
@@ -168,26 +178,7 @@ func Open(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: open index: %w", err)
 	}
 	r.idx = idx
-	r.fanWorkers = cfg.FanOutWorkers
-	if r.fanWorkers <= 0 {
-		r.fanWorkers = runtime.GOMAXPROCS(0)
-	}
 	return r, nil
-}
-
-// countShardDirs counts shard-%03d subdirectories under root.
-func countShardDirs(root string) (int, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, ent := range entries {
-		if ent.IsDir() && strings.HasPrefix(ent.Name(), "shard-") {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // ShardCount returns the number of shards.

@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -105,7 +107,9 @@ func TestRoutingStableAcrossRestart(t *testing.T) {
 }
 
 // TestShardCountMismatchRejected: reopening with a different N would
-// silently strand data on unreachable shards, so Open must refuse.
+// silently strand data on unreachable shards, so Open must refuse. So
+// must opening a root that holds an unsharded engine store: its chunk
+// files and WAL segments sit where no shard looks.
 func TestShardCountMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(Config{ShardCount: 4, Config: engine.Config{Dir: dir}})
@@ -117,6 +121,27 @@ func TestShardCountMismatchRejected(t *testing.T) {
 	}
 	if _, err := Open(Config{ShardCount: 2, Config: engine.Config{Dir: dir}}); err == nil {
 		t.Fatal("reopening 4-shard dir with 2 shards should fail")
+	}
+
+	flat := t.TempDir()
+	e, err := engine.Open(engine.Config{Dir: flat, MemTableSize: 10, SyncFlush: true, WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	for i := 0; i < 25; i++ { // flushed chunk files plus an open WAL segment
+		if err := e.Insert("s", int64(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{1, 2} {
+		_, err := Open(Config{ShardCount: n, Config: engine.Config{Dir: flat, WAL: true}})
+		if err == nil || !strings.Contains(err.Error(), "shard-000") {
+			t.Fatalf("%d shard(s) over an engine store: err = %v, want a refusal naming shard-000", n, err)
+		}
+		if dirs, _ := filepath.Glob(filepath.Join(flat, "shard-*")); len(dirs) != 0 {
+			t.Fatalf("%d shard(s): refused open created %v", n, dirs)
+		}
 	}
 }
 
@@ -139,7 +164,7 @@ type opRecord struct {
 // cmd/repro run through the shard layer with ShardCount pinned to 1
 // while still reproducing the paper's single-engine figures.
 func TestOneShardRouterMatchesBareEngine(t *testing.T) {
-	engCfg := engine.Config{MemTableSize: 300, SyncFlush: true, ArrayLen: 16}
+	engCfg := engine.Config{MemTableSize: 300, SyncFlush: true}
 
 	bareCfg := engCfg
 	bareCfg.Dir = t.TempDir()

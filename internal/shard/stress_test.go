@@ -20,7 +20,6 @@ func TestConcurrentMultiSensorStress(t *testing.T) {
 	r, err := Open(Config{ShardCount: 4, Config: engine.Config{
 		Dir:          t.TempDir(),
 		MemTableSize: 500, // small: constant background flushing
-		ArrayLen:     16,
 	}})
 	if err != nil {
 		t.Fatal(err)

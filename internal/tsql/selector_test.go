@@ -2,7 +2,6 @@ package tsql
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -177,15 +176,5 @@ func TestExecuteSelector(t *testing.T) {
 	// First/Last cannot merge across series.
 	if _, err := Run(r, `SELECT first(value) FROM series{} GROUP BY WINDOW(10)`); err == nil {
 		t.Fatal("first over selector accepted")
-	}
-
-	// Selector statements against a bare engine fail with guidance.
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := Run(e, `SELECT * FROM series{host="a"}`); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("bare-engine selector error: %v", err)
 	}
 }

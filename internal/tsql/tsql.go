@@ -19,9 +19,9 @@
 // aggregations merge all matching series into one cross-series result
 // per window.
 //
-// Statements parse into a Statement tree and execute against an
-// Engine (a bare engine.Engine or the shard router); parsing and
-// execution are separate so both are testable.
+// Statements parse into a Statement tree and execute against the
+// shard router; parsing and execution are separate so both are
+// testable.
 package tsql
 
 import (
@@ -469,90 +469,43 @@ type Result struct {
 	Message string // for statements without rows
 }
 
-// Engine is the storage surface statements execute against — a bare
-// *engine.Engine or the shard router.
-type Engine interface {
-	InsertBatch(sensor string, times []int64, values []float64) error
-	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
-	Flush()
-	Compact() error
-	FileCount() int
-	Stats() engine.Stats
-}
-
-// shardStatser is optionally implemented by sharded engines; STATS
-// prints the per-shard breakdown when it is.
-type shardStatser interface {
-	StatsAll() (engine.Stats, []engine.Stats)
-}
-
-// SeriesEngine is the label-series surface the series{...} statements
-// need. The shard router implements it; a bare engine does not, so
-// selector statements against one fail with a clear error instead of
-// misrouting.
-type SeriesEngine interface {
-	InsertSeries(ls labels.Set, times []int64, values []float64) error
-	QuerySeries(ms []*labels.Matcher, minT, maxT int64) ([]shard.SeriesPoints, error)
-	AggregateSeriesGroup(ms []*labels.Matcher, startT, endT, window int64, agg query.Aggregator) ([]query.WindowResult, error)
-}
-
-// seriesEngine resolves the label-series surface or explains why the
-// statement cannot run here.
-func seriesEngine(e Engine) (SeriesEngine, error) {
-	se, ok := e.(SeriesEngine)
-	if !ok {
-		return nil, fmt.Errorf("tsql: series{...} statements need the sharded store (run with label routing enabled)")
-	}
-	return se, nil
-}
-
-// Execute runs a parsed statement against the engine.
-func Execute(e Engine, st *Statement) (*Result, error) {
+// Execute runs a parsed statement against the router.
+func Execute(r *shard.Router, st *Statement) (*Result, error) {
 	switch st.Kind {
 	case KindInsert:
 		if st.HasSelector {
-			se, err := seriesEngine(e)
-			if err != nil {
-				return nil, err
-			}
-			if err := se.InsertSeries(st.LabelSet, st.Times, st.Values); err != nil {
+			if err := r.InsertSeries(st.LabelSet, st.Times, st.Values); err != nil {
 				return nil, err
 			}
 			return &Result{Message: fmt.Sprintf("inserted %d points into %s", len(st.Times), st.LabelSet)}, nil
 		}
-		if err := e.InsertBatch(st.Sensor, st.Times, st.Values); err != nil {
+		if err := r.InsertBatch(st.Sensor, st.Times, st.Values); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("inserted %d points", len(st.Times))}, nil
 
 	case KindFlush:
-		e.Flush()
+		r.Flush()
 		return &Result{Message: "flushed"}, nil
 
 	case KindCompact:
-		if err := e.Compact(); err != nil {
+		if err := r.Compact(); err != nil {
 			return nil, err
 		}
-		return &Result{Message: fmt.Sprintf("compacted to %d file(s)", e.FileCount())}, nil
+		return &Result{Message: fmt.Sprintf("compacted to %d file(s)", r.FileCount())}, nil
 
 	case KindStats:
-		if sh, ok := e.(shardStatser); ok {
-			// Sharded engine: one aggregate row, then the per-shard
-			// breakdown from the same collection pass.
-			merged, per := sh.StatsAll()
-			res := &Result{
-				Columns: []string{"shard", "flushes", "avg_flush_ms", "avg_sort_ms", "seq_points", "unseq_points", "files", "memtable_points"},
-				Rows:    [][]string{append([]string{"all"}, statsRow(merged)...)},
-			}
-			for i, s := range per {
-				res.Rows = append(res.Rows, append([]string{strconv.Itoa(i)}, statsRow(s)...))
-			}
-			return res, nil
+		// One aggregate row, then the per-shard breakdown from the same
+		// collection pass.
+		merged, per := r.StatsAll()
+		res := &Result{
+			Columns: []string{"shard", "flushes", "avg_flush_ms", "avg_sort_ms", "seq_points", "unseq_points", "files", "memtable_points"},
+			Rows:    [][]string{append([]string{"all"}, statsRow(merged)...)},
 		}
-		return &Result{
-			Columns: []string{"flushes", "avg_flush_ms", "avg_sort_ms", "seq_points", "unseq_points", "files", "memtable_points"},
-			Rows:    [][]string{statsRow(e.Stats())},
-		}, nil
+		for i, s := range per {
+			res.Rows = append(res.Rows, append([]string{strconv.Itoa(i)}, statsRow(s)...))
+		}
+		return res, nil
 
 	case KindSelect:
 		if st.HasAgg {
@@ -576,13 +529,9 @@ func Execute(e Engine, st *Statement) (*Result, error) {
 			if st.HasSelector {
 				// Cross-series GROUP BY WINDOW: every matching series
 				// aggregates in parallel, windows merge per start.
-				se, serr := seriesEngine(e)
-				if serr != nil {
-					return nil, serr
-				}
-				wins, err = se.AggregateSeriesGroup(st.Matchers, startT, endT, st.Window, st.Agg)
+				wins, err = r.AggregateSeriesGroup(st.Matchers, startT, endT, st.Window, st.Agg)
 			} else {
-				wins, err = query.WindowQuery(e, st.Sensor, startT, endT, st.Window, st.Agg)
+				wins, err = query.WindowQuery(r, st.Sensor, startT, endT, st.Window, st.Agg)
 			}
 			if err != nil {
 				return nil, err
@@ -597,11 +546,7 @@ func Execute(e Engine, st *Statement) (*Result, error) {
 			return res, nil
 		}
 		if st.HasSelector {
-			se, err := seriesEngine(e)
-			if err != nil {
-				return nil, err
-			}
-			sps, err := se.QuerySeries(st.Matchers, st.MinTime, st.MaxTime)
+			sps, err := r.QuerySeries(st.Matchers, st.MinTime, st.MaxTime)
 			if err != nil {
 				return nil, err
 			}
@@ -623,7 +568,7 @@ func Execute(e Engine, st *Statement) (*Result, error) {
 			}
 			return res, nil
 		}
-		out, err := e.Query(st.Sensor, st.MinTime, st.MaxTime)
+		out, err := r.Query(st.Sensor, st.MinTime, st.MaxTime)
 		if err != nil {
 			return nil, err
 		}
@@ -658,10 +603,10 @@ func statsRow(s engine.Stats) []string {
 }
 
 // Run parses and executes one statement.
-func Run(e Engine, input string) (*Result, error) {
+func Run(r *shard.Router, input string) (*Result, error) {
 	st, err := Parse(input)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(e, st)
+	return Execute(r, st)
 }

@@ -7,16 +7,21 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
-func testEngine(t *testing.T) *engine.Engine {
+// testRouter opens the one-shard router a default tsql serves.
+func testRouter(t *testing.T) *shard.Router {
 	t.Helper()
-	e, err := engine.Open(engine.Config{Dir: t.TempDir(), MemTableSize: 100, SyncFlush: true})
+	r, err := shard.Open(shard.Config{
+		Config:     engine.Config{Dir: t.TempDir(), MemTableSize: 100, SyncFlush: true},
+		ShardCount: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	return e
+	t.Cleanup(func() { r.Close() })
+	return r
 }
 
 func TestParseInsert(t *testing.T) {
@@ -104,11 +109,11 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestExecuteInsertSelectRoundTrip(t *testing.T) {
-	e := testEngine(t)
-	if _, err := Run(e, "INSERT INTO s VALUES (5, 50), (1, 10), (3, 30)"); err != nil {
+	r := testRouter(t)
+	if _, err := Run(r, "INSERT INTO s VALUES (5, 50), (1, 10), (3, 30)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(e, "SELECT * FROM s WHERE time >= 1 AND time <= 5")
+	res, err := Run(r, "SELECT * FROM s WHERE time >= 1 AND time <= 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +123,9 @@ func TestExecuteInsertSelectRoundTrip(t *testing.T) {
 }
 
 func TestExecuteLimit(t *testing.T) {
-	e := testEngine(t)
-	Run(e, "INSERT INTO s VALUES (1,1), (2,2), (3,3), (4,4)")
-	res, err := Run(e, "SELECT * FROM s LIMIT 2")
+	r := testRouter(t)
+	Run(r, "INSERT INTO s VALUES (1,1), (2,2), (3,3), (4,4)")
+	res, err := Run(r, "SELECT * FROM s LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +135,9 @@ func TestExecuteLimit(t *testing.T) {
 }
 
 func TestExecuteAggregation(t *testing.T) {
-	e := testEngine(t)
-	Run(e, "INSERT INTO s VALUES (0,2), (5,4), (12,10)")
-	res, err := Run(e, "SELECT avg(value) FROM s WHERE time >= 0 AND time <= 19 GROUP BY WINDOW(10)")
+	r := testRouter(t)
+	Run(r, "INSERT INTO s VALUES (0,2), (5,4), (12,10)")
+	res, err := Run(r, "SELECT avg(value) FROM s WHERE time >= 0 AND time <= 19 GROUP BY WINDOW(10)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,31 +147,32 @@ func TestExecuteAggregation(t *testing.T) {
 }
 
 func TestExecuteFlushCompactStats(t *testing.T) {
-	e := testEngine(t)
+	r := testRouter(t)
 	for i := 0; i < 250; i++ {
-		if _, err := Run(e, "INSERT INTO s VALUES ("+strconv.Itoa(i)+", 1)"); err != nil {
+		if _, err := Run(r, "INSERT INTO s VALUES ("+strconv.Itoa(i)+", 1)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Run(e, "FLUSH"); err != nil {
+	if _, err := Run(r, "FLUSH"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(e, "COMPACT"); err != nil {
+	if _, err := Run(r, "COMPACT"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(e, "STATS")
+	res, err := Run(r, "STATS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || len(res.Columns) != 7 {
+	// One aggregate row, then one row for the single shard.
+	if len(res.Rows) != 2 || len(res.Columns) != 8 || res.Rows[0][0] != "all" || res.Rows[1][0] != "0" {
 		t.Fatalf("stats = %+v", res)
 	}
 	// After compaction exactly one file remains.
-	if res.Rows[0][5] != "1" {
-		t.Fatalf("files column = %q", res.Rows[0][5])
+	if res.Rows[0][6] != "1" || res.Rows[1][6] != "1" {
+		t.Fatalf("files column = %q / %q", res.Rows[0][6], res.Rows[1][6])
 	}
 	// And the data survives.
-	sel, err := Run(e, "SELECT * FROM s")
+	sel, err := Run(r, "SELECT * FROM s")
 	if err != nil {
 		t.Fatal(err)
 	}
