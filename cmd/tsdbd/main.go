@@ -52,7 +52,7 @@ func main() {
 	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
 	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, no planner")
-	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width in timestamp units; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/) with O(1) retention drops")
+	partitionDuration := flag.Int64("partition-duration", engine.DefaultPartitionDuration, "time-partition width in timestamp units, one week of nanoseconds by default; files live under shard-NNN/p<epoch>/L<n>/ and whole partitions drop in O(1)")
 	flag.Parse()
 
 	if *dir == "" {

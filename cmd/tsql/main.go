@@ -41,7 +41,7 @@ func main() {
 	memtable := flag.Int("memtable", engine.DefaultMemTableSize, "memtable flush threshold (points, per shard)")
 	walOn := flag.Bool("wal", false, "enable the write-ahead log")
 	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir; STATS prints the per-shard breakdown")
-	partitionDuration := flag.Int64("partition-duration", 0, "time-partition width; > 0 enables the partitioned leveled layout (p<epoch>/L<n>/)")
+	partitionDuration := flag.Int64("partition-duration", engine.DefaultPartitionDuration, "time-partition width in timestamp units, one week of nanoseconds by default; files live under shard-NNN/p<epoch>/L<n>/")
 	flag.Parse()
 
 	if *dir == "" {

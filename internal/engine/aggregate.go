@@ -251,7 +251,7 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	e.lockContended(true)
 	if e.closed {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: closed")
+		return nil, errClosed
 	}
 	// sortScan sorts one memtable chunk (routed read-only: queries
 	// never advance the planner) and collects its records in range.

@@ -82,7 +82,9 @@ func TestAggregatePushdownMatchesOracle(t *testing.T) {
 		dist := dist
 		t.Run(dist.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + di)))
-			e := openTest(t, Config{MemTableSize: 64})
+			// 64-point blocks keep compacted files aligned with the
+			// 64-tick windows the pushdown bound below is checked on.
+			e := openTest(t, Config{MemTableSize: 64, blockPoints: 64})
 			const n = 1500
 			for i := 0; i < n; i++ {
 				ts := int64(i) - int64(dist.Sample(rng))
@@ -118,10 +120,14 @@ func TestAggregatePushdownMatchesOracle(t *testing.T) {
 			}
 			checkAllOps(t, e, "s", 0, n, 64)
 
-			if di == 0 {
+			checkBound := func(when string) {
+				t.Helper()
+				if di != 0 {
+					return
+				}
 				// The in-order scenario must actually exercise the
 				// pushdown, or this whole test is vacuous. No overwrite
-				// reached the upper half, where each flush holds one
+				// reached the upper half, where each block holds one
 				// 64-tick window: windowed there, the pushdown must
 				// decode at least 10x fewer points than the decode-all
 				// oracle and still agree with it.
@@ -133,13 +139,24 @@ func TestAggregatePushdownMatchesOracle(t *testing.T) {
 				}
 				skipped := e.Stats().PointsSkipped - s0.PointsSkipped
 				if want := oracleWindows(t, e, "s", lo, hi, 64, winagg.Avg); !sameWindows(got, want) {
-					t.Fatalf("pushdown %v != oracle %v", got, want)
+					t.Fatalf("%s: pushdown %v != oracle %v", when, got, want)
 				}
 				all := hi - lo // in order: one point per tick
 				if decoded := all - skipped; decoded*10 > all {
-					t.Fatalf("pushdown decoded %d of %d points, want at least 10x fewer", decoded, all)
+					t.Fatalf("%s: pushdown decoded %d of %d points, want at least 10x fewer", when, decoded, all)
 				}
 			}
+			// As served: automatic passes have merged the late
+			// rewrites with the sequence tail.
+			checkBound("live store")
+
+			// Fold the store and check everything again.
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			checkAllOps(t, e, "s", -64, n+64, 100)
+			checkAllOps(t, e, "s", 0, n, 64)
+			checkBound("after Compact")
 		})
 	}
 }

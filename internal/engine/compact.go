@@ -4,29 +4,30 @@
 // newest-wins heap queries use, one chunk per input in memory at a
 // time, never a materialized file):
 //
-//   - Compact folds everything: in the flat layout, every file into a
-//     single sorted sequence file (the LSM-side complement of the
-//     separation policy — the paper's companion study "Separation or
-//     Not", ICDE 2022: out-of-order data parked in unsequence files is
-//     eventually folded back so reads stop paying a merge penalty); in
-//     the partitioned layout, every partition's files — plus the slice
-//     of any legacy flat-layout file that falls inside the partition —
-//     into one terminal-level file per partition. Legacy v2 files are
-//     upgraded to the block-indexed layout.
-//   - maybeCompact rides the flush path in partitioned mode: when a
-//     partition's L0 file count or a level's total size crosses its
-//     bound, a bounded pass merges an oldest-first prefix of that
+//   - Compact folds everything: every partition's files — sequence and
+//     unsequence, plus the slice of any legacy root-level file that
+//     falls inside the partition — into one terminal-level file per
+//     partition (the LSM-side complement of the separation policy —
+//     the paper's companion study "Separation or Not", ICDE 2022:
+//     out-of-order data parked in unsequence files is eventually
+//     folded back so reads stop paying a merge penalty). Legacy v2
+//     files are upgraded to the block-indexed layout. Open uses it to
+//     fold a flat-layout store into partitions.
+//   - maybeCompact rides the flush path (outside the paper profile):
+//     when a partition's L0 file count or a level's total size crosses
+//     its bound, a bounded pass merges an oldest-first prefix of that
 //     level (input capped at the level's size bound, minimum two
 //     files) into the next level. Passes run without the engine lock;
 //     queries that snapshotted the old files keep reading them through
 //     their reference counts even after the files are unlinked.
 //
-// DropPartitionsBefore is the retention path the partitioned layout
-// buys: a whole expired partition disappears as one directory unlink —
-// O(1), no rewriting.
+// DropPartitionsBefore is the retention path time partitions buy: a
+// whole expired partition disappears as one directory unlink — O(1),
+// no rewriting.
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -78,7 +79,8 @@ func (s *compactSource) next() (TV, bool, error) {
 // generation first, as in e.files), restricted to [minT, maxT], into w
 // — sensor by sensor in sorted order, through the streaming writer in
 // blocks of ~w.BlockPoints points, so a huge sensor never has to
-// materialize at once.
+// materialize at once. Blocks are also cut at the edges of clean
+// input blocks (see cleanBounds).
 func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 	seen := map[string]bool{}
 	var sensors []string
@@ -98,11 +100,14 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 	for _, sensor := range sensors {
 		// Sources newest-first, matching the rank convention of merge.
 		srcs := make([]pointSource, 0, len(inputs))
+		var all []tsfile.ChunkMeta
 		for i := len(inputs) - 1; i >= 0; i-- {
 			if chunks := overlapping(inputs[i], sensor, minT, maxT); len(chunks) > 0 {
 				srcs = append(srcs, &compactSource{fh: inputs[i], chunks: chunks, minT: minT, maxT: maxT})
+				all = append(all, chunks...)
 			}
 		}
+		bounds := cleanBounds(all, minT, maxT, cut/4)
 		m, err := newMerge(srcs)
 		if err != nil {
 			return err
@@ -134,6 +139,14 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 			if !ok {
 				break
 			}
+			if len(bounds) > 0 && bounds[0] <= tv.T {
+				if err := emit(); err != nil {
+					return err
+				}
+				for len(bounds) > 0 && bounds[0] <= tv.T {
+					bounds = bounds[1:]
+				}
+			}
 			ts = append(ts, tv.T)
 			vs = append(vs, tv.V)
 			if len(ts) >= cut {
@@ -152,6 +165,36 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 		}
 	}
 	return nil
+}
+
+// cleanBounds returns, ascending, the edges (first tick, one past the
+// last) of every clean block in chunks: one of at least minPoints
+// points inside [minT, maxT] overlapping no other block. Cut there, a
+// clean block leaves the merge whole, never sharing a block with late
+// rewrites whose newer, wider range would shadow its statistics.
+func cleanBounds(chunks []tsfile.ChunkMeta, minT, maxT int64, minPoints int) []int64 {
+	var blocks []tsfile.BlockMeta
+	for _, m := range chunks {
+		blocks = append(blocks, m.Blocks...)
+	}
+	sort.Slice(blocks, func(a, b int) bool { return blocks[a].MinTime < blocks[b].MinTime })
+	var bounds []int64
+	var prevMax int64 // max MaxTime of blocks[:i]
+	for i, b := range blocks {
+		clean := (i == 0 || prevMax < b.MinTime) &&
+			(i+1 == len(blocks) || b.MaxTime < blocks[i+1].MinTime) &&
+			b.Count >= minPoints && b.MinTime >= minT && b.MaxTime <= maxT
+		if i == 0 || b.MaxTime > prevMax {
+			prevMax = b.MaxTime
+		}
+		if clean {
+			bounds = append(bounds, b.MinTime)
+			if b.MaxTime < math.MaxInt64 {
+				bounds = append(bounds, b.MaxTime+1)
+			}
+		}
+	}
+	return bounds
 }
 
 // levelBound is level n's total-size bound:
@@ -176,17 +219,6 @@ func (e *Engine) notePass(bytes int64) {
 	}
 }
 
-// needsRewrite reports whether a lone file still warrants a Compact:
-// a v2 file is upgraded to the block-indexed layout, and a legacy
-// flat-layout file is migrated into the partition tree when
-// partitioning is on.
-func (e *Engine) needsRewrite(fh *fileHandle) bool {
-	if fh.reader.Version() < 3 {
-		return true
-	}
-	return e.partitioned && !fh.partitioned
-}
-
 // swapCompacted replaces the input files with the output files in
 // e.files, inserting the outputs at the oldest input's position so
 // newest-wins ranks are preserved (everything older than every input
@@ -196,7 +228,7 @@ func (e *Engine) swapCompacted(inputs map[*fileHandle]bool, outputs []*fileHandl
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("engine: closed")
+		return errClosed
 	}
 	pos := -1
 	for i, fh := range e.files {
@@ -253,10 +285,10 @@ func (e *Engine) retireInputs(inputs []*fileHandle) error {
 	return firstErr
 }
 
-// pickCompaction scans the partitioned levels for one over threshold
-// and returns a pinned oldest-first prefix of its files as the next
-// pass's inputs (nil when nothing is due). A level triggers at its
-// size bound with at least two files present — and L0 additionally at
+// pickCompaction scans the levels for one over threshold and returns
+// a pinned oldest-first prefix of its files as the next pass's inputs
+// (nil when nothing is due). A level triggers at its size bound with
+// at least two files present — and L0 additionally at
 // DefaultL0CompactFiles files — and the terminal level never
 // triggers. The selected prefix stops once it would exceed the level
 // bound (after the two-file minimum), so a pass never reads more than
@@ -274,7 +306,7 @@ func (e *Engine) pickCompaction() (inputs []*fileHandle, part int64, level int) 
 	groups := map[key][]*fileHandle{}
 	var keys []key
 	for _, fh := range e.files {
-		if !fh.partitioned || fh.level >= e.cfg.maxLevel {
+		if fh.level >= e.cfg.maxLevel {
 			continue
 		}
 		k := key{fh.part, fh.level}
@@ -339,7 +371,7 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 	outLevel := level + 1
 	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", part), fmt.Sprintf("L%d", outLevel),
 		fmt.Sprintf("seq-%06d.gtsf", seq))
-	err := e.writeChunkFile(path, true, func(w *tsfile.Writer) error {
+	err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
 		return mergeInto(w, inputs, math.MinInt64, math.MaxInt64)
 	})
 	if err != nil {
@@ -351,7 +383,7 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 		return err
 	}
 	out := newFileHandle(path, r, false)
-	out.partitioned, out.part, out.level, out.seqNo = true, part, outLevel, seq
+	out.part, out.level, out.seqNo = part, outLevel, seq
 	inSet := make(map[*fileHandle]bool, len(inputs))
 	for _, fh := range inputs {
 		inSet[fh] = true
@@ -366,11 +398,12 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 }
 
 // maybeCompact runs bounded leveled passes until no level is over its
-// threshold. It is called after each partitioned flush publishes;
-// passes are serialized on compactMu and never hold the engine lock
-// while merging. Each pass folds at least two files into one, so the
+// threshold. It is called after each flush publishes; passes are
+// serialized on compactMu and never hold the engine lock while
+// merging. Each pass folds at least two files into one, so the
 // loop terminates. Failures are recorded like flush failures and stop
-// further passes; the inputs stay live, so no data is at risk.
+// further passes; the inputs stay live, so no data is at risk. A pass
+// that Close overtakes is abandoned, not a failure.
 func (e *Engine) maybeCompact() {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
@@ -380,20 +413,20 @@ func (e *Engine) maybeCompact() {
 			return
 		}
 		if err := e.compactPass(part, level, inputs); err != nil {
-			e.recordFlushErr(err)
+			if !errors.Is(err, errClosed) {
+				e.recordFlushErr(err)
+			}
 			return
 		}
 	}
 }
 
-// Compact folds the whole store. In the flat layout every flushed file
-// — sequence and unsequence — merges into a single sorted sequence
-// file and the originals are deleted. In the partitioned layout every
-// partition's files fold into one terminal-level (DefaultMaxLevel)
-// file per partition, and legacy flat-layout files are migrated: each
-// one's points are split at partition boundaries and folded into the
-// partitions they belong to. Either way v2 inputs come out as v3 —
-// the legacy upgrade path.
+// Compact folds the whole store: every partition's files fold into
+// one terminal-level (DefaultMaxLevel) file per partition, and legacy
+// root-level files are migrated — each one's points are split at
+// partition boundaries and folded into the partitions they belong to.
+// v2 inputs come out as v3, the legacy upgrade path. Partitions
+// already reduced to a single up-to-date file are left alone.
 // Newest-wins semantics for rewritten timestamps are preserved, and
 // queries that snapshotted the old files keep reading them through
 // their reference counts even after the files are unlinked. As a
@@ -408,7 +441,7 @@ func (e *Engine) Compact() error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return fmt.Errorf("engine: closed")
+		return errClosed
 	}
 	old := append([]*fileHandle(nil), e.files...)
 	// Pin the inputs for the read phase, which runs outside e.mu.
@@ -416,77 +449,23 @@ func (e *Engine) Compact() error {
 		fh.acquire()
 	}
 	e.mu.Unlock()
-	releaseOld := func() {
+	defer func() {
 		for _, fh := range old {
 			fh.release()
 		}
-	}
-	if e.partitioned {
-		return e.compactPartitionedFull(old, releaseOld)
-	}
-	if len(old) == 0 || (len(old) == 1 && !e.needsRewrite(old[0])) {
-		releaseOld()
-		return nil // nothing to fold
-	}
-	var passBytes int64
-	for _, fh := range old {
-		passBytes += fh.size
-	}
-	e.mu.Lock()
-	e.fileSeq++
-	seq := e.fileSeq
-	e.mu.Unlock()
-	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("seq-%06d.gtsf", seq))
-	err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
-		return mergeInto(w, old, math.MinInt64, math.MaxInt64)
-	})
-	if err != nil {
-		releaseOld()
-		return fmt.Errorf("engine: compact: %w", err)
-	}
-	r, err := tsfile.Open(path)
-	if err != nil {
-		e.fs.Remove(path)
-		releaseOld()
-		return err
-	}
-	out := newFileHandle(path, r, false)
-	out.seqNo = seq
-	inSet := make(map[*fileHandle]bool, len(old))
-	for _, fh := range old {
-		inSet[fh] = true
-	}
-	if err := e.swapCompacted(inSet, []*fileHandle{out}); err != nil {
-		// The engine shut down mid-compaction. Leave the old files —
-		// they are still the durable truth — and drop the new one.
-		out.release()
-		e.fs.Remove(path)
-		releaseOld()
-		return err
-	}
-	e.notePass(passBytes)
-	firstErr := e.retireInputs(old)
-	releaseOld()
-	return firstErr
-}
+	}()
 
-// compactPartitionedFull is Compact under the partitioned layout: one
-// terminal-level file per partition, legacy flat-layout files split at
-// partition boundaries and absorbed. Partitions already reduced to a
-// single up-to-date file are left alone.
-func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) error {
-	var legacy []*fileHandle
+	// Every legacy file is retired, even one that holds no points.
+	inputsUsed := map[*fileHandle]bool{}
 	partSet := map[int64]bool{}
 	for _, fh := range old {
-		if fh.partitioned {
+		if fh.legacyParts == nil {
 			partSet[fh.part] = true
-		} else {
-			legacy = append(legacy, fh)
-			for _, m := range fh.index {
-				for p := e.partitionOf(m.MinTime); p <= e.partitionOf(m.MaxTime); p++ {
-					partSet[p] = true
-				}
-			}
+			continue
+		}
+		inputsUsed[fh] = true
+		for p := range fh.legacyParts {
+			partSet[p] = true
 		}
 	}
 	parts := make([]int64, 0, len(partSet))
@@ -496,29 +475,22 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 	sort.Slice(parts, func(a, b int) bool { return parts[a] < parts[b] })
 
 	var outputs []*fileHandle
-	inputsUsed := map[*fileHandle]bool{}
 	fail := func(err error) error {
 		for _, out := range outputs {
 			out.release()
 			e.fs.Remove(out.path)
 		}
-		releaseOld()
 		return err
 	}
 	for _, p := range parts {
 		lo, hi := e.partitionBounds(p)
 		var inputs []*fileHandle
 		for _, fh := range old { // e.files order = oldest first
-			if fh.partitioned {
-				if fh.part == p {
-					inputs = append(inputs, fh)
-				}
-			} else if fileOverlaps(fh, lo, hi) {
+			if (fh.legacyParts == nil && fh.part == p) || fh.legacyParts[p] {
 				inputs = append(inputs, fh)
 			}
 		}
-		if len(inputs) == 0 ||
-			(len(inputs) == 1 && inputs[0].partitioned && !e.needsRewrite(inputs[0])) {
+		if len(inputs) == 1 && inputs[0].legacyParts == nil && inputs[0].reader.Version() >= 3 {
 			continue
 		}
 		e.mu.Lock()
@@ -527,7 +499,7 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 		e.mu.Unlock()
 		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.maxLevel),
 			fmt.Sprintf("seq-%06d.gtsf", seq))
-		err := e.writeChunkFile(path, true, func(w *tsfile.Writer) error {
+		err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
 			return mergeInto(w, inputs, lo, hi)
 		})
 		if err != nil {
@@ -539,17 +511,18 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 			return fail(err)
 		}
 		out := newFileHandle(path, r, false)
-		out.partitioned, out.part, out.level, out.seqNo = true, p, e.cfg.maxLevel, seq
+		out.part, out.level, out.seqNo = p, e.cfg.maxLevel, seq
 		outputs = append(outputs, out)
 		for _, fh := range inputs {
 			inputsUsed[fh] = true
 		}
 	}
-	if len(outputs) == 0 {
-		releaseOld()
+	if len(inputsUsed) == 0 {
 		return nil
 	}
 	if err := e.swapCompacted(inputsUsed, outputs); err != nil {
+		// The engine shut down mid-compaction. Leave the old files —
+		// they are still the durable truth — and drop the new ones.
 		return fail(err)
 	}
 	var passBytes int64
@@ -561,49 +534,46 @@ func (e *Engine) compactPartitionedFull(old []*fileHandle, releaseOld func()) er
 		}
 	}
 	e.notePass(passBytes)
-	firstErr := e.retireInputs(retired)
-	releaseOld()
-	return firstErr
+	return e.retireInputs(retired)
 }
 
-// fileOverlaps reports whether any chunk of fh intersects [lo, hi]
-// regardless of sensor.
-func fileOverlaps(fh *fileHandle, lo, hi int64) bool {
-	for _, m := range fh.index {
-		if m.MaxTime >= lo && m.MinTime <= hi {
-			return true
+// pointPartitions returns the partitions r's points occupy. It decodes
+// every chunk, so it also checks every block's CRC.
+func (e *Engine) pointPartitions(r *tsfile.Reader) (map[int64]bool, error) {
+	set := map[int64]bool{}
+	for _, m := range r.Index() {
+		ts, _, err := r.ReadChunk(m)
+		if err != nil {
+			return nil, err
+		}
+		for _, t := range ts {
+			set[e.partitionOf(t)] = true
 		}
 	}
-	return false
+	return set, nil
 }
 
 // DropPartitionsBefore removes every time partition wholly before
 // cutoff — each is one directory unlink, O(1) in the partition's data
 // volume. A partition [p·d, (p+1)·d) qualifies when its last covered
-// instant precedes cutoff, i.e. (p+1)·d <= cutoff. Legacy flat-layout
-// files are never dropped (their time ranges are unbounded; fold them
-// into partitions with Compact first). The separation watermarks are
+// instant precedes cutoff, i.e. (p+1)·d <= cutoff; the last partition
+// ends at MaxInt64 and never qualifies. The separation watermarks are
 // deliberately not rewound: re-inserting a dropped timestamp still
 // routes through the unsequence path, exactly as any rewrite of
 // flushed history does. Returns the number of partitions removed.
 func (e *Engine) DropPartitionsBefore(cutoff int64) (int, error) {
-	if !e.partitioned {
-		return 0, fmt.Errorf("engine: DropPartitionsBefore requires PartitionDuration > 0")
-	}
 	e.compactMu.Lock() // no pass may be mid-merge over a dropped partition
 	defer e.compactMu.Unlock()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return 0, fmt.Errorf("engine: closed")
+		return 0, errClosed
 	}
 	var kept, victims []*fileHandle
 	for _, fh := range e.files {
-		if fh.partitioned {
-			if _, hi := e.partitionBounds(fh.part); hi < cutoff {
-				victims = append(victims, fh)
-				continue
-			}
+		if _, hi := e.partitionBounds(fh.part); hi < cutoff {
+			victims = append(victims, fh)
+			continue
 		}
 		kept = append(kept, fh)
 	}
@@ -652,7 +622,7 @@ func (e *Engine) DropPartitionsBefore(cutoff int64) (int, error) {
 }
 
 // FileCount reports how many flushed files the engine currently holds
-// (a flat-layout Compact reduces it to one).
+// (Compact reduces it to one per partition).
 func (e *Engine) FileCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -47,9 +47,9 @@ func TestCompactFoldsFiles(t *testing.T) {
 			t.Fatalf("record %d changed: %+v -> %+v", i, before[i], after[i])
 		}
 	}
-	// Old files are gone from disk.
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
-	if len(files) != 1 {
+	// Old files are gone from disk: one terminal-level file is left.
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
+	if len(files) != 1 || filepath.Base(filepath.Dir(files[0])) != fmt.Sprintf("L%d", DefaultMaxLevel) {
 		t.Fatalf("disk files after compaction: %v", files)
 	}
 }

@@ -90,15 +90,7 @@ func TestCrashMatrix(t *testing.T) {
 				t.Fatalf("k=%d: acknowledged point t=%d lost (%d batches acked)", k, ts, acked)
 			}
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range entries {
-			if strings.HasSuffix(ent.Name(), ".tmp") {
-				t.Fatalf("k=%d: %s survived recovery un-quarantined", k, ent.Name())
-			}
-		}
+		checkFolded(t, dir) // no root chunk file, no .tmp anywhere
 		if err := re.Close(); err != nil {
 			t.Fatalf("k=%d: close after recovery: %v", k, err)
 		}

@@ -22,6 +22,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,6 +59,9 @@ const (
 	WALSyncAlways = "always"
 )
 
+// errClosed is returned by every operation on a closed engine.
+var errClosed = errors.New("engine: closed")
+
 // DefaultWALSyncPeriod is the background fsync cadence under
 // WALSyncInterval when Config.WALSyncPeriod is zero.
 const DefaultWALSyncPeriod = 200 * time.Millisecond
@@ -80,6 +84,12 @@ const (
 	DefaultLevelGrowth    = 10
 	DefaultMaxLevel       = 4
 )
+
+// DefaultPartitionDuration is the time-partition width when
+// Config.PartitionDuration is zero: one week of UNIX-nanosecond
+// timestamps, the HTTP gateway's timestamp unit and IoTDB's default
+// partition interval.
+const DefaultPartitionDuration = int64(7 * 24 * time.Hour)
 
 // Config configures an Engine.
 type Config struct {
@@ -136,13 +146,13 @@ type Config struct {
 	// FlushWorkers is ignored then, and Close leaves the pool running
 	// for its owner to stop.
 	SharedPool *SharedFlushPool
-	// PartitionDuration, when > 0, enables time-partitioned leveled
-	// storage: flush output lands under p<epoch>/L0/ (epoch =
+	// PartitionDuration is the width of a time partition, in timestamp
+	// units (default DefaultPartitionDuration; negative is an error).
+	// Flush output lands under p<epoch>/L0/ (epoch =
 	// floor(t / PartitionDuration)), per-level size bounds trigger
-	// bounded merges into the next level after each flush, and whole
-	// expired partitions drop in O(1) via DropPartitionsBefore. 0
-	// keeps the flat single-directory layout and Compact's
-	// fold-everything semantics.
+	// bounded merges into the next level after each flush (not under
+	// PaperProfile), and whole expired partitions drop in O(1) via
+	// DropPartitionsBefore.
 	PartitionDuration int64
 
 	// Package tests that need many blocks, arrays or levels from few
@@ -365,9 +375,6 @@ type Engine struct {
 	compactionBytesRead atomic.Int64
 	maxCompactionPass   atomic.Int64
 	partitionsDropped   atomic.Int64
-
-	// Partitioned-mode setting, resolved at Open.
-	partitioned bool
 }
 
 // flushUnit is one immutable memtable pair being drained. Its chunks
@@ -399,10 +406,11 @@ type fileHandle struct {
 	unseq  bool
 	refs   atomic.Int64
 	size   int64 // on-disk bytes, for level bounds and pass accounting
-	// Placement under the partitioned layout. Legacy flat-layout files
-	// have partitioned == false; they rank oldest and are folded into
-	// partitions by the next full Compact.
-	partitioned bool
+	// Placement: partition p<part>/, level L<level>/. A legacy file —
+	// one a flat-layout store left at the root of the directory — lives
+	// only inside Open, which folds it into partitions; legacyParts is
+	// non-nil for it alone and holds the partitions its points occupy.
+	legacyParts map[int64]bool
 	part        int64
 	level       int
 	seqNo       int
@@ -431,9 +439,11 @@ func (h *fileHandle) release() error {
 // Open creates or opens an engine over cfg.Dir. Flushed files from a
 // previous run are recovered: their indexes are loaded, the separation
 // watermarks restored from the sequence files, and their data becomes
-// queryable again. (Unflushed memtable contents are lost on crash — as
-// in an IoTDB deployment without its write-ahead log, which the
-// paper's experiments do not exercise.)
+// queryable again. Chunk files a flat-layout store left at the root are
+// folded into partitions once, before WAL replay. (Without the WAL,
+// unflushed memtable contents are lost on crash — as in an IoTDB
+// deployment without its write-ahead log, which the paper's
+// experiments do not exercise.)
 func Open(cfg Config) (*Engine, error) {
 	if cfg.MemTableSize <= 0 {
 		cfg.MemTableSize = DefaultMemTableSize
@@ -470,6 +480,9 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.PartitionDuration < 0 {
 		return nil, fmt.Errorf("engine: negative PartitionDuration %d", cfg.PartitionDuration)
 	}
+	if cfg.PartitionDuration == 0 {
+		cfg.PartitionDuration = DefaultPartitionDuration
+	}
 	if cfg.l0CompactFiles <= 0 {
 		cfg.l0CompactFiles = DefaultL0CompactFiles
 	}
@@ -490,7 +503,6 @@ func Open(cfg Config) (*Engine, error) {
 		walAlways:   cfg.WAL && cfg.WALSync == WALSyncAlways,
 		lastFlushed: make(map[string]int64),
 		latest:      make(map[string]int64),
-		partitioned: cfg.PartitionDuration > 0,
 	}
 	if cfg.Algorithm == "backward" && !cfg.PaperProfile {
 		e.planner = adaptive.NewPlanner()
@@ -504,12 +516,26 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	opened := false
 	defer func() {
-		if !opened && !e.poolShared {
+		if opened {
+			return
+		}
+		for _, fh := range e.files {
+			fh.release()
+		}
+		if !e.poolShared {
 			e.pool.close()
 		}
 	}()
 	if err := e.recover(); err != nil {
 		return nil, err
+	}
+	// recover ranks legacy files first. Compact splits each at
+	// partition boundaries and retires it; a crash mid-fold leaves the
+	// root files in place, and the next Open folds them again.
+	if len(e.files) > 0 && e.files[0].legacyParts != nil {
+		if err := e.Compact(); err != nil {
+			return nil, fmt.Errorf("engine: fold root-level files into partitions: %w", err)
+		}
 	}
 	if cfg.WAL {
 		if err := e.recoverWAL(); err != nil {
@@ -658,11 +684,12 @@ func (e *Engine) quarantine(path string) error {
 
 // recoverChunkDir loads the chunk files of one directory. Leftover
 // flush temporaries (crash before the publishing rename) and chunk
-// files that fail header/footer/index validation are quarantined
-// rather than served or fatal: a crash mid-publication must never
-// leave the directory unopenable, and a torn file must never answer a
-// query. Handles are returned in directory (lexicographic) order.
-func (e *Engine) recoverChunkDir(dir string, partitioned bool, part int64, level int) ([]*fileHandle, error) {
+// files that fail header/footer/index validation (a root-level file:
+// any read) are quarantined rather than served or fatal: a crash
+// mid-publication must never leave the directory unopenable, and a
+// torn file must never answer a query. Handles are returned in
+// directory (lexicographic) order.
+func (e *Engine) recoverChunkDir(dir string, part int64, level int) ([]*fileHandle, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -688,6 +715,15 @@ func (e *Engine) recoverChunkDir(dir string, partitioned bool, part int64, level
 		}
 		path := filepath.Join(dir, name)
 		r, err := tsfile.Open(path)
+		var legacyParts map[int64]bool
+		if err == nil && dir == e.cfg.Dir {
+			// Open folds a root file into the partitions its points
+			// occupy. Finding them reads every block, so a bad one
+			// quarantines the file here instead of failing the fold.
+			if legacyParts, err = e.pointPartitions(r); err != nil {
+				r.Close()
+			}
+		}
 		if err != nil {
 			if errors.Is(err, tsfile.ErrCorrupt) {
 				if qerr := e.quarantine(path); qerr != nil {
@@ -698,7 +734,7 @@ func (e *Engine) recoverChunkDir(dir string, partitioned bool, part int64, level
 			return nil, fmt.Errorf("engine: recover %s: %w", name, err)
 		}
 		fh := newFileHandle(path, r, unseq)
-		fh.partitioned = partitioned
+		fh.legacyParts = legacyParts
 		fh.part = part
 		fh.level = level
 		// Keep new flush files numbered after the recovered ones.
@@ -759,17 +795,18 @@ func parseLevelDir(name string) (int, bool) {
 	return level, true
 }
 
-// recover loads pre-existing flushed files: flat-layout files in the
-// root of the data directory (the legacy layout, still the default),
-// then partitioned files under p<epoch>/L<level>/. The files list must
-// end up ordered oldest generation first — that ordering is what gives
-// newest-wins dedup its ranks — so legacy files come first (they
-// predate any partitioned run, and keep their historical lexicographic
-// order), and partitioned files follow sorted by partition, then level
-// descending (higher levels hold older, already-compacted data), then
-// sequence number (a same-level file with a higher sequence is newer).
+// recover loads pre-existing flushed files: legacy files a flat-layout
+// store left in the root of the data directory (Open folds them into
+// partitions before it returns), then the files under
+// p<epoch>/L<level>/. The files list must end up ordered oldest
+// generation first — that ordering is what gives newest-wins dedup its
+// ranks — so legacy files come first (they predate every partitioned
+// file, and keep their historical lexicographic order), and
+// partitioned files follow sorted by partition, then level descending
+// (higher levels hold older, already-compacted data), then sequence
+// number (a same-level file with a higher sequence is newer).
 func (e *Engine) recover() error {
-	legacy, err := e.recoverChunkDir(e.cfg.Dir, false, 0, 0)
+	legacy, err := e.recoverChunkDir(e.cfg.Dir, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -801,7 +838,7 @@ func (e *Engine) recover() error {
 			if !ok {
 				continue
 			}
-			hs, err := e.recoverChunkDir(filepath.Join(partDir, lent.Name()), true, part, level)
+			hs, err := e.recoverChunkDir(filepath.Join(partDir, lent.Name()), part, level)
 			if err != nil {
 				return err
 			}
@@ -859,7 +896,7 @@ func (e *Engine) InsertBatch(sensor string, times []int64, values []float64) err
 	e.lockContended(false)
 	if e.closed {
 		e.mu.Unlock()
-		return fmt.Errorf("engine: closed")
+		return errClosed
 	}
 	if e.cfg.WAL && e.walSeg == nil {
 		// A previous segment rotation failed: accepting this write
@@ -1001,8 +1038,7 @@ func (e *Engine) recordFlushErr(err error) {
 }
 
 // partitionOf returns the time-partition index of t (floor division,
-// so negative timestamps land in negative partitions). Partitioned
-// mode only.
+// so negative timestamps land in negative partitions).
 func (e *Engine) partitionOf(t int64) int64 {
 	d := e.cfg.PartitionDuration
 	p := t / d
@@ -1013,25 +1049,32 @@ func (e *Engine) partitionOf(t int64) int64 {
 }
 
 // partitionBounds is partitionOf's inverse: partition p covers
-// [p·d, (p+1)·d).
+// [p·d, (p+1)·d), clamped to the int64 range — the first and last
+// partitions are cut short at MinInt64 and MaxInt64 rather than
+// wrapping around.
 func (e *Engine) partitionBounds(p int64) (lo, hi int64) {
 	d := e.cfg.PartitionDuration
-	return p * d, (p+1)*d - 1
+	lo, hi = math.MinInt64, math.MaxInt64
+	if p >= math.MinInt64/d { // Go division truncates: this is ceil
+		lo = p * d
+	}
+	if p < math.MaxInt64/d {
+		hi = (p+1)*d - 1
+	}
+	return lo, hi
 }
 
 // writeChunkFile assembles one chunk file at path (creating its
-// directory first under the partitioned layout) with the same atomic
-// publication protocol flush has always used: build at a .tmp path,
+// partition/level directory first) with the same atomic publication
+// protocol flush has always used: build at a .tmp path,
 // rename into place only once complete — and, under a durable sync
 // policy, fsync the file before the rename and the directory after. A
 // crash at any point leaves either no file or a .tmp that recovery
 // quarantines, never a torn file at a servable name.
-func (e *Engine) writeChunkFile(path string, mkdir bool, write func(w *tsfile.Writer) error) error {
+func (e *Engine) writeChunkFile(path string, write func(w *tsfile.Writer) error) error {
 	dir := filepath.Dir(path)
-	if mkdir {
-		if err := e.fs.MkdirAll(dir); err != nil {
-			return fmt.Errorf("engine: flush mkdir %s: %w", dir, err)
-		}
+	if err := e.fs.MkdirAll(dir); err != nil {
+		return fmt.Errorf("engine: flush mkdir %s: %w", dir, err)
 	}
 	tmp := path + ".tmp"
 	w, err := tsfile.CreateFS(e.fs, tmp)
@@ -1058,13 +1101,11 @@ func (e *Engine) writeChunkFile(path string, mkdir bool, write func(w *tsfile.Wr
 			e.fs.Remove(path)
 			return fmt.Errorf("engine: flush publish sync %s: %w", dir, err)
 		}
-		if mkdir {
-			// The partition/level directories may be new; their own
-			// durability hangs off the root directory entry.
-			if err := e.fs.SyncDir(e.cfg.Dir); err != nil {
-				e.fs.Remove(path)
-				return fmt.Errorf("engine: flush publish sync %s: %w", e.cfg.Dir, err)
-			}
+		// The partition/level directories may be new; their own
+		// durability hangs off the root directory entry.
+		if err := e.fs.SyncDir(e.cfg.Dir); err != nil {
+			e.fs.Remove(path)
+			return fmt.Errorf("engine: flush publish sync %s: %w", e.cfg.Dir, err)
 		}
 	}
 	return nil
@@ -1074,13 +1115,13 @@ func (e *Engine) writeChunkFile(path string, mkdir bool, write func(w *tsfile.Wr
 // publishes the resulting files and retires the unit. Chunk sorting
 // and encoding fan out across the engine's flush worker pool; the
 // encoded chunks are appended to the file in deterministic (sorted
-// sensor) order by this goroutine. Under the partitioned layout a
-// sensor's sorted points are split at time-partition boundaries and
-// each partition gets its own level-0 file. A failure mid-drain closes
-// and removes everything the drain created — the unit stays in the
-// flushing list (its data remains queryable from memory, and no
-// partial .gtsf file is left for recover() to trip over on the next
-// Open) — and records the error for Query/Close to surface.
+// sensor) order by this goroutine. A sensor's sorted points are split
+// at time-partition boundaries and each partition gets its own level-0
+// file. A failure mid-drain closes and removes everything the drain
+// created — the unit stays in the flushing list (its data remains
+// queryable from memory, and no partial .gtsf file is left for
+// recover() to trip over on the next Open) — and records the error for
+// Query/Close to surface.
 func (e *Engine) drain(unit *flushUnit) {
 	var sortNanos, encodeNanos atomic.Int64
 	var sketchInformed atomic.Bool
@@ -1093,8 +1134,7 @@ func (e *Engine) drain(unit *flushUnit) {
 		}
 		e.recordFlushErr(err)
 	}
-	// One encoded chunk destined for one partition's file (part is 0
-	// and unused in flat mode).
+	// One encoded chunk destined for one partition's file.
 	type pchunk struct {
 		part int64
 		enc  *tsfile.EncodedChunk
@@ -1143,23 +1183,13 @@ func (e *Engine) drain(unit *flushUnit) {
 				mu.Unlock()
 				t1 := time.Now()
 				defer func() { encodeNanos.Add(int64(time.Since(t1))) }()
-				if !e.partitioned {
-					enc, err := tsfile.EncodeChunkBlocks(sensor, ts, vs, e.cfg.blockPoints)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					encoded[i] = []pchunk{{0, enc}}
-					return
-				}
-				// Split the sorted run at partition boundaries; each
+				// Split the sorted run at partition boundaries (a binary
+				// search per partition, not a division per point); each
 				// segment becomes a chunk in its partition's L0 file.
 				for start := 0; start < len(ts); {
 					p := e.partitionOf(ts[start])
-					end := start + 1
-					for end < len(ts) && e.partitionOf(ts[end]) == p {
-						end++
-					}
+					_, hi := e.partitionBounds(p)
+					end := start + sort.Search(len(ts)-start, func(j int) bool { return ts[start+j] > hi })
 					enc, err := tsfile.EncodeChunkBlocks(sensor, ts[start:end], vs[start:end], e.cfg.blockPoints)
 					if err != nil {
 						errs[i] = err
@@ -1198,14 +1228,9 @@ func (e *Engine) drain(unit *flushUnit) {
 			e.fileSeq++
 			seq := e.fileSeq
 			e.mu.Unlock()
-			var path string
-			if e.partitioned {
-				path = filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), "L0",
-					fmt.Sprintf("%s-%06d.gtsf", part.kind, seq))
-			} else {
-				path = filepath.Join(e.cfg.Dir, fmt.Sprintf("%s-%06d.gtsf", part.kind, seq))
-			}
-			err := e.writeChunkFile(path, e.partitioned, func(w *tsfile.Writer) error {
+			path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), "L0",
+				fmt.Sprintf("%s-%06d.gtsf", part.kind, seq))
+			err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
 				for _, enc := range perPart[p] {
 					if err := w.AppendEncoded(enc); err != nil {
 						return err
@@ -1224,7 +1249,6 @@ func (e *Engine) drain(unit *flushUnit) {
 				return
 			}
 			fh := newFileHandle(path, r, part.unseq)
-			fh.partitioned = e.partitioned
 			fh.part = p
 			fh.seqNo = seq
 			handles = append(handles, fh)
@@ -1266,8 +1290,11 @@ func (e *Engine) drain(unit *flushUnit) {
 	// Leveled compaction rides the flush path: each published flush
 	// may tip a partition's L0 file count or a level's size bound over
 	// its threshold. Passes are bounded and serialized on compactMu,
-	// and never hold the engine lock while merging.
-	if e.partitioned {
+	// and never hold the engine lock while merging. The paper profile
+	// skips them: the reproduced figures time IoTDB's flush and query
+	// path, and a merge inline on the SyncFlush writer would land in
+	// their write latencies.
+	if !e.cfg.PaperProfile {
 		e.maybeCompact()
 	}
 }
@@ -1372,15 +1399,11 @@ func (e *Engine) Stats() Stats {
 		MemTablePoints: e.working.Points() + e.workingUn.Points(),
 		FlushWorkers:   e.pool.size,
 	}
-	if e.partitioned {
-		parts := map[int64]struct{}{}
-		for _, fh := range e.files {
-			if fh.partitioned {
-				parts[fh.part] = struct{}{}
-			}
-		}
-		s.PartitionsActive = len(parts)
+	parts := map[int64]struct{}{}
+	for _, fh := range e.files {
+		parts[fh.part] = struct{}{}
 	}
+	s.PartitionsActive = len(parts)
 	if e.flushCount > 0 {
 		n := float64(e.flushCount)
 		s.AvgFlushMillis = float64(e.flushTotal.Microseconds()) / 1000 / n

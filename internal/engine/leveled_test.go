@@ -235,10 +235,13 @@ func rewriteEngineFileAsV1(t *testing.T, path string) {
 }
 
 // fileVersions returns the index format version of every live chunk
-// file in dir.
+// file under dir's p*/L*/ tree, and fails if any is left at the root.
 func fileVersions(t *testing.T, dir string) []int {
 	t.Helper()
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
+	if root, _ := filepath.Glob(filepath.Join(dir, "*.gtsf")); len(root) != 0 {
+		t.Fatalf("chunk files left at the root: %v", root)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
 	var out []int
 	for _, f := range files {
 		r, err := tsfile.Open(f)
@@ -251,10 +254,11 @@ func fileVersions(t *testing.T, dir string) []int {
 	return out
 }
 
-// TestBackwardCompatUpgradeToV3 is the version matrix: a store holding
-// the golden v2 file, a v1 file and freshly flushed v3 files opens with
-// the v1 file quarantined, answers from v2 and v3 together, and its
-// first compaction rewrites everything into one v3 file with identical
+// TestBackwardCompatUpgradeToV3 is the version matrix: a flat-layout
+// store holding the golden v2 file and a v1 file at its root opens with
+// the v1 file quarantined and the v2 file folded into a v3 partition
+// file, answers from it and freshly flushed v3 files together, and its
+// compaction rewrites everything into one v3 file with identical
 // answers, before and across a reopen.
 func TestBackwardCompatUpgradeToV3(t *testing.T) {
 	dir := t.TempDir()
@@ -274,14 +278,17 @@ func TestBackwardCompatUpgradeToV3(t *testing.T) {
 	if _, err := os.Stat(v1 + ".quarantine"); err != nil {
 		t.Fatalf("v1 file not quarantined: %v", err)
 	}
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{3}) {
+		t.Fatalf("store versions after open %v, want the v2 file folded into one v3 file", got)
+	}
 	const n = 600
 	for i := 400; i < n; i++ {
 		if err := e.Insert("s", int64(i), float64(i)*0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fileVersions(t, dir); !slices.Equal(got, []int{2, 3, 3}) {
-		t.Fatalf("store versions %v, want one v2 file and two v3 files", got)
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{3, 3, 3}) {
+		t.Fatalf("store versions %v, want three v3 files", got)
 	}
 	answers := func(e *Engine) string {
 		t.Helper()
@@ -333,17 +340,24 @@ func TestBackwardCompatUpgradeToV3(t *testing.T) {
 	}
 }
 
-// TestCompactRewritesSingleLegacyFile pins the needsRewrite rule: one
-// file is normally a compaction no-op, but a lone v2 file still
-// upgrades to v3.
+// TestCompactRewritesSingleLegacyFile pins the lone-file rule: one
+// file in a partition is normally a compaction no-op, but a lone v2
+// file still upgrades to v3.
 func TestCompactRewritesSingleLegacyFile(t *testing.T) {
 	dir := t.TempDir()
-	copyGoldenV2(t, filepath.Join(dir, "seq-000001.gtsf"))
+	l0 := filepath.Join(dir, "p0", "L0")
+	if err := os.MkdirAll(l0, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyGoldenV2(t, filepath.Join(l0, "seq-000001.gtsf"))
 	e, err := Open(Config{Dir: dir, SyncFlush: true, blockPoints: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if got := fileVersions(t, dir); !slices.Equal(got, []int{2}) {
+		t.Fatalf("partition file rewritten at Open: versions %v", got)
+	}
 	want, err := e.Query("s", math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +392,7 @@ func TestTornV3FileQuarantined(t *testing.T) {
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
 	if len(files) != 1 {
 		t.Fatalf("fixture files = %v", files)
 	}
@@ -508,14 +522,8 @@ func TestLeveledCompactionBoundsAndRecovery(t *testing.T) {
 
 // TestDropPartitionsBefore covers O(1) retention: whole expired
 // partitions unlink, the counters report it, queries stop seeing the
-// dropped range, and the drop survives a reopen. A non-partitioned
-// engine refuses the call.
+// dropped range, and the drop survives a reopen.
 func TestDropPartitionsBefore(t *testing.T) {
-	flat := openTest(t, Config{})
-	if _, err := flat.DropPartitionsBefore(10); err == nil {
-		t.Fatal("flat-layout engine accepted DropPartitionsBefore")
-	}
-
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, MemTableSize: 200, SyncFlush: true, PartitionDuration: 1000}
 	e, err := Open(cfg)

@@ -92,7 +92,7 @@ func TestRecoverFileSeqContinues(t *testing.T) {
 		e1.Insert("s", int64(i), 0)
 	}
 	e1.Close()
-	filesBefore, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
+	filesBefore, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
 
 	e2, err := Open(Config{Dir: dir, MemTableSize: 5, SyncFlush: true})
 	if err != nil {
@@ -102,7 +102,7 @@ func TestRecoverFileSeqContinues(t *testing.T) {
 		e2.Insert("s", int64(i), 0)
 	}
 	e2.Close()
-	filesAfter, _ := filepath.Glob(filepath.Join(dir, "*.gtsf"))
+	filesAfter, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
 	if len(filesAfter) <= len(filesBefore) {
 		t.Fatal("no new files after reopen")
 	}

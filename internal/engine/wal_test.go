@@ -152,7 +152,7 @@ func TestWALDisabledWritesNoSegments(t *testing.T) {
 	if len(segs) != 0 {
 		t.Fatalf("WAL disabled but segments exist: %v", segs)
 	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "*.gtsf")); len(matches) == 0 {
+	if matches, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf")); len(matches) == 0 {
 		t.Fatal("no chunk files written")
 	}
 }

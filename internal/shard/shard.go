@@ -269,9 +269,8 @@ func (r *Router) Compact() error {
 }
 
 // DropPartitionsBefore removes every time partition wholly before
-// cutoff on every shard (partitioned mode only), returning the total
-// number of partition directories dropped and the first error by
-// shard order.
+// cutoff on every shard, returning the total number of partition
+// directories dropped and the first error by shard order.
 func (r *Router) DropPartitionsBefore(cutoff int64) (int, error) {
 	counts := make([]int, len(r.shards))
 	errs := make([]error, len(r.shards))
