@@ -70,12 +70,11 @@ func report(res bench.Result) {
 		res.FlushCount, res.AvgFlushMillis, res.AvgSortMillis, res.AvgEncodeMillis, res.AvgWriteMillis, res.FlushWorkers)
 	fmt.Printf("  engine lock: %d contended acquisitions (avg %.1f µs, p99 ≤ %.0f µs), %d queries blocked, %d sorts skipped\n",
 		res.LockWaits, res.AvgLockWaitMicros, res.P99LockWaitMicros, res.QueriesBlocked, res.SortsSkipped)
-	fmt.Printf("  sort kernel: %d flat sorts (%.3f ms), %d interface sorts (%.3f ms)\n",
+	fmt.Printf("  sort kernel: %d serving sorts (flat, %.3f ms), %d paper-profile sorts (interface, %.3f ms)\n",
 		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis)
-	fmt.Printf("  adaptive: %d sketch-seeded flushes, %d search iters saved; %d pinned + %d seeded sorts; routes flat=%d iface=%d; chosen L %d..%d\n",
+	fmt.Printf("  adaptive: %d sketch-seeded flushes, %d search iters saved; %d pinned + %d seeded sorts; chosen L %d..%d\n",
 		res.SketchSeededFlushes, res.SearchItersSaved, res.AdaptiveFixedSorts,
-		res.AdaptiveSeededSorts, res.AdaptiveFlatRoutes, res.AdaptiveIfaceRoutes,
-		res.AdaptiveMinL, res.AdaptiveMaxL)
+		res.AdaptiveSeededSorts, res.AdaptiveMinL, res.AdaptiveMaxL)
 	fmt.Printf("  separation: %d seq points, %d unseq points\n", res.SeqPoints, res.UnseqPoints)
 	avgGroup := 0.0
 	if res.WALSyncs > 0 {

@@ -81,7 +81,7 @@ func TestSketchPredictionTracksSearch(t *testing.T) {
 		p := NewPlanner()
 		var pred int
 		for g := 0; g < 3; g++ { // a few generations so decay washes out
-			d := p.Plan(sc.name, sk.Snapshot(), len(ser.Times))
+			d := p.Plan(sc.name, sk.Snapshot())
 			pred = d.FixedL
 			if pred == 0 {
 				pred = d.SeedL * 2 // seed is half the prediction
@@ -127,7 +127,7 @@ func TestPlannerStabilizesThenSkips(t *testing.T) {
 
 	sawFixed := false
 	for flush := 1; flush <= 7; flush++ {
-		d := p.Plan("s1", gen, 10000)
+		d := p.Plan("s1", gen)
 		if !d.Sketched {
 			t.Fatalf("flush %d: decision not sketch-informed", flush)
 		}
@@ -148,7 +148,7 @@ func TestPlannerStabilizesThenSkips(t *testing.T) {
 		t.Fatal("planner never skipped the search on a stationary sensor")
 	}
 	// Flush 8 is a revalidation turn: the search must actually run.
-	d := p.Plan("s1", gen, 10000)
+	d := p.Plan("s1", gen)
 	if d.FixedL != 0 || d.SeedL == 0 {
 		t.Fatalf("revalidation flush should seed a real search, got %+v", d)
 	}
@@ -159,7 +159,7 @@ func TestPlannerReactsToDrift(t *testing.T) {
 	calm := snap(10000, 5000, 200, 10) // → modest L
 	var lastCalm Decision
 	for flush := 1; flush <= 7; flush++ {
-		d := p.Plan("s1", calm, 10000)
+		d := p.Plan("s1", calm)
 		if d.SeedL > 0 {
 			p.Observe("s1", d.SeedL*2)
 		}
@@ -174,7 +174,7 @@ func TestPlannerReactsToDrift(t *testing.T) {
 	burst := snap(10000, 5000, 12800, 10)
 	var reSeeded bool
 	for flush := 0; flush < 3; flush++ {
-		d := p.Plan("s1", burst, 10000)
+		d := p.Plan("s1", burst)
 		if d.SeedL > 0 {
 			reSeeded = true
 			if d.SeedL*2 <= lastCalm.FixedL {
@@ -188,39 +188,13 @@ func TestPlannerReactsToDrift(t *testing.T) {
 	}
 }
 
-func TestPlannerRouting(t *testing.T) {
-	p := NewPlanner()
-	dirty := snap(10000, 2000, 100, 10)
-	clean := snap(10000, 3, 100, 10) // disorder 3e-4 < 1/256
-
-	if d := p.Plan("big-dirty", dirty, 100000); !d.UseFlat {
-		t.Fatal("long dirty chunk should route to the flat kernel")
-	}
-	// A dirty chunk below the engine's static threshold is exactly the
-	// case the per-sensor routing exists for: the flat kernel wins on
-	// disordered data from FlatDirtyMinLen up.
-	if d := p.Plan("mid-dirty", dirty, 2600); !d.UseFlat {
-		t.Fatal("mid-size dirty chunk should route to the flat kernel")
-	}
-	if d := p.Plan("small-dirty", dirty, 16); d.UseFlat {
-		t.Fatal("tiny chunk should stay on the interface path")
-	}
-	// Near-clean chunks defer to the static threshold.
-	if d := p.Plan("big-clean", clean, 100000); !d.UseFlat {
-		t.Fatal("long near-clean chunk should keep the static flat routing")
-	}
-	if d := p.Plan("mid-clean", clean, 2600); d.UseFlat {
-		t.Fatal("mid-size near-clean chunk should stay on the in-place interface path")
-	}
-}
-
 func TestPlannerColdStart(t *testing.T) {
 	p := NewPlanner()
-	d := p.Plan("s1", snap(10, 2, 50, 10), 100000)
+	d := p.Plan("s1", snap(10, 2, 50, 10))
 	if d.Sketched || d.FixedL != 0 || d.SeedL != 0 {
 		t.Fatalf("10 samples should not inform a decision: %+v", d)
 	}
-	if !d.UseFlat {
-		t.Fatal("cold start on a long chunk should keep the default flat routing")
+	if d != Unplanned("s1") {
+		t.Fatalf("cold-start decision %+v differs from the unplanned default %+v", d, Unplanned("s1"))
 	}
 }

@@ -31,20 +31,6 @@ const (
 	// minSamples is the decayed point count below which the planner
 	// makes no sketch-informed decision.
 	minSamples = 64
-	// flatMinLen is the chunk length at which a *near-clean* chunk
-	// takes the flat kernel: when almost nothing is out of order the
-	// sort is a near-no-op, and below this length the kernel's 2·O(n)
-	// coalesce/scatter copies and pool round-trip rival its
-	// constant-factor win.
-	flatMinLen = 4096
-	// flatDirtyMinLen is the far lower flat floor for chunks known to
-	// be disordered: on dirty data the kernel's contiguous sort beats
-	// the interface path's per-record indirection by 2-3x at every
-	// measured size, so the copies amortize almost immediately.
-	flatDirtyMinLen = 32
-	// minDisorderForFlat is the disorder fraction separating the two
-	// floors above.
-	minDisorderForFlat = 1.0 / 256
 )
 
 // maxPredictL caps the predicted block size; BackwardSort clamps L to
@@ -70,9 +56,6 @@ type Decision struct {
 	// sensor — a rotating anchor makes the chosen L flap on periodic
 	// patterns, which resets the stability count and blocks pinning.
 	Phase int
-	// UseFlat routes this sensor's chunk through the flat kernel;
-	// false keeps it on the in-place interface path.
-	UseFlat bool
 	// SavedIterations estimates how many doubling-search iterations
 	// the decision avoids versus the default search from L0: all of
 	// them when FixedL skips the search, the iterations below the seed
@@ -112,7 +95,7 @@ func NewPlanner() *Planner {
 
 // Plan folds one flush generation's sketch into the sensor's decayed
 // state and returns the sort-path decision for that sensor's chunk.
-func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
+func (p *Planner) Plan(sensor string, sk Snapshot) Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -139,7 +122,6 @@ func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
 		}
 	}
 
-	d.UseFlat = st.useFlat(chunkLen)
 	if st.n < minSamples {
 		// Not enough signal: default search.
 		st.agree = 0
@@ -184,38 +166,15 @@ func (p *Planner) Plan(sensor string, sk Snapshot, chunkLen int) Decision {
 	return d
 }
 
-// Route is the read-only half of Plan: the flat-vs-interface route for
-// a chunk of the sensor from the state earlier flushes left behind and
-// the default block-size search — no fold, and no Observe owed.
-// Query-side sorts use it: they run many times per flush generation
-// and must not advance state that decays once per generation.
-func (p *Planner) Route(sensor string, chunkLen int) Decision {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.sensors[sensor]
-	if st == nil {
-		return Decision{UseFlat: chunkLen >= flatMinLen}
-	}
-	return Decision{Phase: st.phase, UseFlat: st.useFlat(chunkLen)}
-}
-
-// RouteDirty is the decision for a chunk that is disordered by
-// construction — an unsequence chunk holds only points that arrived
-// behind the flushed watermark: the dirty floor and the default
-// search, without consulting or feeding any per-sensor state.
-func RouteDirty(chunkLen int) Decision {
-	return Decision{UseFlat: chunkLen >= flatDirtyMinLen}
-}
-
-// useFlat is the per-sensor flat-vs-interface rule: a sensor the
-// decayed state knows to be dirty takes the flat kernel from
-// flatDirtyMinLen up, a near-clean or not-yet-measured one only from
-// flatMinLen up, and tiny chunks stay on the in-place interface path.
-func (st *sensorState) useFlat(chunkLen int) bool {
-	if st.n >= minSamples && st.ooo/st.n >= minDisorderForFlat {
-		return chunkLen >= flatDirtyMinLen
-	}
-	return chunkLen >= flatMinLen
+// Unplanned is the decision for a sort the planner does not plan:
+// every query-side sort, which runs many times per flush generation and
+// must not advance state that decays once per generation, and every
+// unsequence chunk, which is late by construction and must not feed
+// the sequence chunk's state. It is the default block-size search at
+// the sensor's phase: a function of the name alone, so it needs no
+// planner and no lock.
+func Unplanned(sensor string) Decision {
+	return Decision{Phase: phaseOf(sensor)}
 }
 
 // Observe feeds back the result of a real (seeded or default) search:

@@ -1,14 +1,11 @@
-// Package adaptive self-tunes the Backward-Sort path from online
-// disorder measurement. The paper fixes its parameters per run — block
-// size from one search per sort, flat-vs-interface from a global
-// length threshold — but real sensor delay distributions drift over
-// time and differ per sensor. This package maintains a cheap
-// per-sensor disorder sketch at insert time (Sketch, O(1) per point)
-// and turns it into per-flush sort-path decisions (Planner): seed the
-// block-size search with the sketch-predicted L, skip the search
-// entirely once the prediction is stable, and route each sensor to the
-// flat kernel or the in-place interface path on its own measured
-// disorder rather than a global threshold.
+// Package adaptive self-tunes Backward-Sort's block size from online
+// disorder measurement. The paper fixes the block size by one search
+// per sort, but real sensor delay distributions drift over time and
+// differ per sensor. This package maintains a cheap per-sensor
+// disorder sketch at insert time (Sketch, O(1) per point) and turns it
+// into per-flush block-size decisions (Planner): seed the block-size
+// search with the sketch-predicted L, and skip the search entirely
+// once the prediction is stable.
 package adaptive
 
 import "math/bits"

@@ -1,22 +1,16 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // This file is the monomorphized fast path of Backward-Sort: the same
 // three phases as BackwardSort (set block size / sort by blocks /
 // backward merge), specialized to contiguous []int64 / []V slices.
 // Every s.Time(i) of the interface path is an indexed load here, every
 // Swap/Move/Save/Restore a pair of slice assignments — no interface
-// dispatch, no i/arrayLen+i%arrayLen block arithmetic. Phase 2 may
-// additionally fan the independent block sorts (Algorithm 1 lines
-// 9-12) across a bounded set of goroutines; phase 3 stays sequential
-// and backward, exactly as the algorithm requires.
+// dispatch, no i/arrayLen+i%arrayLen block arithmetic.
 
 // FlatOptions configures SortFlat. The zero value selects the paper's
-// defaults and a sequential phase 2.
+// defaults.
 type FlatOptions struct {
 	// InitialBlockSize is L0 (default DefaultInitialBlockSize).
 	InitialBlockSize int
@@ -29,11 +23,6 @@ type FlatOptions struct {
 	// at index SearchPhase mod L instead of index 0 (see
 	// Options.SearchPhase).
 	SearchPhase int
-	// Parallelism bounds the phase-2 block-sorting workers; values
-	// below 2 keep phase 2 on the calling goroutine. Phases 1 and 3
-	// are sequential regardless: the block-size scan is O(n/L0) and
-	// the backward merge's suffix invariant is inherently ordered.
-	Parallelism int
 }
 
 func (o FlatOptions) withDefaults() FlatOptions {
@@ -104,8 +93,7 @@ func growSlice[V any](s []V, n int) []V {
 // SortFlat sorts the parallel slices by timestamp using Backward-Sort,
 // specialized to contiguous storage. It panics if the lengths differ.
 // The Trace it returns is identical to what BackwardSort would report
-// on the same input: the two paths run the same algorithm, and the
-// phase-2 fan-out cannot change what any block contains.
+// on the same input: the two paths run the same algorithm.
 func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 	if len(times) != len(values) {
 		panic("core: times and values length mismatch")
@@ -132,10 +120,12 @@ func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 	tr.BlockSize = L
 	tr.Blocks = (n + L - 1) / L
 
-	// Phase 2: sort by blocks (lines 9-12), fanned out when asked.
-	sortBlocksFlat(times, values, L, opts.Parallelism)
+	// Phase 2: sort by blocks (lines 9-12).
+	for lo := 0; lo < n; lo += L {
+		quicksortFlat(times, values, lo, min(lo+L, n))
+	}
 
-	// Phase 3: backward merge (lines 13-16), sequential by invariant.
+	// Phase 3: backward merge (lines 13-16).
 	backwardMergeFlat(times, values, L, &tr)
 	return tr
 }
@@ -144,61 +134,6 @@ func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 // a flat timestamp slice.
 func setBlockSizeFlat(times []int64, l0 int, theta float64, phase int) (L, iterations int) {
 	return searchBlockSize(len(times), func(i int) int64 { return times[i] }, l0, DefaultInitialBlockSize, theta, phase)
-}
-
-// sortBlocksFlat sorts every L-sized block in place. Blocks are
-// independent by construction (Algorithm 1 lines 9-12), so with
-// parallelism > 1 contiguous runs of blocks are handed to up to that
-// many goroutines; run boundaries are block boundaries, so the result
-// is bit-identical to the sequential order.
-func sortBlocksFlat[V any](times []int64, values []V, L, parallelism int) {
-	n := len(times)
-	blocks := (n + L - 1) / L
-	workers := parallelism
-	if workers > blocks {
-		workers = blocks
-	}
-	// Never fan out beyond the CPUs actually available: an extra worker
-	// can't run anyway, and on a loaded scheduler the spawned goroutine
-	// waits a full run-queue round behind busy peers — turning a
-	// sub-millisecond block sort into milliseconds of latency.
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += L {
-			hi := lo + L
-			if hi > n {
-				hi = n
-			}
-			quicksortFlat(times, values, lo, hi)
-		}
-		return
-	}
-	per := (blocks + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		startBlk := w * per
-		if startBlk >= blocks {
-			break
-		}
-		end := (startBlk + per) * L
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(lo, end int) {
-			defer wg.Done()
-			for ; lo < end; lo += L {
-				hi := lo + L
-				if hi > end {
-					hi = end
-				}
-				quicksortFlat(times, values, lo, hi)
-			}
-		}(startBlk*L, end)
-	}
-	wg.Wait()
 }
 
 // quicksortFlat is QuicksortRange monomorphized: middle-element pivot,

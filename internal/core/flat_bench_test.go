@@ -33,11 +33,11 @@ func BenchmarkSortInterfacePairs(b *testing.B) {
 	}
 }
 
-func benchmarkSortFlat(b *testing.B, parallelism int) {
+func BenchmarkSortFlat(b *testing.B) {
 	srcT, srcV := benchData()
 	t := make([]int64, benchN)
 	v := make([]float64, benchN)
-	opts := FlatOptions{Parallelism: parallelism}
+	opts := FlatOptions{}
 	// Warm the scratch pool so the first iteration's grow doesn't count.
 	copy(t, srcT)
 	copy(v, srcV)
@@ -53,15 +53,9 @@ func benchmarkSortFlat(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkSortFlatP1(b *testing.B) { benchmarkSortFlat(b, 1) }
-func BenchmarkSortFlatP2(b *testing.B) { benchmarkSortFlat(b, 2) }
-func BenchmarkSortFlatP4(b *testing.B) { benchmarkSortFlat(b, 4) }
-func BenchmarkSortFlatP8(b *testing.B) { benchmarkSortFlat(b, 8) }
-
 // TestSortFlatSteadyStateAllocs pins the kernel's zero-allocation
-// contract at parallelism 1: once the pooled scratch is warm, sorting
-// must not allocate. (Parallelism > 1 spends a few allocations on
-// goroutine fan-out, which is why the contract is sequential-only.)
+// contract: once the pooled scratch is warm, sorting must not
+// allocate.
 func TestSortFlatSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the contract is measured without -race")

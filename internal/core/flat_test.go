@@ -45,10 +45,10 @@ func checkAgainstOracle(t *testing.T, label string, orig, gotT []int64, gotV []i
 }
 
 // runBothPaths sorts orig through the interface path and the flat path
-// (at the given parallelism) with identical options, checks both
+// with identical options, checks both
 // against the oracle, and asserts their Traces agree — the two paths
 // run the same algorithm, so every trace counter must match.
-func runBothPaths(t *testing.T, label string, orig []int64, fixedL, parallelism int) {
+func runBothPaths(t *testing.T, label string, orig []int64, fixedL int) {
 	t.Helper()
 
 	p := makePairs(orig)
@@ -60,7 +60,7 @@ func runBothPaths(t *testing.T, label string, orig []int64, fixedL, parallelism 
 	for i := range fv {
 		fv[i] = i
 	}
-	trFlat := SortFlat(ft, fv, FlatOptions{FixedBlockSize: fixedL, Parallelism: parallelism})
+	trFlat := SortFlat(ft, fv, FlatOptions{FixedBlockSize: fixedL})
 	checkAgainstOracle(t, label+"/flat", orig, ft, fv)
 
 	if trIface != trFlat {
@@ -107,18 +107,14 @@ func TestSortFlatMatchesInterfaceDelayOnly(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 5, 31, 100, 1000, 20000} {
 		for _, mean := range []float64{0, 0.5, 5, 50, 500} {
 			orig := delayedTimes(n, mean, int64(n)*13+int64(mean)+1)
-			for _, par := range []int{1, 4} {
-				runBothPaths(t, "delay", orig, 0, par)
-			}
+			runBothPaths(t, "delay", orig, 0)
 		}
 	}
 }
 
 func TestSortFlatMatchesInterfaceAdversarial(t *testing.T) {
 	for name, orig := range adversarialInputs() {
-		for _, par := range []int{1, 3} {
-			runBothPaths(t, name, orig, 0, par)
-		}
+		runBothPaths(t, name, orig, 0)
 	}
 }
 
@@ -126,27 +122,25 @@ func TestSortFlatEveryFixedBlockSize(t *testing.T) {
 	orig := delayedTimes(4000, 12, 77)
 	sizes := []int{1, 2, 3, 4, 5, 7, 12, 13, 16, 33, 100, 512, 1024, 3999, 4000, 9001}
 	for _, L := range sizes {
-		for _, par := range []int{1, 2, 8} {
-			runBothPaths(t, "fixedL", orig, L, par)
-		}
+		runBothPaths(t, "fixedL", orig, L)
 	}
 	// And the adversarial set across a few block sizes.
 	for name, adv := range adversarialInputs() {
 		for _, L := range []int{1, 3, 16, 1024} {
-			runBothPaths(t, name+"/fixedL", adv, L, 2)
+			runBothPaths(t, name+"/fixedL", adv, L)
 		}
 	}
 }
 
 func TestSortFlatQuick(t *testing.T) {
-	f := func(times []int64, parSeed uint8) bool {
+	f := func(times []int64) bool {
 		orig := append([]int64(nil), times...)
 		ft := append([]int64(nil), times...)
 		fv := make([]int, len(times))
 		for i := range fv {
 			fv[i] = i
 		}
-		SortFlat(ft, fv, FlatOptions{Parallelism: int(parSeed%5) + 1})
+		SortFlat(ft, fv, FlatOptions{})
 		want := oracleSort(orig)
 		for i := range want {
 			if ft[i] != want[i] {
@@ -169,15 +163,15 @@ func TestSortFlatQuick(t *testing.T) {
 // through both paths and the oracle. `go test` runs the seed corpus;
 // `go test -fuzz=FuzzSortFlat ./internal/core` explores further.
 func FuzzSortFlat(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4))
-	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<63), uint8(0))
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<63))
 	seed := make([]byte, 0, 2048)
 	for i := 255; i >= 0; i-- {
 		seed = binary.LittleEndian.AppendUint64(seed, uint64(i/3))
 	}
-	f.Add(seed, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, par uint8) {
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 8
 		orig := make([]int64, n)
 		for i := 0; i < n; i++ {
@@ -190,7 +184,7 @@ func FuzzSortFlat(f *testing.F) {
 		for i := range fv {
 			fv[i] = i
 		}
-		SortFlat(ft, fv, FlatOptions{Parallelism: int(par % 9)})
+		SortFlat(ft, fv, FlatOptions{})
 		want := oracleSort(orig)
 		for i := range want {
 			if ft[i] != want[i] || p.Times[i] != want[i] {

@@ -40,6 +40,7 @@ package engine
 
 import (
 	"fmt"
+	"repro/internal/adaptive"
 	"sort"
 
 	"repro/internal/memtable"
@@ -247,19 +248,20 @@ func (qs *querySources) release() {
 // behavior of sorting the live working TVLists under the lock.
 func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, error) {
 	qs := &querySources{}
+	// sortScan sorts one memtable chunk (unplanned: queries never
+	// advance the planner) and collects its records in range.
+	dec := adaptive.Unplanned(sensor)
+	sortScan := func(c *tvlist.TVList[float64]) {
+		e.sortChunk(c, dec)
+		if out := scanChunk(c, minT, maxT); len(out) > 0 {
+			qs.mem = append(qs.mem, out)
+		}
+	}
 
 	e.lockContended(true)
 	if e.closed {
 		e.mu.Unlock()
 		return nil, errClosed
-	}
-	// sortScan sorts one memtable chunk (routed read-only: queries
-	// never advance the planner) and collects its records in range.
-	sortScan := func(c *tvlist.TVList[float64], unseq bool) {
-		e.sortChunk(c, e.route(sensor, unseq, c.Len()))
-		if out := scanChunk(c, minT, maxT); len(out) > 0 {
-			qs.mem = append(qs.mem, out)
-		}
 	}
 	// Unsequence before sequence — index 0 is the unsequence memtable,
 	// here and in the flushing units below.
@@ -267,7 +269,7 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	for i, mt := range []*memtable.MemTable{e.workingUn, e.working} {
 		if e.cfg.PaperProfile {
 			if chunk := mt.Chunk(sensor); chunk != nil {
-				sortScan(chunk, i == 0)
+				sortScan(chunk)
 			}
 		} else {
 			workChunks[i] = mt.SnapshotChunk(sensor)
@@ -283,9 +285,9 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 
 	// Snapshotted working chunks: sorted and scanned outside the lock;
 	// writers proceed in parallel.
-	for i, c := range workChunks {
+	for _, c := range workChunks {
 		if c != nil {
-			sortScan(c, i == 0)
+			sortScan(c)
 		}
 	}
 
@@ -293,14 +295,14 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	// the older in-flight generation it rewrites.
 	for i := len(unitRefs) - 1; i >= 0; i-- {
 		unit := unitRefs[i]
-		for j, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
+		for _, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
 			chunk := mt.Chunk(sensor)
 			if chunk == nil {
 				continue
 			}
 			mu := unit.lockChunk(chunk)
 			mu.Lock()
-			sortScan(chunk, j == 0)
+			sortScan(chunk)
 			mu.Unlock()
 		}
 	}

@@ -113,11 +113,13 @@ type Config struct {
 	// PaperProfile runs the engine as the paper benchmarked IoTDB:
 	// queries sort the live working TVLists in place while holding the
 	// engine lock (the query-blocks-writes contention of Figures
-	// 13–15), and every sort goes through the core.Sortable interface
-	// with the registry algorithm — no disorder sketches, no planner,
-	// no flat kernel. Off by default: queries snapshot under the lock
-	// and sort outside it, and the disorder planner
-	// (internal/adaptive) routes every sort. cmd/repro turns it on so
+	// 13–15), every sort goes through the core.Sortable interface
+	// with the registry algorithm, and working chunks are IoTDB's
+	// List<Array> of tvlist.DefaultArrayLen — no disorder sketches, no
+	// planner, no flat kernel. Off by default: working chunks are
+	// contiguous, queries snapshot under the lock and sort outside it,
+	// and every sort is the flat kernel with the disorder planner's
+	// (internal/adaptive) block size. cmd/repro turns it on so
 	// the reproduced figures keep measuring the paper's algorithm and
 	// locking, not this repository's.
 	PaperProfile bool
@@ -155,11 +157,11 @@ type Config struct {
 	// DropPartitionsBefore.
 	PartitionDuration int64
 
-	// Package tests that need many blocks, arrays or levels from few
-	// points override DefaultBlockPoints, tvlist.DefaultArrayLen and
-	// the leveled-compaction bounds here; zero keeps the default.
-	blockPoints, arrayLen, l0CompactFiles, levelGrowth, maxLevel int
-	levelBaseBytes                                               int64
+	// Package tests that need many blocks or levels from few points
+	// override DefaultBlockPoints and the leveled-compaction bounds
+	// here; zero keeps the default.
+	blockPoints, l0CompactFiles, levelGrowth, maxLevel int
+	levelBaseBytes                                     int64
 }
 
 // TV is one query result record.
@@ -186,9 +188,11 @@ type Stats struct {
 	MemTablePoints  int
 	FlushWorkers    int   // resolved worker-pool size
 	SortsSkipped    int64 // TVList sorts avoided via the sorted flag
-	// Sort kernel routing: how many TVList sorts took the contiguous
-	// flat kernel vs the in-place interface path, and the cumulative
-	// wall time spent in each (flush drains and queries combined).
+	// Sort kernels: how many TVList sorts took the flat kernel (every
+	// sort of an engine with a planner) vs the core.Sortable interface
+	// (the paper profile, or an algorithm other than "backward"), and
+	// the cumulative wall time spent in each (flush drains and queries
+	// combined).
 	FlatSorts           int64
 	InterfaceSorts      int64
 	FlatSortMillis      float64
@@ -196,15 +200,13 @@ type Stats struct {
 	// Planner counters (all zero without a planner, see
 	// Config.PaperProfile): how often the per-sensor disorder sketches
 	// informed flush sorts, the doubling-search scan iterations they
-	// avoided, the per-sensor routing outcomes, and the range of block
-	// sizes the planned sorts ran with (a two-sided histogram summary;
-	// 0 = no planned sort yet).
+	// avoided, how the planned sorts chose L, and the range of block
+	// sizes they ran with (a two-sided histogram summary; 0 = no
+	// planned sort yet).
 	SketchSeededFlushes int64 // flushes with ≥1 sketch-informed sort decision
 	SearchItersSaved    int64 // block-size search iterations skipped via seeding/pinning
 	AdaptiveFixedSorts  int64 // planned sorts that pinned L and skipped the search
 	AdaptiveSeededSorts int64 // planned sorts whose search started at the sketch seed
-	AdaptiveFlatRoutes  int64 // planned sorts routed per-sensor to the flat kernel
-	AdaptiveIfaceRoutes int64 // planned sorts routed per-sensor to the interface path
 	AdaptiveMinL        int64 // smallest L a planned sort ran with
 	AdaptiveMaxL        int64 // largest L a planned sort ran with
 	// Engine-lock contention, recorded only when an acquisition had to
@@ -297,10 +299,11 @@ type Engine struct {
 	walTickStop chan struct{}
 	walTickDone chan struct{}
 
-	// planner routes every sort (sortChunk) when the algorithm is
-	// "backward" outside the paper profile; nil otherwise. It persists
-	// per-sensor decayed disorder state across flush generations;
-	// per-generation sketches live in the sequence memtables.
+	// planner picks the block size of every flat sort (sortChunk);
+	// the engine has one when the algorithm is "backward" outside the
+	// paper profile, nil otherwise. It persists per-sensor decayed
+	// disorder state across flush generations; per-generation sketches
+	// live in the sequence memtables.
 	planner *adaptive.Planner
 
 	// mu is the engine lock. It guards the mutable engine state: the
@@ -352,8 +355,6 @@ type Engine struct {
 	searchItersSaved    atomic.Int64
 	adaptiveFixedSorts  atomic.Int64
 	adaptiveSeededSorts atomic.Int64
-	adaptiveFlatRoutes  atomic.Int64
-	adaptiveIfaceRoutes atomic.Int64
 	adaptiveMinL        atomic.Int64 // 0 = no adaptive sort yet
 	adaptiveMaxL        atomic.Int64
 
@@ -1013,15 +1014,21 @@ func (e *Engine) rotateLocked() *flushUnit {
 	return unit
 }
 
-// newWorking installs fresh working memtables. With a planner the
-// sequence memtable sketches each sensor's disorder; fresh memtables
-// start fresh sketches, so per-generation disorder state never leaks
-// across the rotation — the planner holds the decayed cross-generation
+// newWorking installs fresh working memtables. Their chunks are
+// contiguous, except under the paper profile, which keeps IoTDB's
+// List<Array> of tvlist.DefaultArrayLen. With a planner the sequence
+// memtable sketches each sensor's disorder; fresh memtables start
+// fresh sketches, so per-generation disorder state never leaks across
+// the rotation — the planner holds the decayed cross-generation
 // memory. The unsequence memtable is never sketched: its chunks are
-// late by construction and always take the dirty route.
+// late by construction and always sort unplanned.
 func (e *Engine) newWorking() {
-	e.working = memtable.New(e.cfg.arrayLen)
-	e.workingUn = memtable.New(e.cfg.arrayLen)
+	arrayLen := 0
+	if e.cfg.PaperProfile {
+		arrayLen = tvlist.DefaultArrayLen
+	}
+	e.working = memtable.New(arrayLen)
+	e.workingUn = memtable.New(arrayLen)
 	if e.planner != nil {
 		e.working.TrackDisorder()
 	}
@@ -1161,18 +1168,16 @@ func (e *Engine) drain(unit *flushUnit) {
 				mu.Lock()
 				// A sequence chunk under a planner is planned: fold
 				// the generation's sketch in, sort as decided, feed
-				// the search result back. Everything else is routed
-				// read-only, as on the query side.
+				// the search result back. Everything else sorts
+				// unplanned, as on the query side.
 				planned := e.planner != nil && !part.unseq
-				var dec adaptive.Decision
+				dec := adaptive.Unplanned(sensor)
 				if planned {
 					sk, _ := mt.Sketch(sensor)
-					dec = e.planner.Plan(sensor, sk, chunk.Len())
+					dec = e.planner.Plan(sensor, sk)
 					if dec.Sketched {
 						sketchInformed.Store(true)
 					}
-				} else {
-					dec = e.route(sensor, part.unseq, chunk.Len())
 				}
 				tr, d := e.sortChunk(chunk, dec)
 				sortNanos.Add(d)
@@ -1423,8 +1428,6 @@ func (e *Engine) Stats() Stats {
 	s.SearchItersSaved = e.searchItersSaved.Load()
 	s.AdaptiveFixedSorts = e.adaptiveFixedSorts.Load()
 	s.AdaptiveSeededSorts = e.adaptiveSeededSorts.Load()
-	s.AdaptiveFlatRoutes = e.adaptiveFlatRoutes.Load()
-	s.AdaptiveIfaceRoutes = e.adaptiveIfaceRoutes.Load()
 	s.AdaptiveMinL = e.adaptiveMinL.Load()
 	s.AdaptiveMaxL = e.adaptiveMaxL.Load()
 	s.QueriesBlocked = e.queriesBlocked.Load()

@@ -86,72 +86,40 @@ func (e *Engine) lockContended(isQuery bool) {
 
 // sortChunk is the engine's one sort entry point: every TVList sort,
 // in the flush drain and on the query side, goes through it. With a
-// planner, dec picks the kernel (contiguous flat vs in-place
-// interface) and the block size (pinned, seeded, or default-searched).
-// Without one — the paper profile, or an algorithm other than
-// "backward" — dec is ignored and the configured registry algorithm
-// sorts through the core.Sortable interface, which is also the
-// reference the planned routes are tested against.
+// planner, the flat kernel sorts the chunk in place with dec's block
+// size (pinned, seeded, or default-searched). Without one — the paper
+// profile, or an algorithm other than "backward" — dec is ignored and
+// the configured registry algorithm sorts through the core.Sortable
+// interface, which is also the reference the flat kernel is tested
+// against.
 //
 // It returns the sort's Trace (zero when there is no planner or no
 // sort ran) and the elapsed nanoseconds (0 when the sorted flag let
 // the sort be skipped — an earlier query or drain paid for it, or the
 // data arrived ordered — which feeds the SortsSkipped counter), and
-// tallies per-path counts and cumulative time for Stats.
+// tallies per-kernel counts and cumulative time for Stats.
 func (e *Engine) sortChunk(c *tvlist.TVList[float64], dec adaptive.Decision) (core.Trace, int64) {
 	if c.Sorted() {
 		e.sortsSkipped.Add(1)
 		return core.Trace{}, 0
 	}
-	var tr core.Trace
-	flat := false
 	t0 := time.Now()
-	switch {
-	case e.planner == nil:
+	if e.planner == nil {
 		c.EnsureSorted(e.algo)
-	case dec.UseFlat:
-		flat = true
-		tr, _ = c.EnsureSortedFlatTrace(core.FlatOptions{
-			FixedBlockSize:   dec.FixedL,
-			InitialBlockSize: dec.SeedL,
-			SearchPhase:      dec.Phase,
-		})
-	default:
-		// A planner implies the "backward" algorithm, so the interface
-		// path calls it directly with the planned options instead of
-		// the parameterless registry entry in e.algo.
-		opts := core.Options{
-			FixedBlockSize:   dec.FixedL,
-			InitialBlockSize: dec.SeedL,
-			SearchPhase:      dec.Phase,
-		}
-		c.EnsureSorted(func(s core.Sortable) { tr = core.BackwardSort(s, opts) })
-	}
-	d := int64(time.Since(t0))
-	if flat {
-		e.flatSorts.Add(1)
-		e.flatSortNanos.Add(d)
-	} else {
+		d := int64(time.Since(t0))
 		e.ifaceSorts.Add(1)
 		e.ifaceSortNanos.Add(d)
+		return core.Trace{}, d
 	}
+	tr, _ := c.EnsureSortedFlatTrace(core.FlatOptions{
+		FixedBlockSize:   dec.FixedL,
+		InitialBlockSize: dec.SeedL,
+		SearchPhase:      dec.Phase,
+	})
+	d := int64(time.Since(t0))
+	e.flatSorts.Add(1)
+	e.flatSortNanos.Add(d)
 	return tr, d
-}
-
-// route is the read-only sort decision for chunks the planner does not
-// plan: every query-side sort, and unsequence chunks on both sides
-// (late by construction, so they take the dirty floor and never touch
-// per-sensor state). Without a planner the zero Decision is returned
-// and ignored.
-func (e *Engine) route(sensor string, unseq bool, chunkLen int) adaptive.Decision {
-	switch {
-	case e.planner == nil:
-		return adaptive.Decision{}
-	case unseq:
-		return adaptive.RouteDirty(chunkLen)
-	default:
-		return e.planner.Route(sensor, chunkLen)
-	}
 }
 
 // notePlanned records the outcome of one planned flush sort: the
@@ -162,11 +130,6 @@ func (e *Engine) route(sensor string, unseq bool, chunkLen int) adaptive.Decisio
 func (e *Engine) notePlanned(sensor string, dec adaptive.Decision, tr core.Trace) {
 	if tr.BlockSize == 0 {
 		return
-	}
-	if dec.UseFlat {
-		e.adaptiveFlatRoutes.Add(1)
-	} else {
-		e.adaptiveIfaceRoutes.Add(1)
 	}
 	switch {
 	case dec.FixedL > 0:

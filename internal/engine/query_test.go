@@ -60,17 +60,6 @@ func TestQueryAfterManyGenerations(t *testing.T) {
 	}
 }
 
-func TestArrayLenConfigPropagates(t *testing.T) {
-	e := openTest(t, Config{arrayLen: 4, MemTableSize: 100})
-	for i := 0; i < 10; i++ {
-		e.Insert("s", int64(i), 0)
-	}
-	out, err := e.Query("s", 0, 100)
-	if err != nil || len(out) != 10 {
-		t.Fatalf("arraylen engine broken: %d, %v", len(out), err)
-	}
-}
-
 func TestStatsSnapshotIndependentOfQueries(t *testing.T) {
 	e := openTest(t, Config{MemTableSize: 10})
 	for i := 0; i < 25; i++ {

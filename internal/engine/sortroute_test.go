@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/dataset"
+	"repro/internal/tvlist"
 )
 
 // oooSeries builds an out-of-order batch under the paper's delay
@@ -50,17 +51,16 @@ func oooSeriesBand(start int64, n int, minLate, maxLate int64, r *rand.Rand) ([]
 	return ts, vs
 }
 
-// plannerCounters returns the eight planner counters of a snapshot.
-func plannerCounters(s Stats) [8]int64 {
-	return [8]int64{s.SketchSeededFlushes, s.SearchItersSaved, s.AdaptiveFixedSorts,
-		s.AdaptiveSeededSorts, s.AdaptiveFlatRoutes, s.AdaptiveIfaceRoutes,
-		s.AdaptiveMinL, s.AdaptiveMaxL}
+// plannerCounters returns the six planner counters of a snapshot.
+func plannerCounters(s Stats) [6]int64 {
+	return [6]int64{s.SketchSeededFlushes, s.SearchItersSaved, s.AdaptiveFixedSorts,
+		s.AdaptiveSeededSorts, s.AdaptiveMinL, s.AdaptiveMaxL}
 }
 
-// TestSortRouting pins the engine's one routing rule: with a planner
-// (algorithm "backward" outside the paper profile) a chunk's measured
-// disorder and length pick flat vs interface, on the flush and the
-// query side alike; without one every sort takes the interface.
+// TestSortRouting pins the engine's one kernel rule: with a planner
+// (algorithm "backward" outside the paper profile) every sort, flush
+// and query side alike and however clean or short the chunk, takes the
+// flat kernel; without one every sort takes the interface.
 func TestSortRouting(t *testing.T) {
 	// dirty feeds 5 generations of 500 heavily disordered points.
 	dirty := func(t *testing.T, e *Engine) {
@@ -73,7 +73,7 @@ func TestSortRouting(t *testing.T) {
 		}
 	}
 	// nearClean feeds 3 generations of 1000 points with one inversion
-	// each: disorder 1/1000, under the planner's dirty floor.
+	// each: disorder 1/1000.
 	nearClean := func(t *testing.T, e *Engine) {
 		for g := 0; g < 3; g++ {
 			ts := make([]int64, 1000)
@@ -88,16 +88,15 @@ func TestSortRouting(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name      string
-		cfg       Config
-		feed      func(*testing.T, *Engine)
-		wantFlat  bool // some sorts took the flat kernel
-		wantIface bool // some sorts took the interface
+		name string
+		cfg  Config
+		feed func(*testing.T, *Engine)
+		flat bool // every sort took the flat kernel; false: the interface
 	}{
-		{"default/dirty-500", Config{MemTableSize: 500}, dirty, true, false},
-		{"default/near-clean-1000", Config{MemTableSize: 1000}, nearClean, false, true},
-		{"tim", Config{MemTableSize: 500, Algorithm: "tim"}, dirty, false, true},
-		{"paper-profile", Config{MemTableSize: 500, PaperProfile: true}, dirty, false, true},
+		{"default/dirty-500", Config{MemTableSize: 500}, dirty, true},
+		{"default/near-clean-1000", Config{MemTableSize: 1000}, nearClean, true},
+		{"tim", Config{MemTableSize: 500, Algorithm: "tim"}, dirty, false},
+		{"paper-profile", Config{MemTableSize: 500, PaperProfile: true}, dirty, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := openTest(t, tc.cfg)
@@ -112,14 +111,14 @@ func TestSortRouting(t *testing.T) {
 				}
 			}
 			st := e.Stats()
-			if (st.FlatSorts > 0) != tc.wantFlat || (st.InterfaceSorts > 0) != tc.wantIface {
-				t.Fatalf("routes: %d flat, %d interface sorts; want flat=%v interface=%v",
-					st.FlatSorts, st.InterfaceSorts, tc.wantFlat, tc.wantIface)
+			if (st.FlatSorts > 0) != tc.flat || (st.InterfaceSorts > 0) == tc.flat {
+				t.Fatalf("kernels: %d flat, %d interface sorts; want only flat=%v",
+					st.FlatSorts, st.InterfaceSorts, tc.flat)
 			}
 			if e.planner != nil {
 				return
 			}
-			if c := plannerCounters(st); c != [8]int64{} {
+			if c := plannerCounters(st); c != [6]int64{} {
 				t.Fatalf("engine without a planner reports planner activity: %v", c)
 			}
 			if err := e.Insert("s", 1<<40, 1); err != nil {
@@ -132,10 +131,49 @@ func TestSortRouting(t *testing.T) {
 	}
 }
 
+// TestWorkingChunkLayout: a serving engine stores every working chunk,
+// sequence and unsequence, as one contiguous array that the flat
+// kernel sorts in place; the paper profile keeps IoTDB's List<Array>
+// of tvlist.DefaultArrayLen.
+func TestWorkingChunkLayout(t *testing.T) {
+	const n = 3*tvlist.DefaultArrayLen + 5
+	for _, tc := range []struct {
+		name   string
+		paper  bool
+		arrays int
+	}{{"serving", false, 1}, {"paper-profile", true, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := openTest(t, Config{MemTableSize: 1 << 20, PaperProfile: tc.paper})
+			r := rand.New(rand.NewSource(9))
+			for _, start := range []int64{1_000_000, 2_000_000, 0} {
+				ts, vs := oooSeries(start, n, 50, r)
+				if err := e.InsertBatch("s", ts, vs); err != nil {
+					t.Fatal(err)
+				}
+				if start == 1_000_000 {
+					e.Flush()
+				}
+			}
+			e.mu.Lock()
+			seq, unseq := e.working.Chunk("s"), e.workingUn.Chunk("s")
+			e.mu.Unlock()
+			for _, c := range []*tvlist.TVList[float64]{seq, unseq} {
+				if c.Len() != n || c.MemoryArrays() != tc.arrays {
+					t.Fatalf("working chunk holds %d points in %d arrays, want %d in %d",
+						c.Len(), c.MemoryArrays(), n, tc.arrays)
+				}
+			}
+			out, err := e.Query("s", -1<<62, 1<<62)
+			if err != nil || len(out) != 3*n {
+				t.Fatalf("query returned %d points (err %v), want %d", len(out), err, 3*n)
+			}
+		})
+	}
+}
+
 // TestQuerySortsAreRouted: query-side sorts follow the same rule as
-// flush sorts. Once a flush has shown the sensor to be dirty, a query
-// over its sub-4096 working chunk takes the flat kernel, and so does
-// one over an unsequence working chunk, which is late by construction.
+// flush sorts. A query over a dirty sequence working chunk takes the
+// flat kernel, and so does one over an unsequence working chunk.
 func TestQuerySortsAreRouted(t *testing.T) {
 	e := openTest(t, Config{MemTableSize: 1 << 20})
 	r := rand.New(rand.NewSource(5))
@@ -212,8 +250,6 @@ func TestPlannedMatchesPaperProfile(t *testing.T) {
 		late int64
 		n    int // 0 = random 500..2000
 	}{
-		// "short" stays under the planner's tiny-chunk flat floor, so
-		// it must route to the interface path.
 		{"clean", 0, 0}, {"mild", 15, 0}, {"heavy", 2000, 0},
 		{"extreme", 50000, 0}, {"short", 15, 20},
 	}
@@ -259,10 +295,6 @@ func TestPlannedMatchesPaperProfile(t *testing.T) {
 	if s.SearchItersSaved == 0 {
 		t.Fatalf("no search iterations saved after 6 stationary rounds: %+v", s)
 	}
-	if s.AdaptiveFlatRoutes == 0 || s.AdaptiveIfaceRoutes == 0 {
-		t.Fatalf("per-sensor routing never used both paths: flat=%d iface=%d",
-			s.AdaptiveFlatRoutes, s.AdaptiveIfaceRoutes)
-	}
 	if s.AdaptiveMinL <= 0 || s.AdaptiveMaxL < s.AdaptiveMinL {
 		t.Fatalf("chosen-L range [%d, %d] malformed", s.AdaptiveMinL, s.AdaptiveMaxL)
 	}
@@ -272,7 +304,7 @@ func TestPlannedMatchesPaperProfile(t *testing.T) {
 		t.Fatalf("chosen-L histogram is flat [%d, %d] despite 4 disorder profiles",
 			s.AdaptiveMinL, s.AdaptiveMaxL)
 	}
-	if ps := paper.Stats(); ps.FlatSorts != 0 || plannerCounters(ps) != [8]int64{} {
+	if ps := paper.Stats(); ps.FlatSorts != 0 || plannerCounters(ps) != [6]int64{} {
 		t.Fatalf("paper-profile engine left the interface path: %+v", ps)
 	}
 }

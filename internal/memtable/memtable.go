@@ -61,12 +61,11 @@ type series struct {
 	sketch *adaptive.Sketch
 }
 
-// New creates an empty working memtable whose TVLists use the given
-// array length (0 selects tvlist.DefaultArrayLen).
+// New creates an empty working memtable. A positive arrayLen stores
+// each sensor's chunk as IoTDB's List<Array> with arrays of that many
+// records; 0 stores it as one contiguous array pair
+// (tvlist.NewContiguous), which the flat kernel sorts in place.
 func New(arrayLen int) *MemTable {
-	if arrayLen <= 0 {
-		arrayLen = tvlist.DefaultArrayLen
-	}
 	return &MemTable{
 		series:   make(map[string]series),
 		arrayLen: arrayLen,
@@ -82,7 +81,11 @@ func (m *MemTable) Write(sensor string, t int64, v float64) {
 	}
 	s, ok := m.series[sensor]
 	if !ok {
-		s.chunk = tvlist.NewWithArrayLen[float64](m.arrayLen)
+		if m.arrayLen > 0 {
+			s.chunk = tvlist.NewWithArrayLen[float64](m.arrayLen)
+		} else {
+			s.chunk = tvlist.NewContiguous[float64]()
+		}
 		if m.track {
 			s.sketch = &adaptive.Sketch{}
 		}

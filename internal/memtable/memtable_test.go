@@ -30,21 +30,22 @@ func TestWriteAndChunks(t *testing.T) {
 	}
 }
 
+// TestArrayLenPropagates: a positive array length gives every chunk
+// List<Array> of that length; 0 gives one contiguous array.
 func TestArrayLenPropagates(t *testing.T) {
-	m := New(4)
-	for i := 0; i < 9; i++ {
-		m.Write("s", int64(i), 0)
+	for _, tc := range []struct{ arrayLen, writes, arrays int }{
+		{4, 9, 3},
+		{tvlist.DefaultArrayLen, 100, 4},
+		{0, 100, 1},
+	} {
+		m := New(tc.arrayLen)
+		for i := 0; i < tc.writes; i++ {
+			m.Write("s", int64(i), 0)
+		}
+		if got := m.Chunk("s").MemoryArrays(); got != tc.arrays {
+			t.Fatalf("arrayLen %d, %d writes: %d arrays, want %d", tc.arrayLen, tc.writes, got, tc.arrays)
+		}
 	}
-	if m.Chunk("s").MemoryArrays() != 3 {
-		t.Fatalf("arrays = %d, want 3", m.Chunk("s").MemoryArrays())
-	}
-	// Default length.
-	m2 := New(0)
-	m2.Write("s", 1, 1)
-	if m2.Chunk("s").MemoryArrays() != 1 {
-		t.Fatal("default array length broken")
-	}
-	_ = tvlist.DefaultArrayLen
 }
 
 func TestStateTransition(t *testing.T) {

@@ -395,8 +395,6 @@ func MergeStats(per []engine.Stats) engine.Stats {
 		m.SearchItersSaved += s.SearchItersSaved
 		m.AdaptiveFixedSorts += s.AdaptiveFixedSorts
 		m.AdaptiveSeededSorts += s.AdaptiveSeededSorts
-		m.AdaptiveFlatRoutes += s.AdaptiveFlatRoutes
-		m.AdaptiveIfaceRoutes += s.AdaptiveIfaceRoutes
 		// The chosen-L histogram summary merges min-of-mins and
 		// max-of-maxes; 0 means a shard has no planned sort yet.
 		if s.AdaptiveMinL > 0 && (m.AdaptiveMinL == 0 || s.AdaptiveMinL < m.AdaptiveMinL) {

@@ -18,22 +18,32 @@ func fillRandom(l *TVList[float64], n int, seed int64) {
 	}
 }
 
+// newLayout returns an empty list in the blocked layout with the given
+// array length, or in the contiguous layout for arrayLen 0.
+func newLayout[V any](arrayLen int) *TVList[V] {
+	if arrayLen == 0 {
+		return NewContiguous[V]()
+	}
+	return NewWithArrayLen[V](arrayLen)
+}
+
 // TestEnsureSortedFlatMatchesInterface sorts identical lists through
 // the flat kernel and the interface path and requires identical
 // contents, across sizes that exercise empty, single-array, exact
-// multiple-of-arrayLen, and ragged-last-array layouts.
+// multiple-of-arrayLen, and ragged-last-array layouts, and across
+// contiguous lists (arrayLen 0) that grew zero to several times.
 func TestEnsureSortedFlatMatchesInterface(t *testing.T) {
 	backward, ok := sortalgo.Get("backward")
 	if !ok {
 		t.Fatal("backward algorithm not registered")
 	}
-	for _, arrayLen := range []int{1, 7, 32} {
+	for _, arrayLen := range []int{0, 1, 7, 32} {
 		for _, n := range []int{0, 1, 2, 31, 32, 33, 64, 1000, 4096, 5000} {
-			a := NewWithArrayLen[float64](arrayLen)
-			b := NewWithArrayLen[float64](arrayLen)
+			a := newLayout[float64](arrayLen)
+			b := newLayout[float64](arrayLen)
 			fillRandom(a, n, int64(n+arrayLen))
 			fillRandom(b, n, int64(n+arrayLen))
-			fa := a.EnsureSortedFlat(core.FlatOptions{Parallelism: 2})
+			fa := a.EnsureSortedFlat(core.FlatOptions{})
 			fb := b.EnsureSorted(backward)
 			if fa != fb {
 				t.Fatalf("arrayLen=%d n=%d: flat path sorted=%v, interface sorted=%v", arrayLen, n, fa, fb)
@@ -66,10 +76,8 @@ func TestEnsureSortedFlatAlreadySorted(t *testing.T) {
 	}
 }
 
-// TestEnsureSortedFlatText makes sure the compact-to-flat buffers work
-// for pointerful value types and that the pooled buffer comes back
-// clean — a pooled []string retaining references would pin every sorted
-// Text chunk's strings until the pool is GC'd.
+// TestEnsureSortedFlatText makes sure the flat sort, coalescing
+// included, keeps pointerful values paired with their times.
 func TestEnsureSortedFlatText(t *testing.T) {
 	l := NewText()
 	want := make(map[int64]string)
@@ -88,15 +96,6 @@ func TestEnsureSortedFlatText(t *testing.T) {
 			t.Fatalf("not sorted at %d", i)
 		}
 	}
-	// The buffer the sort used must have been scrubbed on the way back
-	// into the pool.
-	buf := getFlatBuf[string](2048)
-	for i, s := range buf.v[:cap(buf.v)] {
-		if s != "" {
-			t.Fatalf("pooled flat buffer slot %d retained %q", i, s)
-		}
-	}
-	putFlatBuf(buf)
 }
 
 // TestResetClearsValueRefs pins satellite 1: Reset keeps the backing
@@ -165,9 +164,10 @@ func TestEnsureScratchGeometricTVList(t *testing.T) {
 	}
 }
 
-// TestEnsureSortedFlatSteadyStateAllocs: after the pool is warm, the
-// whole compact-sort-scatter cycle for a primitive list allocates
-// nothing at parallelism 1.
+// TestEnsureSortedFlatSteadyStateAllocs: a blocked list is coalesced
+// by its first flat sort and stays contiguous, so once that sort and
+// the scratch pool are warm, reloading and sorting it allocates
+// nothing.
 func TestEnsureSortedFlatSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the contract is measured without -race")
@@ -182,13 +182,45 @@ func TestEnsureSortedFlatSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	load()
-	l.EnsureSortedFlat(core.FlatOptions{}) // warm the flat-buffer and scratch pools
+	l.EnsureSortedFlat(core.FlatOptions{}) // coalesce, and warm the scratch pool
 	allocs := testing.AllocsPerRun(10, func() {
 		load()
 		l.EnsureSortedFlat(core.FlatOptions{})
 	})
 	if allocs >= 1 {
 		t.Fatalf("EnsureSortedFlat steady state allocates %v times per run; want 0", allocs)
+	}
+}
+
+// TestContiguousFlatSortAllocatesNothing pins the serving engine's
+// sort: Put into a contiguous list that has reached its size, then an
+// in-place flat sort. With the scratch pool warm, neither allocates.
+func TestContiguousFlatSortAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the contract is measured without -race")
+	}
+	const n = 8192
+	s := dataset.AbsNormal(n, 1, 2, 3)
+	l := NewContiguous[float64]()
+	load := func() {
+		l.Reset()
+		for i := 0; i < n; i++ {
+			l.Put(s.Times[i], s.Values[i])
+		}
+	}
+	load()
+	if l.MemoryArrays() != 1 {
+		t.Fatalf("contiguous list holds %d arrays, want 1", l.MemoryArrays())
+	}
+	l.EnsureSortedFlat(core.FlatOptions{}) // warm the scratch pool
+	allocs := testing.AllocsPerRun(10, func() {
+		load()
+		if !l.EnsureSortedFlat(core.FlatOptions{}) {
+			t.Fatal("AbsNormal load left the list sorted; nothing was measured")
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("contiguous Put + EnsureSortedFlat allocates %v times per run; want 0", allocs)
 	}
 }
 
@@ -242,7 +274,7 @@ func TestEnsureSortedFlatOracle(t *testing.T) {
 		orig[i] = int64(r.Intn(500))
 		l.Put(orig[i], float64(orig[i]))
 	}
-	l.EnsureSortedFlat(core.FlatOptions{Parallelism: 4, FixedBlockSize: 13})
+	l.EnsureSortedFlat(core.FlatOptions{FixedBlockSize: 13})
 	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
 	for i := 0; i < n; i++ {
 		tm, v := l.Get(i)

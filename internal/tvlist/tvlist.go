@@ -3,6 +3,10 @@
 // values stored in parallel lists of fixed-size arrays, the
 // deque-style compromise between per-point allocation and one huge
 // buffer. The array size is configurable with IoTDB's default of 32.
+// The same type also has a contiguous layout (NewContiguous): one
+// (times, values) pair grown 2× at a time, which the flat kernel sorts
+// in place. Serving engines store that layout; the paper profile keeps
+// List<Array>.
 //
 // A TVList implements core.Sortable, so any sorting algorithm in this
 // repository (Backward-Sort included) sorts it in place without
@@ -22,13 +26,19 @@ import (
 // DefaultArrayLen is IoTDB's default TVList array size.
 const DefaultArrayLen = 32
 
-// TVList is a blocked (time, value) column. The zero value is not
-// usable; construct with New or NewWithArrayLen.
+// TVList is a (time, value) column, blocked or contiguous. The zero
+// value is not usable; construct with New, NewWithArrayLen or
+// NewContiguous.
 type TVList[V any] struct {
-	times    [][]int64
-	values   [][]V
-	size     int
-	arrayLen int
+	times  [][]int64
+	values [][]V
+	size   int
+	// arrayLen is the length of every backing array. A contiguous list
+	// has at most one array and arrayLen is its length: Put doubles that
+	// array instead of appending another, so the blocked index
+	// arithmetic (i/arrayLen, i%arrayLen) holds for both layouts.
+	arrayLen   int
+	contiguous bool
 
 	scratchT []int64
 	scratchV []V
@@ -55,13 +65,27 @@ func NewWithArrayLen[V any](n int) *TVList[V] {
 	}
 }
 
-// Put appends one record. Appends are O(1) amortized; a new backing
-// array is allocated whenever the last one fills.
+// NewContiguous creates a TVList stored as one contiguous array pair,
+// starting at DefaultArrayLen records and doubling when full.
+func NewContiguous[V any]() *TVList[V] {
+	l := NewWithArrayLen[V](DefaultArrayLen)
+	l.contiguous = true
+	return l
+}
+
+// Put appends one record. Appends are O(1) amortized: when the last
+// array fills, a blocked list allocates another one and a contiguous
+// list doubles its one array.
 func (l *TVList[V]) Put(t int64, v V) {
 	blk, off := l.size/l.arrayLen, l.size%l.arrayLen
 	if blk == len(l.times) {
-		l.times = append(l.times, make([]int64, l.arrayLen))
-		l.values = append(l.values, make([]V, l.arrayLen))
+		if l.contiguous && blk == 1 {
+			l.grow()
+			blk, off = 0, l.size
+		} else {
+			l.times = append(l.times, make([]int64, l.arrayLen))
+			l.values = append(l.values, make([]V, l.arrayLen))
+		}
 	}
 	l.times[blk][off] = t
 	l.values[blk][off] = v
@@ -75,6 +99,16 @@ func (l *TVList[V]) Put(t int64, v V) {
 	if t < l.minTime {
 		l.minTime = t
 	}
+}
+
+// grow doubles a contiguous list's one array.
+func (l *TVList[V]) grow() {
+	n := 2 * l.arrayLen
+	ts := make([]int64, n)
+	vs := make([]V, n)
+	copy(ts, l.times[0])
+	copy(vs, l.values[0])
+	l.times[0], l.values[0], l.arrayLen = ts, vs, n
 }
 
 // Len implements core.Sortable.
@@ -207,21 +241,29 @@ func (l *TVList[V]) ScanRange(minT, maxT int64, fn func(t int64, v V) bool) {
 func (l *TVList[V]) ToSlices() ([]int64, []V) {
 	ts := make([]int64, l.size)
 	vs := make([]V, l.size)
-	for i := 0; i < l.size; i++ {
-		blk, off := i/l.arrayLen, i%l.arrayLen
-		ts[i] = l.times[blk][off]
-		vs[i] = l.values[blk][off]
+	for off, blk := 0, 0; off < l.size; off, blk = off+l.arrayLen, blk+1 {
+		copy(ts[off:], l.times[blk])
+		copy(vs[off:], l.values[blk])
 	}
 	return ts, vs
 }
 
-// Clone deep-copies the list (scratch space excluded).
+// Clone deep-copies the list (scratch space excluded). A contiguous
+// clone holds exactly the live records.
 func (l *TVList[V]) Clone() *TVList[V] {
 	c := NewWithArrayLen[V](l.arrayLen)
+	c.contiguous = l.contiguous
 	c.size = l.size
 	c.sorted = l.sorted
 	c.minTime = l.minTime
 	c.maxTime = l.maxTime
+	if l.contiguous {
+		if l.size > 0 {
+			ts, vs := l.ToSlices()
+			c.times, c.values, c.arrayLen = [][]int64{ts}, [][]V{vs}, l.size
+		}
+		return c
+	}
 	c.times = make([][]int64, len(l.times))
 	c.values = make([][]V, len(l.values))
 	for i := range l.times {
@@ -248,6 +290,20 @@ func (l *TVList[V]) Reset() {
 		}
 		clear(l.scratchV)
 	}
+}
+
+// valuesHoldRefs reports whether V may hold heap references that a
+// recycled array would pin. The primitive TVList kinds (the common
+// case by far) are recognized as reference-free; anything unrecognized
+// is conservatively treated as pinning.
+func valuesHoldRefs[V any]() bool {
+	switch any(*new(V)).(type) {
+	case bool, int8, int16, int32, int64, int,
+		uint8, uint16, uint32, uint64, uint,
+		float32, float64, complex64, complex128:
+		return false
+	}
+	return true
 }
 
 // MemoryArrays reports how many backing arrays the list currently

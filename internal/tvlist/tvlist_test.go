@@ -206,12 +206,13 @@ func TestTypedConstructors(t *testing.T) {
 }
 
 // TestModelCheckAgainstFlatOracle drives a TVList and a flat-slice
-// oracle with the same random operation sequence and compares them.
+// oracle with the same random operation sequence and compares them;
+// arrayLen 0 is the contiguous layout.
 func TestModelCheckAgainstFlatOracle(t *testing.T) {
 	f := func(seed int64, arrayLenRaw uint8) bool {
-		arrayLen := int(arrayLenRaw%13) + 1
+		arrayLen := int(arrayLenRaw % 14)
 		r := rand.New(rand.NewSource(seed))
-		l := NewWithArrayLen[int64](arrayLen)
+		l := newLayout[int64](arrayLen)
 		var oT, oV []int64
 		n := 200 + r.Intn(200)
 		for i := 0; i < n; i++ {
