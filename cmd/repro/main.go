@@ -13,13 +13,36 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// figures lists every single -fig value in the order -fig all runs
+// them; the -fig help is generated from it and from sysGroups.
+var figures = []string{"2", "5", "ex6", "ex7", "8a", "8b", "9", "10", "11", "12",
+	"13", "14", "15", "16", "17", "18", "19", "20", "21", "22", "ablation"}
+
+// sysGroups are -fig values that run one system grid's three figures
+// together (throughput, flush time, latency); -fig all covers them.
+var sysGroups = map[string][]string{
+	"sys-abs":  {"13", "16", "19"},
+	"sys-log":  {"14", "17", "20"},
+	"sys-real": {"15", "18", "21"},
+}
+
+func figHelp() string {
+	names := slices.Clone(figures)
+	for g := range sysGroups {
+		names = append(names, g)
+	}
+	slices.Sort(names[len(figures):])
+	return "figure: " + strings.Join(append(names, "all"), ", ")
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure: 2, 5, ex6, 8a, 8b, 9, 10, 11, 12, 13..21, 22, ablation, all")
+	fig := flag.String("fig", "all", figHelp())
 	scale := flag.String("scale", "small", "workload scale: small, medium or paper")
 	out := flag.String("out", "", "directory to also write per-figure .tsv files into")
 	flag.Parse()
@@ -68,6 +91,9 @@ func writeTable(dir string, t *experiments.Table) error {
 
 func run(fig string, sc experiments.Scale) ([]*experiments.Table, error) {
 	one := func(t *experiments.Table) []*experiments.Table { return []*experiments.Table{t} }
+	if group, ok := sysGroups[fig]; ok {
+		return systemFigs(group, sc)
+	}
 	switch fig {
 	case "2":
 		return one(experiments.Fig2(sc)), nil
@@ -91,12 +117,6 @@ func run(fig string, sc experiments.Scale) ([]*experiments.Table, error) {
 		return experiments.Fig12(sc), nil
 	case "13", "14", "15", "16", "17", "18", "19", "20", "21":
 		return systemFig(fig, sc)
-	case "sys-abs": // figs 13+16+19 from one grid
-		return systemFigs([]string{"13", "16", "19"}, sc)
-	case "sys-log": // figs 14+17+20
-		return systemFigs([]string{"14", "17", "20"}, sc)
-	case "sys-real": // figs 15+18+21
-		return systemFigs([]string{"15", "18", "21"}, sc)
 	case "22":
 		a := experiments.Fig22a(sc)
 		b, err := experiments.Fig22b(sc)
@@ -113,9 +133,7 @@ func run(fig string, sc experiments.Scale) ([]*experiments.Table, error) {
 		}, nil
 	case "all":
 		var tables []*experiments.Table
-		order := []string{"2", "5", "ex6", "ex7", "8a", "8b", "9", "10", "11", "12",
-			"13", "14", "15", "16", "17", "18", "19", "20", "21", "22", "ablation"}
-		for _, f := range order {
+		for _, f := range figures {
 			ts, err := run(f, sc)
 			if err != nil {
 				return nil, err

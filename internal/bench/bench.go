@@ -36,15 +36,10 @@ type Target interface {
 	// Settle waits for in-flight background work (pending flushes) so
 	// the final Stats snapshot is complete.
 	Settle() error
-	// Stats returns server-side metrics.
-	Stats() (engine.Stats, error)
-}
-
-// ShardStatser is optionally implemented by targets that can report a
-// per-shard stats breakdown: the rpc client, whose server always
-// reports one block per shard. In-process targets report none.
-type ShardStatser interface {
-	ShardStats() ([]engine.Stats, error)
+	// Stats returns server-side metrics: the aggregate and, from the
+	// same collection, the per-shard breakdown (a tsdbd over rpc
+	// reports one snapshot per shard; in-process targets report none).
+	Stats() (engine.Stats, []engine.Stats, error)
 }
 
 // LocalEngine is the in-process storage surface EngineTarget adapts:
@@ -85,7 +80,7 @@ func (t EngineTarget) Settle() error {
 }
 
 // Stats implements Target.
-func (t EngineTarget) Stats() (engine.Stats, error) { return t.E.Stats(), nil }
+func (t EngineTarget) Stats() (engine.Stats, []engine.Stats, error) { return t.E.Stats(), nil, nil }
 
 // Config is one benchmark run.
 type Config struct {
@@ -347,20 +342,10 @@ func Run(target Target, cfg Config) (Result, error) {
 		res.P95QueryMillis = stats.Percentile(latencies, 95)
 		res.P99QueryMillis = stats.Percentile(latencies, 99)
 	}
-	if err := target.Settle(); err != nil {
-		return res, err
-	}
-	st, err := target.Stats()
+	err := target.Settle()
 	if err != nil {
 		return res, err
 	}
-	res.Stats = st
-	if ss, ok := target.(ShardStatser); ok {
-		per, err := ss.ShardStats()
-		if err != nil {
-			return res, err
-		}
-		res.PerShard = per
-	}
-	return res, nil
+	res.Stats, res.PerShard, err = target.Stats()
+	return res, err
 }

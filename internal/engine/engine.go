@@ -170,108 +170,6 @@ type TV struct {
 	V float64
 }
 
-// Stats is a snapshot of engine-side metrics. The write-side counters
-// and the flush timings come from one coherent two-lock snapshot; the
-// lock-wait numbers are lock-free counters read at the same moment.
-type Stats struct {
-	FlushCount     int
-	AvgFlushMillis float64 // mean wall time: state transition → file on disk
-	// AvgSortMillis is the mean summed chunk-sorting time per flush.
-	// With FlushWorkers > 1 sorts run concurrently, so this is CPU
-	// time and can exceed the flush wall time.
-	AvgSortMillis   float64
-	AvgEncodeMillis float64 // mean summed chunk-encoding (columnar codec + CRC) time per flush
-	AvgWriteMillis  float64 // mean file write+close+reopen wall time per flush
-	SeqPoints       int64   // points ingested via the sequence path
-	UnseqPoints     int64   // points diverted by the separation policy
-	Files           int
-	MemTablePoints  int
-	FlushWorkers    int   // resolved worker-pool size
-	SortsSkipped    int64 // TVList sorts avoided via the sorted flag
-	// Sort kernels: how many TVList sorts took the flat kernel (every
-	// sort of an engine with a planner) vs the core.Sortable interface
-	// (the paper profile, or an algorithm other than "backward"), and
-	// the cumulative wall time spent in each (flush drains and queries
-	// combined).
-	FlatSorts           int64
-	InterfaceSorts      int64
-	FlatSortMillis      float64
-	InterfaceSortMillis float64
-	// Planner counters (all zero without a planner, see
-	// Config.PaperProfile): how often the per-sensor disorder sketches
-	// informed flush sorts, the doubling-search scan iterations they
-	// avoided, how the planned sorts chose L, and the range of block
-	// sizes they ran with (a two-sided histogram summary; 0 = no
-	// planned sort yet).
-	SketchSeededFlushes int64 // flushes with ≥1 sketch-informed sort decision
-	SearchItersSaved    int64 // block-size search iterations skipped via seeding/pinning
-	AdaptiveFixedSorts  int64 // planned sorts that pinned L and skipped the search
-	AdaptiveSeededSorts int64 // planned sorts whose search started at the sketch seed
-	AdaptiveMinL        int64 // smallest L a planned sort ran with
-	AdaptiveMaxL        int64 // largest L a planned sort ran with
-	// Engine-lock contention, recorded only when an acquisition had to
-	// wait (the uncontended fast path is not counted).
-	LockWaits         int64
-	AvgLockWaitMicros float64
-	MaxLockWaitMicros float64
-	P99LockWaitMicros float64
-	QueriesBlocked    int64 // queries that waited on the engine lock
-	// Durability counters: WAL fsync activity (WALCommits/WALSyncs is
-	// the mean group-commit batch size under WALSyncAlways) and crash
-	// recovery outcomes from the last Open.
-	WALSyncs            int64 // fsyncs issued on WAL segments
-	WALCommits          int64 // commit tickets served by those fsyncs
-	QuarantinedFiles    int   // torn/corrupt files quarantined at recovery
-	RecoveredWALBatches int64 // batches replayed from WAL at recovery
-	// Aggregation-pushdown pruning counters: chunks answered from
-	// index statistics without decoding (and the points that skipped
-	// decoding as a result) vs chunks the read path actually decoded.
-	ChunksFromStats int64
-	ChunksDecoded   int64
-	PointsSkipped   int64
-	// Read-amplification counters (block index): file bytes
-	// fetched for decode on the query path, and the per-block outcome
-	// of the time-range seek — decoded vs skipped without I/O.
-	// BlocksFromStats counts blocks answered from per-block statistics
-	// (the block-granular extension of ChunksFromStats).
-	BytesRead       int64
-	BlocksDecoded   int64
-	BlocksSkipped   int64
-	BlocksFromStats int64
-	// Leveled compaction and time-partition lifecycle.
-	CompactionPasses       int64 // merge passes completed (automatic + full)
-	CompactionBytesRead    int64 // input bytes consumed by those passes
-	MaxCompactionPassBytes int64 // largest single pass's input bytes
-	PartitionsDropped      int64 // partitions removed by DropPartitionsBefore
-	PartitionsActive       int   // distinct time partitions currently on disk
-	// Label-index counters. The inverted series index lives at the
-	// shard-router layer, so a bare engine always reports zeros; the
-	// fields sit in Stats so the merged router snapshot keeps the
-	// engine's shape for every existing consumer.
-	SeriesCount        int   // registered label series
-	LabelPairs         int   // distinct name=value postings lists
-	PostingsEntries    int64 // total series-id entries across postings
-	MatcherResolutions int64 // selector resolutions served by the index
-	SelectorQueries    int64 // multi-series selector queries executed
-	FanoutSeries       int64 // per-series subqueries fanned out by those
-	MaxFanoutWidth     int   // widest single selector fan-out
-	// Ingest front-end counters. The bounded dispatch queue and the
-	// connection multiplexer live in the rpc server (shared with the
-	// HTTP gateway), so a bare engine always reports zeros; the server
-	// overlays them onto the aggregate snapshot it serves, the same
-	// way the router injects the label-index counters.
-	IngestQueueCap   int   // dispatch queue capacity
-	IngestQueueDepth int   // tasks waiting at snapshot time
-	IngestWorkers    int   // shared worker-pool size
-	IngestEnqueued   int64 // ops accepted into the queue (rpc + http)
-	IngestRejected   int64 // ops refused with overloaded/429
-	PipelinedConns   int64 // rpc connections accepted past the handshake
-	// HTTP gateway counters, filled only by the gateway's own /stats
-	// view (zero in the rpc server's snapshot).
-	HTTPWrites int64 // line-protocol POST /write requests served
-	HTTPPoints int64 // points ingested through the gateway
-}
-
 // Engine is the storage engine. All methods are safe for concurrent
 // use.
 type Engine struct {
@@ -328,16 +226,18 @@ type Engine struct {
 	flushWG   sync.WaitGroup
 	compactMu sync.Mutex // serializes Compact calls
 
+	// statsMu guards the flush timings, flushErr, closeErr and the
+	// recovery outcomes; every other counter is a lock-free atomic.
 	statsMu     sync.Mutex
 	flushTotal  time.Duration
 	sortTotal   time.Duration
 	encodeTotal time.Duration
 	writeTotal  time.Duration
 	flushCount  int
-	seqPoints   int64
-	unseqPoints int64
 	flushErr    error // first background flush failure, surfaced on Query/Close
 
+	seqPoints      atomic.Int64
+	unseqPoints    atomic.Int64
 	lockHist       lockWaitHist
 	queriesBlocked atomic.Int64
 	sortsSkipped   atomic.Int64
@@ -939,10 +839,8 @@ func (e *Engine) InsertBatch(sensor string, times []int64, values []float64) err
 	}
 	e.mu.Unlock()
 
-	e.statsMu.Lock()
-	e.seqPoints += seq
-	e.unseqPoints += unseq
-	e.statsMu.Unlock()
+	e.seqPoints.Add(seq)
+	e.unseqPoints.Add(unseq)
 
 	var commitErr error
 	if walSeg != nil && e.walAlways {
@@ -1398,8 +1296,6 @@ func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
 	s := Stats{
 		FlushCount:     e.flushCount,
-		SeqPoints:      e.seqPoints,
-		UnseqPoints:    e.unseqPoints,
 		Files:          len(e.files),
 		MemTablePoints: e.working.Points() + e.workingUn.Points(),
 		FlushWorkers:   e.pool.size,
@@ -1419,6 +1315,8 @@ func (e *Engine) Stats() Stats {
 	e.statsMu.Unlock()
 	e.mu.Unlock()
 
+	s.SeqPoints = e.seqPoints.Load()
+	s.UnseqPoints = e.unseqPoints.Load()
 	s.SortsSkipped = e.sortsSkipped.Load()
 	s.FlatSorts = e.flatSorts.Load()
 	s.InterfaceSorts = e.ifaceSorts.Load()

@@ -1,0 +1,127 @@
+package engine
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestMergeStatsFollowsDeclaredRules walks every Stats field, merges
+// three snapshots (the middle one all zero, so a zero weight and a
+// "none yet" zero are both in play) and checks each merged field
+// against the rule its merge tag declares, computed here by hand.
+func TestMergeStatsFollowsDeclaredRules(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	per := make([]Stats, 3)
+	for i := 0; i < typ.NumField(); i++ {
+		for j, x := range []float64{3 + float64(i), 0, 7 + 2*float64(i)} {
+			f := reflect.ValueOf(&per[j]).Elem().Field(i)
+			if f.Kind() == reflect.Float64 {
+				f.SetFloat(x + 0.25)
+			} else {
+				f.SetInt(int64(x))
+			}
+		}
+	}
+	value := func(s Stats, name string) float64 {
+		f := reflect.ValueOf(s).FieldByName(name)
+		if f.Kind() == reflect.Float64 {
+			return f.Float()
+		}
+		return float64(f.Int())
+	}
+	m := MergeStats(per)
+	for i := 0; i < typ.NumField(); i++ {
+		name, tag := typ.Field(i).Name, typ.Field(i).Tag.Get("merge")
+		xs := []float64{value(per[0], name), value(per[1], name), value(per[2], name)}
+		var want float64
+		switch weight, isMean := strings.CutPrefix(tag, "mean:"); {
+		case tag == "":
+			want = xs[0] + xs[1] + xs[2]
+		case tag == "max":
+			want = xs[2]
+		case tag == "min-nonzero":
+			want = xs[0] // xs[1] is 0 and must not win
+		case tag == "first":
+			want = xs[0]
+		case isMean:
+			w := []float64{value(per[0], weight), value(per[1], weight), value(per[2], weight)}
+			want = (xs[0]*w[0] + xs[1]*w[1] + xs[2]*w[2]) / (w[0] + w[1] + w[2])
+		default:
+			t.Fatalf("%s: tag %q has no rule here", name, tag)
+		}
+		if got := value(m, name); got != want {
+			t.Errorf("%s (merge %q) = %v, want %v", name, tag, got, want)
+		}
+	}
+	if z := MergeStats(nil); z != (Stats{}) {
+		t.Fatalf("MergeStats(nil) = %+v", z)
+	}
+}
+
+// TestStatsMergeDeclarations pins which fields do not sum: a dropped or
+// mistyped tag would silently turn a maximum or a mean into a sum.
+func TestStatsMergeDeclarations(t *testing.T) {
+	want := map[string]string{
+		"AvgFlushMillis":         "mean:FlushCount",
+		"AvgSortMillis":          "mean:FlushCount",
+		"AvgEncodeMillis":        "mean:FlushCount",
+		"AvgWriteMillis":         "mean:FlushCount",
+		"AvgLockWaitMicros":      "mean:LockWaits",
+		"MaxLockWaitMicros":      "max",
+		"P99LockWaitMicros":      "max",
+		"MaxCompactionPassBytes": "max",
+		"MaxFanoutWidth":         "max",
+		"AdaptiveMaxL":           "max",
+		"AdaptiveMinL":           "min-nonzero",
+		"FlushWorkers":           "first",
+	}
+	typ := reflect.TypeOf(Stats{})
+	got := map[string]string{}
+	for i := 0; i < typ.NumField(); i++ {
+		if tag := typ.Field(i).Tag.Get("merge"); tag != "" {
+			got[typ.Field(i).Name] = tag
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge tags:\n got %v\nwant %v", got, want)
+	}
+	if len(StatsFields) != typ.NumField() {
+		t.Fatalf("StatsFields has %d entries for %d fields", len(StatsFields), typ.NumField())
+	}
+}
+
+// TestStatsTableRefusesBadDeclarations: a field the table cannot carry
+// or fold panics when the table is built, like Stats itself at init.
+func TestStatsTableRefusesBadDeclarations(t *testing.T) {
+	for name, v := range map[string]any{
+		"unknown tag": struct {
+			A int64 `merge:"median"`
+		}{},
+		"bool field": struct{ A bool }{},
+		"unexported": struct{ a int64 }{},
+		"bare mean": struct {
+			A float64 `merge:"mean"`
+		}{},
+		"missing weight": struct {
+			A float64 `merge:"mean:N"`
+		}{},
+		"int mean": struct {
+			N int
+			A int64 `merge:"mean:N"`
+		}{},
+		"float weight": struct {
+			N float64
+			A float64 `merge:"mean:N"`
+		}{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("statsTable accepted it")
+				}
+			}()
+			statsTable(reflect.TypeOf(v))
+		})
+	}
+}

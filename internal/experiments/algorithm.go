@@ -263,20 +263,23 @@ func Fig11(sc Scale) *Table {
 	return t
 }
 
-// Fig12 reproduces Figure 12: sort time versus array size on
-// AbsNormal(0,1), LogNormal(0,1), CitiBike-201808 and Samsung-S10.
+// fig12Specs are Figure 12's panels: AbsNormal(0,1), LogNormal(0,1),
+// CitiBike-201808 and Samsung-S10.
+var fig12Specs = []struct {
+	id, family string
+	mu, sigma  float64
+}{
+	{"fig12a", "absnormal", 0, 1},
+	{"fig12b", "lognormal", 0, 1},
+	{"fig12c", "citibike-201808", 0, 0},
+	{"fig12d", "samsung-s10", 0, 0},
+}
+
+// Fig12 reproduces Figure 12: sort time versus array size, one panel
+// per fig12Specs entry.
 func Fig12(sc Scale) []*Table {
-	specs := []struct {
-		id, family string
-		mu, sigma  float64
-	}{
-		{"fig12a", "absnormal", 0, 1},
-		{"fig12b", "lognormal", 0, 1},
-		{"fig12c", "citibike-201808", 0, 0},
-		{"fig12d", "samsung-s10", 0, 0},
-	}
 	var out []*Table
-	for _, spec := range specs {
+	for _, spec := range fig12Specs {
 		t := &Table{
 			ID:     spec.id,
 			Title:  fmt.Sprintf("Sort time (ms) vs array size, %s", datasetLabel(spec.family, spec.mu, spec.sigma)),

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sortalgo"
 )
 
 // tiny returns a scale small enough for unit tests.
@@ -180,17 +183,32 @@ func TestFig11AllDatasets(t *testing.T) {
 
 func TestFig12SizeSweep(t *testing.T) {
 	tabs := Fig12(tiny())
-	if len(tabs) != 4 {
+	if len(tabs) != len(fig12Specs) {
 		t.Fatalf("panels = %d", len(tabs))
 	}
-	for _, tab := range tabs {
-		if len(tab.Rows) != 2 { // 10^4, 2*10^4 cap
+	for p, tab := range tabs {
+		if len(tab.Rows) != 2 { // 10^4, 10^5 (the tiny() cap)
 			t.Fatalf("%s rows = %d", tab.ID, len(tab.Rows))
 		}
-		// Bigger arrays take longer for every algorithm.
+		// A bigger array costs every algorithm more. Measured in record
+		// moves on each row's series, not in wall time, which other
+		// tests running in parallel can skew.
+		spec := fig12Specs[p]
 		for _, algo := range []string{"backward", "quick"} {
-			if cell(t, tab, 1, algo) < cell(t, tab, 0, algo)*0.8 {
-				t.Fatalf("%s: %s time shrank with array size", tab.ID, algo)
+			var moves [2]int64
+			for r := range moves {
+				n, err := strconv.Atoi(tab.Rows[r][0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := algoSeries(spec.family, n, spec.mu, spec.sigma, tiny().Seed)
+				c := core.NewCounter(core.NewPairs(append([]int64(nil), s.Times...), append([]float64(nil), s.Values...)))
+				sortalgo.MustGet(algo)(c)
+				moves[r] = c.TotalMoves()
+			}
+			if moves[1] <= moves[0] {
+				t.Fatalf("%s: %s moves did not grow with array size: %d at %s, %d at %s",
+					tab.ID, algo, moves[0], tab.Rows[0][0], moves[1], tab.Rows[1][0])
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ingestq"
 	"repro/internal/query"
+	"repro/internal/winagg"
 )
 
 // MaxBody bounds one /write request body. It matches the RPC frame
@@ -22,11 +23,12 @@ import (
 const MaxBody = 16 << 20
 
 // Backend is the storage the gateway fronts — the shard router tsdbd
-// serves. It is the query/insert subset of the RPC server's backend
+// serves. It is the insert/query subset of the RPC server's backend
 // plus the aggregate Stats, so the same value serves both front ends.
 type Backend interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
+	AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error)
 	Stats() engine.Stats
 }
 
@@ -224,8 +226,7 @@ type windowJSON struct {
 
 // handleQuery answers GET /query?sensor=S&start=A&end=B&window=W&agg=F
 // with the windowed aggregation the RPC OpAgg would return, as JSON.
-// It goes through query.WindowQuery, so a backend with pushdown
-// support (the engine, the shard router) answers from chunk
+// It goes through query.WindowQuery, so the backend answers from chunk
 // statistics exactly as it does for RPC clients.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -290,12 +291,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 // shared dispatch queue, plus the gateway's own HTTP counters.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := g.backend.Stats()
-	qs := g.queue.Stats()
-	st.IngestQueueCap = qs.Capacity
-	st.IngestQueueDepth = qs.Depth
-	st.IngestWorkers = qs.Workers
-	st.IngestEnqueued = qs.Enqueued
-	st.IngestRejected = qs.Rejected
+	g.queue.Stats().Overlay(&st)
 	st.HTTPWrites = g.writes.Load()
 	st.HTTPPoints = g.points.Load()
 	w.Header().Set("Content-Type", "application/json")

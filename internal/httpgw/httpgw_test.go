@@ -15,6 +15,7 @@ import (
 	"repro/internal/ingestq"
 	"repro/internal/shard"
 	"repro/internal/tsfile"
+	"repro/internal/winagg"
 )
 
 // --- line protocol parser ---
@@ -376,6 +377,9 @@ type failingBackend struct{}
 
 func (failingBackend) InsertBatch(string, []int64, []float64) error { return nil }
 func (failingBackend) Query(string, int64, int64) ([]engine.TV, error) {
+	return nil, fmt.Errorf("disk on fire")
+}
+func (failingBackend) AggregateWindows(string, int64, int64, int64, winagg.Op) ([]winagg.Window, error) {
 	return nil, fmt.Errorf("disk on fire")
 }
 func (failingBackend) Stats() engine.Stats { return engine.Stats{} }

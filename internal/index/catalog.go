@@ -1,19 +1,19 @@
 package index
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 
 	"repro/internal/faultfs"
+	"repro/internal/wal"
 )
 
 // The series catalog is an append-only log of registrations, one
-// record per new series, in the WAL's record framing:
+// record per new series, in the WAL's record framing (wal.AppendFrame,
+// read back by wal.ReadFrames):
 //
 //	uint32 payloadLen | payload | uint32 CRC-32(payload)
 //
@@ -66,14 +66,18 @@ func openCatalog(dir string, opts Options, add func(id SeriesID, canonical strin
 		durable: opts.Durable,
 	}
 	var records []record
-	err := replayCatalog(c.path, func(r record) error {
+	err := wal.ReadFrames(c.path, "index", maxCatalogRecord, func(payload []byte, offset int64) error {
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return fmt.Errorf("index: %s: offset %d: %w", c.path, offset, err)
+		}
 		if err := add(r.id, r.canonical); err != nil {
 			return err
 		}
 		records = append(records, r)
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	if len(records) == 0 {
@@ -83,64 +87,6 @@ func openCatalog(dir string, opts Options, add func(id SeriesID, canonical strin
 		return nil, err
 	}
 	return c, nil
-}
-
-// replayCatalog streams records through fn, mirroring wal.Replay's
-// torn-tail semantics: a missing file or torn final record is fine, a
-// CRC mismatch with bytes after it is corruption.
-func replayCatalog(path string, fn func(record) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [4]byte
-	var buf []byte
-	offset := int64(0)
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // clean end, or torn length prefix
-			}
-			return err
-		}
-		plen := int(binary.LittleEndian.Uint32(hdr[:]))
-		if plen <= 0 || plen > maxCatalogRecord {
-			return fmt.Errorf("index: %s: invalid record length %d at offset %d", path, plen, offset)
-		}
-		if cap(buf) < plen+4 {
-			buf = make([]byte, plen+4)
-		}
-		buf = buf[:plen+4]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // torn tail
-			}
-			return err
-		}
-		payload := buf[:plen]
-		want := binary.LittleEndian.Uint32(buf[plen:])
-		if crc32.ChecksumIEEE(payload) != want {
-			// A bad CRC on the very last record is a torn final write;
-			// anything following it makes this mid-file corruption.
-			if _, err := br.ReadByte(); err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("index: %s: CRC mismatch at offset %d", path, offset)
-		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("index: %s: offset %d: %w", path, offset, err)
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-		offset += int64(4 + plen + 4)
-	}
 }
 
 func decodeRecord(payload []byte) (record, error) {
@@ -157,11 +103,7 @@ func decodeRecord(payload []byte) (record, error) {
 func encodeRecord(r record) []byte {
 	payload := binary.AppendUvarint(nil, uint64(r.id))
 	payload = append(payload, r.canonical...)
-	buf := make([]byte, 0, 4+len(payload)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return buf
+	return wal.AppendFrame(make([]byte, 0, len(payload)+8), payload)
 }
 
 // rewrite writes records into a fresh tmp file and atomically renames

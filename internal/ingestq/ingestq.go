@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // ErrQueueFull is returned by TrySubmit when the queue is at
@@ -72,6 +74,16 @@ type Stats struct {
 	Workers  int   // worker pool size
 	Enqueued int64 // tasks accepted since New
 	Rejected int64 // TrySubmit calls refused with ErrQueueFull
+}
+
+// Overlay copies the queue counters onto st, the engine-shaped stats
+// snapshot both front ends (rpc OpStats, HTTP /stats) serve.
+func (s Stats) Overlay(st *engine.Stats) {
+	st.IngestQueueCap = s.Capacity
+	st.IngestQueueDepth = s.Depth
+	st.IngestWorkers = s.Workers
+	st.IngestEnqueued = s.Enqueued
+	st.IngestRejected = s.Rejected
 }
 
 // New builds a queue of the given capacity drained by the given number

@@ -1,11 +1,11 @@
 // Package query implements windowed aggregation over time series —
 // the downstream analytics the paper motivates sorting with
 // (Section VI-E: "computing the average speed of an engine in every
-// minute" gives incorrect statistics on disordered data). Aggregations
-// run over the sorted record streams the engine's range queries
-// return, in a single pass — or, when the source can evaluate windows
-// itself, are pushed down so the engine answers whole chunks from
-// index statistics without decoding them.
+// minute" gives incorrect statistics on disordered data). WindowQuery
+// pushes an aggregation down to the store, so the engine answers whole
+// chunks from index statistics without decoding them; AggregateWindows
+// aggregates a sorted record stream in a single pass and is the oracle
+// the pushdown is checked against.
 //
 // All aggregation ranges in this package are half-open: a query over
 // [startT, endT) includes startT and excludes endT. tsql compiles its
@@ -92,17 +92,9 @@ func AggregateWindows(points []engine.TV, startT, endT, window int64, agg Aggreg
 	return out, nil
 }
 
-// Source is anything that can answer sorted time-range queries — the
-// shard router every server and CLI opens, or one engine.Engine (a
-// router's shard, or an in-process library user).
-type Source interface {
-	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
-}
-
-// WindowAggregator is implemented by sources that evaluate windowed
-// aggregates themselves: the engine pushes them down onto chunk
-// statistics, and the shard router routes to the owning shard.
-// WindowQuery prefers this path when available.
+// WindowAggregator is a store that evaluates windowed aggregates
+// itself: the engine pushes them down onto chunk statistics, and the
+// shard router every server and CLI opens routes to the owning shard.
 type WindowAggregator interface {
 	AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error)
 }
@@ -113,10 +105,9 @@ type WindowAggregator interface {
 // (endT <= startT... strictly, endT == startT) yields no windows;
 // endT < startT is an error, matching AggregateWindows.
 //
-// Sources implementing WindowAggregator answer via pushdown; others
-// are range-queried and aggregated here. Both produce identical
-// results — the pushdown property test asserts it.
-func WindowQuery(e Source, sensor string, startT, endT, window int64, agg Aggregator) ([]WindowResult, error) {
+// The store answers by pushdown; AggregateWindows above is the
+// materializing oracle its property tests compare against.
+func WindowQuery(e WindowAggregator, sensor string, startT, endT, window int64, agg Aggregator) ([]WindowResult, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("query: window must be positive, got %d: %w", window, ErrInvalidArgument)
 	}
@@ -124,19 +115,9 @@ func WindowQuery(e Source, sensor string, startT, endT, window int64, agg Aggreg
 		return nil, fmt.Errorf("query: empty range [%d, %d): %w", startT, endT, ErrInvalidArgument)
 	}
 	if endT == startT {
-		// Also the guard that keeps endT-1 below from underflowing
-		// when endT == math.MinInt64 (endT < startT was ruled out, so
-		// startT == MinInt64 too and the range is empty).
-		return nil, nil
+		return nil, nil // an empty range never reaches the store
 	}
-	if wa, ok := e.(WindowAggregator); ok {
-		return wa.AggregateWindows(sensor, startT, endT, window, agg)
-	}
-	points, err := e.Query(sensor, startT, endT-1)
-	if err != nil {
-		return nil, err
-	}
-	return AggregateWindows(points, startT, endT, window, agg)
+	return e.AggregateWindows(sensor, startT, endT, window, agg)
 }
 
 // MergeWindows folds per-series window results into one cross-series

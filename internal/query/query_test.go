@@ -157,41 +157,29 @@ func TestWindowQueryHalfOpenBoundary(t *testing.T) {
 	}
 }
 
-// recordingSource counts Query calls so tests can prove WindowQuery
-// short-circuited (or dispatched to pushdown) without scanning.
+// recordingSource counts pushdown calls so tests can prove WindowQuery
+// short-circuited (or dispatched to the store).
 type recordingSource struct {
-	queries int
-	aggs    int
+	aggs int
 }
 
-func (r *recordingSource) Query(sensor string, minT, maxT int64) ([]engine.TV, error) {
-	r.queries++
-	return pts(0, 1, 5, 2), nil
-}
-
-type recordingAggSource struct {
-	recordingSource
-}
-
-func (r *recordingAggSource) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
+func (r *recordingSource) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
 	r.aggs++
 	return []winagg.Window{{Start: startT, Count: 2, Value: 3}}, nil
 }
 
 func TestWindowQueryEmptyRangeGuards(t *testing.T) {
 	src := &recordingSource{}
-	// endT == startT is empty under the half-open contract. In
-	// particular endT == math.MinInt64 must be handled here: the
-	// materialized fallback computes endT-1, which would wrap to
-	// MaxInt64 and scan everything.
+	// endT == startT is empty under the half-open contract, down to
+	// endT == math.MinInt64: the store is never asked.
 	for _, r := range [][2]int64{{0, 0}, {math.MinInt64, math.MinInt64}, {5, 5}} {
 		out, err := WindowQuery(src, "s", r[0], r[1], 10, Count)
 		if err != nil || out != nil {
 			t.Fatalf("[%d,%d): got %v, %v", r[0], r[1], out, err)
 		}
 	}
-	if src.queries != 0 {
-		t.Fatalf("empty range still scanned %d times", src.queries)
+	if src.aggs != 0 {
+		t.Fatalf("empty range still reached the store %d times", src.aggs)
 	}
 	if _, err := WindowQuery(src, "s", 10, 5, 10, Count); err == nil {
 		t.Fatal("inverted range accepted")
@@ -202,23 +190,15 @@ func TestWindowQueryEmptyRangeGuards(t *testing.T) {
 }
 
 func TestWindowQueryDispatchesToPushdown(t *testing.T) {
-	agg := &recordingAggSource{}
+	agg := &recordingSource{}
 	out, err := WindowQuery(agg, "s", 0, 10, 10, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.aggs != 1 || agg.queries != 0 {
-		t.Fatalf("pushdown not used: aggs=%d queries=%d", agg.aggs, agg.queries)
+	if agg.aggs != 1 {
+		t.Fatalf("pushdown not used: aggs=%d", agg.aggs)
 	}
 	if len(out) != 1 || out[0].Count != 2 {
 		t.Fatalf("pushdown result not returned: %+v", out)
-	}
-	// A plain Source falls back to materialize-then-aggregate.
-	plain := &recordingSource{}
-	if _, err := WindowQuery(plain, "s", 0, 10, 10, Sum); err != nil {
-		t.Fatal(err)
-	}
-	if plain.queries != 1 {
-		t.Fatalf("fallback did not scan: %d", plain.queries)
 	}
 }

@@ -513,22 +513,9 @@ func (c *Client) Latest(sensor string) (int64, bool, error) {
 }
 
 // Stats implements bench.Target: it returns the server's aggregate
-// stats, merged across its shards.
-func (c *Client) Stats() (engine.Stats, error) {
-	st, _, err := c.StatsFull()
-	return st, err
-}
-
-// ShardStats returns the server's per-shard stats breakdown, one entry
-// per shard in shard order.
-func (c *Client) ShardStats() ([]engine.Stats, error) {
-	_, per, err := c.StatsFull()
-	return per, err
-}
-
-// StatsFull returns the aggregate stats and the per-shard breakdown
-// from a single OpStats exchange.
-func (c *Client) StatsFull() (engine.Stats, []engine.Stats, error) {
+// stats, merged across its shards, and the per-shard breakdown (one
+// entry per shard, in shard order) from a single OpStats exchange.
+func (c *Client) Stats() (engine.Stats, []engine.Stats, error) {
 	resp, err := c.callIdempotent(OpStats, nil)
 	if err != nil {
 		return engine.Stats{}, nil, err

@@ -52,7 +52,7 @@ func TestDurabilityStatsOverRPC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			agg, per, err := c.StatsFull()
+			agg, per, err := c.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestReadTimeoutDropsIdleConn(t *testing.T) {
 		t.Fatalf("dial after idle drop: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Stats(); err != nil {
+	if _, _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,7 +59,7 @@ func FuzzStatsDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if max := len(payload) / (len(statsKinds) + 1); len(per)+1 > max {
+		if max := len(payload) / (len(engine.StatsFields) + 1); len(per)+1 > max {
 			t.Fatalf("decoded %d blocks from %d bytes (at most %d fit)", len(per)+1, len(payload), max)
 		}
 		// Whatever decodes survives a canonical re-encode unchanged

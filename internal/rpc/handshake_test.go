@@ -202,7 +202,7 @@ func TestStatsRoundTrip(t *testing.T) {
 			}
 			defer c.Close()
 
-			got, per, err := c.StatsFull()
+			got, per, err := c.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +210,8 @@ func TestStatsRoundTrip(t *testing.T) {
 				t.Fatalf("front-end overlay missing from the aggregate: %+v", got)
 			}
 			overlaid := func(st engine.Stats) engine.Stats {
-				srv.frontendStats(&st)
+				srv.queue.Stats().Overlay(&st)
+				st.PipelinedConns = srv.pipelinedConns.Load()
 				return st
 			}
 			if g, w := overlaid(got), overlaid(agg); g != w {
@@ -218,13 +219,6 @@ func TestStatsRoundTrip(t *testing.T) {
 			}
 			if !reflect.DeepEqual(per, shards) {
 				t.Fatalf("per-shard:\n got %+v\nwant %+v", per, shards)
-			}
-			// The convenience accessors are views of the same exchange.
-			if st, err := c.Stats(); err != nil || overlaid(st) != overlaid(agg) {
-				t.Fatalf("Stats() = %+v, %v", st, err)
-			}
-			if per2, err := c.ShardStats(); err != nil || !reflect.DeepEqual(per2, shards) {
-				t.Fatalf("ShardStats() = %+v, %v", per2, err)
 			}
 		})
 	}

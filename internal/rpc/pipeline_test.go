@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ingestq"
+	"repro/internal/winagg"
 )
 
 // blockingBackend wedges every InsertBatch until release is closed,
@@ -36,6 +37,9 @@ func (b *blockingBackend) InsertBatch(string, []int64, []float64) error {
 }
 func (b *blockingBackend) Query(string, int64, int64) ([]engine.TV, error) { return nil, nil }
 func (b *blockingBackend) LatestTime(string) (int64, bool)                 { return 0, false }
+func (b *blockingBackend) AggregateWindows(string, int64, int64, int64, winagg.Op) ([]winagg.Window, error) {
+	return nil, nil
+}
 func (b *blockingBackend) StatsAll() (engine.Stats, []engine.Stats) {
 	return engine.Stats{}, []engine.Stats{{}}
 }
@@ -92,7 +96,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := c.Stats()
+	st, _, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestOverloadedRPC(t *testing.T) {
 	if _, err := c.Query("s", 0, 10); err != nil {
 		t.Fatalf("connection dead after overload: %v", err)
 	}
-	st, err := c.Stats()
+	st, _, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func TestOverloadRetriesInIdempotentPath(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("idempotent call did not recover from overload: %v", err)
 	}
-	if st, _ := c.Stats(); st.PipelinedConns != 1 {
+	if st, _, _ := c.Stats(); st.PipelinedConns != 1 {
 		t.Fatalf("overload recovery redialed: %d conns", st.PipelinedConns)
 	}
 }
@@ -260,7 +264,7 @@ func TestRedialSingleFlight(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, _, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,36 +289,17 @@ func (p *payloadReader) float64() (float64, error) {
 // remaining reports how many undecoded payload bytes are left.
 func (p *payloadReader) remaining() int { return len(p.b) - p.pos }
 
-// statsKinds is the one walk of engine.Stats the stats codec uses: the
-// kind of every field in declaration order. A field the codec cannot
-// carry is a programming error caught at start-up (and by every test).
-var statsKinds = func() []reflect.Kind {
-	t := reflect.TypeOf(engine.Stats{})
-	kinds := make([]reflect.Kind, t.NumField())
-	for i := range kinds {
-		f := t.Field(i)
-		k := f.Type.Kind()
-		carried := k == reflect.Int || k == reflect.Int64 || k == reflect.Float64
-		if !carried || !f.IsExported() {
-			panic(fmt.Sprintf("rpc: engine.Stats.%s (%s): the stats codec carries exported int, int64 and float64 fields", f.Name, f.Type))
-		}
-		kinds[i] = k
-	}
-	return kinds
-}()
-
 // appendStats encodes one stats block: a uvarint field count, then
-// every field of st — floats as 8 little-endian bytes, ints as
-// varints.
+// every field of st in engine.StatsFields order — floats as 8
+// little-endian bytes, ints as varints.
 func appendStats(b []byte, st engine.Stats) []byte {
 	v := reflect.ValueOf(st)
-	b = binary.AppendUvarint(b, uint64(len(statsKinds)))
-	for i, kind := range statsKinds {
-		switch f := v.Field(i); kind {
-		case reflect.Float64:
-			b = appendFloat64(b, f.Float())
-		default:
-			b = binary.AppendVarint(b, f.Int())
+	b = binary.AppendUvarint(b, uint64(len(engine.StatsFields)))
+	for i, f := range engine.StatsFields {
+		if f.Kind == reflect.Float64 {
+			b = appendFloat64(b, v.Field(i).Float())
+		} else {
+			b = binary.AppendVarint(b, v.Field(i).Int())
 		}
 	}
 	return b
@@ -334,13 +315,13 @@ func (p *payloadReader) stats() (engine.Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	if n != uint64(len(statsKinds)) {
-		return st, fmt.Errorf("rpc: stats block has %d fields, this build has %d", n, len(statsKinds))
+	if n != uint64(len(engine.StatsFields)) {
+		return st, fmt.Errorf("rpc: stats block has %d fields, this build has %d", n, len(engine.StatsFields))
 	}
 	v := reflect.ValueOf(&st).Elem()
-	for i, kind := range statsKinds {
+	for i, sf := range engine.StatsFields {
 		f := v.Field(i)
-		if kind == reflect.Float64 {
+		if sf.Kind == reflect.Float64 {
 			x, err := p.float64()
 			if err != nil {
 				return st, err
@@ -377,7 +358,7 @@ func decodeStatsReply(payload []byte) (engine.Stats, []engine.Stats, error) {
 	}
 	// A block spends at least one byte per field plus its count; reject
 	// shard counts the frame cannot hold before allocating.
-	if n > uint64(p.remaining())/uint64(len(statsKinds)+1) {
+	if n > uint64(p.remaining())/uint64(len(engine.StatsFields)+1) {
 		return engine.Stats{}, nil, fmt.Errorf("rpc: shard count %d exceeds frame", n)
 	}
 	agg, err := p.stats()

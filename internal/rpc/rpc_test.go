@@ -71,7 +71,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, _, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

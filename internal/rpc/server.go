@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ingestq"
 	"repro/internal/query"
+	"repro/internal/winagg"
 )
 
 // Backend is the storage surface the server dispatches onto — the
@@ -24,6 +25,7 @@ type Backend interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
 	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
 	LatestTime(sensor string) (int64, bool)
+	AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error)
 	StatsAll() (engine.Stats, []engine.Stats)
 	Flush()
 	WaitFlushes()
@@ -419,21 +421,6 @@ func (s *Server) sendOverload(replies chan<- wireReply, overloadOut *atomic.Int6
 	return true
 }
 
-// frontendStats overlays the server-level ingest counters onto an
-// aggregate stats snapshot (the per-shard blocks stay zero, like the
-// router's label-index counters — the dispatch queue is server-wide).
-func (s *Server) frontendStats(st *engine.Stats) {
-	if s.queue != nil {
-		qs := s.queue.Stats()
-		st.IngestQueueCap = qs.Capacity
-		st.IngestQueueDepth = qs.Depth
-		st.IngestWorkers = qs.Workers
-		st.IngestEnqueued = qs.Enqueued
-		st.IngestRejected = qs.Rejected
-	}
-	st.PipelinedConns = s.pipelinedConns.Load()
-}
-
 func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 	p := &payloadReader{b: payload}
 	switch op {
@@ -501,8 +488,13 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return binary.AppendVarint(resp, t), nil
 
 	case OpStats:
+		// The front-end counters are server-wide: they go on the
+		// aggregate only, like the router's label-index counters.
 		agg, per := s.eng.StatsAll()
-		s.frontendStats(&agg)
+		if s.queue != nil {
+			s.queue.Stats().Overlay(&agg)
+		}
+		agg.PipelinedConns = s.pipelinedConns.Load()
 		return appendStatsReply(nil, agg, per), nil
 
 	case OpFlush:

@@ -16,8 +16,8 @@
 // (Insert, InsertBatch, Query, LatestTime, Aggregate) go to the owning
 // shard only; engine-wide operations (Flush, WaitFlushes, Compact,
 // Close) fan out to every shard in parallel and return the first error
-// by shard order; Stats merges per-shard snapshots into one aggregate
-// while keeping the per-shard breakdown available via ShardStats.
+// by shard order; StatsAll merges per-shard snapshots into one
+// aggregate (engine.MergeStats) and returns the breakdown beside it.
 package shard
 
 import (
@@ -216,10 +216,8 @@ func (r *Router) Aggregate(sensor string, startT, endT, window int64, agg query.
 }
 
 // AggregateWindows evaluates a windowed aggregate directly on the
-// owning shard's engine. It makes the Router satisfy
-// query.WindowAggregator, so query.WindowQuery over a Router keeps the
-// engine's statistics pushdown instead of falling back to a
-// materializing range query.
+// owning shard's engine, so query.WindowQuery over a Router keeps the
+// engine's statistics pushdown.
 func (r *Router) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
 	return r.shardFor(sensor).AggregateWindows(sensor, startT, endT, window, op)
 }
@@ -329,135 +327,30 @@ func (r *Router) Close() error {
 	return err
 }
 
-// Stats returns one aggregate snapshot merged across the shards (same
-// shape an unsharded engine reports, so every existing consumer keeps
-// working). Use ShardStats for the per-shard breakdown.
+// Stats returns the aggregate of StatsAll (same shape an unsharded
+// engine reports, so every existing consumer keeps working).
 func (r *Router) Stats() engine.Stats {
-	m := MergeStats(r.ShardStats())
-	r.injectIndexStats(&m)
+	m, _ := r.StatsAll()
 	return m
 }
 
 // StatsAll returns the merged aggregate and the per-shard snapshots
-// from one collection pass, so the two views describe the same instant
-// (the rpc server uses this for the OpStats payload).
+// from one collection pass, so the two views describe the same instant.
 func (r *Router) StatsAll() (engine.Stats, []engine.Stats) {
-	per := r.ShardStats()
-	m := MergeStats(per)
-	r.injectIndexStats(&m)
-	return m, per
-}
-
-// ShardStats returns one stats snapshot per shard, indexed by shard.
-func (r *Router) ShardStats() []engine.Stats {
-	out := make([]engine.Stats, len(r.shards))
+	per := make([]engine.Stats, len(r.shards))
 	var wg sync.WaitGroup
 	for i, e := range r.shards {
 		wg.Add(1)
 		go func(i int, e *engine.Engine) {
 			defer wg.Done()
-			out[i] = e.Stats()
+			per[i] = e.Stats()
 		}(i, e)
 	}
 	wg.Wait()
-	return out
+	m := engine.MergeStats(per)
+	r.injectIndexStats(&m)
+	return m, per
 }
 
 // Algorithm returns the shards' configured sorting algorithm name.
 func (r *Router) Algorithm() string { return r.shards[0].Algorithm() }
-
-// MergeStats folds per-shard snapshots into one engine-shaped
-// aggregate: counters sum; per-flush averages are weighted by each
-// shard's flush count and per-wait averages by its wait count; the max
-// lock wait is the max across shards, and the aggregate p99 is the
-// worst per-shard p99 (a conservative upper bound — exact cross-shard
-// percentiles would need the raw histograms). The worker-count echo
-// comes from the first shard, which all shards share.
-func MergeStats(per []engine.Stats) engine.Stats {
-	var m engine.Stats
-	if len(per) == 0 {
-		return m
-	}
-	m.FlushWorkers = per[0].FlushWorkers
-	var flushWeight, lockWeight float64
-	for _, s := range per {
-		m.FlushCount += s.FlushCount
-		m.SeqPoints += s.SeqPoints
-		m.UnseqPoints += s.UnseqPoints
-		m.Files += s.Files
-		m.MemTablePoints += s.MemTablePoints
-		m.SortsSkipped += s.SortsSkipped
-		m.FlatSorts += s.FlatSorts
-		m.InterfaceSorts += s.InterfaceSorts
-		m.FlatSortMillis += s.FlatSortMillis
-		m.InterfaceSortMillis += s.InterfaceSortMillis
-		m.SketchSeededFlushes += s.SketchSeededFlushes
-		m.SearchItersSaved += s.SearchItersSaved
-		m.AdaptiveFixedSorts += s.AdaptiveFixedSorts
-		m.AdaptiveSeededSorts += s.AdaptiveSeededSorts
-		// The chosen-L histogram summary merges min-of-mins and
-		// max-of-maxes; 0 means a shard has no planned sort yet.
-		if s.AdaptiveMinL > 0 && (m.AdaptiveMinL == 0 || s.AdaptiveMinL < m.AdaptiveMinL) {
-			m.AdaptiveMinL = s.AdaptiveMinL
-		}
-		if s.AdaptiveMaxL > m.AdaptiveMaxL {
-			m.AdaptiveMaxL = s.AdaptiveMaxL
-		}
-		m.LockWaits += s.LockWaits
-		m.QueriesBlocked += s.QueriesBlocked
-		m.WALSyncs += s.WALSyncs
-		m.WALCommits += s.WALCommits
-		m.QuarantinedFiles += s.QuarantinedFiles
-		m.RecoveredWALBatches += s.RecoveredWALBatches
-		m.ChunksFromStats += s.ChunksFromStats
-		m.ChunksDecoded += s.ChunksDecoded
-		m.PointsSkipped += s.PointsSkipped
-		m.BytesRead += s.BytesRead
-		m.BlocksDecoded += s.BlocksDecoded
-		m.BlocksSkipped += s.BlocksSkipped
-		m.BlocksFromStats += s.BlocksFromStats
-		m.CompactionPasses += s.CompactionPasses
-		m.CompactionBytesRead += s.CompactionBytesRead
-		if s.MaxCompactionPassBytes > m.MaxCompactionPassBytes {
-			m.MaxCompactionPassBytes = s.MaxCompactionPassBytes
-		}
-		m.PartitionsDropped += s.PartitionsDropped
-		m.PartitionsActive += s.PartitionsActive
-		m.SeriesCount += s.SeriesCount
-		m.LabelPairs += s.LabelPairs
-		m.PostingsEntries += s.PostingsEntries
-		m.MatcherResolutions += s.MatcherResolutions
-		m.SelectorQueries += s.SelectorQueries
-		m.FanoutSeries += s.FanoutSeries
-		if s.MaxFanoutWidth > m.MaxFanoutWidth {
-			m.MaxFanoutWidth = s.MaxFanoutWidth
-		}
-
-		w := float64(s.FlushCount)
-		flushWeight += w
-		m.AvgFlushMillis += s.AvgFlushMillis * w
-		m.AvgSortMillis += s.AvgSortMillis * w
-		m.AvgEncodeMillis += s.AvgEncodeMillis * w
-		m.AvgWriteMillis += s.AvgWriteMillis * w
-
-		lw := float64(s.LockWaits)
-		lockWeight += lw
-		m.AvgLockWaitMicros += s.AvgLockWaitMicros * lw
-		if s.MaxLockWaitMicros > m.MaxLockWaitMicros {
-			m.MaxLockWaitMicros = s.MaxLockWaitMicros
-		}
-		if s.P99LockWaitMicros > m.P99LockWaitMicros {
-			m.P99LockWaitMicros = s.P99LockWaitMicros
-		}
-	}
-	if flushWeight > 0 {
-		m.AvgFlushMillis /= flushWeight
-		m.AvgSortMillis /= flushWeight
-		m.AvgEncodeMillis /= flushWeight
-		m.AvgWriteMillis /= flushWeight
-	}
-	if lockWeight > 0 {
-		m.AvgLockWaitMicros /= lockWeight
-	}
-	return m
-}

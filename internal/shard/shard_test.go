@@ -310,7 +310,7 @@ func TestMergeStats(t *testing.T) {
 			SketchSeededFlushes: 5, AdaptiveMinL: 8, AdaptiveMaxL: 32},
 		{FlushWorkers: 3}, // no planned sort yet: L range 0 must not win the min
 	}
-	m := MergeStats(per)
+	m := engine.MergeStats(per)
 	if m.SketchSeededFlushes != 7 || m.AdaptiveMinL != 8 || m.AdaptiveMaxL != 64 {
 		t.Fatalf("adaptive merge wrong: %+v", m)
 	}
@@ -326,7 +326,7 @@ func TestMergeStats(t *testing.T) {
 	if m.MaxLockWaitMicros != 50 || m.FlushWorkers != 3 {
 		t.Fatalf("max/echo wrong: %+v", m)
 	}
-	if z := MergeStats(nil); z != (engine.Stats{}) {
+	if z := engine.MergeStats(nil); z != (engine.Stats{}) {
 		t.Fatalf("MergeStats(nil) = %+v", z)
 	}
 }

@@ -138,12 +138,7 @@ func (s *Segment) Append(sensor string, times []int64, values []float64) error {
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record too large: %d bytes", len(payload))
 	}
-	rec := make([]byte, 4, 4+len(payload)+4)
-	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	rec = append(rec, crc[:]...)
+	rec := AppendFrame(make([]byte, 0, len(payload)+8), payload)
 	if _, err := s.f.Write(rec); err != nil {
 		return err
 	}
@@ -276,16 +271,42 @@ type Batch struct {
 	Values []float64
 }
 
+// AppendFrame appends one record in the log framing to b:
+//
+//	uint32 len(payload) | payload | uint32 CRC-32(payload)
+//
+// The WAL and the series catalog share it.
+func AppendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
 // Replay reads a segment file and invokes fn for each intact batch in
-// append order. A torn tail (partial final record, e.g. from a crash
-// mid-write) ends the replay silently; a corrupt CRC mid-file is
-// reported as an error because it means data loss of acknowledged
-// writes.
+// append order, with ReadFrames' torn-tail and corruption rules.
+func Replay(path string, fn func(Batch) error) error {
+	return ReadFrames(path, "wal", maxRecord, func(payload []byte, offset int64) error {
+		batch, err := decodeBatch(payload)
+		if err != nil {
+			return fmt.Errorf("wal: %s: offset %d: %w", path, offset, err)
+		}
+		return fn(batch)
+	})
+}
+
+// ReadFrames streams the records of the AppendFrame log at path
+// through fn in append order, with each payload's file offset; the
+// payload is only valid during the call. A torn tail (a partial final
+// record, or a bad CRC on the last one, e.g. from a crash mid-write)
+// ends the read silently. A length outside (0, maxLen] or a CRC
+// mismatch with bytes after it is reported as an error, prefixed with
+// prefix and path, because it means acknowledged records are lost.
+// Errors from fn and from opening path are returned as they are.
 //
 // The file is streamed through a bounded buffer — peak memory is one
-// record, not the segment size, so recovering a large generation does
+// record, not the file size, so recovering a large generation does
 // not double the engine's footprint.
-func Replay(path string, fn func(Batch) error) error {
+func ReadFrames(path, prefix string, maxLen int, fn func(payload []byte, offset int64) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -303,8 +324,8 @@ func Replay(path string, fn func(Batch) error) error {
 			return err
 		}
 		plen := int(binary.LittleEndian.Uint32(hdr[:]))
-		if plen <= 0 || plen > maxRecord {
-			return fmt.Errorf("wal: %s: invalid record length %d at offset %d", path, plen, offset)
+		if plen <= 0 || plen > maxLen {
+			return fmt.Errorf("%s: %s: invalid record length %d at offset %d", prefix, path, plen, offset)
 		}
 		if cap(buf) < plen+4 {
 			buf = make([]byte, plen+4)
@@ -324,13 +345,9 @@ func Replay(path string, fn func(Batch) error) error {
 			if _, err := br.ReadByte(); err == io.EOF {
 				return nil
 			}
-			return fmt.Errorf("wal: %s: CRC mismatch at offset %d", path, offset)
+			return fmt.Errorf("%s: %s: CRC mismatch at offset %d", prefix, path, offset)
 		}
-		batch, err := decodeBatch(payload)
-		if err != nil {
-			return fmt.Errorf("wal: %s: offset %d: %w", path, offset, err)
-		}
-		if err := fn(batch); err != nil {
+		if err := fn(payload, offset); err != nil {
 			return err
 		}
 		offset += int64(4 + plen + 4)
