@@ -27,10 +27,6 @@ type Options struct {
 	// paper's anchoring; the adaptive planner rotates it so repeated
 	// estimates are unbiased on periodic timestamp patterns.
 	SearchPhase int
-	// BlockSort sorts one block in place; nil selects QuicksortRange
-	// ("Quicksort is used in default and can be substituted",
-	// Section III-B).
-	BlockSort func(s Sortable, lo, hi int)
 }
 
 func (o Options) withDefaults() Options {
@@ -39,9 +35,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Threshold <= 0 {
 		o.Threshold = DefaultThreshold
-	}
-	if o.BlockSort == nil {
-		o.BlockSort = QuicksortRange
 	}
 	return o
 }
@@ -69,7 +62,9 @@ type Trace struct {
 
 // BackwardSort sorts s by timestamp using Algorithm 1 of the paper:
 // set block size, sort by blocks, backward merge. It returns a Trace
-// describing the run.
+// describing the run. It sorts blocks with the paper's Quicksort, so
+// equal timestamps come out in Quicksort's tie order; SortFlat is the
+// stable kernel.
 //
 // Complexity (Section IV): O(n/L0) to set the block size
 // (Proposition 3), O(n log L) to sort blocks, and O(n·Q/L) to merge,
@@ -98,15 +93,11 @@ func BackwardSort(s Sortable, opts Options) Trace {
 	}
 	tr.BlockSize = L
 
-	// Phase 2: sort by blocks (lines 9-12). The final partial block
-	// is sorted as its own (shorter) block.
+	// Phase 2: sort by blocks with the paper's Quicksort (lines 9-12).
+	// The final partial block is sorted as its own (shorter) block.
 	tr.Blocks = (n + L - 1) / L
 	for lo := 0; lo < n; lo += L {
-		hi := lo + L
-		if hi > n {
-			hi = n
-		}
-		opts.BlockSort(s, lo, hi)
+		QuicksortRange(s, lo, min(lo+L, n))
 	}
 
 	// Phase 3: backward merge (lines 13-16).

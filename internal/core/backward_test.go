@@ -267,27 +267,13 @@ func TestSetBlockSizeThresholdMonotonic(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.InitialBlockSize != DefaultInitialBlockSize || o.Threshold != DefaultThreshold || o.BlockSort == nil {
+	if o.InitialBlockSize != DefaultInitialBlockSize || o.Threshold != DefaultThreshold {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 	// Explicit values survive.
 	o2 := Options{InitialBlockSize: 8, Threshold: 0.1}.withDefaults()
 	if o2.InitialBlockSize != 8 || o2.Threshold != 0.1 {
 		t.Fatalf("explicit options overridden: %+v", o2)
-	}
-}
-
-func TestCustomBlockSort(t *testing.T) {
-	orig := delayedTimes(5000, 5, 21)
-	p := makePairs(orig)
-	calls := 0
-	BackwardSort(p, Options{BlockSort: func(s Sortable, lo, hi int) {
-		calls++
-		InsertionSortRange(s, lo, hi)
-	}})
-	checkSortedPermutation(t, p, orig)
-	if calls == 0 {
-		t.Fatal("custom block sorter never called")
 	}
 }
 

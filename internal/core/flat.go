@@ -92,8 +92,10 @@ func growSlice[V any](s []V, n int) []V {
 
 // SortFlat sorts the parallel slices by timestamp using Backward-Sort,
 // specialized to contiguous storage. It panics if the lengths differ.
-// The Trace it returns is identical to what BackwardSort would report
-// on the same input: the two paths run the same algorithm.
+// The sort is stable: records with equal timestamps keep their input
+// order. The Trace it returns is identical to what BackwardSort would
+// report on the same input: the phases that set the block size and
+// merge backward are the same, and Trace counts only those.
 func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 	if len(times) != len(values) {
 		panic("core: times and values length mismatch")
@@ -120,13 +122,16 @@ func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 	tr.BlockSize = L
 	tr.Blocks = (n + L - 1) / L
 
-	// Phase 2: sort by blocks (lines 9-12).
+	// Phase 2: sort by blocks (lines 9-12), stably, so equal
+	// timestamps keep their arrival order through the whole sort.
+	sc := getFlatScratch[V]()
 	for lo := 0; lo < n; lo += L {
-		quicksortFlat(times, values, lo, min(lo+L, n))
+		sortBlockFlat(times, values, lo, min(lo+L, n), sc)
 	}
 
 	// Phase 3: backward merge (lines 13-16).
-	backwardMergeFlat(times, values, L, &tr)
+	backwardMergeFlat(times, values, L, sc, &tr)
+	putFlatScratch(sc)
 	return tr
 }
 
@@ -136,48 +141,25 @@ func setBlockSizeFlat(times []int64, l0 int, theta float64, phase int) (L, itera
 	return searchBlockSize(len(times), func(i int) int64 { return times[i] }, l0, DefaultInitialBlockSize, theta, phase)
 }
 
-// quicksortFlat is QuicksortRange monomorphized: middle-element pivot,
-// smaller-side recursion, insertion sort below the cutoff.
-func quicksortFlat[V any](t []int64, v []V, lo, hi int) {
-	for hi-lo > insertionCutoff {
-		p := partitionFlat(t, v, lo, hi)
-		if p+1-lo < hi-p-1 {
-			quicksortFlat(t, v, lo, p+1)
-			lo = p + 1
-		} else {
-			quicksortFlat(t, v, p+1, hi)
-			hi = p + 1
-		}
-	}
-	insertionSortFlat(t, v, lo, hi)
-}
+// runLen is the length of the runs sortBlockFlat insertion-sorts
+// before merging them.
+const runLen = 16
 
-// partitionFlat is the Hoare partition of QuicksortRange on flat
-// slices.
-func partitionFlat[V any](t []int64, v []V, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	t[lo], t[mid] = t[mid], t[lo]
-	v[lo], v[mid] = v[mid], v[lo]
-	pivot := t[lo]
-	i, j := lo-1, hi
-	for {
-		for {
-			i++
-			if t[i] >= pivot {
-				break
+// sortBlockFlat stably sorts the block [lo, hi): insertion-sorted runs
+// of runLen, merged bottom-up by the same stable merge the backward
+// phase uses. It replaces the paper's per-block Quicksort ("used in
+// default and can be substituted", Section III-B), which is not
+// stable.
+func sortBlockFlat[V any](t []int64, v []V, lo, hi int, sc *flatScratch[V]) {
+	for r := lo; r < hi; r += runLen {
+		insertionSortFlat(t, v, r, min(r+runLen, hi))
+	}
+	for w := runLen; w < hi-lo; w *= 2 {
+		for mid := lo + w; mid < hi; mid += 2 * w {
+			if t[mid-1] > t[mid] {
+				mergeRunsFlat(t, v, mid-w, mid, min(mid+w, hi), sc)
 			}
 		}
-		for {
-			j--
-			if t[j] <= pivot {
-				break
-			}
-		}
-		if i >= j {
-			return j
-		}
-		t[i], t[j] = t[j], t[i]
-		v[i], v[j] = v[j], v[i]
 	}
 }
 
@@ -202,30 +184,17 @@ func insertionSortFlat[V any](t []int64, v []V, lo, hi int) {
 	}
 }
 
-// backwardMergeFlat is backwardMerge on flat slices, drawing its merge
-// scratch from the shared pool. Same invariant: the suffix right of
-// blockEnd is fully sorted; only overlapping records move.
-func backwardMergeFlat[V any](t []int64, v []V, L int, tr *Trace) {
+// backwardMergeFlat is backwardMerge on flat slices, merging through
+// the caller's scratch. Same invariant: the suffix right of blockEnd
+// is fully sorted; only overlapping records move.
+func backwardMergeFlat[V any](t []int64, v []V, L int, sc *flatScratch[V], tr *Trace) {
 	n := len(t)
-	if L >= n {
-		return
-	}
-	sc := getFlatScratch[V]()
 	lastStart := ((n - 1) / L) * L
 	for blockEnd := lastStart; blockEnd >= L; blockEnd -= L {
-		blockMax := t[blockEnd-1]
-		suffixHead := t[blockEnd]
-		if blockMax <= suffixHead {
+		if t[blockEnd-1] <= t[blockEnd] {
 			continue // no overlap across the boundary
 		}
-		q := lowerBoundFlat(t, blockEnd, n, blockMax)
-		a := upperBoundFlat(t, blockEnd-L, blockEnd, suffixHead)
-		r := blockEnd - a
-		if r <= q {
-			mergeOverlapLoFlat(t, v, a, blockEnd, q, sc)
-		} else {
-			mergeOverlapHiFlat(t, v, a, blockEnd, q, sc)
-		}
+		q, r := mergeRunsFlat(t, v, blockEnd-L, blockEnd, n, sc)
 		tr.Merges++
 		tr.OverlapTotal += int64(q)
 		tr.TailTotal += int64(r)
@@ -233,7 +202,24 @@ func backwardMergeFlat[V any](t []int64, v []V, L int, tr *Trace) {
 			tr.MaxOverlap = q
 		}
 	}
-	putFlatScratch(sc)
+}
+
+// mergeRunsFlat stably merges the sorted adjacent runs [lo, mid) and
+// [mid, hi), which overlap (t[mid-1] > t[mid]), in place. Only the
+// overlap moves: the r records of the first run above the second
+// run's head and the q records of the second run below the first
+// run's max, whichever side is smaller parked in scratch. It returns q
+// and r.
+func mergeRunsFlat[V any](t []int64, v []V, lo, mid, hi int, sc *flatScratch[V]) (q, r int) {
+	q = lowerBoundFlat(t, mid, hi, t[mid-1])
+	a := upperBoundFlat(t, lo, mid, t[mid])
+	r = mid - a
+	if r <= q {
+		mergeOverlapLoFlat(t, v, a, mid, q, sc)
+	} else {
+		mergeOverlapHiFlat(t, v, a, mid, q, sc)
+	}
+	return q, r
 }
 
 // lowerBoundFlat counts records in the sorted suffix [start, n) with

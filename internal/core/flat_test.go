@@ -44,10 +44,23 @@ func checkAgainstOracle(t *testing.T, label string, orig, gotT []int64, gotV []i
 	}
 }
 
+// checkStable verifies the flat kernel's tie order: within every run of
+// equal timestamps the original indices increase, so together with
+// checkAgainstOracle the output is exactly sort.SliceStable's.
+func checkStable(t *testing.T, label string, gotT []int64, gotV []int) {
+	t.Helper()
+	for i := 1; i < len(gotT); i++ {
+		if gotT[i] == gotT[i-1] && gotV[i] < gotV[i-1] {
+			t.Fatalf("%s: unstable at %d: time %d carries index %d after %d", label, i, gotT[i], gotV[i], gotV[i-1])
+		}
+	}
+}
+
 // runBothPaths sorts orig through the interface path and the flat path
-// with identical options, checks both
-// against the oracle, and asserts their Traces agree — the two paths
-// run the same algorithm, so every trace counter must match.
+// with identical options, checks both against the oracle and the flat
+// path for stability, and asserts their Traces agree — the two paths
+// set block sizes and merge backward alike, so every trace counter
+// must match.
 func runBothPaths(t *testing.T, label string, orig []int64, fixedL int) {
 	t.Helper()
 
@@ -62,6 +75,7 @@ func runBothPaths(t *testing.T, label string, orig []int64, fixedL int) {
 	}
 	trFlat := SortFlat(ft, fv, FlatOptions{FixedBlockSize: fixedL})
 	checkAgainstOracle(t, label+"/flat", orig, ft, fv)
+	checkStable(t, label+"/flat", ft, fv)
 
 	if trIface != trFlat {
 		t.Fatalf("%s: trace mismatch: interface %+v, flat %+v", label, trIface, trFlat)
@@ -133,35 +147,45 @@ func TestSortFlatEveryFixedBlockSize(t *testing.T) {
 }
 
 func TestSortFlatQuick(t *testing.T) {
-	f := func(times []int64) bool {
-		orig := append([]int64(nil), times...)
+	sortsStably := func(times []int64) bool {
 		ft := append([]int64(nil), times...)
 		fv := make([]int, len(times))
 		for i := range fv {
 			fv[i] = i
 		}
 		SortFlat(ft, fv, FlatOptions{})
-		want := oracleSort(orig)
+		want := oracleSort(times)
 		for i := range want {
-			if ft[i] != want[i] {
+			if ft[i] != want[i] || times[fv[i]] != ft[i] {
 				return false
 			}
-		}
-		for i, idx := range fv {
-			if orig[idx] != ft[i] {
+			if i > 0 && ft[i] == ft[i-1] && fv[i] < fv[i-1] {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	// Tie-heavy: the same inputs folded onto four timestamps, so almost
+	// every record has equals on both sides of every block boundary.
+	tieHeavy := func(times []int64) bool {
+		folded := make([]int64, len(times))
+		for i, v := range times {
+			folded[i] = v & 3
+		}
+		return sortsStably(folded)
+	}
+	for _, f := range []func([]int64) bool{sortsStably, tieHeavy} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // FuzzSortFlat feeds arbitrary byte strings as timestamp arrays
-// through both paths and the oracle. `go test` runs the seed corpus;
-// `go test -fuzz=FuzzSortFlat ./internal/core` explores further.
+// through both paths and the oracle, and checks that the flat path is
+// stable and reports the interface path's Trace. `go test` runs the
+// seed corpus; `go test -fuzz=FuzzSortFlat ./internal/core` explores
+// further.
 func FuzzSortFlat(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -178,13 +202,15 @@ func FuzzSortFlat(f *testing.F) {
 			orig[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
 		}
 		p := makePairs(orig)
-		BackwardSort(p, Options{})
+		trIface := BackwardSort(p, Options{})
 		ft := append([]int64(nil), orig...)
 		fv := make([]int, n)
 		for i := range fv {
 			fv[i] = i
 		}
-		SortFlat(ft, fv, FlatOptions{})
+		if trFlat := SortFlat(ft, fv, FlatOptions{}); trFlat != trIface {
+			t.Fatalf("trace mismatch: interface %+v, flat %+v", trIface, trFlat)
+		}
 		want := oracleSort(orig)
 		for i := range want {
 			if ft[i] != want[i] || p.Times[i] != want[i] {
@@ -195,6 +221,7 @@ func FuzzSortFlat(f *testing.F) {
 				t.Fatalf("flat record %d tore apart", i)
 			}
 		}
+		checkStable(t, "fuzz", ft, fv)
 	})
 }
 

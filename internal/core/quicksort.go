@@ -9,7 +9,7 @@ const insertionCutoff = 12
 // Quicksort the paper evaluates: the pivot is always the middle
 // element of the range ("due to time series", Section VI-A1 — the
 // middle of a nearly sorted range is close to its median). Backward-
-// Sort uses it as the default per-block sorter (Algorithm 1 line 11),
+// Sort uses it as the per-block sorter (Algorithm 1 line 11),
 // and with L = N Backward-Sort degenerates to exactly this procedure
 // (Figure 6).
 func QuicksortRange(s Sortable, lo, hi int) {

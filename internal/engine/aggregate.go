@@ -5,10 +5,11 @@
 // flushed files — becomes a pointSource yielding records in
 // nondecreasing time order, and a k-way heap merge combines them with
 // rank-based newest-wins dedup (sources are ordered newest-first; on
-// equal timestamps the lowest rank wins, matching the stable-sort
-// semantics the engine has always had). File sources decode one chunk
-// at a time, so a long range scan holds one chunk's points in memory
-// per file rather than materializing everything before sorting.
+// equal timestamps the lowest rank wins). Inside one source each
+// timestamp appears once: tvlist yields one record per timestamp, and
+// the tsfile writer refuses equal timestamps. File sources decode one
+// chunk at a time, so a long range scan holds one chunk's points in
+// memory per file rather than materializing everything before sorting.
 //
 // AggregateWindows additionally prunes: a chunk — or an individual
 // block of it — whose index entry carries value statistics is
@@ -28,9 +29,11 @@
 //     source could itself be shadowed; either way the per-point
 //     outcome differs from the raw statistics, so any overlap
 //     disqualifies;
-//  3. the span has statistics at all — chunks/blocks with internal
-//     duplicate timestamps are written without them, because dedup
-//     would drop points the statistics counted.
+//  3. the span has statistics at all. The writer records them for
+//     every chunk and block; only a file written before timestamps had
+//     to strictly increase holds chunks/blocks with internal duplicate
+//     timestamps, stored without statistics because dedup would drop
+//     points the statistics counted. Compact rewrites such files.
 //
 // Block granularity is what makes the pushdown useful on windows much
 // smaller than a chunk: a 100k-point chunk whose blocks each span one
@@ -149,7 +152,11 @@ type mergeHead struct {
 }
 
 // merge is a k-way heap merge with newest-wins dedup. Sources must be
-// passed newest-first; each yields nondecreasing timestamps.
+// passed newest-first; each yields nondecreasing timestamps. Ties
+// across sources go to the lowest rank. A tie inside one source
+// occurs only in a file written before timestamps had to strictly
+// increase; the merge keeps that run's first record, as it always
+// has, until Compact rewrites the file.
 type merge struct {
 	heads   []mergeHead
 	emitted bool

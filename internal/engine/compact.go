@@ -32,6 +32,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/tsfile"
@@ -421,11 +422,20 @@ func (e *Engine) maybeCompact() {
 	}
 }
 
+// upToDate reports whether fh is already what Compact writes: a v3
+// partition file whose chunks all carry statistics (a v3 chunk lacks
+// them only when an older writer stored duplicate timestamps in it).
+func upToDate(fh *fileHandle) bool {
+	return fh.legacyParts == nil && fh.reader.Version() >= 3 &&
+		!slices.ContainsFunc(fh.index, func(m tsfile.ChunkMeta) bool { return m.Stats == nil })
+}
+
 // Compact folds the whole store: every partition's files fold into
 // one terminal-level (DefaultMaxLevel) file per partition, and legacy
 // root-level files are migrated — each one's points are split at
 // partition boundaries and folded into the partitions they belong to.
-// v2 inputs come out as v3, the legacy upgrade path. Partitions
+// v2 inputs come out as v3, the legacy upgrade path, and chunks with
+// duplicate timestamps come out strictly increasing. Partitions
 // already reduced to a single up-to-date file are left alone.
 // Newest-wins semantics for rewritten timestamps are preserved, and
 // queries that snapshotted the old files keep reading them through
@@ -490,7 +500,7 @@ func (e *Engine) Compact() error {
 				inputs = append(inputs, fh)
 			}
 		}
-		if len(inputs) == 1 && inputs[0].legacyParts == nil && inputs[0].reader.Version() >= 3 {
+		if len(inputs) == 1 && upToDate(inputs[0]) {
 			continue
 		}
 		e.mu.Lock()

@@ -1082,7 +1082,7 @@ func (e *Engine) drain(unit *flushUnit) {
 				if planned {
 					e.notePlanned(sensor, dec, tr)
 				}
-				ts, vs := chunk.ToSlices()
+				ts, vs := chunk.LastPerTime()
 				mu.Unlock()
 				t1 := time.Now()
 				defer func() { encodeNanos.Add(int64(time.Since(t1))) }()

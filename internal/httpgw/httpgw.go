@@ -23,11 +23,11 @@ import (
 const MaxBody = 16 << 20
 
 // Backend is the storage the gateway fronts — the shard router tsdbd
-// serves. It is the insert/query subset of the RPC server's backend
-// plus the aggregate Stats, so the same value serves both front ends.
+// serves. It is the write and windowed-query subset of the RPC
+// server's backend plus the aggregate Stats, so the same value serves
+// both front ends.
 type Backend interface {
 	InsertBatch(sensor string, times []int64, values []float64) error
-	Query(sensor string, minT, maxT int64) ([]engine.TV, error)
 	AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error)
 	Stats() engine.Stats
 }

@@ -171,8 +171,8 @@ func TestWriteRejectsMalformed(t *testing.T) {
 			t.Fatalf("%.40q: write status = %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	if pts, err := g.backend.Query("cpu.usage", 0, 10); err != nil || len(pts) != 0 {
-		t.Fatalf("rejected payloads wrote %d points (%v)", len(pts), err)
+	if ws, err := g.backend.AggregateWindows("cpu.usage", 0, 11, 11, winagg.Count); err != nil || len(ws) != 0 {
+		t.Fatalf("rejected payloads wrote points: %v (%v)", ws, err)
 	}
 }
 
@@ -376,9 +376,6 @@ func TestWriteUnblocksOnClientCancel(t *testing.T) {
 type failingBackend struct{}
 
 func (failingBackend) InsertBatch(string, []int64, []float64) error { return nil }
-func (failingBackend) Query(string, int64, int64) ([]engine.TV, error) {
-	return nil, fmt.Errorf("disk on fire")
-}
 func (failingBackend) AggregateWindows(string, int64, int64, int64, winagg.Op) ([]winagg.Window, error) {
 	return nil, fmt.Errorf("disk on fire")
 }

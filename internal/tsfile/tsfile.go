@@ -101,9 +101,10 @@ type ValueStats struct {
 // BlockMeta describes one block of a chunk: an independently CRC'd,
 // independently decodable run of the chunk's points covering
 // [MinTime, MaxTime]. Offset is absolute in the file; Size includes
-// the block's trailing CRC. Stats is nil when the block contains
-// duplicate timestamps (statistics over the raw points would disagree
-// with the deduplicated stream queries return).
+// the block's trailing CRC. Stats is nil only in files written before
+// timestamps had to strictly increase, for a block holding duplicate
+// timestamps (statistics over the raw points would disagree with the
+// deduplicated stream queries return).
 type BlockMeta struct {
 	Offset  int64
 	Size    int64
@@ -113,11 +114,12 @@ type BlockMeta struct {
 	Stats   *ValueStats
 }
 
-// ChunkMeta describes one chunk in a file's index. Stats is nil when
-// the chunk contains duplicate timestamps. Size is the chunk's byte
-// extent in the file (derived from the neighboring index entries at
-// load time, not stored). Blocks holds at least one block, in
-// nondecreasing time order; their point counts sum to Count.
+// ChunkMeta describes one chunk in a file's index. Stats is nil, as for
+// BlockMeta, only for a chunk of such an older file holding duplicate
+// timestamps. Size is the chunk's byte extent in the file (derived
+// from the neighboring index entries at load time, not stored). Blocks
+// holds at least one block, in nondecreasing time order; their point
+// counts sum to Count.
 type ChunkMeta struct {
 	Sensor  string
 	Offset  int64
@@ -171,10 +173,10 @@ func CreateFS(fs faultfs.FS, path string) (*Writer, error) {
 	return w, nil
 }
 
-// WriteChunk appends one chunk. times must be nondecreasing — the
-// invariant sorting establishes before flush — and len(times) must
-// equal len(values) and be > 0. The chunk is split into blocks of
-// ~BlockPoints points.
+// WriteChunk appends one chunk. times must be strictly increasing —
+// the invariant a flush establishes by sorting and keeping the last
+// record per timestamp — and len(times) must equal len(values) and be
+// > 0. The chunk is split into blocks of at most BlockPoints points.
 func (w *Writer) WriteChunk(sensor string, times []int64, values []float64) error {
 	enc, err := EncodeChunkBlocks(sensor, times, values, w.BlockPoints)
 	if err != nil {
@@ -194,16 +196,14 @@ type EncodedChunk struct {
 }
 
 // EncodeChunkBlocks validates and encodes one chunk, splitting it into
-// independently decodable blocks of at most ~blockPoints points each
-// (a block never splits a run of equal timestamps, so it may run a few
-// points long). blockPoints <= 0 means DefaultBlockPoints. Safe to
-// call from multiple goroutines.
+// independently decodable blocks of at most blockPoints points each.
+// blockPoints <= 0 means DefaultBlockPoints. Safe to call from
+// multiple goroutines.
 func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoints int) (*EncodedChunk, error) {
 	if blockPoints <= 0 {
 		blockPoints = DefaultBlockPoints
 	}
-	dup, err := validateChunk(sensor, times, values)
-	if err != nil {
+	if err := validateChunk(sensor, times, values); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, 0, len(sensor)+16+len(times)*3+len(values)*8)
@@ -211,24 +211,8 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 	payload = append(payload, sensor...)
 	var blocks []BlockMeta
 	for start := 0; start < len(times); {
-		end := start + blockPoints
-		if end >= len(times) {
-			end = len(times)
-		} else {
-			// Never split a run of equal timestamps across blocks: the
-			// run must dedup within one decode unit.
-			for end < len(times) && times[end] == times[end-1] {
-				end++
-			}
-		}
+		end := min(start+blockPoints, len(times))
 		bt, bv := times[start:end], values[start:end]
-		bdup := false
-		for i := 1; i < len(bt); i++ {
-			if bt[i] == bt[i-1] {
-				bdup = true
-				break
-			}
-		}
 		blockStart := len(payload)
 		payload = encoding.AppendTS2Diff(payload, bt)
 		payload = encoding.AppendGorilla(payload, bv)
@@ -240,7 +224,7 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 			Count:   len(bt),
 			MinTime: bt[0],
 			MaxTime: bt[len(bt)-1],
-			Stats:   computeStats(bv, bdup),
+			Stats:   computeStats(bv),
 		})
 		start = end
 	}
@@ -251,40 +235,32 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 			Count:   len(times),
 			MinTime: times[0],
 			MaxTime: times[len(times)-1],
-			Stats:   computeStats(values, dup),
+			Stats:   computeStats(values),
 			Blocks:  blocks,
 		},
 		payload: payload,
 	}, nil
 }
 
-// validateChunk checks the shared chunk invariants and reports whether
-// the timestamps contain duplicates.
-func validateChunk(sensor string, times []int64, values []float64) (dup bool, err error) {
+// validateChunk checks the shared chunk invariants: a nonempty column
+// pair of equal length whose timestamps strictly increase.
+func validateChunk(sensor string, times []int64, values []float64) error {
 	if len(times) == 0 || len(times) != len(values) {
-		return false, fmt.Errorf("tsfile: bad chunk shape: %d times, %d values", len(times), len(values))
+		return fmt.Errorf("tsfile: bad chunk shape: %d times, %d values", len(times), len(values))
 	}
 	if len(sensor) > MaxSensorName {
-		return false, fmt.Errorf("tsfile: sensor name too long (%d bytes)", len(sensor))
+		return fmt.Errorf("tsfile: sensor name too long (%d bytes)", len(sensor))
 	}
 	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			return false, fmt.Errorf("tsfile: chunk for %q not sorted at %d", sensor, i)
-		}
-		if times[i] == times[i-1] {
-			dup = true
+		if times[i] <= times[i-1] {
+			return fmt.Errorf("tsfile: chunk for %q not strictly increasing at %d", sensor, i)
 		}
 	}
-	return dup, nil
+	return nil
 }
 
-// computeStats summarizes a sorted column's values. A column with
-// duplicate timestamps gets no statistics: queries deduplicate equal
-// timestamps, so stats over the raw points would overcount.
-func computeStats(values []float64, hasDupTimes bool) *ValueStats {
-	if hasDupTimes || len(values) == 0 {
-		return nil
-	}
+// computeStats summarizes a validated (nonempty) value column.
+func computeStats(values []float64) *ValueStats {
 	s := &ValueStats{
 		Min: values[0], Max: values[0],
 		First: values[0], Last: values[len(values)-1],
@@ -345,7 +321,6 @@ type streamChunk struct {
 	blocks []BlockMeta
 	count  int
 	stats  *ValueStats
-	noStat bool // a block lacked stats, or a dup straddled a boundary
 }
 
 // BeginChunk starts a streaming chunk for sensor: blocks are appended
@@ -374,7 +349,7 @@ func (w *Writer) BeginChunk(sensor string) error {
 }
 
 // AppendBlock appends one block to the streaming chunk. times must be
-// nondecreasing, start at or after the previous block's max time, and
+// strictly increasing, start after the previous block's max time, and
 // (across chunks of the same sensor) respect the file's nondecreasing
 // chunk order.
 func (w *Writer) AppendBlock(times []int64, values []float64) error {
@@ -382,8 +357,7 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 	if c == nil {
 		return errors.New("tsfile: AppendBlock without BeginChunk")
 	}
-	dup, err := validateChunk(c.sensor, times, values)
-	if err != nil {
+	if err := validateChunk(c.sensor, times, values); err != nil {
 		return err
 	}
 	if len(c.blocks) == 0 {
@@ -391,13 +365,9 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 			return fmt.Errorf("tsfile: chunk for %q out of time order: min %d after previous max %d",
 				c.sensor, times[0], last)
 		}
-	} else if prev := c.blocks[len(c.blocks)-1]; times[0] < prev.MaxTime {
-		return fmt.Errorf("tsfile: block for %q out of time order: min %d after previous max %d",
+	} else if prev := c.blocks[len(c.blocks)-1]; times[0] <= prev.MaxTime {
+		return fmt.Errorf("tsfile: block for %q out of time order: min %d not after previous max %d",
 			c.sensor, times[0], prev.MaxTime)
-	} else if times[0] == prev.MaxTime {
-		// A duplicate run straddles the block boundary: the per-chunk
-		// statistics would overcount after dedup.
-		c.noStat = true
 	}
 	payload := encoding.AppendTS2Diff(nil, times)
 	payload = encoding.AppendGorilla(payload, values)
@@ -406,7 +376,7 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 	if _, err := w.w.Write(payload); err != nil {
 		return err
 	}
-	bs := computeStats(values, dup)
+	bs := computeStats(values)
 	c.blocks = append(c.blocks, BlockMeta{
 		Offset:  w.off,
 		Size:    int64(len(payload)),
@@ -417,9 +387,7 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 	})
 	w.off += int64(len(payload))
 	c.count += len(times)
-	if bs == nil {
-		c.noStat = true
-	} else if c.stats == nil {
+	if c.stats == nil {
 		s := *bs
 		c.stats = &s
 	} else {
@@ -445,10 +413,6 @@ func (w *Writer) EndChunk() error {
 		return fmt.Errorf("tsfile: empty streaming chunk for %q", c.sensor)
 	}
 	w.cur = nil
-	stats := c.stats
-	if c.noStat {
-		stats = nil
-	}
 	meta := ChunkMeta{
 		Sensor:  c.sensor,
 		Offset:  c.off,
@@ -456,7 +420,7 @@ func (w *Writer) EndChunk() error {
 		Count:   c.count,
 		MinTime: c.blocks[0].MinTime,
 		MaxTime: c.blocks[len(c.blocks)-1].MaxTime,
-		Stats:   stats,
+		Stats:   c.stats,
 		Blocks:  c.blocks,
 	}
 	w.lastMax[meta.Sensor] = meta.MaxTime

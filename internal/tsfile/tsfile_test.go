@@ -23,7 +23,7 @@ func TestRoundTripSingleChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := []int64{1, 5, 5, 9, 100000}
+	times := []int64{1, 5, 6, 9, 100000}
 	values := []float64{0.5, -3, math.Pi, math.Inf(1), math.MaxFloat64}
 	if err := w.WriteChunk("s1", times, values); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestRoundTripManyChunksQuick(t *testing.T) {
 			vs := make([]float64, n)
 			cur := r.Int63n(1000) - 500
 			for i := range ts {
-				cur += r.Int63n(100) // nondecreasing, may repeat
+				cur += 1 + r.Int63n(100) // strictly increasing
 				ts[i] = cur
 				vs[i] = r.NormFloat64() * 1e6
 			}

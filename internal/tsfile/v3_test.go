@@ -134,8 +134,8 @@ func rangeRead(t *testing.T, r *Reader, sensor string, lo, hi int64) (ts []int64
 	return ts, vs
 }
 
-// TestV3QueryMatchesV2 rewrites the golden v2 file's chunks as small
-// v3 blocks and requires block-pruned range reads of both files to
+// TestV3QueryMatchesV2 rewrites the golden v2 file's "s" chunks as
+// small v3 blocks and requires block-pruned range reads of both files to
 // agree bit-for-bit on random ranges.
 func TestV3QueryMatchesV2(t *testing.T) {
 	v2, err := Open(filepath.Join("testdata", "v2.gtsf"))
@@ -153,6 +153,9 @@ func TestV3QueryMatchesV2(t *testing.T) {
 	}
 	w.BlockPoints = 13
 	for _, m := range v2.Index() {
+		if m.Sensor != "s" {
+			continue // "d" repeats a timestamp, which a v3 writer refuses
+		}
 		ts, vs, err := v2.ReadChunk(m)
 		if err != nil {
 			t.Fatal(err)
@@ -172,9 +175,6 @@ func TestV3QueryMatchesV2(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for q := 0; q < 200; q++ {
 		sensor := "s"
-		if q%10 == 0 {
-			sensor = "d"
-		}
 		lo := int64(rng.Intn(410)) - 5
 		hi := lo + int64(rng.Intn(40)) // narrow ranges exercise block pruning
 		t2, v2s := rangeRead(t, v2, sensor, lo, hi)
@@ -281,45 +281,96 @@ func TestV3StreamingGuards(t *testing.T) {
 	}
 }
 
-// TestV3BlockBoundaryDuplicates pins the split rule: a run of equal
-// timestamps never straddles a block boundary, and a boundary-equal
-// pair of blocks disables chunk-level stats.
-func TestV3BlockBoundaryDuplicates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dup.gtsf")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BlockPoints = 4
-	// Duplicates exactly at the would-be split point (index 4).
-	times := []int64{0, 1, 2, 3, 3, 3, 4, 5, 6, 7}
-	values := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if err := w.WriteChunk("s", times, values); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
+// TestV3ParentDuplicatesReadable opens testdata/v3dup.gtsf, written
+// by the last writer that accepted equal timestamps: sensor "a" with
+// BlockPoints 4 at t = 0 1 2 3 3 3 4 5 6 6 7 8 9 10 11 (v = 100 + i),
+// whose duplicate runs each stayed inside one block, and sensor "b"
+// streamed as blocks {0 2 4 6 6} {6 8 10} {12 14 16 18} (v = 200 + i),
+// whose run at 6 straddles the first boundary. Blocks and chunks
+// holding duplicates carry no statistics; the rest still do; every
+// point reads back as written.
+func TestV3ParentDuplicatesReadable(t *testing.T) {
+	r, err := Open(filepath.Join("testdata", "v3dup.gtsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	m := r.Index()[0]
-	if m.Stats != nil {
-		t.Fatal("chunk with duplicate timestamps has stats")
+	if r.Version() != 3 {
+		t.Fatalf("version = %d, want 3", r.Version())
 	}
-	for i, b := range m.Blocks {
-		if i > 0 && b.MinTime == m.Blocks[i-1].MaxTime {
-			t.Fatalf("blocks %d/%d share timestamp %d across the boundary", i-1, i, b.MinTime)
+	want := map[string]struct {
+		times     []int64
+		base      float64
+		blockSize []int
+		hasStats  []bool
+	}{
+		"a": {[]int64{0, 1, 2, 3, 3, 3, 4, 5, 6, 6, 7, 8, 9, 10, 11}, 100, []int{6, 4, 4, 1}, []bool{false, false, true, true}},
+		"b": {[]int64{0, 2, 4, 6, 6, 6, 8, 10, 12, 14, 16, 18}, 200, []int{5, 3, 4}, []bool{false, true, true}},
+	}
+	idx := r.Index()
+	if len(idx) != len(want) {
+		t.Fatalf("index has %d entries, want %d", len(idx), len(want))
+	}
+	for _, m := range idx {
+		w := want[m.Sensor]
+		if m.Stats != nil {
+			t.Fatalf("%s: chunk with duplicate timestamps has stats %+v", m.Sensor, *m.Stats)
+		}
+		if len(m.Blocks) != len(w.blockSize) {
+			t.Fatalf("%s: %d blocks, want %d", m.Sensor, len(m.Blocks), len(w.blockSize))
+		}
+		for i, b := range m.Blocks {
+			if b.Count != w.blockSize[i] || (b.Stats != nil) != w.hasStats[i] {
+				t.Fatalf("%s block %d: %d points, stats %v; want %d, %v", m.Sensor, i, b.Count, b.Stats != nil, w.blockSize[i], w.hasStats[i])
+			}
+		}
+		ts, vs, err := r.ReadChunk(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ts, w.times) {
+			t.Fatalf("%s: times %v, want %v", m.Sensor, ts, w.times)
+		}
+		for i, v := range vs {
+			if v != w.base+float64(i) {
+				t.Fatalf("%s: value %d = %v, want %v", m.Sensor, i, v, w.base+float64(i))
+			}
 		}
 	}
-	ts, _, err := r.ReadChunk(m)
+}
+
+// TestWriterRefusesEqualTimestamps: every write path refuses a
+// timestamp equal to the one before it, inside a chunk and across a
+// streamed block boundary.
+func TestWriterRefusesEqualTimestamps(t *testing.T) {
+	if _, err := EncodeChunkBlocks("s", []int64{1, 2, 2, 3}, []float64{1, 2, 3, 4}, 2); err == nil {
+		t.Fatal("EncodeChunkBlocks accepted an equal timestamp")
+	}
+	w, err := Create(filepath.Join(t.TempDir(), "eq.gtsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != len(times) {
-		t.Fatalf("read %d points, want %d", len(ts), len(times))
+	defer w.Close()
+	if err := w.WriteChunk("s", []int64{1, 1}, []float64{1, 2}); err == nil {
+		t.Fatal("WriteChunk accepted an equal timestamp")
+	}
+	if err := w.BeginChunk("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBlock([]int64{1, 2, 2}, []float64{1, 2, 3}); err == nil {
+		t.Fatal("AppendBlock accepted an equal timestamp inside a block")
+	}
+	if err := w.AppendBlock([]int64{1, 2}, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBlock([]int64{2, 3}, []float64{3, 4}); err == nil {
+		t.Fatal("AppendBlock accepted an equal timestamp across the block boundary")
+	}
+	if err := w.AppendBlock([]int64{3, 4}, []float64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EndChunk(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -14,6 +14,11 @@
 // the paper's Section V-C intends. Like IoTDB's implementation, the
 // list tracks whether appended data is already in time order so that
 // flush and query paths can skip sorting entirely.
+//
+// Equal timestamps are decided here, once: a sorted list yields the
+// last record of each equal-timestamp run (ScanRange, LastPerTime) —
+// the newest write after the flat kernel's stable sort, otherwise
+// whichever record the sorting algorithm's tie order put last.
 package tvlist
 
 import (
@@ -223,18 +228,26 @@ func (l *TVList[V]) SeekTime(t int64) int {
 	return lo
 }
 
-// ScanRange calls fn for every record with minT <= time <= maxT, in
-// time order. The list must be sorted.
+// ScanRange calls fn, in time order, once per timestamp in
+// [minT, maxT], with the last record of that timestamp's run: after a
+// stable sort, the newest write. The list must be sorted.
 func (l *TVList[V]) ScanRange(minT, maxT int64, fn func(t int64, v V) bool) {
-	for i := l.SeekTime(minT); i < l.size; i++ {
-		t, v := l.Get(i)
-		if t > maxT {
-			return
-		}
-		if !fn(t, v) {
-			return
-		}
+	i := l.SeekTime(minT)
+	if i >= l.size {
+		return
 	}
+	pt, pv := l.Get(i)
+	if pt > maxT {
+		return
+	}
+	for i++; i < l.size; i++ {
+		t, v := l.Get(i)
+		if t != pt && (!fn(pt, pv) || t > maxT) {
+			return
+		}
+		pt, pv = t, v
+	}
+	fn(pt, pv)
 }
 
 // ToSlices copies the list out into flat slices.
@@ -246,6 +259,23 @@ func (l *TVList[V]) ToSlices() ([]int64, []V) {
 		copy(vs[off:], l.values[blk])
 	}
 	return ts, vs
+}
+
+// LastPerTime copies the list out into flat slices holding one record
+// per timestamp, the last of each equal-timestamp run — the records
+// ScanRange yields, and the columns a flush encodes. The list must be
+// sorted.
+func (l *TVList[V]) LastPerTime() ([]int64, []V) {
+	ts, vs := l.ToSlices()
+	n := 0
+	for i := range ts {
+		if i+1 < len(ts) && ts[i+1] == ts[i] {
+			continue
+		}
+		ts[n], vs[n] = ts[i], vs[i]
+		n++
+	}
+	return ts[:n], vs[:n]
 }
 
 // Clone deep-copies the list (scratch space excluded). A contiguous

@@ -137,6 +137,47 @@ func TestSeekTimeAndScanRange(t *testing.T) {
 	}
 }
 
+// TestLastRecordPerTimestamp: after the flat kernel's stable sort,
+// ScanRange and LastPerTime yield one record per timestamp, the newest
+// write, on both layouts — including runs that straddle array
+// boundaries and ranges that cut a run's neighbours.
+func TestLastRecordPerTimestamp(t *testing.T) {
+	for _, l := range []*TVList[int]{NewWithArrayLen[int](3), NewContiguous[int]()} {
+		// Write i carries time (i*7)%10/3 — ties in every run, out of
+		// order — so time x's newest write is the largest i mapping to x.
+		newest := map[int64]int{}
+		for i := 0; i < 40; i++ {
+			x := int64(i * 7 % 10 / 3)
+			l.Put(x, i)
+			newest[x] = i
+		}
+		l.EnsureSortedFlat(core.FlatOptions{})
+		var got []int64
+		l.ScanRange(1, 2, func(x int64, v int) bool {
+			if v != newest[x] {
+				t.Fatalf("ScanRange: t=%d yields write %d, want the newest %d", x, v, newest[x])
+			}
+			got = append(got, x)
+			return true
+		})
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("ScanRange(1, 2) times %v, want [1 2]", got)
+		}
+		ts, vs := l.LastPerTime()
+		if len(ts) != len(newest) || len(vs) != len(ts) {
+			t.Fatalf("LastPerTime: %d records for %d timestamps", len(ts), len(newest))
+		}
+		for i, x := range ts {
+			if x != int64(i) || vs[i] != newest[x] {
+				t.Fatalf("LastPerTime record %d = (%d, %d), want (%d, %d)", i, x, vs[i], i, newest[int64(i)])
+			}
+		}
+		if l.Len() != 40 {
+			t.Fatalf("LastPerTime changed the list: Len %d", l.Len())
+		}
+	}
+}
+
 func TestSeekTimeUnsortedPanics(t *testing.T) {
 	l := NewDouble()
 	l.Put(5, 0)
