@@ -72,9 +72,6 @@ func report(res bench.Result) {
 		res.LockWaits, res.AvgLockWaitMicros, res.P99LockWaitMicros, res.QueriesBlocked, res.SortsSkipped)
 	fmt.Printf("  sort kernel: %d serving sorts (flat, %.3f ms), %d paper-profile sorts (interface, %.3f ms)\n",
 		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis)
-	fmt.Printf("  adaptive: %d sketch-seeded flushes, %d search iters saved; %d pinned + %d seeded sorts; chosen L %d..%d\n",
-		res.SketchSeededFlushes, res.SearchItersSaved, res.AdaptiveFixedSorts,
-		res.AdaptiveSeededSorts, res.AdaptiveMinL, res.AdaptiveMaxL)
 	fmt.Printf("  separation: %d seq points, %d unseq points\n", res.SeqPoints, res.UnseqPoints)
 	avgGroup := 0.0
 	if res.WALSyncs > 0 {

@@ -51,7 +51,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown drain deadline on SIGTERM/SIGINT")
 	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir")
 	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
-	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, working chunks are List<Array> of 32, no planner")
+	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, working chunks are List<Array> of 32; off, every sort is the flat kernel in place")
 	partitionDuration := flag.Int64("partition-duration", engine.DefaultPartitionDuration, "time-partition width in timestamp units, one week of nanoseconds by default; files live under shard-NNN/p<epoch>/L<n>/ and whole partitions drop in O(1)")
 	flag.Parse()
 

@@ -1,11 +1,10 @@
-// Package adaptive self-tunes Backward-Sort's block size from online
-// disorder measurement. The paper fixes the block size by one search
-// per sort, but real sensor delay distributions drift over time and
-// differ per sensor. This package maintains a cheap per-sensor
-// disorder sketch at insert time (Sketch, O(1) per point) and turns it
-// into per-flush block-size decisions (Planner): seed the block-size
-// search with the sketch-predicted L, and skip the search entirely
-// once the prediction is stable.
+// Package adaptive holds Sketch, an O(1)-per-point online disorder
+// sketch of one timestamp stream. The engine no longer uses it: every
+// sort chooses its block size by the paper's search (Algorithm 1
+// lines 1–8), and no per-sensor disorder state is kept. Sketch stays
+// only because the perf ledger's replay (benchmarks/e2e) still
+// measures its cost; the next change to the benchmark deletes it and
+// this package.
 package adaptive
 
 import "math/bits"
@@ -21,10 +20,8 @@ const LateBuckets = 41
 // insert. It is deliberately tiny and branch-light: one comparison
 // against the running max timestamp, and for the out-of-order minority
 // one bits.Len64 to bucket the lateness. The sketch carries no
-// synchronization of its own — it lives in the memtable, whose writes
-// the engine already serializes, and is read only after the memtable
-// rotates to its immutable flushing state (or under the same engine
-// lock that serializes the writes).
+// synchronization of its own: its caller serializes Observe against
+// Snapshot.
 type Sketch struct {
 	n       int64 // points observed
 	ooo     int64 // points that arrived behind the running max (t < maxT)
@@ -59,9 +56,8 @@ func (s *Sketch) Observe(t int64) {
 	s.late[b]++
 }
 
-// Reset returns the sketch to its zero state. A fresh working memtable
-// starts with zero sketches; Reset exists for callers that recycle
-// sketch storage.
+// Reset returns the sketch to its zero state, for callers that
+// recycle sketch storage.
 func (s *Sketch) Reset() { *s = Sketch{} }
 
 // Snapshot returns a value copy of the sketch's counters for reading

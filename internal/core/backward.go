@@ -22,11 +22,6 @@ type Options struct {
 	// and uses the given L directly. The paper's parameter-tuning
 	// experiment (Figure 8b) drives this.
 	FixedBlockSize int
-	// SearchPhase anchors the block-size search's stride-L subsample
-	// at index SearchPhase mod L instead of index 0. 0 reproduces the
-	// paper's anchoring; the adaptive planner rotates it so repeated
-	// estimates are unbiased on periodic timestamp patterns.
-	SearchPhase int
 }
 
 func (o Options) withDefaults() Options {
@@ -83,7 +78,7 @@ func BackwardSort(s Sortable, opts Options) Trace {
 	// Phase 1: set block size (Algorithm 1 lines 1-8).
 	L := opts.FixedBlockSize
 	if L <= 0 {
-		L, tr.SearchIterations = setBlockSize(s, opts.InitialBlockSize, opts.Threshold, opts.SearchPhase)
+		L, tr.SearchIterations = setBlockSize(s, opts.InitialBlockSize, opts.Threshold)
 	}
 	if L > n {
 		L = n
@@ -107,14 +102,8 @@ func BackwardSort(s Sortable, opts Options) Trace {
 
 // setBlockSize runs the shared block-size search (search.go) over the
 // Sortable's timestamp accessor.
-func setBlockSize(s Sortable, l0 int, theta float64, phase int) (L, iterations int) {
-	return searchBlockSize(s.Len(), s.Time, l0, DefaultInitialBlockSize, theta, phase)
-}
-
-// empiricalIIR estimates α̃_L from the phase-0 stride-L subsample
-// t_0, t_L, t_2L, … (Example 5 / Proposition 2).
-func empiricalIIR(s Sortable, L int) float64 {
-	return empiricalIIRAt(s.Len(), s.Time, L, 0)
+func setBlockSize(s Sortable, l0 int, theta float64) (L, iterations int) {
+	return searchBlockSize(s.Len(), s.Time, l0, theta)
 }
 
 // backwardMerge walks block boundaries from the last one backwards.

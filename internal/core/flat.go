@@ -10,25 +10,16 @@ import "sync"
 // dispatch, no i/arrayLen+i%arrayLen block arithmetic.
 
 // FlatOptions configures SortFlat. The zero value selects the paper's
-// defaults.
+// defaults; the search always starts at L0 = DefaultInitialBlockSize.
 type FlatOptions struct {
-	// InitialBlockSize is L0 (default DefaultInitialBlockSize).
-	InitialBlockSize int
 	// Threshold is Θ (default DefaultThreshold).
 	Threshold float64
 	// FixedBlockSize, when positive, skips the set-block-size search
 	// and uses the given L directly.
 	FixedBlockSize int
-	// SearchPhase anchors the block-size search's stride-L subsample
-	// at index SearchPhase mod L instead of index 0 (see
-	// Options.SearchPhase).
-	SearchPhase int
 }
 
 func (o FlatOptions) withDefaults() FlatOptions {
-	if o.InitialBlockSize <= 0 {
-		o.InitialBlockSize = DefaultInitialBlockSize
-	}
 	if o.Threshold <= 0 {
 		o.Threshold = DefaultThreshold
 	}
@@ -111,7 +102,7 @@ func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 	// Phase 1: set block size (Algorithm 1 lines 1-8).
 	L := opts.FixedBlockSize
 	if L <= 0 {
-		L, tr.SearchIterations = setBlockSizeFlat(times, opts.InitialBlockSize, opts.Threshold, opts.SearchPhase)
+		L, tr.SearchIterations = setBlockSizeFlat(times, DefaultInitialBlockSize, opts.Threshold)
 	}
 	if L > n {
 		L = n
@@ -137,8 +128,8 @@ func SortFlat[V any](times []int64, values []V, opts FlatOptions) Trace {
 
 // setBlockSizeFlat runs the shared block-size search (search.go) over
 // a flat timestamp slice.
-func setBlockSizeFlat(times []int64, l0 int, theta float64, phase int) (L, iterations int) {
-	return searchBlockSize(len(times), func(i int) int64 { return times[i] }, l0, DefaultInitialBlockSize, theta, phase)
+func setBlockSizeFlat(times []int64, l0 int, theta float64) (L, iterations int) {
+	return searchBlockSize(len(times), func(i int) int64 { return times[i] }, l0, theta)
 }
 
 // runLen is the length of the runs sortBlockFlat insertion-sorts

@@ -10,79 +10,36 @@ package core
 // at l0 it estimates the empirical interval inversion ratio α̃_L by
 // down-sampling (Example 5) and doubles L while α̃_L ≥ Θ (Equation
 // 15). The scan touches n/L points per iteration, O(n/l0) in total
-// (Proposition 3). The subsample is anchored at index phase mod L;
-// phase 0 reproduces the paper's anchoring exactly, and a rotating
-// phase (what the adaptive planner passes) averages out the bias a
-// fixed anchor has on timestamp patterns whose period divides L.
-//
-// When l0 sits above floor (a seeded search) and the very first probe
-// already clears Θ, the seed overshot: the from-floor search might
-// have stopped at a smaller L, and accepting the seed as-is would
-// silently inflate every block sort. The search then reruns the
-// ascent from floor, capped at the seed. Restarting — rather than
-// probing downward from the seed — matters because α̃_L need not be
-// monotone in L (clock-skew patterns dip below Θ and rise again): a
-// downward probe stops at the first *failure* from above, the paper's
-// search at the first *clearance* from below, and on non-monotone
-// data those differ. The restart makes a seeded search return exactly
-// the block size the default search finds, at the cost of one wasted
-// probe at the seed.
-func searchBlockSize(n int, at func(int) int64, l0, floor int, theta float64, phase int) (L, iterations int) {
-	if floor <= 0 || floor > l0 {
-		floor = l0
-	}
+// (Proposition 3). An L that reaches n is capped at n.
+func searchBlockSize(n int, at func(int) int64, l0 int, theta float64) (L, iterations int) {
 	L = l0
 	for L <= n {
 		iterations++
-		if empiricalIIRAt(n, at, L, phase) < theta {
-			break
+		if empiricalIIR(n, at, L) < theta {
+			return L, iterations
 		}
 		L *= 2
 	}
-	if L > n {
-		return n, iterations
-	}
-	if L == l0 && l0 > floor {
-		// The seed itself cleared Θ: rerun from the floor. Every probe
-		// below the seed is untested, and the seed is a known-clearing
-		// upper bound if they all fail.
-		L = floor
-		for L < l0 {
-			iterations++
-			if empiricalIIRAt(n, at, L, phase) < theta {
-				break
-			}
-			L *= 2
-		}
-	}
-	return L, iterations
+	return n, iterations
 }
 
-// empiricalIIRAt estimates α̃_L from the stride-L subsample
-// t_p, t_{p+L}, t_{p+2L}, … (p = phase mod L): the fraction of
-// consecutive sampled pairs that are inverted. Each sampled pair is L
-// apart, so E[α̃_L] = E[α_L] = F̄_Δτ(L) (Proposition 2) regardless of
-// the anchor.
-func empiricalIIRAt(n int, at func(int) int64, L, phase int) float64 {
+// empiricalIIR estimates α̃_L from the stride-L subsample t_0, t_L,
+// t_2L, …: the fraction of consecutive sampled pairs that are
+// inverted. Each sampled pair is L apart, so E[α̃_L] = E[α_L] =
+// F̄_Δτ(L) (Proposition 2).
+func empiricalIIR(n int, at func(int) int64, L int) float64 {
 	if L <= 0 || L >= n {
 		return 0
 	}
-	p := phase % L
-	if p < 0 {
-		p += L
-	}
 	pairs, inverted := 0, 0
-	prev := at(p)
-	for i := p + L; i < n; i += L {
+	prev := at(0)
+	for i := L; i < n; i += L {
 		t := at(i)
 		pairs++
 		if prev > t {
 			inverted++
 		}
 		prev = t
-	}
-	if pairs == 0 {
-		return 0
 	}
 	return float64(inverted) / float64(pairs)
 }

@@ -43,7 +43,6 @@ package engine
 
 import (
 	"fmt"
-	"repro/internal/adaptive"
 	"sort"
 
 	"repro/internal/memtable"
@@ -255,11 +254,10 @@ func (qs *querySources) release() {
 // behavior of sorting the live working TVLists under the lock.
 func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, error) {
 	qs := &querySources{}
-	// sortScan sorts one memtable chunk (unplanned: queries never
-	// advance the planner) and collects its records in range.
-	dec := adaptive.Unplanned(sensor)
+	// sortScan sorts one memtable chunk and collects its records in
+	// range.
 	sortScan := func(c *tvlist.TVList[float64]) {
-		e.sortChunk(c, dec)
+		e.sortChunk(c)
 		if out := scanChunk(c, minT, maxT); len(out) > 0 {
 			qs.mem = append(qs.mem, out)
 		}

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/memtable"
@@ -99,8 +98,8 @@ type Config struct {
 	// sensors (default DefaultMemTableSize).
 	MemTableSize int
 	// Algorithm names the sorting algorithm (sortalgo registry;
-	// default "backward"). Only "backward" has a flat kernel and a
-	// planner; any other algorithm sorts through the interface.
+	// default "backward"). Only "backward" has a flat kernel; any
+	// other algorithm sorts through the interface.
 	Algorithm string
 	// SyncFlush makes flushes run inline on the triggering Insert,
 	// for deterministic tests. Production-style async is the default.
@@ -115,13 +114,13 @@ type Config struct {
 	// engine lock (the query-blocks-writes contention of Figures
 	// 13–15), every sort goes through the core.Sortable interface
 	// with the registry algorithm, and working chunks are IoTDB's
-	// List<Array> of tvlist.DefaultArrayLen — no disorder sketches, no
-	// planner, no flat kernel. Off by default: working chunks are
-	// contiguous, queries snapshot under the lock and sort outside it,
-	// and every sort is the flat kernel with the disorder planner's
-	// (internal/adaptive) block size. cmd/repro turns it on so
-	// the reproduced figures keep measuring the paper's algorithm and
-	// locking, not this repository's.
+	// List<Array> of tvlist.DefaultArrayLen — no flat kernel. Off by
+	// default: working chunks are contiguous, queries snapshot under
+	// the lock and sort outside it, and every sort is the flat kernel
+	// choosing its block size by the paper's search (Algorithm 1
+	// lines 1–8). cmd/repro turns it on so the reproduced figures keep
+	// measuring the paper's algorithm and locking, not this
+	// repository's.
 	PaperProfile bool
 	// WAL enables the write-ahead log: every batch is logged before
 	// it is acknowledged, and unflushed memtable contents are
@@ -197,12 +196,9 @@ type Engine struct {
 	walTickStop chan struct{}
 	walTickDone chan struct{}
 
-	// planner picks the block size of every flat sort (sortChunk);
-	// the engine has one when the algorithm is "backward" outside the
-	// paper profile, nil otherwise. It persists per-sensor decayed
-	// disorder state across flush generations; per-generation sketches
-	// live in the sequence memtables.
-	planner *adaptive.Planner
+	// flat makes sortChunk sort with the flat kernel: the algorithm is
+	// "backward" outside the paper profile.
+	flat bool
 
 	// mu is the engine lock. It guards the mutable engine state: the
 	// working memtables, the flushing list, the files list, the
@@ -248,15 +244,6 @@ type Engine struct {
 	ifaceSorts     atomic.Int64
 	flatSortNanos  atomic.Int64
 	ifaceSortNanos atomic.Int64
-
-	// Planner observability (lock-free; the flush drain's planned
-	// sorts feed them through notePlanned).
-	sketchSeededFlushes atomic.Int64
-	searchItersSaved    atomic.Int64
-	adaptiveFixedSorts  atomic.Int64
-	adaptiveSeededSorts atomic.Int64
-	adaptiveMinL        atomic.Int64 // 0 = no adaptive sort yet
-	adaptiveMaxL        atomic.Int64
 
 	// Aggregation-pushdown observability (lock-free; Query and
 	// AggregateWindows feed them).
@@ -404,9 +391,7 @@ func Open(cfg Config) (*Engine, error) {
 		walAlways:   cfg.WAL && cfg.WALSync == WALSyncAlways,
 		lastFlushed: make(map[string]int64),
 		latest:      make(map[string]int64),
-	}
-	if cfg.Algorithm == "backward" && !cfg.PaperProfile {
-		e.planner = adaptive.NewPlanner()
+		flat:        cfg.Algorithm == "backward" && !cfg.PaperProfile,
 	}
 	e.newWorking()
 	if cfg.SharedPool != nil {
@@ -914,12 +899,7 @@ func (e *Engine) rotateLocked() *flushUnit {
 
 // newWorking installs fresh working memtables. Their chunks are
 // contiguous, except under the paper profile, which keeps IoTDB's
-// List<Array> of tvlist.DefaultArrayLen. With a planner the sequence
-// memtable sketches each sensor's disorder; fresh memtables start
-// fresh sketches, so per-generation disorder state never leaks across
-// the rotation — the planner holds the decayed cross-generation
-// memory. The unsequence memtable is never sketched: its chunks are
-// late by construction and always sort unplanned.
+// List<Array> of tvlist.DefaultArrayLen.
 func (e *Engine) newWorking() {
 	arrayLen := 0
 	if e.cfg.PaperProfile {
@@ -927,9 +907,6 @@ func (e *Engine) newWorking() {
 	}
 	e.working = memtable.New(arrayLen)
 	e.workingUn = memtable.New(arrayLen)
-	if e.planner != nil {
-		e.working.TrackDisorder()
-	}
 }
 
 // recordFlushErr stores the first background failure for Query/Close
@@ -1029,7 +1006,6 @@ func (e *Engine) writeChunkFile(path string, write func(w *tsfile.Writer) error)
 // Query/Close to surface.
 func (e *Engine) drain(unit *flushUnit) {
 	var sortNanos, encodeNanos atomic.Int64
-	var sketchInformed atomic.Bool
 	var writeDur time.Duration
 	var handles []*fileHandle
 	fail := func(err error) {
@@ -1064,24 +1040,7 @@ func (e *Engine) drain(unit *flushUnit) {
 				chunk := mt.Chunk(sensor)
 				mu := unit.lockChunk(chunk)
 				mu.Lock()
-				// A sequence chunk under a planner is planned: fold
-				// the generation's sketch in, sort as decided, feed
-				// the search result back. Everything else sorts
-				// unplanned, as on the query side.
-				planned := e.planner != nil && !part.unseq
-				dec := adaptive.Unplanned(sensor)
-				if planned {
-					sk, _ := mt.Sketch(sensor)
-					dec = e.planner.Plan(sensor, sk)
-					if dec.Sketched {
-						sketchInformed.Store(true)
-					}
-				}
-				tr, d := e.sortChunk(chunk, dec)
-				sortNanos.Add(d)
-				if planned {
-					e.notePlanned(sensor, dec, tr)
-				}
+				sortNanos.Add(e.sortChunk(chunk))
 				ts, vs := chunk.LastPerTime()
 				mu.Unlock()
 				t1 := time.Now()
@@ -1176,10 +1135,6 @@ func (e *Engine) drain(unit *flushUnit) {
 		if err := unit.walSeg.Remove(); err != nil {
 			e.recordFlushErr(err)
 		}
-	}
-
-	if sketchInformed.Load() {
-		e.sketchSeededFlushes.Add(1)
 	}
 
 	e.statsMu.Lock()
@@ -1322,12 +1277,6 @@ func (e *Engine) Stats() Stats {
 	s.InterfaceSorts = e.ifaceSorts.Load()
 	s.FlatSortMillis = float64(e.flatSortNanos.Load()) / 1e6
 	s.InterfaceSortMillis = float64(e.ifaceSortNanos.Load()) / 1e6
-	s.SketchSeededFlushes = e.sketchSeededFlushes.Load()
-	s.SearchItersSaved = e.searchItersSaved.Load()
-	s.AdaptiveFixedSorts = e.adaptiveFixedSorts.Load()
-	s.AdaptiveSeededSorts = e.adaptiveSeededSorts.Load()
-	s.AdaptiveMinL = e.adaptiveMinL.Load()
-	s.AdaptiveMaxL = e.adaptiveMaxL.Load()
 	s.QueriesBlocked = e.queriesBlocked.Load()
 	s.LockWaits = e.lockHist.n.Load()
 	if s.LockWaits > 0 {

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/tvlist"
 )
@@ -85,93 +84,34 @@ func (e *Engine) lockContended(isQuery bool) {
 }
 
 // sortChunk is the engine's one sort entry point: every TVList sort,
-// in the flush drain and on the query side, goes through it. With a
-// planner, the flat kernel sorts the chunk in place with dec's block
-// size (pinned, seeded, or default-searched). Without one — the paper
-// profile, or an algorithm other than "backward" — dec is ignored and
-// the configured registry algorithm sorts through the core.Sortable
-// interface, which is also the reference the flat kernel is tested
-// against.
+// in the flush drain and on the query side, goes through it. Outside
+// the paper profile, with the "backward" algorithm, the flat kernel
+// sorts the chunk in place and picks its block size by the paper's
+// search (Algorithm 1 lines 1–8). Otherwise — the paper profile, or an
+// algorithm other than "backward" — the configured registry algorithm
+// sorts through the core.Sortable interface, which is also the
+// reference the flat kernel is tested against.
 //
-// It returns the sort's Trace (zero when there is no planner or no
-// sort ran) and the elapsed nanoseconds (0 when the sorted flag let
-// the sort be skipped — an earlier query or drain paid for it, or the
-// data arrived ordered — which feeds the SortsSkipped counter), and
-// tallies per-kernel counts and cumulative time for Stats.
-func (e *Engine) sortChunk(c *tvlist.TVList[float64], dec adaptive.Decision) (core.Trace, int64) {
+// It returns the elapsed nanoseconds (0 when the sorted flag let the
+// sort be skipped — an earlier query or drain paid for it, or the data
+// arrived ordered — which feeds the SortsSkipped counter), and tallies
+// per-kernel counts and cumulative time for Stats.
+func (e *Engine) sortChunk(c *tvlist.TVList[float64]) int64 {
 	if c.Sorted() {
 		e.sortsSkipped.Add(1)
-		return core.Trace{}, 0
+		return 0
 	}
 	t0 := time.Now()
-	if e.planner == nil {
+	if !e.flat {
 		c.EnsureSorted(e.algo)
 		d := int64(time.Since(t0))
 		e.ifaceSorts.Add(1)
 		e.ifaceSortNanos.Add(d)
-		return core.Trace{}, d
+		return d
 	}
-	tr, _ := c.EnsureSortedFlatTrace(core.FlatOptions{
-		FixedBlockSize:   dec.FixedL,
-		InitialBlockSize: dec.SeedL,
-		SearchPhase:      dec.Phase,
-	})
+	c.EnsureSortedFlat(core.FlatOptions{})
 	d := int64(time.Since(t0))
 	e.flatSorts.Add(1)
 	e.flatSortNanos.Add(d)
-	return tr, d
-}
-
-// notePlanned records the outcome of one planned flush sort: the
-// planner counters, and the block size a real search chose fed back so
-// the planner counts stability on confirmed measurements. tr is what
-// sortChunk returned for dec; a zero BlockSize means the sort was
-// skipped and there is nothing to record.
-func (e *Engine) notePlanned(sensor string, dec adaptive.Decision, tr core.Trace) {
-	if tr.BlockSize == 0 {
-		return
-	}
-	switch {
-	case dec.FixedL > 0:
-		// Search skipped on a stable prediction; no feedback — a
-		// pinned L confirming itself would be circular.
-		e.adaptiveFixedSorts.Add(1)
-		e.searchItersSaved.Add(int64(dec.SavedIterations))
-	case dec.SeedL > 0:
-		e.adaptiveSeededSorts.Add(1)
-		e.searchItersSaved.Add(int64(dec.SavedIterations))
-		e.planner.Observe(sensor, tr.BlockSize)
-	default:
-		// Default search (cold sensor): still feed the measured L back
-		// so stability can build.
-		e.planner.Observe(sensor, tr.BlockSize)
-	}
-	atomicMin(&e.adaptiveMinL, int64(tr.BlockSize))
-	atomicMax(&e.adaptiveMaxL, int64(tr.BlockSize))
-}
-
-// atomicMin lowers v to x unless v is already ≤ x; 0 means unset.
-func atomicMin(v *atomic.Int64, x int64) {
-	for {
-		old := v.Load()
-		if old != 0 && old <= x {
-			return
-		}
-		if v.CompareAndSwap(old, x) {
-			return
-		}
-	}
-}
-
-// atomicMax raises v to x unless v is already ≥ x.
-func atomicMax(v *atomic.Int64, x int64) {
-	for {
-		old := v.Load()
-		if old >= x {
-			return
-		}
-		if v.CompareAndSwap(old, x) {
-			return
-		}
-	}
+	return d
 }

@@ -1,15 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/adaptive"
-	"repro/internal/dataset"
 	"repro/internal/tvlist"
 )
 
@@ -23,21 +18,13 @@ import (
 // between sort paths. Values are a pure function of the timestamp so
 // result comparisons catch any pairing mistake.
 func oooSeries(start int64, n int, maxLate int64, r *rand.Rand) ([]int64, []float64) {
-	return oooSeriesBand(start, n, 1, maxLate, r)
-}
-
-// oooSeriesBand is oooSeries with delays drawn from [minLate, maxLate]
-// instead of [1, maxLate]. A narrow band gives the delay distribution
-// a sharp cliff, so the block-size search lands on the same L every
-// flush — what the stability tests need.
-func oooSeriesBand(start int64, n int, minLate, maxLate int64, r *rand.Rand) ([]int64, []float64) {
 	type pt struct{ gen, arr int64 }
 	pts := make([]pt, n)
 	for i := range pts {
 		gen := start + int64(i)*10
 		arr := gen
 		if maxLate > 0 && r.Float64() < 0.3 {
-			arr += minLate + r.Int63n(maxLate-minLate+1)
+			arr += 1 + r.Int63n(maxLate)
 		}
 		pts[i] = pt{gen, arr}
 	}
@@ -51,14 +38,8 @@ func oooSeriesBand(start int64, n int, minLate, maxLate int64, r *rand.Rand) ([]
 	return ts, vs
 }
 
-// plannerCounters returns the six planner counters of a snapshot.
-func plannerCounters(s Stats) [6]int64 {
-	return [6]int64{s.SketchSeededFlushes, s.SearchItersSaved, s.AdaptiveFixedSorts,
-		s.AdaptiveSeededSorts, s.AdaptiveMinL, s.AdaptiveMaxL}
-}
-
-// TestSortRouting pins the engine's one kernel rule: with a planner
-// (algorithm "backward" outside the paper profile) every sort, flush
+// TestSortRouting pins the engine's one kernel rule: with algorithm
+// "backward" outside the paper profile every sort, flush
 // and query side alike and however clean or short the chunk, takes the
 // flat kernel; without one every sort takes the interface.
 func TestSortRouting(t *testing.T) {
@@ -114,18 +95,6 @@ func TestSortRouting(t *testing.T) {
 			if (st.FlatSorts > 0) != tc.flat || (st.InterfaceSorts > 0) == tc.flat {
 				t.Fatalf("kernels: %d flat, %d interface sorts; want only flat=%v",
 					st.FlatSorts, st.InterfaceSorts, tc.flat)
-			}
-			if e.planner != nil {
-				return
-			}
-			if c := plannerCounters(st); c != [6]int64{} {
-				t.Fatalf("engine without a planner reports planner activity: %v", c)
-			}
-			if err := e.Insert("s", 1<<40, 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := e.working.Sketch("s"); ok {
-				t.Fatal("engine without a planner allocated a disorder sketch")
 			}
 		})
 	}
@@ -208,25 +177,25 @@ func TestQuerySortsAreRouted(t *testing.T) {
 	}
 }
 
-// TestPlannedMatchesPaperProfile is the planner's correctness gate.
-// The paper profile sorts every chunk through the core.Sortable
+// TestServingMatchesPaperProfile is the serving sort's correctness
+// gate. The paper profile sorts every chunk through the core.Sortable
 // interface with the registry algorithm — the reference
 // implementation. With heterogeneous per-sensor disorder, backfill
-// and many flush generations, a default engine must return exactly
-// the same query results, mid-generation and at the end: the planner
-// may only change how sorts run, never what they produce.
-func TestPlannedMatchesPaperProfile(t *testing.T) {
+// and many flush generations, a default engine (contiguous chunks,
+// flat kernel) must return exactly the same query results,
+// mid-generation and at the end.
+func TestServingMatchesPaperProfile(t *testing.T) {
 	open := func(paper bool) *Engine {
 		return openTest(t, Config{
 			MemTableSize: 1 << 20, // flushes forced explicitly
 			PaperProfile: paper,
 		})
 	}
-	planned, paper := open(false), open(true)
-	both := []*Engine{planned, paper}
+	serving, paper := open(false), open(true)
+	both := []*Engine{serving, paper}
 	same := func(sensor string) {
 		t.Helper()
-		a, err := planned.Query(sensor, -1_000_000, 100_000_000)
+		a, err := serving.Query(sensor, -1_000_000, 100_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,11 +204,11 @@ func TestPlannedMatchesPaperProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(a) != len(b) {
-			t.Fatalf("%s: planned returned %d records, paper profile %d", sensor, len(a), len(b))
+			t.Fatalf("%s: serving returned %d records, paper profile %d", sensor, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: record %d differs: planned %+v paper profile %+v", sensor, i, a[i], b[i])
+				t.Fatalf("%s: record %d differs: serving %+v paper profile %+v", sensor, i, a[i], b[i])
 			}
 		}
 	}
@@ -285,240 +254,14 @@ func TestPlannedMatchesPaperProfile(t *testing.T) {
 		same(sc.name)
 	}
 
-	s := planned.Stats()
+	s := serving.Stats()
 	if s.UnseqPoints != 5*300 {
 		t.Fatalf("backfill diverted %d points to the unsequence path, want %d", s.UnseqPoints, 5*300)
 	}
-	if s.SketchSeededFlushes == 0 {
-		t.Fatalf("no sketch-seeded flushes after 6 rounds: %+v", s)
+	if s.FlatSorts == 0 || s.InterfaceSorts != 0 {
+		t.Fatalf("serving engine sorted %d flat, %d interface; want only flat", s.FlatSorts, s.InterfaceSorts)
 	}
-	if s.SearchItersSaved == 0 {
-		t.Fatalf("no search iterations saved after 6 stationary rounds: %+v", s)
-	}
-	if s.AdaptiveMinL <= 0 || s.AdaptiveMaxL < s.AdaptiveMinL {
-		t.Fatalf("chosen-L range [%d, %d] malformed", s.AdaptiveMinL, s.AdaptiveMaxL)
-	}
-	// Heterogeneous lateness must spread the chosen block sizes: the
-	// "extreme" sensor needs a far larger L than the "mild" one.
-	if s.AdaptiveMaxL <= s.AdaptiveMinL {
-		t.Fatalf("chosen-L histogram is flat [%d, %d] despite 4 disorder profiles",
-			s.AdaptiveMinL, s.AdaptiveMaxL)
-	}
-	if ps := paper.Stats(); ps.FlatSorts != 0 || plannerCounters(ps) != [6]int64{} {
+	if ps := paper.Stats(); ps.FlatSorts != 0 {
 		t.Fatalf("paper-profile engine left the interface path: %+v", ps)
-	}
-}
-
-// TestPlannerPinsStationarySensor drives one stationary sensor through
-// enough generations that the planner pins the block size and skips
-// the search outright — with and without random backfill arriving for
-// the same sensor every generation. The backfill lands in unsequence
-// chunks, which must not share the sequence chunk's planner state:
-// folding their unrelated disorder into it, and alternating their
-// search results with its own, keeps the sensor from ever pinning.
-func TestPlannerPinsStationarySensor(t *testing.T) {
-	for _, backfill := range []bool{false, true} {
-		t.Run(fmt.Sprintf("backfill=%v", backfill), func(t *testing.T) {
-			e := openTest(t, Config{MemTableSize: 1 << 20})
-			r := rand.New(rand.NewSource(7))
-			// One flush establishes L, StableRuns more confirm it, the
-			// next one is pinned.
-			for round := 0; round < adaptive.StableRuns+2; round++ {
-				// Delays banded in [900, 1000) ticks: α̃ is decisively
-				// above Θ at L=64 and exactly zero at L=128, so every
-				// search confirms the same block size.
-				ts, vs := oooSeriesBand(int64(round)*1_000_000, 2000, 900, 999, r)
-				if err := e.InsertBatch("s", ts, vs); err != nil {
-					t.Fatal(err)
-				}
-				if backfill && round > 0 {
-					// Far behind the flushed watermark, in random order.
-					ts, vs := oooSeries(int64(round-1)*1_000_000-500_000, 2500, 1_000_000, r)
-					if err := e.InsertBatch("s", ts, vs); err != nil {
-						t.Fatal(err)
-					}
-				}
-				e.Flush()
-			}
-			s := e.Stats()
-			if backfill == (s.UnseqPoints == 0) {
-				t.Fatalf("unsequence points = %d with backfill=%v", s.UnseqPoints, backfill)
-			}
-			if s.AdaptiveFixedSorts == 0 {
-				t.Fatalf("planner never pinned L on a stationary sensor: %+v", s)
-			}
-			if s.AdaptiveSeededSorts == 0 {
-				t.Fatalf("planner never ran a seeded search: %+v", s)
-			}
-		})
-	}
-}
-
-// TestPlannerEngagesOnDriftingFleet: on a fleet mixing the three
-// drifting scenarios — clock skew stepping in and out, Pareto outage
-// backlogs, slowly saturating mixtures, one sensor at four times the
-// rate so flush chunks differ in size — the planner must actually
-// steer: sketches inform flushes, seeding shortcuts searches, and the
-// stretches between distribution shifts are stable enough to pin.
-func TestPlannerEngagesOnDriftingFleet(t *testing.T) {
-	const points, batch = 60000, 500
-	fleet := []struct {
-		series *dataset.Series
-		rate   int
-	}{
-		{dataset.DriftClockSkew(points, 40), 1},
-		{dataset.ParetoBursts(points, 41), 1},
-		{dataset.ParetoBursts(points, 42), 1},
-		{dataset.DriftMixture(points, 43), 1},
-		{dataset.DriftMixture(points, 44), 1},
-		{dataset.DriftMixture(points*4, 45), 4},
-	}
-	// 8000 points across 6 sensors puts per-sensor flush chunks near
-	// 1300 points, below every scenario's late-segment delay envelope.
-	e := openTest(t, Config{MemTableSize: 8000, FlushWorkers: 1})
-	for off := 0; off < points; off += batch {
-		for i, s := range fleet {
-			lo, hi := off*s.rate, (off+batch)*s.rate
-			if err := e.InsertBatch(fmt.Sprintf("s%d", i), s.series.Times[lo:hi], s.series.Values[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	e.Flush()
-	s := e.Stats()
-	if s.SketchSeededFlushes == 0 || s.SearchItersSaved == 0 || s.AdaptiveFixedSorts == 0 {
-		t.Fatalf("planner did not engage: %d sketch-seeded flushes, %d search iterations saved, %d pinned sorts",
-			s.SketchSeededFlushes, s.SearchItersSaved, s.AdaptiveFixedSorts)
-	}
-}
-
-// TestAdaptiveSketchStress is the -race gate for the planner's shared
-// state: concurrent inserters, flushers, queriers and a sketch reader
-// hammer one engine; every sketch snapshot observed mid-run —
-// working and mid-flush generations alike — must report a disorder
-// estimate in [0, 1], and the post-flush working memtable must start
-// with fresh sketch state.
-func TestAdaptiveSketchStress(t *testing.T) {
-	e, err := Open(Config{
-		Dir:          t.TempDir(),
-		MemTableSize: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	const writers = 4
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errc := make(chan error, writers+2)
-
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sensor := fmt.Sprintf("s%d", w)
-			r := rand.New(rand.NewSource(int64(w)))
-			for base := int64(0); ; base += 256 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ts, vs := oooSeries(base*10, 256, int64(1+r.Intn(5000)), r)
-				if err := e.InsertBatch(sensor, ts, vs); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e.Flush()
-			if _, err := e.Query("s0", 0, 1<<40); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-	// The sketch reader: snapshots every live generation's sketches
-	// under the engine lock — exactly what the planner does mid-flush —
-	// and checks the estimates stay in range.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e.mu.Lock()
-			for w := 0; w < writers; w++ {
-				sensor := fmt.Sprintf("s%d", w)
-				if sk, ok := e.working.Sketch(sensor); ok {
-					if f := sk.DisorderFraction(); f < 0 || f > 1 {
-						errc <- fmt.Errorf("working sketch %s disorder %g out of [0,1]", sensor, f)
-					}
-				}
-				for _, unit := range e.flushing {
-					if sk, ok := unit.seq.Sketch(sensor); ok {
-						if f := sk.DisorderFraction(); f < 0 || f > 1 {
-							errc <- fmt.Errorf("mid-flush sketch %s disorder %g out of [0,1]", sensor, f)
-						}
-					}
-				}
-			}
-			e.mu.Unlock()
-		}
-	}()
-
-	wgDone := make(chan struct{})
-	go func() { wg.Wait(); close(wgDone) }()
-	select {
-	case err := <-errc:
-		close(stop)
-		<-wgDone
-		t.Fatal(err)
-	case <-time.After(2 * time.Second):
-		close(stop)
-		<-wgDone
-	}
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	// Reset-on-rotation: after a final flush the fresh working memtable
-	// must carry no sketch state for any sensor until new writes land.
-	e.Flush()
-	e.WaitFlushes()
-	e.mu.Lock()
-	for w := 0; w < writers; w++ {
-		sensor := fmt.Sprintf("s%d", w)
-		if sk, ok := e.working.Sketch(sensor); ok && sk.N != 0 {
-			e.mu.Unlock()
-			t.Fatalf("sketch state leaked across flush rotation: %s has N=%d", sensor, sk.N)
-		}
-	}
-	e.mu.Unlock()
-	if err := e.Insert("s0", 1<<41, 1); err != nil {
-		t.Fatal(err)
-	}
-	e.mu.Lock()
-	sk, ok := e.working.Sketch("s0")
-	e.mu.Unlock()
-	if !ok || sk.N != 1 || sk.OOO != 0 {
-		t.Fatalf("fresh sketch after rotation should be N=1 OOO=0, got %+v ok=%v", sk, ok)
 	}
 }

@@ -18,7 +18,6 @@ import (
 // shards of a router) in its merge tag; an untagged field sums:
 //
 //	merge:"max"          the largest value
-//	merge:"min-nonzero"  the smallest value other than 0 (0 = none yet)
 //	merge:"mean:W"       the mean weighted by the int field W
 //	merge:"first"        the first snapshot's value (an echo all share)
 //
@@ -40,7 +39,8 @@ type Stats struct {
 	FlushWorkers    int   `merge:"first"` // resolved worker-pool size
 	SortsSkipped    int64 // TVList sorts avoided via the sorted flag
 	// Sort kernels: how many TVList sorts took the flat kernel (every
-	// sort of an engine with a planner) vs the core.Sortable interface
+	// sort outside the paper profile, with "backward") vs the
+	// core.Sortable interface
 	// (the paper profile, or an algorithm other than "backward"), and
 	// the cumulative wall time spent in each (flush drains and queries
 	// combined).
@@ -48,18 +48,6 @@ type Stats struct {
 	InterfaceSorts      int64
 	FlatSortMillis      float64
 	InterfaceSortMillis float64
-	// Planner counters (all zero without a planner, see
-	// Config.PaperProfile): how often the per-sensor disorder sketches
-	// informed flush sorts, the doubling-search scan iterations they
-	// avoided, how the planned sorts chose L, and the range of block
-	// sizes they ran with (a two-sided histogram summary; 0 = no
-	// planned sort yet).
-	SketchSeededFlushes int64 // flushes with ≥1 sketch-informed sort decision
-	SearchItersSaved    int64 // block-size search iterations skipped via seeding/pinning
-	AdaptiveFixedSorts  int64 // planned sorts that pinned L and skipped the search
-	AdaptiveSeededSorts int64 // planned sorts whose search started at the sketch seed
-	AdaptiveMinL        int64 `merge:"min-nonzero"` // smallest L a planned sort ran with
-	AdaptiveMaxL        int64 `merge:"max"`         // largest L a planned sort ran with
 	// Engine-lock contention, recorded only when an acquisition had to
 	// wait (the uncontended fast path is not counted). A merged p99 is
 	// the worst snapshot's p99, an upper bound: an exact cross-shard
@@ -129,7 +117,7 @@ type Stats struct {
 // and its merge tag, a mean's weight resolved to a field index.
 type StatsField struct {
 	Kind   reflect.Kind // reflect.Int, reflect.Int64 or reflect.Float64
-	rule   string       // "" (sum), "max", "min-nonzero", "first" or "mean"
+	rule   string       // "" (sum), "max", "first" or "mean"
 	weight int          // "mean": index of the weighting field
 }
 
@@ -156,7 +144,7 @@ func statsTable(t reflect.Type) []StatsField {
 				panic(fmt.Sprintf("engine: %s.%s: merge %q needs a float64 field and an int weight field", t.Name(), f.Name, sf.rule))
 			}
 			sf.rule, sf.weight = "mean", w.Index[0]
-		} else if sf.rule != "" && sf.rule != "max" && sf.rule != "min-nonzero" && sf.rule != "first" {
+		} else if sf.rule != "" && sf.rule != "max" && sf.rule != "first" {
 			panic(fmt.Sprintf("engine: %s.%s: unknown merge tag %q", t.Name(), f.Name, sf.rule))
 		}
 		fields[i] = sf
@@ -199,10 +187,6 @@ func mergeField[T int64 | float64](f StatsField, in []reflect.Value, i int, get 
 			acc += x
 		case "max":
 			if x > acc {
-				acc = x
-			}
-		case "min-nonzero":
-			if x != 0 && (acc == 0 || x < acc) {
 				acc = x
 			}
 		case "mean":

@@ -7,8 +7,8 @@ import (
 )
 
 // TestMergeStatsFollowsDeclaredRules walks every Stats field, merges
-// three snapshots (the middle one all zero, so a zero weight and a
-// "none yet" zero are both in play) and checks each merged field
+// three snapshots (the middle one all zero, so a zero weight is in
+// play) and checks each merged field
 // against the rule its merge tag declares, computed here by hand.
 func TestMergeStatsFollowsDeclaredRules(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
@@ -40,8 +40,6 @@ func TestMergeStatsFollowsDeclaredRules(t *testing.T) {
 			want = xs[0] + xs[1] + xs[2]
 		case tag == "max":
 			want = xs[2]
-		case tag == "min-nonzero":
-			want = xs[0] // xs[1] is 0 and must not win
 		case tag == "first":
 			want = xs[0]
 		case isMean:
@@ -72,8 +70,6 @@ func TestStatsMergeDeclarations(t *testing.T) {
 		"P99LockWaitMicros":      "max",
 		"MaxCompactionPassBytes": "max",
 		"MaxFanoutWidth":         "max",
-		"AdaptiveMaxL":           "max",
-		"AdaptiveMinL":           "min-nonzero",
 		"FlushWorkers":           "first",
 	}
 	typ := reflect.TypeOf(Stats{})
@@ -97,6 +93,9 @@ func TestStatsTableRefusesBadDeclarations(t *testing.T) {
 	for name, v := range map[string]any{
 		"unknown tag": struct {
 			A int64 `merge:"median"`
+		}{},
+		"min-nonzero tag": struct {
+			A int64 `merge:"min-nonzero"`
 		}{},
 		"bool field": struct{ A bool }{},
 		"unexported": struct{ a int64 }{},

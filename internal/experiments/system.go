@@ -108,8 +108,7 @@ func runSystemCell(spec SystemSpec, pct float64, algo string, sc Scale) (bench.R
 		// paper profile: queries sort under the engine lock, blocking
 		// writes — the contention Figures 13–15 measure — and every
 		// sort runs the paper's algorithm through the TVList interface
-		// path, not this repository's planner and devirtualized
-		// kernel. The engine's default concurrent pipeline is
+		// path, not this repository's devirtualized flat kernel. The engine's default concurrent pipeline is
 		// deliberately NOT what the paper benchmarked.
 		FlushWorkers: 1,
 		PaperProfile: true,

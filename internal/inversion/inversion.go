@@ -93,36 +93,17 @@ func Ratio(times []int64, L int) (alpha float64, ok bool) {
 // (Proposition 2) — at a scanning cost of only N/L. ok is false when
 // the subsample yields no pairs (L <= 0 or N <= L).
 func EmpiricalRatio(times []int64, L int) (alpha float64, ok bool) {
-	return EmpiricalRatioAt(times, L, 0)
-}
-
-// EmpiricalRatioAt is EmpiricalRatio with the subsample anchored at
-// index phase mod L instead of index 0: t_p, t_{p+L}, t_{p+2L}, ….
-// A fixed anchor is biased on periodic timestamp patterns whose period
-// divides L (the anchor can land only on the pattern's "clean" or only
-// on its "dirty" residue class); callers that estimate repeatedly —
-// the adaptive planner in particular — pass a rotating phase so the
-// estimates average over residue classes and converge to the exact
-// Ratio. ok is false when the offset subsample yields no pairs.
-func EmpiricalRatioAt(times []int64, L, phase int) (alpha float64, ok bool) {
 	n := len(times)
 	if L <= 0 || n <= L {
 		return 0, false
 	}
-	p := phase % L
-	if p < 0 {
-		p += L
-	}
 	pairs := 0
 	inverted := 0
-	for j := p; j+L < n; j += L {
+	for j := 0; j+L < n; j += L {
 		pairs++
 		if times[j] > times[j+L] {
 			inverted++
 		}
-	}
-	if pairs == 0 {
-		return 0, false
 	}
 	return float64(inverted) / float64(pairs), true
 }

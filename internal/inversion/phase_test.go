@@ -1,7 +1,6 @@
 package inversion
 
 import (
-	"math"
 	"testing"
 )
 
@@ -25,12 +24,12 @@ func mustEmpirical(t *testing.T, times []int64, L int) float64 {
 	return r
 }
 
-// periodicAdversary builds a series that defeats the phase-0
-// subsample at stride L: residue classes 0, 2, 3 (mod 4) are clean,
-// while class 1 alternates +jump/−jump with period 2L so roughly half
-// of its stride-L pairs are inverted. A subsample anchored at index 0
-// only ever compares class-0 elements and reports α̃_L = 0 even
-// though the exact α_L is ≈ 1/8.
+// periodicAdversary builds a series that defeats the stride-L
+// subsample: residue classes 0, 2, 3 (mod 4) are clean, while class 1
+// alternates +jump/−jump with period 2L so roughly half of its
+// stride-L pairs are inverted. A subsample anchored at index 0 only
+// ever compares class-0 elements and reports α̃_L = 0 even though the
+// exact α_L is ≈ 1/8.
 func periodicAdversary(n, L int) []int64 {
 	times := make([]int64, n)
 	for i := 0; i < n; i++ {
@@ -47,6 +46,11 @@ func periodicAdversary(n, L int) []int64 {
 	return times
 }
 
+// TestEmpiricalRatioPhaseBiasOnPeriodicInput documents the known blind
+// spot of the paper's estimator: its subsample is anchored at t_0, so
+// disorder confined to a residue class the anchor never visits goes
+// unseen. Prop. 2's unbiasedness holds for the delay model's i.i.d.
+// delays, not for adversarial periodic patterns.
 func TestEmpiricalRatioPhaseBiasOnPeriodicInput(t *testing.T) {
 	const n, L = 4096, 4
 	times := periodicAdversary(n, L)
@@ -55,54 +59,7 @@ func TestEmpiricalRatioPhaseBiasOnPeriodicInput(t *testing.T) {
 	if exact < 0.1 {
 		t.Fatalf("adversary construction broken: exact α_%d = %g, want ≈ 0.125", L, exact)
 	}
-
-	// The old always-anchored-at-0 subsample is blind to the disorder.
-	phase0, ok := EmpiricalRatioAt(times, L, 0)
-	if !ok {
-		t.Fatal("phase 0: not enough data")
-	}
-	if phase0 != 0 {
-		t.Fatalf("phase-0 subsample should miss the class-1 disorder entirely, got %g", phase0)
-	}
-
-	// Averaging over all residue classes — what a rotating phase does
-	// across repeated estimates — recovers the exact ratio.
-	var sum float64
-	for p := 0; p < L; p++ {
-		r, ok := EmpiricalRatioAt(times, L, p)
-		if !ok {
-			t.Fatalf("phase %d: not enough data", p)
-		}
-		if r < 0 || r > 1 {
-			t.Fatalf("phase %d: ratio %g out of [0,1]", p, r)
-		}
-		sum += r
-	}
-	avg := sum / float64(L)
-	if math.Abs(avg-exact) > 0.01 {
-		t.Fatalf("phase-averaged empirical ratio %g, exact %g", avg, exact)
-	}
-}
-
-func TestEmpiricalRatioAtPhaseNormalization(t *testing.T) {
-	times := periodicAdversary(512, 4)
-	// Phases are taken mod L, so phase L+p and p agree; negative
-	// phases normalize into [0, L).
-	for p := 0; p < 4; p++ {
-		a, ok1 := EmpiricalRatioAt(times, 4, p)
-		b, ok2 := EmpiricalRatioAt(times, 4, p+4)
-		c, ok3 := EmpiricalRatioAt(times, 4, p-8)
-		if !ok1 || !ok2 || !ok3 {
-			t.Fatalf("phase %d: not enough data", p)
-		}
-		if a != b || a != c {
-			t.Fatalf("phase %d: %g vs %g (p+L) vs %g (p-2L)", p, a, b, c)
-		}
-	}
-	// Phase 0 matches the unphased entry point.
-	a, _ := EmpiricalRatio(times, 4)
-	b, _ := EmpiricalRatioAt(times, 4, 0)
-	if a != b {
-		t.Fatalf("EmpiricalRatio %g != EmpiricalRatioAt(phase=0) %g", a, b)
+	if got := mustEmpirical(t, times, L); got != 0 {
+		t.Fatalf("anchored subsample should miss the class-1 disorder entirely, got %g", got)
 	}
 }

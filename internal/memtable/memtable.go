@@ -10,7 +10,6 @@ package memtable
 import (
 	"sort"
 
-	"repro/internal/adaptive"
 	"repro/internal/tvlist"
 )
 
@@ -41,24 +40,9 @@ func (s State) String() string {
 // query takes the lock and blocks the write process — Section VI-D1).
 type MemTable struct {
 	state    State
-	series   map[string]series
+	chunks   map[string]*tvlist.TVList[float64]
 	arrayLen int
 	points   int
-	// track makes every new sensor start with a disorder sketch
-	// (TrackDisorder).
-	track bool
-}
-
-// series is everything the memtable holds for one sensor, so a Write
-// resolves the sensor with one map lookup.
-type series struct {
-	chunk *tvlist.TVList[float64]
-	// sketch is the sensor's adaptive disorder sketch, updated on every
-	// Write; nil unless disorder tracking is on. A fresh memtable
-	// starts with fresh (zero) sketches: sketch state never survives
-	// the flush rotation — cross-generation memory lives in the
-	// planner, not here.
-	sketch *adaptive.Sketch
 }
 
 // New creates an empty working memtable. A positive arrayLen stores
@@ -67,7 +51,7 @@ type series struct {
 // (tvlist.NewContiguous), which the flat kernel sorts in place.
 func New(arrayLen int) *MemTable {
 	return &MemTable{
-		series:   make(map[string]series),
+		chunks:   make(map[string]*tvlist.TVList[float64]),
 		arrayLen: arrayLen,
 	}
 }
@@ -79,46 +63,22 @@ func (m *MemTable) Write(sensor string, t int64, v float64) {
 	if m.state != Working {
 		panic("memtable: write to non-working memtable")
 	}
-	s, ok := m.series[sensor]
+	c, ok := m.chunks[sensor]
 	if !ok {
 		if m.arrayLen > 0 {
-			s.chunk = tvlist.NewWithArrayLen[float64](m.arrayLen)
+			c = tvlist.NewWithArrayLen[float64](m.arrayLen)
 		} else {
-			s.chunk = tvlist.NewContiguous[float64]()
+			c = tvlist.NewContiguous[float64]()
 		}
-		if m.track {
-			s.sketch = &adaptive.Sketch{}
-		}
-		m.series[sensor] = s
+		m.chunks[sensor] = c
 	}
-	s.chunk.Put(t, v)
+	c.Put(t, v)
 	m.points++
-	if s.sketch != nil {
-		s.sketch.Observe(t)
-	}
-}
-
-// TrackDisorder enables per-sensor adaptive disorder sketches: every
-// subsequent Write also feeds the sensor's sketch (O(1) per point).
-// Call it on a fresh memtable, before any writes, under the same
-// serialization that guards Write.
-func (m *MemTable) TrackDisorder() { m.track = true }
-
-// Sketch returns a snapshot of the sensor's disorder sketch. ok is
-// false when disorder tracking is off or the sensor has no data. Like
-// every MemTable accessor it must be called under the engine's
-// serialization (or after the memtable turned immutable).
-func (m *MemTable) Sketch(sensor string) (adaptive.Snapshot, bool) {
-	sk := m.series[sensor].sketch
-	if sk == nil {
-		return adaptive.Snapshot{}, false
-	}
-	return sk.Snapshot(), true
 }
 
 // Chunk returns the sensor's TVList, or nil if the sensor has no data.
 func (m *MemTable) Chunk(sensor string) *tvlist.TVList[float64] {
-	return m.series[sensor].chunk
+	return m.chunks[sensor]
 }
 
 // SnapshotChunk returns a deep copy of the sensor's TVList, or nil if
@@ -129,7 +89,7 @@ func (m *MemTable) Chunk(sensor string) *tvlist.TVList[float64] {
 // sorted flag, so an in-order chunk's snapshot skips its sort
 // entirely.
 func (m *MemTable) SnapshotChunk(sensor string) *tvlist.TVList[float64] {
-	c := m.series[sensor].chunk
+	c := m.chunks[sensor]
 	if c == nil {
 		return nil
 	}
@@ -139,8 +99,8 @@ func (m *MemTable) SnapshotChunk(sensor string) *tvlist.TVList[float64] {
 // Sensors returns the sensors present, sorted for deterministic
 // iteration.
 func (m *MemTable) Sensors() []string {
-	out := make([]string, 0, len(m.series))
-	for s := range m.series {
+	out := make([]string, 0, len(m.chunks))
+	for s := range m.chunks {
 		out = append(out, s)
 	}
 	sort.Strings(out)

@@ -112,25 +112,3 @@ func TestSnapshotChunkIsIndependent(t *testing.T) {
 		t.Fatal("sorted flag not preserved by snapshot")
 	}
 }
-
-func TestTrackDisorder(t *testing.T) {
-	plain := New(0)
-	plain.Write("s", 2, 0)
-	if _, ok := plain.Sketch("s"); ok {
-		t.Fatal("memtable without TrackDisorder holds a sketch")
-	}
-
-	m := New(0)
-	m.TrackDisorder()
-	for _, ts := range []int64{1, 3, 2} {
-		m.Write("s", ts, 0)
-	}
-	m.Write("other", 9, 0)
-	sk, ok := m.Sketch("s")
-	if !ok || sk.N != 3 || sk.OOO != 1 {
-		t.Fatalf("sketch of s = %+v (ok=%v), want N=3 OOO=1", sk, ok)
-	}
-	if _, ok := m.Sketch("missing"); ok {
-		t.Fatal("missing sensor should have no sketch")
-	}
-}

@@ -58,7 +58,7 @@ const (
 // ProtocolVersion is the one version this build speaks and accepts.
 // Bump it when any frame or payload changes shape: the handshake then
 // refuses the mixed pair instead of letting it misparse.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // Response status bytes.
 const (

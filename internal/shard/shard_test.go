@@ -304,16 +304,11 @@ func TestFanOutCollectsFirstError(t *testing.T) {
 // averages weight by their denominators, maxima take the max.
 func TestMergeStats(t *testing.T) {
 	per := []engine.Stats{
-		{FlushCount: 1, AvgFlushMillis: 10, SeqPoints: 100, Files: 2, LockWaits: 4, AvgLockWaitMicros: 8, MaxLockWaitMicros: 50, FlushWorkers: 3,
-			SketchSeededFlushes: 2, AdaptiveMinL: 16, AdaptiveMaxL: 64},
-		{FlushCount: 3, AvgFlushMillis: 2, SeqPoints: 50, Files: 1, LockWaits: 0, MaxLockWaitMicros: 10, FlushWorkers: 3,
-			SketchSeededFlushes: 5, AdaptiveMinL: 8, AdaptiveMaxL: 32},
-		{FlushWorkers: 3}, // no planned sort yet: L range 0 must not win the min
+		{FlushCount: 1, AvgFlushMillis: 10, SeqPoints: 100, Files: 2, LockWaits: 4, AvgLockWaitMicros: 8, MaxLockWaitMicros: 50, FlushWorkers: 3},
+		{FlushCount: 3, AvgFlushMillis: 2, SeqPoints: 50, Files: 1, LockWaits: 0, MaxLockWaitMicros: 10, FlushWorkers: 3},
+		{FlushWorkers: 3},
 	}
 	m := engine.MergeStats(per)
-	if m.SketchSeededFlushes != 7 || m.AdaptiveMinL != 8 || m.AdaptiveMaxL != 64 {
-		t.Fatalf("adaptive merge wrong: %+v", m)
-	}
 	if m.FlushCount != 4 || m.SeqPoints != 150 || m.Files != 3 {
 		t.Fatalf("sums wrong: %+v", m)
 	}

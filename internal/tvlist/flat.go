@@ -10,21 +10,13 @@ import "repro/internal/core"
 // A blocked list is first coalesced into the contiguous layout and
 // stays that way, so only its first flat sort pays the copy.
 func (l *TVList[V]) EnsureSortedFlat(opts core.FlatOptions) bool {
-	_, sorted := l.EnsureSortedFlatTrace(opts)
-	return sorted
-}
-
-// EnsureSortedFlatTrace is EnsureSortedFlat returning the kernel's
-// Trace as well, so callers that plan block sizes — the adaptive sort
-// path — can observe the L the sort actually ran with.
-func (l *TVList[V]) EnsureSortedFlatTrace(opts core.FlatOptions) (core.Trace, bool) {
 	if l.sorted {
-		return core.Trace{}, false
+		return false
 	}
 	l.coalesce()
-	tr := core.SortFlat(l.times[0][:l.size], l.values[0][:l.size], opts)
+	core.SortFlat(l.times[0][:l.size], l.values[0][:l.size], opts)
 	l.sorted = true
-	return tr, true
+	return true
 }
 
 // coalesce switches a blocked list to the contiguous layout, copying

@@ -131,14 +131,23 @@ func (s *Segment) Append(sensor string, times []int64, values []float64) error {
 	if len(times) != len(values) {
 		return fmt.Errorf("wal: batch shape mismatch: %d times, %d values", len(times), len(values))
 	}
-	payload := binary.AppendUvarint(nil, uint64(len(sensor)))
-	payload = append(payload, sensor...)
-	payload = encoding.AppendTS2Diff(payload, times)
-	payload = encoding.AppendPlainFloat64(payload, values)
+	// One buffer holds the whole frame (AppendFrame's layout), sized
+	// for the worst case so nothing regrows: a varint per timestamp
+	// and per count (three), 8 bytes per value, the sensor, and the
+	// length and CRC words. The payload is appended after a reserved
+	// length word, which is patched once the payload's size is known.
+	n := len(times)
+	rec := make([]byte, 4, 8+len(sensor)+binary.MaxVarintLen64*(n+3)+8*n)
+	rec = binary.AppendUvarint(rec, uint64(len(sensor)))
+	rec = append(rec, sensor...)
+	rec = encoding.AppendTS2Diff(rec, times)
+	rec = encoding.AppendPlainFloat64(rec, values)
+	payload := rec[4:]
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record too large: %d bytes", len(payload))
 	}
-	rec := AppendFrame(make([]byte, 0, len(payload)+8), payload)
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
 	if _, err := s.f.Write(rec); err != nil {
 		return err
 	}

@@ -1,12 +1,17 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/faultfs"
 )
 
@@ -34,6 +39,71 @@ func TestAppendReplay(t *testing.T) {
 	}
 	if got[0].Times[2] != 3 || got[0].Values[2] != 30 || got[1].Values[0] != -5 {
 		t.Fatalf("replayed %+v", got)
+	}
+}
+
+// TestAppendWritesAppendFrame: Append builds its frame in place, and
+// the bytes on disk must equal AppendFrame over the payload built
+// separately — including the worst-case varints (deltas spanning the
+// whole int64 range) and an empty batch.
+func TestAppendWritesAppendFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-000000001.log")
+	s, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := []struct {
+		sensor string
+		times  []int64
+		values []float64
+	}{
+		{"cpu,host=a.usage", []int64{100, 90, 110}, []float64{1, 2, 3}},
+		{strings.Repeat("s", 300), []int64{math.MaxInt64, math.MinInt64, math.MaxInt64, -1}, []float64{math.Inf(1), math.NaN(), -0, 5}},
+		{"empty", nil, nil},
+	}
+	var want []byte
+	for _, b := range batches {
+		if err := s.Append(b.sensor, b.times, b.values); err != nil {
+			t.Fatal(err)
+		}
+		payload := binary.AppendUvarint(nil, uint64(len(b.sensor)))
+		payload = append(payload, b.sensor...)
+		payload = encoding.AppendTS2Diff(payload, b.times)
+		payload = encoding.AppendPlainFloat64(payload, b.values)
+		want = AppendFrame(want, payload)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes, AppendFrame gives %d; they differ", len(got), len(want))
+	}
+}
+
+// TestAppendAllocs: one buffer per batch, sized up front.
+func TestAppendAllocs(t *testing.T) {
+	s, err := Create(filepath.Join(t.TempDir(), "wal-000000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	times := make([]int64, 500)
+	values := make([]float64, 500)
+	for i := range times {
+		times[i] = 1_700_000_000_000_000_000 + int64(i*i%977)*1_000_000
+		values[i] = float64(i) / 3
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Append("cpu,host=a.usage", times, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Append of a 500-point batch allocates %v times, want ≤ 1", allocs)
 	}
 }
 
