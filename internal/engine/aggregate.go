@@ -2,14 +2,13 @@
 //
 // Query and AggregateWindows share one source model: every generation
 // that can hold data for a sensor — working memtables, flushing units,
-// flushed files — becomes a pointSource yielding records in
-// nondecreasing time order, and a k-way heap merge combines them with
-// rank-based newest-wins dedup (sources are ordered newest-first; on
-// equal timestamps the lowest rank wins). Inside one source each
-// timestamp appears once: tvlist yields one record per timestamp, and
-// the tsfile writer refuses equal timestamps. File sources decode one
-// chunk at a time, so a long range scan holds one chunk's points in
-// memory per file rather than materializing everything before sorting.
+// flushed files — becomes a source of sorted column runs, ranked
+// newest-first, and the run merge (merge.go) combines them with
+// newest-wins dedup: on equal timestamps the lowest rank wins. A
+// memtable or flushing-unit snapshot is one run holding one record per
+// timestamp (tvlist.LastPerTime); a file source decodes one block at a
+// time, so a long range scan holds one block's points in memory per
+// file rather than materializing everything before sorting.
 //
 // AggregateWindows additionally prunes: a chunk — or an individual
 // block of it — whose index entry carries value statistics is
@@ -51,192 +50,12 @@ import (
 	"repro/internal/winagg"
 )
 
-// pointSource yields (time, value) records in nondecreasing time
-// order. next returns ok=false when exhausted.
-type pointSource interface {
-	next() (TV, bool, error)
-}
-
-// sliceSource streams a materialized, sorted []TV (memtable and
-// flushing-unit scans).
-type sliceSource struct {
-	buf []TV
-	pos int
-}
-
-func (s *sliceSource) next() (TV, bool, error) {
-	if s.pos >= len(s.buf) {
-		return TV{}, false, nil
-	}
-	tv := s.buf[s.pos]
-	s.pos++
-	return tv, true, nil
-}
-
-// fileSource streams one file's chunks for a sensor, decoding lazily
-// block by block and seeking past blocks whose time bounds miss
-// [minT, maxT] without any I/O. It relies on the tsfile invariant
-// (enforced at write and load time) that a sensor's chunks, and a
-// chunk's blocks, appear in nondecreasing time order.
-//
-// blockSets, when non-nil, runs parallel to chunks and pre-selects the
-// exact blocks to decode per chunk (the aggregation planner uses it to
-// decode only the blocks its statistics could not answer).
-type fileSource struct {
-	e          *Engine
-	fh         *fileHandle
-	chunks     []tsfile.ChunkMeta
-	blockSets  [][]tsfile.BlockMeta
-	minT, maxT int64
-	buf        []TV
-	pos        int
-	cur        tsfile.ChunkMeta   // chunk being streamed
-	pending    []tsfile.BlockMeta // its blocks still to decode
-}
-
-func (s *fileSource) next() (TV, bool, error) {
-	for {
-		if s.pos < len(s.buf) {
-			tv := s.buf[s.pos]
-			s.pos++
-			return tv, true, nil
-		}
-		if len(s.pending) != 0 {
-			b := s.pending[0]
-			s.pending = s.pending[1:]
-			ts, vs, err := s.fh.reader.ReadBlockUpTo(s.cur, b, s.maxT)
-			if err != nil {
-				return TV{}, false, err
-			}
-			s.e.blocksDecoded.Add(1)
-			s.e.bytesRead.Add(b.Size)
-			s.buf = s.buf[:0]
-			s.pos = 0
-			for i, t := range ts {
-				if t >= s.minT {
-					s.buf = append(s.buf, TV{t, vs[i]})
-				}
-			}
-			continue
-		}
-		if len(s.chunks) == 0 {
-			return TV{}, false, nil
-		}
-		s.cur = s.chunks[0]
-		s.chunks = s.chunks[1:]
-		if s.blockSets != nil {
-			s.pending = s.blockSets[0]
-			s.blockSets = s.blockSets[1:]
-		} else {
-			for _, b := range s.cur.Blocks {
-				if b.MaxTime < s.minT || b.MinTime > s.maxT {
-					s.e.blocksSkipped.Add(1)
-					continue
-				}
-				s.pending = append(s.pending, b)
-			}
-		}
-		if len(s.pending) != 0 {
-			s.e.chunksDecoded.Add(1)
-		}
-	}
-}
-
-// mergeHead is one heap slot: the head record of a source plus the
-// source's rank (its position in the newest-first ordering).
-type mergeHead struct {
-	tv   TV
-	rank int
-	src  pointSource
-}
-
-// merge is a k-way heap merge with newest-wins dedup. Sources must be
-// passed newest-first; each yields nondecreasing timestamps. Ties
-// across sources go to the lowest rank. A tie inside one source
-// occurs only in a file written before timestamps had to strictly
-// increase; the merge keeps that run's first record, as it always
-// has, until Compact rewrites the file.
-type merge struct {
-	heads   []mergeHead
-	emitted bool
-	lastT   int64
-}
-
-func newMerge(sources []pointSource) (*merge, error) {
-	m := &merge{}
-	for rank, src := range sources {
-		tv, ok, err := src.next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			m.heads = append(m.heads, mergeHead{tv, rank, src})
-		}
-	}
-	for i := len(m.heads)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	return m, nil
-}
-
-// less orders heads by (time, rank): earliest first, and on equal
-// timestamps the newest source first — the record dedup keeps.
-func (m *merge) less(a, b int) bool {
-	if m.heads[a].tv.T != m.heads[b].tv.T {
-		return m.heads[a].tv.T < m.heads[b].tv.T
-	}
-	return m.heads[a].rank < m.heads[b].rank
-}
-
-func (m *merge) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(m.heads) && m.less(l, min) {
-			min = l
-		}
-		if r < len(m.heads) && m.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		m.heads[i], m.heads[min] = m.heads[min], m.heads[i]
-		i = min
-	}
-}
-
-// next returns the next deduplicated record in time order.
-func (m *merge) next() (TV, bool, error) {
-	for len(m.heads) > 0 {
-		head := m.heads[0]
-		tv, ok, err := head.src.next()
-		if err != nil {
-			return TV{}, false, err
-		}
-		if ok {
-			m.heads[0].tv = tv
-		} else {
-			last := len(m.heads) - 1
-			m.heads[0] = m.heads[last]
-			m.heads = m.heads[:last]
-		}
-		m.siftDown(0)
-		if m.emitted && head.tv.T == m.lastT {
-			continue // a newer source already supplied this timestamp
-		}
-		m.emitted = true
-		m.lastT = head.tv.T
-		return head.tv, true, nil
-	}
-	return TV{}, false, nil
-}
-
-// querySources is one query's snapshot of the engine: materialized
-// memtable/flushing scans (newest-first) and pinned file handles
-// (newest-first). release must be called when the query finishes.
+// querySources is one query's snapshot of the engine: one-run sources
+// copied out of the memtables and flushing units (newest-first) and
+// pinned file handles (newest-first). release must be called when the
+// query finishes.
 type querySources struct {
-	mem   [][]TV
+	mem   []*source
 	files []*fileHandle
 }
 
@@ -254,12 +73,12 @@ func (qs *querySources) release() {
 // behavior of sorting the live working TVLists under the lock.
 func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, error) {
 	qs := &querySources{}
-	// sortScan sorts one memtable chunk and collects its records in
-	// range.
+	// sortScan sorts one memtable chunk and copies its records in
+	// range out as one run.
 	sortScan := func(c *tvlist.TVList[float64]) {
 		e.sortChunk(c)
-		if out := scanChunk(c, minT, maxT); len(out) > 0 {
-			qs.mem = append(qs.mem, out)
+		if ts, vs := c.LastPerTime(minT, maxT); len(ts) > 0 {
+			qs.mem = append(qs.mem, &source{times: ts, values: vs})
 		}
 	}
 
@@ -326,13 +145,6 @@ func overlapping(fh *fileHandle, sensor string, minT, maxT int64) []tsfile.Chunk
 	return out
 }
 
-// anyPointIn reports whether the sorted scan holds a timestamp in
-// [lo, hi].
-func anyPointIn(scan []TV, lo, hi int64) bool {
-	i := sort.Search(len(scan), func(i int) bool { return scan[i].T >= lo })
-	return i < len(scan) && scan[i].T <= hi
-}
-
 // statsContrib is one stats-answered chunk, folded into its window at
 // minTime (sound: no other contribution lies inside the chunk's
 // range, so time order is preserved).
@@ -351,7 +163,7 @@ type statsContrib struct {
 // Chunks whose statistics provably equal their contribution to the
 // deduplicated stream (see statsEligible) are answered from the index
 // without decoding; everything else streams through the same merge
-// Query uses, so memory stays O(windows) + one chunk per file.
+// Query uses, so memory stays O(windows) + one block per file.
 func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("engine: window must be positive, got %d", window)
@@ -380,50 +192,47 @@ func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op 
 	if err != nil {
 		return nil, err
 	}
-	accs := make(map[int64]*winagg.Acc)
-	get := func(ws int64) *winagg.Acc {
-		acc := accs[ws]
-		if acc == nil {
-			acc = &winagg.Acc{Op: op}
-			accs[ws] = acc
+	// Points and stats contributions arrive in time order, so windows
+	// open in start order and only the last one is ever added to.
+	var out []winagg.Window
+	var accs []winagg.Acc
+	get := func(t int64) *winagg.Acc {
+		if ws := winagg.WindowStart(startT, t, window); len(out) == 0 || out[len(out)-1].Start != ws {
+			out = append(out, winagg.Window{Start: ws})
+			accs = append(accs, winagg.Acc{Op: op})
 		}
-		return acc
+		return &accs[len(accs)-1]
 	}
 	fold := func(c statsContrib) {
-		ws := winagg.WindowStart(startT, c.minTime, window)
-		get(ws).AddStats(c.count, c.stats.Min, c.stats.Max, c.stats.Sum, c.stats.First, c.stats.Last)
+		get(c.minTime).AddStats(c.count, c.stats.Min, c.stats.Max, c.stats.Sum, c.stats.First, c.stats.Last)
 	}
 	ci := 0
 	for {
-		tv, ok, err := m.next()
+		ts, vs, err := m.next()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if len(ts) == 0 {
 			break
 		}
-		// A stats chunk whose range precedes this point is complete:
-		// eligibility guarantees no point falls inside its range, so
-		// minTime <= tv.T implies the whole chunk is earlier.
-		for ci < len(contribs) && contribs[ci].minTime <= tv.T {
-			fold(contribs[ci])
-			ci++
+		for i, t := range ts {
+			// A stats chunk whose range precedes this point is
+			// complete: eligibility guarantees no point falls inside
+			// its range, so minTime <= t implies the whole chunk is
+			// earlier.
+			for ci < len(contribs) && contribs[ci].minTime <= t {
+				fold(contribs[ci])
+				ci++
+			}
+			get(t).AddPoint(vs[i])
 		}
-		get(winagg.WindowStart(startT, tv.T, window)).AddPoint(tv.V)
 	}
+	e.noteReads(srcs)
 	for ; ci < len(contribs); ci++ {
 		fold(contribs[ci])
 	}
-
-	starts := make([]int64, 0, len(accs))
-	for ws := range accs {
-		starts = append(starts, ws)
-	}
-	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
-	out := make([]winagg.Window, len(starts))
-	for i, ws := range starts {
-		acc := accs[ws]
-		out[i] = winagg.Window{Start: ws, Count: acc.Count(), Value: acc.Result()}
+	for i := range out {
+		out[i].Count, out[i].Value = accs[i].Count(), accs[i].Result()
 	}
 	return out, nil
 }
@@ -442,7 +251,7 @@ type aggSpan struct {
 // overlap check needs every candidate span across all files: a span
 // fully inside the query range can only be shadowed by spans that also
 // intersect the range.
-func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, window int64) ([]statsContrib, []pointSource) {
+func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, window int64) ([]statsContrib, []*source) {
 	perFile := make([][]tsfile.ChunkMeta, len(qs.files))
 	var spans []aggSpan
 	chunkSpanStart := []int{} // span index where each chunkID's spans begin
@@ -471,8 +280,8 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 				return false
 			}
 		}
-		for _, scan := range qs.mem {
-			if anyPointIn(scan, lo, hi) {
+		for _, s := range qs.mem {
+			if anyPointIn(s.times, lo, hi) {
 				return false
 			}
 		}
@@ -484,14 +293,10 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 	}
 
 	var contribs []statsContrib
-	srcs := make([]pointSource, 0, len(qs.mem)+len(qs.files))
-	for _, s := range qs.mem {
-		srcs = append(srcs, &sliceSource{buf: s})
-	}
+	srcs := append(make([]*source, 0, len(qs.mem)+len(qs.files)), qs.mem...)
 	chunkID = 0
 	for i, fh := range qs.files {
 		var decode []tsfile.ChunkMeta
-		var decodeBlocks [][]tsfile.BlockMeta
 		for _, m := range perFile[i] {
 			id := chunkID
 			chunkID++
@@ -505,32 +310,29 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 				continue
 			}
 			// Block granularity: answer what the per-block statistics
-			// can, decode the rest, seek past the out-of-range rest.
+			// can and leave the rest to the source, which decodes the
+			// blocks in range and seeks past the others.
 			si := chunkSpanStart[id]
 			var rest []tsfile.BlockMeta
 			for _, b := range m.Blocks {
-				if b.MaxTime < startT || b.MinTime > maxT {
-					e.blocksSkipped.Add(1)
-					continue
-				}
-				self := si
-				si++
-				if b.Stats != nil && inOneWindow(b.MinTime, b.MaxTime) &&
-					shadowFree(b.MinTime, b.MaxTime, func(i int) bool { return i == self }) {
-					contribs = append(contribs, statsContrib{b.MinTime, b.Count, b.Stats})
-					e.blocksFromStats.Add(1)
-					e.pointsSkipped.Add(int64(b.Count))
-					continue
+				if b.MaxTime >= startT && b.MinTime <= maxT {
+					self := si
+					si++
+					if b.Stats != nil && inOneWindow(b.MinTime, b.MaxTime) &&
+						shadowFree(b.MinTime, b.MaxTime, func(i int) bool { return i == self }) {
+						contribs = append(contribs, statsContrib{b.MinTime, b.Count, b.Stats})
+						e.blocksFromStats.Add(1)
+						e.pointsSkipped.Add(int64(b.Count))
+						continue
+					}
 				}
 				rest = append(rest, b)
 			}
-			if len(rest) > 0 {
-				decode = append(decode, m)
-				decodeBlocks = append(decodeBlocks, rest)
-			}
+			m.Blocks = rest
+			decode = append(decode, m)
 		}
 		if len(decode) > 0 {
-			srcs = append(srcs, &fileSource{e: e, fh: fh, chunks: decode, blockSets: decodeBlocks, minT: startT, maxT: maxT})
+			srcs = append(srcs, newFileSource(fh, decode, startT, maxT))
 		}
 	}
 	return contribs, srcs

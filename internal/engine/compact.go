@@ -1,8 +1,8 @@
 // Compaction: streaming merges of flushed chunk files.
 //
-// Two paths share one merge core (mergeInto — the same k-way
-// newest-wins heap queries use, one chunk per input in memory at a
-// time, never a materialized file):
+// Two paths share one merge core (mergeInto — the run merge queries
+// use, one decoded block per input in memory at a time, never a
+// materialized file):
 //
 //   - Compact folds everything: every partition's files — sequence and
 //     unsequence, plus the slice of any legacy root-level file that
@@ -38,44 +38,6 @@ import (
 	"repro/internal/tsfile"
 )
 
-// compactSource streams one input file's chunks of one sensor,
-// restricted to [minT, maxT], decoding one chunk at a time. It is
-// fileSource minus the query-path read-amplification counters —
-// compaction I/O is accounted per pass, not per block.
-type compactSource struct {
-	fh         *fileHandle
-	chunks     []tsfile.ChunkMeta
-	minT, maxT int64
-	buf        []TV
-	pos        int
-}
-
-func (s *compactSource) next() (TV, bool, error) {
-	for {
-		if s.pos < len(s.buf) {
-			tv := s.buf[s.pos]
-			s.pos++
-			return tv, true, nil
-		}
-		if len(s.chunks) == 0 {
-			return TV{}, false, nil
-		}
-		m := s.chunks[0]
-		s.chunks = s.chunks[1:]
-		ts, vs, err := s.fh.reader.ReadChunk(m)
-		if err != nil {
-			return TV{}, false, fmt.Errorf("engine: compact read %s: %w", s.fh.path, err)
-		}
-		s.buf = s.buf[:0]
-		s.pos = 0
-		for i, t := range ts {
-			if t >= s.minT && t <= s.maxT {
-				s.buf = append(s.buf, TV{t, vs[i]})
-			}
-		}
-	}
-}
-
 // mergeInto streams the newest-wins merge of inputs (ordered oldest
 // generation first, as in e.files), restricted to [minT, maxT], into w
 // — sensor by sensor in sorted order, through the streaming writer in
@@ -100,13 +62,19 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 	}
 	for _, sensor := range sensors {
 		// Sources newest-first, matching the rank convention of merge.
-		srcs := make([]pointSource, 0, len(inputs))
+		// Every input chunk's name header is checked once here; the
+		// sources then check each block's CRC as they decode it.
+		srcs := make([]*source, 0, len(inputs))
 		var all []tsfile.ChunkMeta
 		for i := len(inputs) - 1; i >= 0; i-- {
-			if chunks := overlapping(inputs[i], sensor, minT, maxT); len(chunks) > 0 {
-				srcs = append(srcs, &compactSource{fh: inputs[i], chunks: chunks, minT: minT, maxT: maxT})
-				all = append(all, chunks...)
+			chunks := overlapping(inputs[i], sensor, minT, maxT)
+			for _, m := range chunks {
+				if err := inputs[i].reader.VerifyChunk(m); err != nil {
+					return fmt.Errorf("engine: compact read %s: %w", inputs[i].path, err)
+				}
 			}
+			srcs = append(srcs, newFileSource(inputs[i], chunks, minT, maxT))
+			all = append(all, chunks...)
 		}
 		bounds := cleanBounds(all, minT, maxT, cut/4)
 		m, err := newMerge(srcs)
@@ -133,26 +101,33 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 			return nil
 		}
 		for {
-			tv, ok, err := m.next()
+			rts, rvs, err := m.next()
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if len(rts) == 0 {
 				break
 			}
-			if len(bounds) > 0 && bounds[0] <= tv.T {
+			// A run holds records of one input block, and no other input
+			// block overlaps a clean one, so no run crosses a clean edge:
+			// checking each run's first record suffices.
+			if len(bounds) > 0 && bounds[0] <= rts[0] {
 				if err := emit(); err != nil {
 					return err
 				}
-				for len(bounds) > 0 && bounds[0] <= tv.T {
+				for len(bounds) > 0 && bounds[0] <= rts[0] {
 					bounds = bounds[1:]
 				}
 			}
-			ts = append(ts, tv.T)
-			vs = append(vs, tv.V)
-			if len(ts) >= cut {
-				if err := emit(); err != nil {
-					return err
+			for len(rts) > 0 {
+				n := min(len(rts), cut-len(ts))
+				ts = append(ts, rts[:n]...)
+				vs = append(vs, rvs[:n]...)
+				rts, rvs = rts[n:], rvs[n:]
+				if len(ts) >= cut {
+					if err := emit(); err != nil {
+						return err
+					}
 				}
 			}
 		}

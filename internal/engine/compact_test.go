@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/tsfile"
 )
 
 func TestCompactFoldsFiles(t *testing.T) {
@@ -221,5 +224,46 @@ func TestCompactThenRecover(t *testing.T) {
 	}
 	if len(out) != 500 {
 		t.Fatalf("recovered %d of 500 after compaction", len(out))
+	}
+}
+
+// TestCompactVerifiesChunkNames renames a chunk's sensor in place in
+// its name header, which no block CRC covers: queries decode the
+// chunk's blocks by index entry and still answer, but compaction,
+// which rewrites the chunk under its indexed name, must refuse it.
+func TestCompactVerifiesChunkNames(t *testing.T) {
+	dir := t.TempDir()
+	e := openTest(t, Config{Dir: dir, MemTableSize: 1 << 20, l0CompactFiles: 100})
+	for gen := int64(0); gen < 2; gen++ {
+		for ts := gen * 100; ts < gen*100+100; ts++ {
+			if err := e.Insert("s1", ts, float64(ts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L0", "*.gtsf"))
+	if len(files) != 2 {
+		t.Fatalf("flushed files %v, want 2", files)
+	}
+	r, err := tsfile.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := r.Index()[0].Offset
+	r.Close()
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[off+2] = '2' // the header's "s1" (after its length byte) reads "s2"
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := e.Query("s1", 0, 199); err != nil || len(out) != 200 {
+		t.Fatalf("Query = %d records, %v; want 200", len(out), err)
+	}
+	if err := e.Compact(); !errors.Is(err, tsfile.ErrCorrupt) {
+		t.Fatalf("Compact over a renamed chunk = %v, want ErrCorrupt", err)
 	}
 }

@@ -495,7 +495,12 @@ func (e *Engine) recoverWAL() error {
 		err := wal.Replay(path, func(b wal.Batch) error {
 			replayedPoints += len(b.Times)
 			e.recoveredBatches++
-			return e.insertRouted(b.Sensor, b.Times, b.Values)
+			// Replay routes without counting: SeqPoints and
+			// UnseqPoints count this engine's own inserts.
+			e.mu.Lock()
+			e.routeLocked(b.Sensor, b.Times, b.Values)
+			e.mu.Unlock()
+			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("engine: wal recovery: %w", err)
@@ -533,23 +538,25 @@ func (e *Engine) newWALSegment() error {
 	return nil
 }
 
-// insertRouted routes points through the separation policy without WAL
-// logging (used by WAL replay itself).
-func (e *Engine) insertRouted(sensor string, times []int64, values []float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// routeLocked writes points into the working memtables through the
+// separation policy — at or below the sensor's flushed watermark to
+// the unsequence memtable, above it to the sequence one — and returns
+// how many took each path. Caller holds e.mu.
+func (e *Engine) routeLocked(sensor string, times []int64, values []float64) (seq, unseq int64) {
 	watermark, hasWatermark := e.lastFlushed[sensor]
 	for i, t := range times {
 		if hasWatermark && t <= watermark {
 			e.workingUn.Write(sensor, t, values[i])
+			unseq++
 		} else {
 			e.working.Write(sensor, t, values[i])
+			seq++
 		}
 		if t > e.latest[sensor] {
 			e.latest[sensor] = t
 		}
 	}
-	return nil
+	return seq, unseq
 }
 
 // quarantineSuffix marks files recovery set aside instead of serving:
@@ -798,20 +805,7 @@ func (e *Engine) InsertBatch(sensor string, times []int64, values []float64) err
 			return fmt.Errorf("engine: wal append: %w", err)
 		}
 	}
-	var seq, unseq int64
-	watermark, hasWatermark := e.lastFlushed[sensor]
-	for i, t := range times {
-		if hasWatermark && t <= watermark {
-			e.workingUn.Write(sensor, t, values[i])
-			unseq++
-		} else {
-			e.working.Write(sensor, t, values[i])
-			seq++
-		}
-		if t > e.latest[sensor] {
-			e.latest[sensor] = t
-		}
-	}
+	seq, unseq := e.routeLocked(sensor, times, values)
 	var unit *flushUnit
 	if e.working.Points()+e.workingUn.Points() >= e.cfg.MemTableSize {
 		unit = e.rotateLocked()
@@ -1041,7 +1035,7 @@ func (e *Engine) drain(unit *flushUnit) {
 				mu := unit.lockChunk(chunk)
 				mu.Lock()
 				sortNanos.Add(e.sortChunk(chunk))
-				ts, vs := chunk.LastPerTime()
+				ts, vs := chunk.LastPerTime(math.MinInt64, math.MaxInt64)
 				mu.Unlock()
 				t1 := time.Now()
 				defer func() { encodeNanos.Add(int64(time.Since(t1))) }()
@@ -1180,12 +1174,11 @@ func (e *Engine) Flush() {
 // newest write wins (unsequence over flushed, memtable over files).
 //
 // The engine lock is held only to snapshot (see gatherSources); the
-// result is then produced by a streaming k-way merge over the
-// snapshotted sources with rank-based newest-wins dedup, decoding file
-// chunks lazily — one chunk per file is in memory at a time instead of
-// every overlapping chunk at once. Config.PaperProfile restores
-// the paper's behavior of sorting the live working TVLists under the
-// lock, blocking writers.
+// result is then appended run by run from the merge over the
+// snapshotted sources (merge.go), which decodes file blocks lazily —
+// one block per file is in memory at a time. Config.PaperProfile
+// restores the paper's behavior of sorting the live working TVLists
+// under the lock, blocking writers.
 func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
 	if err := e.FlushError(); err != nil {
 		return nil, err
@@ -1198,13 +1191,10 @@ func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
 		return nil, err
 	}
 	defer qs.release()
-	srcs := make([]pointSource, 0, len(qs.mem)+len(qs.files))
-	for _, s := range qs.mem {
-		srcs = append(srcs, &sliceSource{buf: s})
-	}
+	srcs := append(make([]*source, 0, len(qs.mem)+len(qs.files)), qs.mem...)
 	for _, fh := range qs.files {
 		if chunks := overlapping(fh, sensor, minT, maxT); len(chunks) > 0 {
-			srcs = append(srcs, &fileSource{e: e, fh: fh, chunks: chunks, minT: minT, maxT: maxT})
+			srcs = append(srcs, newFileSource(fh, chunks, minT, maxT))
 		}
 	}
 	m, err := newMerge(srcs)
@@ -1213,24 +1203,18 @@ func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
 	}
 	var out []TV
 	for {
-		tv, ok, err := m.next()
+		ts, vs, err := m.next()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if len(ts) == 0 {
+			e.noteReads(srcs)
 			return out, nil
 		}
-		out = append(out, tv)
+		for i, t := range ts {
+			out = append(out, TV{t, vs[i]})
+		}
 	}
-}
-
-func scanChunk(chunk *tvlist.TVList[float64], minT, maxT int64) []TV {
-	var out []TV
-	chunk.ScanRange(minT, maxT, func(t int64, v float64) bool {
-		out = append(out, TV{t, v})
-		return true
-	})
-	return out
 }
 
 // LatestTime returns the newest ingested timestamp for sensor, used by

@@ -593,3 +593,33 @@ func TestDropPartitionsBefore(t *testing.T) {
 		t.Fatalf("PartitionsActive after reopen = %d, want 3", st.PartitionsActive)
 	}
 }
+
+// TestFoldCutsBlocksAtBlockPoints folds the golden v2 file, one block
+// per chunk, into an engine with 64-point blocks. The merge hands out
+// each input block as one run, and mergeInto must still cut its output
+// at the block size.
+func TestFoldCutsBlocksAtBlockPoints(t *testing.T) {
+	dir := t.TempDir()
+	copyGoldenV2(t, filepath.Join(dir, "seq-000001.gtsf"))
+	openTest(t, Config{Dir: dir, blockPoints: 64})
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
+	points := 0
+	for _, f := range files {
+		r, err := tsfile.Open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range r.Index() {
+			points += m.Count
+			for _, b := range m.Blocks {
+				if b.Count > 64 {
+					t.Fatalf("%s: a %d-point block of %q, want at most 64", f, b.Count, m.Sensor)
+				}
+			}
+		}
+		r.Close()
+	}
+	if points <= 64 {
+		t.Fatalf("folded %d points: the fixture no longer exercises the cut", points)
+	}
+}

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/winagg"
 )
 
 func TestQueryBoundsInclusive(t *testing.T) {
@@ -74,5 +76,65 @@ func TestStatsSnapshotIndependentOfQueries(t *testing.T) {
 	after := e.Stats()
 	if after.FlushCount != before.FlushCount || after.SeqPoints != before.SeqPoints {
 		t.Fatalf("queries mutated write stats: %+v vs %+v", before, after)
+	}
+}
+
+// TestReadCountersPinned pins the read-amplification counters one
+// Query and one AggregateWindows move on a fixed store — two
+// overlapping files plus a dirty memtable — and checks Compact moves
+// none of them. The perf ledger's "blocks decoded per query" reads
+// these counters, so a change in how they count must be deliberate.
+func TestReadCountersPinned(t *testing.T) {
+	e := openTest(t, Config{MemTableSize: 1 << 20, blockPoints: 64, l0CompactFiles: 100})
+	rng := rand.New(rand.NewSource(7))
+	put := func(ts int64) {
+		if err := e.Insert("s", ts, float64(rng.Intn(1000))/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ts := int64(0); ts < 1000; ts++ {
+		put(ts)
+	}
+	e.Flush()
+	for ts := int64(300); ts <= 700; ts += 3 { // rewrites: an unsequence file
+		put(ts)
+	}
+	e.Flush()
+	for _, ts := range rng.Perm(200) { // dirty memtable straddling the watermark
+		put(int64(900 + ts))
+	}
+	if e.FileCount() != 2 {
+		t.Fatalf("store holds %d files, want 2", e.FileCount())
+	}
+	type reads struct{ decoded, skipped, chunks, fromStats, bytes int64 }
+	read := func() reads {
+		s := e.Stats()
+		return reads{s.BlocksDecoded, s.BlocksSkipped, s.ChunksDecoded, s.BlocksFromStats, s.BytesRead}
+	}
+	delta := func(a, b reads) reads {
+		return reads{b.decoded - a.decoded, b.skipped - a.skipped, b.chunks - a.chunks, b.fromStats - a.fromStats, b.bytes - a.bytes}
+	}
+	r0 := read()
+	if _, err := e.Query("s", 100, 1200); err != nil {
+		t.Fatal(err)
+	}
+	r1 := read()
+	// Block [0, 63] of the first file misses the range; its other 15
+	// blocks and the unsequence file's 3 are decoded.
+	if got, want := delta(r0, r1), (reads{decoded: 18, skipped: 1, chunks: 2, bytes: 3543}); got != want {
+		t.Fatalf("Query read %+v, want %+v", got, want)
+	}
+	if _, err := e.AggregateWindows("s", 0, 1500, 64, winagg.Avg); err != nil {
+		t.Fatal(err)
+	}
+	r2 := read()
+	if got, want := delta(r1, r2), (reads{decoded: 12, chunks: 2, fromStats: 7, bytes: 2290}); got != want {
+		t.Fatalf("AggregateWindows read %+v, want %+v", got, want)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if r3 := read(); r3 != r2 {
+		t.Fatalf("Compact moved the read counters: %+v -> %+v", r2, r3)
 	}
 }

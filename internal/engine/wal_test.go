@@ -229,3 +229,44 @@ func TestOverlongSensorNameRejected(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// TestWALReplayLeavesPointCountersAlone checks that WAL replay routes
+// points through the separation policy without counting them: after a
+// reopen, SeqPoints and UnseqPoints count only the new engine's own
+// inserts.
+func TestWALReplayLeavesPointCountersAlone(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, MemTableSize: 10, WAL: true, SyncFlush: true}
+	e1, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21, 3} { // flushes t=0..9
+		if err := e1.Insert("s", ts, float64(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e1.Stats(); st.SeqPoints != 12 || st.UnseqPoints != 1 {
+		t.Fatalf("before crash: seq %d unseq %d, want 12 1", st.SeqPoints, st.UnseqPoints)
+	}
+	crash(e1)
+
+	e2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if st := e2.Stats(); st.SeqPoints != 0 || st.UnseqPoints != 0 || st.RecoveredWALBatches != 3 {
+		t.Fatalf("after replay: seq %d unseq %d batches %d, want 0 0 3", st.SeqPoints, st.UnseqPoints, st.RecoveredWALBatches)
+	}
+	if err := e2.InsertBatch("s", []int64{4, 30}, []float64{4, 30}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Stats(); st.SeqPoints != 1 || st.UnseqPoints != 1 {
+		t.Fatalf("after reopen: seq %d unseq %d, want 1 1", st.SeqPoints, st.UnseqPoints)
+	}
+	out, err := e2.Query("s", 0, 100)
+	if err != nil || len(out) != 13 {
+		t.Fatalf("Query = %d records, %v; want 13", len(out), err)
+	}
+}

@@ -832,9 +832,10 @@ func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64
 	return times, values, nil
 }
 
-// verifyChunkName checks the name header at the start of a chunk
-// against its index entry.
-func (r *Reader) verifyChunkName(meta ChunkMeta) error {
+// VerifyChunk checks the name header at the start of a chunk against
+// its index entry. ReadChunk does it for every chunk it decodes; a
+// reader decoding a chunk block by block calls it once per chunk.
+func (r *Reader) VerifyChunk(meta ChunkMeta) error {
 	hdrLen := meta.Blocks[0].Offset - meta.Offset
 	if hdrLen <= 0 || hdrLen > int64(MaxSensorName+10) {
 		return fmt.Errorf("%w: chunk header %d bytes", ErrCorrupt, hdrLen)
@@ -861,7 +862,7 @@ func (r *Reader) verifyChunkName(meta ChunkMeta) error {
 // ReadChunk decodes the whole chunk at meta, verifying its name header
 // and every block's CRC.
 func (r *Reader) ReadChunk(meta ChunkMeta) ([]int64, []float64, error) {
-	if err := r.verifyChunkName(meta); err != nil {
+	if err := r.VerifyChunk(meta); err != nil {
 		return nil, nil, err
 	}
 	times := make([]int64, 0, meta.Count)

@@ -23,22 +23,19 @@ func TestScratchAcrossArrayBoundaries(t *testing.T) {
 	}
 }
 
+// TestScanRangeEmptyAndMisses: a range read over an empty list, a range
+// that misses every record, or an inverted range yields nothing.
 func TestScanRangeEmptyAndMisses(t *testing.T) {
 	l := NewDouble()
-	called := false
-	l.ScanRange(0, 100, func(int64, float64) bool { called = true; return true })
-	if called {
-		t.Fatal("ScanRange on empty list invoked callback")
+	if ts, vs := l.LastPerTime(0, 100); len(ts) != 0 || len(vs) != 0 {
+		t.Fatalf("LastPerTime on empty list = %v, %v", ts, vs)
 	}
 	l.Put(50, 1)
-	l.ScanRange(60, 100, func(int64, float64) bool { called = true; return true })
-	if called {
-		t.Fatal("ScanRange out of range invoked callback")
+	if ts, vs := l.LastPerTime(60, 100); len(ts) != 0 || len(vs) != 0 {
+		t.Fatalf("LastPerTime out of range = %v, %v", ts, vs)
 	}
-	// Inverted range yields nothing.
-	l.ScanRange(100, 0, func(int64, float64) bool { called = true; return true })
-	if called {
-		t.Fatal("inverted ScanRange invoked callback")
+	if ts, vs := l.LastPerTime(100, 0); len(ts) != 0 || len(vs) != 0 {
+		t.Fatalf("inverted LastPerTime = %v, %v", ts, vs)
 	}
 }
 

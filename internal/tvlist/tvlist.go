@@ -16,9 +16,9 @@
 // flush and query paths can skip sorting entirely.
 //
 // Equal timestamps are decided here, once: a sorted list yields the
-// last record of each equal-timestamp run (ScanRange, LastPerTime) —
-// the newest write after the flat kernel's stable sort, otherwise
-// whichever record the sorting algorithm's tie order put last.
+// last record of each equal-timestamp run (LastPerTime) — the newest
+// write after the flat kernel's stable sort, otherwise whichever record
+// the sorting algorithm's tie order put last.
 package tvlist
 
 import (
@@ -228,45 +228,32 @@ func (l *TVList[V]) SeekTime(t int64) int {
 	return lo
 }
 
-// ScanRange calls fn, in time order, once per timestamp in
-// [minT, maxT], with the last record of that timestamp's run: after a
-// stable sort, the newest write. The list must be sorted.
-func (l *TVList[V]) ScanRange(minT, maxT int64, fn func(t int64, v V) bool) {
-	i := l.SeekTime(minT)
-	if i >= l.size {
-		return
-	}
-	pt, pv := l.Get(i)
-	if pt > maxT {
-		return
-	}
-	for i++; i < l.size; i++ {
-		t, v := l.Get(i)
-		if t != pt && (!fn(pt, pv) || t > maxT) {
-			return
-		}
-		pt, pv = t, v
-	}
-	fn(pt, pv)
-}
-
 // ToSlices copies the list out into flat slices.
-func (l *TVList[V]) ToSlices() ([]int64, []V) {
-	ts := make([]int64, l.size)
-	vs := make([]V, l.size)
-	for off, blk := 0, 0; off < l.size; off, blk = off+l.arrayLen, blk+1 {
-		copy(ts[off:], l.times[blk])
-		copy(vs[off:], l.values[blk])
+func (l *TVList[V]) ToSlices() ([]int64, []V) { return l.copyOut(0, l.size) }
+
+// copyOut copies records [lo, hi) out into flat slices.
+func (l *TVList[V]) copyOut(lo, hi int) ([]int64, []V) {
+	ts, vs := make([]int64, hi-lo), make([]V, hi-lo)
+	for i := lo; i < hi; {
+		blk, off := i/l.arrayLen, i%l.arrayLen
+		n := copy(ts[i-lo:], l.times[blk][off:])
+		copy(vs[i-lo:], l.values[blk][off:off+n])
+		i += n
 	}
 	return ts, vs
 }
 
-// LastPerTime copies the list out into flat slices holding one record
-// per timestamp, the last of each equal-timestamp run — the records
-// ScanRange yields, and the columns a flush encodes. The list must be
-// sorted.
-func (l *TVList[V]) LastPerTime() ([]int64, []V) {
-	ts, vs := l.ToSlices()
+// LastPerTime copies out the records with minT <= t <= maxT, one per
+// timestamp: the last of each equal-timestamp run, which after a
+// stable sort is the newest write. Memtable and flushing-unit scans
+// take their range this way, and a flush its whole columns. The list
+// must be sorted.
+func (l *TVList[V]) LastPerTime(minT, maxT int64) ([]int64, []V) {
+	lo, hi := l.SeekTime(minT), l.size
+	if maxT < math.MaxInt64 {
+		hi = max(lo, l.SeekTime(maxT+1))
+	}
+	ts, vs := l.copyOut(lo, hi)
 	n := 0
 	for i := range ts {
 		if i+1 < len(ts) && ts[i+1] == ts[i] {

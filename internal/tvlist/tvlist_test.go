@@ -3,6 +3,7 @@ package tvlist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestSortSkipsWhenSorted(t *testing.T) {
 	}
 }
 
-func TestSeekTimeAndScanRange(t *testing.T) {
+func TestSeekTime(t *testing.T) {
 	l := NewWithArrayLen[float64](8)
 	for i := 0; i < 50; i++ {
 		l.Put(int64(i*2), float64(i)) // 0,2,4,...,98
@@ -115,65 +116,56 @@ func TestSeekTimeAndScanRange(t *testing.T) {
 	if got := l.SeekTime(1000); got != 50 {
 		t.Fatalf("SeekTime(1000) = %d, want 50", got)
 	}
-	var got []int64
-	l.ScanRange(10, 20, func(tt int64, v float64) bool {
-		got = append(got, tt)
-		return true
-	})
-	want := []int64{10, 12, 14, 16, 18, 20}
-	if len(got) != len(want) {
-		t.Fatalf("ScanRange = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScanRange = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	count := 0
-	l.ScanRange(0, 98, func(int64, float64) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Fatalf("ScanRange did not stop early: %d", count)
-	}
 }
 
-// TestLastRecordPerTimestamp: after the flat kernel's stable sort,
-// ScanRange and LastPerTime yield one record per timestamp, the newest
-// write, on both layouts — including runs that straddle array
-// boundaries and ranges that cut a run's neighbours.
+// TestLastRecordPerTimestamp: LastPerTime(minT, maxT) yields, in time
+// order, one record per timestamp in the range — after the flat
+// kernel's stable sort, the newest write — on both layouts, including
+// runs that straddle array boundaries and ranges that cut a run's
+// neighbours.
 func TestLastRecordPerTimestamp(t *testing.T) {
-	for _, l := range []*TVList[int]{NewWithArrayLen[int](3), NewContiguous[int]()} {
+	layouts := []func() *TVList[int]{func() *TVList[int] { return NewWithArrayLen[int](3) }, NewContiguous[int]}
+	for _, layout := range layouts {
 		// Write i carries time (i*7)%10/3 — ties in every run, out of
 		// order — so time x's newest write is the largest i mapping to x.
+		ties := layout()
 		newest := map[int64]int{}
 		for i := 0; i < 40; i++ {
 			x := int64(i * 7 % 10 / 3)
-			l.Put(x, i)
+			ties.Put(x, i)
 			newest[x] = i
 		}
-		l.EnsureSortedFlat(core.FlatOptions{})
-		var got []int64
-		l.ScanRange(1, 2, func(x int64, v int) bool {
-			if v != newest[x] {
-				t.Fatalf("ScanRange: t=%d yields write %d, want the newest %d", x, v, newest[x])
+		ties.EnsureSortedFlat(core.FlatOptions{})
+		evens := layout()
+		for i := 0; i < 50; i++ {
+			evens.Put(int64(i*2), i) // 0,2,4,...,98
+		}
+		single := layout()
+		single.Put(50, 1)
+		cases := []struct {
+			l          *TVList[int]
+			minT, maxT int64
+			want       []int64
+			value      func(x int64) int
+		}{
+			{ties, 1, 2, []int64{1, 2}, func(x int64) int { return newest[x] }},
+			{ties, math.MinInt64, math.MaxInt64, []int64{0, 1, 2, 3}, func(x int64) int { return newest[x] }},
+			{evens, 10, 20, []int64{10, 12, 14, 16, 18, 20}, func(x int64) int { return int(x / 2) }},
+			{single, 50, 50, []int64{50}, func(int64) int { return 1 }},
+		}
+		for _, c := range cases {
+			ts, vs := c.l.LastPerTime(c.minT, c.maxT)
+			if !slices.Equal(ts, c.want) || len(vs) != len(ts) {
+				t.Fatalf("LastPerTime(%d, %d) times %v (%d values), want %v", c.minT, c.maxT, ts, len(vs), c.want)
 			}
-			got = append(got, x)
-			return true
-		})
-		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-			t.Fatalf("ScanRange(1, 2) times %v, want [1 2]", got)
-		}
-		ts, vs := l.LastPerTime()
-		if len(ts) != len(newest) || len(vs) != len(ts) {
-			t.Fatalf("LastPerTime: %d records for %d timestamps", len(ts), len(newest))
-		}
-		for i, x := range ts {
-			if x != int64(i) || vs[i] != newest[x] {
-				t.Fatalf("LastPerTime record %d = (%d, %d), want (%d, %d)", i, x, vs[i], i, newest[int64(i)])
+			for i, x := range ts {
+				if vs[i] != c.value(x) {
+					t.Fatalf("LastPerTime(%d, %d): t=%d yields %d, want %d", c.minT, c.maxT, x, vs[i], c.value(x))
+				}
 			}
 		}
-		if l.Len() != 40 {
-			t.Fatalf("LastPerTime changed the list: Len %d", l.Len())
+		if ties.Len() != 40 {
+			t.Fatalf("LastPerTime changed the list: Len %d", ties.Len())
 		}
 	}
 }
