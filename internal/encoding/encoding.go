@@ -8,9 +8,21 @@
 //     scheme, used by IoTDB for floating point columns) — slowly
 //     varying sensor values cost a few bits per point.
 //
-// All encoders append to a caller-provided buffer and all decoders
-// report malformed input as errors rather than panicking: encoded
-// bytes cross a disk boundary, so they are untrusted.
+// All encoders append to a caller-provided buffer. Every decoder has an
+// Into form that decodes into a caller's column from [:0], allocating
+// only when the column's capacity is short, so a reader decoding block
+// after block into the same columns allocates nothing once they are
+// big enough. Decoders report malformed input as errors rather than
+// panicking: encoded bytes cross a disk boundary, so they are
+// untrusted.
+//
+// Gorilla's bit stream moves a 64-bit word at a time. The writer packs
+// bits into an accumulator and stores it a whole big-endian word at a
+// time into a blob sized once up front; the reader refills its
+// accumulator with one big-endian load while eight bytes remain, and
+// byte by byte in the tail. A value then costs a few shifts, not a call
+// and a bounds check per bit. The bytes are those a bit-at-a-time
+// codec writes: most significant bit first, the last byte zero-padded.
 package encoding
 
 import (
@@ -19,10 +31,20 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrCorrupt is wrapped by every decoder failure.
 var ErrCorrupt = errors.New("encoding: corrupt data")
+
+// column returns dst resized to n, reusing its backing array when the
+// capacity suffices.
+func column[T any](dst []T, n int) []T {
+	if cap(dst) < n {
+		return make([]T, n)
+	}
+	return dst[:n]
+}
 
 // --- TS2Diff (timestamps) -------------------------------------------------
 
@@ -44,7 +66,10 @@ func AppendTS2Diff(dst []byte, times []int64) []byte {
 
 // DecodeTS2Diff decodes a sequence produced by AppendTS2Diff,
 // returning the values and the number of bytes consumed.
-func DecodeTS2Diff(src []byte) ([]int64, int, error) {
+func DecodeTS2Diff(src []byte) ([]int64, int, error) { return DecodeTS2DiffInto(nil, src) }
+
+// DecodeTS2DiffInto is DecodeTS2Diff decoding into dst[:0].
+func DecodeTS2DiffInto(dst []int64, src []byte) ([]int64, int, error) {
 	n, read := binary.Uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: ts2diff count", ErrCorrupt)
@@ -53,17 +78,20 @@ func DecodeTS2Diff(src []byte) ([]int64, int, error) {
 	if n > uint64(len(src)) { // cheap sanity bound: ≥1 byte per value
 		return nil, 0, fmt.Errorf("%w: ts2diff count %d exceeds input", ErrCorrupt, n)
 	}
-	out := make([]int64, n)
+	out := column(dst, int(n))
 	var prev int64
 	for i := range out {
-		d, read := binary.Varint(src[pos:])
-		if read <= 0 {
-			return nil, 0, fmt.Errorf("%w: ts2diff value %d", ErrCorrupt, i)
-		}
-		pos += read
-		if i == 0 {
-			prev = d
+		// A delta in [-64, 63] is one byte: zig-zag it inline.
+		if pos < len(src) && src[pos] < 0x80 {
+			b := src[pos]
+			prev += int64(b>>1) ^ -int64(b&1)
+			pos++
 		} else {
+			d, read := binary.Varint(src[pos:])
+			if read <= 0 {
+				return nil, 0, fmt.Errorf("%w: ts2diff value %d", ErrCorrupt, i)
+			}
+			pos += read
 			prev += d
 		}
 		out[i] = prev
@@ -73,60 +101,83 @@ func DecodeTS2Diff(src []byte) ([]int64, int, error) {
 
 // --- Gorilla (float64 values) ----------------------------------------------
 
-// bitWriter appends single bits / bit runs to a byte buffer.
+// bitWriter packs bits, most significant first, into buf, which the
+// caller sizes for everything written plus 8 bytes of slack: whole
+// words are stored into it in place, and it never grows.
 type bitWriter struct {
-	buf  []byte
-	nbit uint8 // bits used in the last byte (0 = last byte full/absent)
+	buf []byte
+	off int    // bytes of buf stored so far
+	acc uint64 // pending bits, left-aligned
+	n   uint   // pending bit count, < 64
 }
 
-func (w *bitWriter) writeBit(b uint64) {
-	if w.nbit == 0 {
-		w.buf = append(w.buf, 0)
-		w.nbit = 8
+// writeBits writes the low k bits of v; k <= 64 and v < 1<<k.
+func (w *bitWriter) writeBits(v uint64, k uint) {
+	if free := 64 - w.n; k < free {
+		w.acc |= v << (free - k)
+		w.n += k
+		return
 	}
-	w.nbit--
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << w.nbit
-	}
+	rest := k - (64 - w.n) // bits of v left over once acc is full
+	binary.BigEndian.PutUint64(w.buf[w.off:], w.acc|v>>rest)
+	w.off += 8
+	w.n = rest
+	w.acc = v << (64 - rest) // 0 when rest is 0
 }
 
-func (w *bitWriter) writeBits(v uint64, n uint8) {
-	for i := int8(n) - 1; i >= 0; i-- {
-		w.writeBit((v >> uint8(i)) & 1)
-	}
+// finish stores the pending bits, zero-padded to a byte, and returns
+// the bytes written.
+func (w *bitWriter) finish() []byte {
+	binary.BigEndian.PutUint64(w.buf[w.off:], w.acc)
+	return w.buf[:w.off+int(w.n+7)/8]
 }
 
+// bitReader reads bits, most significant first, from buf.
 type bitReader struct {
-	buf  []byte
-	pos  int
-	nbit uint8
+	buf []byte
+	pos int    // next byte of buf not yet counted in n
+	acc uint64 // unread bits, left-aligned; the bits below the top n are 0 or already those of buf[pos:]
+	n   uint   // unread bits in acc
 }
 
-func (r *bitReader) readBit() (uint64, error) {
-	if r.pos >= len(r.buf) {
-		return 0, fmt.Errorf("%w: gorilla bitstream truncated", ErrCorrupt)
+// refill tops acc up to at least 57 unread bits, or to every bit left.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.buf) {
+		r.acc |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.n
+		k := (64 - r.n) >> 3 // whole bytes that fit below the unread bits
+		r.pos += int(k)
+		r.n += k << 3
+		return
 	}
-	if r.nbit == 0 {
-		r.nbit = 8
-	}
-	r.nbit--
-	b := uint64(r.buf[r.pos]>>r.nbit) & 1
-	if r.nbit == 0 {
+	for r.n <= 56 && r.pos < len(r.buf) {
+		r.acc |= uint64(r.buf[r.pos]) << (56 - r.n)
 		r.pos++
+		r.n += 8
 	}
-	return b, nil
 }
 
-func (r *bitReader) readBits(n uint8) (uint64, error) {
-	var v uint64
-	for i := uint8(0); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
+// readBits reads k <= 57 bits, reporting false when fewer remain.
+func (r *bitReader) readBits(k uint) (uint64, bool) {
+	if r.n < k {
+		r.refill()
+		if r.n < k {
+			return 0, false
 		}
-		v = v<<1 | b
 	}
-	return v, nil
+	v := r.acc >> (64 - k) // 0 when k is 0
+	r.acc <<= k
+	r.n -= k
+	return v, true
+}
+
+// readWide reads k <= 64 bits.
+func (r *bitReader) readWide(k uint) (uint64, bool) {
+	if k <= 57 {
+		return r.readBits(k)
+	}
+	hi, ok := r.readBits(k - 32)
+	lo, ok2 := r.readBits(32)
+	return hi<<32 | lo, ok && ok2
 }
 
 // AppendGorilla encodes values with the Gorilla XOR scheme, appended
@@ -139,60 +190,73 @@ func AppendGorilla(dst []byte, values []float64) []byte {
 	if len(values) == 0 {
 		return dst
 	}
-	w := &bitWriter{}
+	// The blob holds 64 bits for the first value and at most 13+64 for
+	// each later one. Reserve that bound and the widest varint its
+	// length can need, so dst grows at most once.
+	maxBlob := 8 + (77*(len(values)-1)+7)/8
+	var hdr [binary.MaxVarintLen64]byte
+	hdrMax := binary.PutUvarint(hdr[:], uint64(maxBlob))
+	start := len(dst)
+	dst = slices.Grow(dst, hdrMax+maxBlob+8)
+	out := dst[:start+hdrMax+maxBlob+8]
+	w := bitWriter{buf: out[start+hdrMax:]}
 	prev := math.Float64bits(values[0])
 	w.writeBits(prev, 64)
-	prevLead, prevTrail := uint8(65), uint8(65) // invalid: no window yet
+	prevLead, prevTrail := uint(65), uint(65) // invalid: no window yet
 	for _, v := range values[1:] {
 		cur := math.Float64bits(v)
 		x := cur ^ prev
 		prev = cur
 		if x == 0 {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			continue
 		}
-		lead := uint8(bits.LeadingZeros64(x))
-		trail := uint8(bits.TrailingZeros64(x))
+		lead := uint(bits.LeadingZeros64(x))
+		trail := uint(bits.TrailingZeros64(x))
 		if lead > 31 {
 			lead = 31 // 5-bit field
 		}
 		if prevLead <= 64 && lead >= prevLead && trail >= prevTrail {
 			// Fits in the previous window.
-			w.writeBit(1)
-			w.writeBit(0)
+			w.writeBits(0b10, 2)
 			w.writeBits(x>>prevTrail, 64-prevLead-prevTrail)
 			continue
 		}
 		sig := 64 - lead - trail
-		w.writeBit(1)
-		w.writeBit(1)
-		w.writeBits(uint64(lead), 5)
-		w.writeBits(uint64(sig-1), 6) // 1..64 stored as 0..63
+		w.writeBits(uint64(0b11<<11|lead<<6|(sig-1)), 13) // sig 1..64 stored as 0..63
 		w.writeBits(x>>trail, sig)
 		prevLead, prevTrail = lead, trail
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(w.buf)))
-	return append(dst, w.buf...)
+	blob := w.finish()
+	// Write the blob's real length; when its varint is shorter than
+	// the reserved one, slide the blob down to close the gap.
+	h := binary.PutUvarint(out[start:], uint64(len(blob)))
+	if h < hdrMax {
+		copy(out[start+h:], blob)
+	}
+	return out[:start+h+len(blob)]
 }
 
 // DecodeGorilla decodes a sequence produced by AppendGorilla,
 // returning the values and the number of bytes consumed.
 func DecodeGorilla(src []byte) ([]float64, int, error) {
-	return DecodeGorillaPrefix(src, math.MaxInt)
+	return DecodeGorillaInto(nil, src, math.MaxInt)
 }
 
-// DecodeGorillaPrefix is DecodeGorilla stopped after the first limit
-// values. The XOR chain can only be decoded from its head, so a reader
-// that wants no more than a prefix saves the cost of the tail; the
-// bytes consumed still span the whole sequence.
-func DecodeGorillaPrefix(src []byte, limit int) ([]float64, int, error) {
+var errGorillaTruncated = fmt.Errorf("%w: gorilla bitstream truncated", ErrCorrupt)
+
+// DecodeGorillaInto is DecodeGorilla decoding into dst[:0] and stopped
+// after the first limit values. The XOR chain can only be decoded from
+// its head, so a reader that wants no more than a prefix saves the cost
+// of the tail; the bytes consumed still span the whole sequence.
+func DecodeGorillaInto(dst []float64, src []byte, limit int) ([]float64, int, error) {
 	n, read := binary.Uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: gorilla count", ErrCorrupt)
 	}
 	pos := read
 	if n == 0 {
-		return nil, pos, nil
+		return dst[:0], pos, nil
 	}
 	blobLen, read := binary.Uvarint(src[pos:])
 	if read <= 0 {
@@ -207,59 +271,75 @@ func DecodeGorillaPrefix(src []byte, limit int) ([]float64, int, error) {
 		n = k
 	}
 	if n == 0 {
-		return nil, consumed, nil
+		return dst[:0], consumed, nil
 	}
-	r := &bitReader{buf: src[pos:consumed]}
-	out := make([]float64, n)
-	first, err := r.readBits(64)
-	if err != nil {
+	// The first value costs 64 bits and each later one at least one, so
+	// no more than fit values decode from the blob. Size the column by
+	// that, not by a count a corrupt header may inflate: decoding fit
+	// values and wanting more fails on the bit after the last.
+	blob := src[pos:consumed]
+	fit := uint64(0)
+	if b := 8 * uint64(len(blob)); b >= 64 {
+		fit = b - 63
+	}
+	out := column(dst, int(min(n, fit)))
+	if err := decodeGorilla(out, blob); err != nil {
 		return nil, 0, err
 	}
-	prev := first
-	out[0] = math.Float64frombits(first)
-	var lead, trail uint8
+	if uint64(len(out)) < n {
+		return nil, 0, errGorillaTruncated
+	}
+	return out, consumed, nil
+}
+
+// decodeGorilla fills out with the head of the XOR chain in blob.
+func decodeGorilla(out []float64, blob []byte) error {
+	if len(out) == 0 {
+		return nil
+	}
+	r := bitReader{buf: blob}
+	prev, ok := r.readWide(64)
+	if !ok {
+		return errGorillaTruncated
+	}
+	out[0] = math.Float64frombits(prev)
+	var lead, trail uint
 	windowSet := false
-	for i := uint64(1); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return nil, 0, err
+	for i := 1; i < len(out); i++ {
+		b, ok := r.readBits(1)
+		if !ok {
+			return errGorillaTruncated
 		}
 		if b == 0 {
 			out[i] = math.Float64frombits(prev)
 			continue
 		}
-		b, err = r.readBit()
-		if err != nil {
-			return nil, 0, err
+		if b, ok = r.readBits(1); !ok {
+			return errGorillaTruncated
 		}
 		if b == 1 {
-			l, err := r.readBits(5)
-			if err != nil {
-				return nil, 0, err
+			h, ok := r.readBits(11) // 5-bit lead, 6-bit length - 1
+			if !ok {
+				return errGorillaTruncated
 			}
-			s, err := r.readBits(6)
-			if err != nil {
-				return nil, 0, err
-			}
-			lead = uint8(l)
-			sig := uint8(s) + 1
-			if int(lead)+int(sig) > 64 {
-				return nil, 0, fmt.Errorf("%w: gorilla window %d+%d", ErrCorrupt, lead, sig)
+			lead = uint(h >> 6)
+			sig := uint(h&63) + 1
+			if lead+sig > 64 {
+				return fmt.Errorf("%w: gorilla window %d+%d", ErrCorrupt, lead, sig)
 			}
 			trail = 64 - lead - sig
 			windowSet = true
 		} else if !windowSet {
-			return nil, 0, fmt.Errorf("%w: gorilla reused window before defining one", ErrCorrupt)
+			return fmt.Errorf("%w: gorilla reused window before defining one", ErrCorrupt)
 		}
-		sig := 64 - lead - trail
-		v, err := r.readBits(sig)
-		if err != nil {
-			return nil, 0, err
+		v, ok := r.readWide(64 - lead - trail)
+		if !ok {
+			return errGorillaTruncated
 		}
 		prev ^= v << trail
 		out[i] = math.Float64frombits(prev)
 	}
-	return out, consumed, nil
+	return nil
 }
 
 // --- Plain (float64) ---------------------------------------------------------
@@ -279,15 +359,20 @@ func AppendPlainFloat64(dst []byte, values []float64) []byte {
 // DecodePlainFloat64 decodes a sequence produced by
 // AppendPlainFloat64.
 func DecodePlainFloat64(src []byte) ([]float64, int, error) {
+	return DecodePlainFloat64Into(nil, src)
+}
+
+// DecodePlainFloat64Into is DecodePlainFloat64 decoding into dst[:0].
+func DecodePlainFloat64Into(dst []float64, src []byte) ([]float64, int, error) {
 	n, read := binary.Uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: plain count", ErrCorrupt)
 	}
 	pos := read
-	if len(src)-pos < int(n)*8 {
+	if n > uint64(len(src)-pos)/8 {
 		return nil, 0, fmt.Errorf("%w: plain values truncated", ErrCorrupt)
 	}
-	out := make([]float64, n)
+	out := column(dst, int(n))
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
 		pos += 8

@@ -1,11 +1,14 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dataset"
 )
 
 func TestTS2DiffRoundTrip(t *testing.T) {
@@ -112,7 +115,7 @@ func TestGorillaRoundTrip(t *testing.T) {
 		// Every prefix decodes to the head of the full decode and
 		// still consumes the whole sequence.
 		for limit := -1; limit <= len(c)+1; limit++ {
-			head, n, err := DecodeGorillaPrefix(enc, limit)
+			head, n, err := DecodeGorillaInto(nil, enc, limit)
 			want := got[:min(max(limit, 0), len(got))]
 			if err != nil || n != len(enc) || len(head) != len(want) {
 				t.Fatalf("%v limit %d: %d values, consumed %d, %v", c, limit, len(head), n, err)
@@ -191,6 +194,12 @@ func TestGorillaCorrupt(t *testing.T) {
 	if _, _, err := DecodeGorilla(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("empty input accepted")
 	}
+	// A count the blob's bits cannot hold fails before it sizes a column.
+	huge := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<62), 8)
+	huge = append(huge, 1, 2, 3, 4, 5, 6, 7, 8)
+	if _, _, err := DecodeGorilla(huge); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("count 2^62 over an 8-byte blob: %v", err)
+	}
 }
 
 func TestGorillaCorruptFuzz(t *testing.T) {
@@ -224,25 +233,94 @@ func TestPlainFloat64RoundTrip(t *testing.T) {
 	if _, _, err := DecodePlainFloat64(enc[:5]); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("truncated plain accepted")
 	}
+	// A count whose byte size overflows int is truncation, not a panic.
+	if _, _, err := DecodePlainFloat64(binary.AppendUvarint(nil, 1<<61)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("count 2^61 over no bytes: %v", err)
+	}
 }
 
 func TestBitWriterReader(t *testing.T) {
-	w := &bitWriter{}
+	w := &bitWriter{buf: make([]byte, 16)}
 	w.writeBits(0b101, 3)
 	w.writeBits(0xFFFF, 16)
-	w.writeBit(0)
-	w.writeBit(1)
-	r := &bitReader{buf: w.buf}
+	w.writeBits(0, 1)
+	w.writeBits(1, 1)
+	r := &bitReader{buf: w.finish()}
 	if v, _ := r.readBits(3); v != 0b101 {
 		t.Fatalf("3 bits = %b", v)
 	}
 	if v, _ := r.readBits(16); v != 0xFFFF {
 		t.Fatalf("16 bits = %x", v)
 	}
-	if v, _ := r.readBit(); v != 0 {
+	if v, _ := r.readBits(1); v != 0 {
 		t.Fatal("bit != 0")
 	}
-	if v, _ := r.readBit(); v != 1 {
+	if v, _ := r.readBits(1); v != 1 {
 		t.Fatal("bit != 1")
 	}
+}
+
+// signal is a block of the benchmark ledger's value signal: the
+// dataset's sensor signal rounded to 1/1024.
+func signal(n int) ([]int64, []float64) {
+	times := make([]int64, n)
+	vals := make([]float64, n)
+	for i := range vals {
+		times[i] = int64(i) * 10
+		vals[i] = math.Round(dataset.Signal(int64(i)*100)*1024) / 1024
+	}
+	return times, vals
+}
+
+// TestDecodeIntoAllocs: decoding into a column with enough capacity
+// allocates nothing.
+func TestDecodeIntoAllocs(t *testing.T) {
+	times, vals := signal(4096)
+	tsEnc := AppendTS2Diff(nil, times)
+	gEnc := AppendGorilla(nil, vals)
+	pEnc := AppendPlainFloat64(nil, vals)
+	ts := make([]int64, 0, len(times))
+	vs := make([]float64, 0, len(vals))
+	for name, decode := range map[string]func() error{
+		"ts2diff": func() (err error) { ts, _, err = DecodeTS2DiffInto(ts, tsEnc); return err },
+		"gorilla": func() (err error) { vs, _, err = DecodeGorillaInto(vs, gEnc, len(vals)); return err },
+		"plain":   func() (err error) { vs, _, err = DecodePlainFloat64Into(vs, pEnc); return err },
+	} {
+		var err error
+		if allocs := testing.AllocsPerRun(20, func() { err = decode() }); allocs != 0 || err != nil {
+			t.Fatalf("%s: %v allocations per decode into capacity, err %v", name, allocs, err)
+		}
+	}
+}
+
+func BenchmarkGorillaDecode(b *testing.B) {
+	_, vals := signal(4096)
+	enc := AppendGorilla(nil, vals)
+	out := make([]float64, 0, len(vals))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, _ = DecodeGorillaInto(out, enc, len(vals))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+}
+
+func BenchmarkTS2DiffDecode(b *testing.B) {
+	times, _ := signal(4096)
+	enc := AppendTS2Diff(nil, times)
+	out := make([]int64, 0, len(times))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, _ = DecodeTS2DiffInto(out, enc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(times)), "ns/value")
+}
+
+func BenchmarkGorillaEncode(b *testing.B) {
+	_, vals := signal(4096)
+	var enc []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc = AppendGorilla(enc[:0], vals)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
 }

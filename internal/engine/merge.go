@@ -30,10 +30,19 @@ type blockRef struct {
 	block tsfile.BlockMeta
 }
 
+// blockCols is scratch one file source decodes blocks into: the raw
+// block bytes and the decoded columns, kept for the next block.
+type blockCols struct {
+	buf    []byte
+	times  []int64
+	values []float64
+}
+
 // source is one merge input: sorted column runs whose times strictly
 // increase across runs. times/values hold the current run's records
 // not yet handed out. A file source refills them block by block from
-// pending; a snapshot source has nothing pending.
+// pending, decoding into one of its two scratch sets; a snapshot
+// source has nothing pending.
 type source struct {
 	times  []int64
 	values []float64
@@ -43,6 +52,8 @@ type source struct {
 	pending    []blockRef
 	minT, maxT int64 // a file source's range; minT rises past each yielded run
 	reads      readTally
+	scratch    [2]blockCols
+	cur        int // the scratch set times/values live in
 }
 
 // newFileSource streams fh's blocks of chunks (in index order) that
@@ -70,21 +81,33 @@ func newFileSource(fh *fileHandle, chunks []tsfile.ChunkMeta, minT, maxT int64) 
 // needed, and reports false once the source is exhausted. A decoded
 // block keeps its records in [minT, maxT], the first of each
 // equal-timestamp run, and none at or before the last time this source
-// yielded. Duplicates inside a block or across a block edge exist only
-// in files written before timestamps had to strictly increase; a chunk
-// may still open on its predecessor's last time, which the index
-// allows. The first record always won them (DESIGN §16).
+// yielded. Duplicates inside a block, across a block edge or across a
+// chunk edge exist only in files written before timestamps had to
+// strictly increase; the first record always won them (DESIGN §16).
+//
+// The run the merge last handed out may alias the scratch set the
+// current run lives in, and must stay valid until the merge's next
+// call, so fill decodes into the other set — switching once per call,
+// not once per block: blocks the range empties are decoded over each
+// other in the same set.
 func (s *source) fill() (bool, error) {
+	if len(s.times) > 0 || len(s.pending) == 0 {
+		return len(s.times) > 0, nil
+	}
+	s.cur ^= 1
+	sc := &s.scratch[s.cur]
 	for len(s.times) == 0 {
 		if len(s.pending) == 0 {
 			return false, nil
 		}
 		p := s.pending[0]
 		s.pending = s.pending[1:]
-		ts, vs, err := s.fh.reader.ReadBlockUpTo(*p.chunk, p.block, s.maxT)
+		var err error
+		sc.buf, sc.times, sc.values, err = s.fh.reader.ReadBlockInto(*p.chunk, p.block, s.maxT, sc.buf, sc.times, sc.values)
 		if err != nil {
 			return false, fmt.Errorf("engine: read %s: %w", s.fh.path, err)
 		}
+		ts, vs := sc.times, sc.values
 		s.reads.blocks++
 		s.reads.bytes += p.block.Size
 		i, _ := slices.BinarySearch(ts, s.minT)

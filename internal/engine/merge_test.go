@@ -21,12 +21,9 @@ type mergeCase struct {
 // buildMergeCase turns fuzz bytes into 1–6 newest-first sources over
 // times in [0, 40): snapshot sources (one strictly increasing run) and
 // file sources written to one tsfile — one sensor each, in blocks of
-// 1–4 points, split into two chunks whose edge may repeat a timestamp.
-// With legacy non-nil, a sensor of testdata/v3dup.gtsf, written by a
-// parent writer — "a" with duplicate runs inside blocks, or "b" with
-// one straddling its first block edge — joins at a rank the bytes
-// choose.
-func buildMergeCase(t *testing.T, data []byte, legacy *fileHandle) mergeCase {
+// 1–4 points, split into two chunks. One of the legacy sensors,
+// written by a parent writer, may join at a rank the bytes choose.
+func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 	t.Helper()
 	pos := 0
 	byteAt := func() int {
@@ -57,14 +54,8 @@ func buildMergeCase(t *testing.T, data []byte, legacy *fileHandle) mergeCase {
 		if !isFile[i] {
 			continue
 		}
-		// Two chunks; a second chunk may open on the first's last time.
 		split := 1 + byteAt()%len(run)
 		chunks := [][]TV{run[:split], run[split:]}
-		if split < len(run) && byteAt()%2 == 1 {
-			dup := TV{run[split-1].T, -1 - float64(i)}
-			chunks[1] = append([]TV{dup}, chunks[1]...)
-			c.raw[i] = append(append(append([]TV(nil), run[:split]...), dup), run[split:]...)
-		}
 		bp := 1 + byteAt()%4
 		sensor := string(rune('a' + i))
 		for _, ch := range chunks {
@@ -111,18 +102,20 @@ func buildMergeCase(t *testing.T, data []byte, legacy *fileHandle) mergeCase {
 		}
 		c.srcs = append(c.srcs, s)
 	}
-	if legacy != nil && byteAt()%2 == 1 {
-		sensor := []string{"a", "b"}[byteAt()%2]
+	if len(legacy) > 0 && byteAt()%2 == 1 {
+		l := legacy[byteAt()%len(legacy)]
 		at := byteAt() % (len(c.srcs) + 1)
-		ts, vs, err := legacy.reader.ReadChunk(overlapping(legacy, sensor, 0, 100)[0])
-		if err != nil {
-			t.Fatal(err)
-		}
 		var run []TV
-		for i := range ts {
-			run = append(run, TV{ts[i], vs[i]})
+		for _, m := range overlapping(l.fh, l.sensor, 0, 100) {
+			ts, vs, err := l.fh.reader.ReadChunk(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ts {
+				run = append(run, TV{ts[i], vs[i]})
+			}
 		}
-		src := newFileSource(legacy, overlapping(legacy, sensor, c.minT, c.maxT), c.minT, c.maxT)
+		src := newFileSource(l.fh, overlapping(l.fh, l.sensor, c.minT, c.maxT), c.minT, c.maxT)
 		c.srcs = slices.Insert(c.srcs, at, src)
 		c.raw = slices.Insert(c.raw, at, run)
 	}
@@ -151,7 +144,7 @@ func referenceMerge(raw [][]TV, minT, maxT int64) []TV {
 	return out
 }
 
-func checkRunMerge(t *testing.T, data []byte, legacy *fileHandle) {
+func checkRunMerge(t *testing.T, data []byte, legacy []legacyRun) {
 	c := buildMergeCase(t, data, legacy)
 	m, err := newMerge(c.srcs)
 	if err != nil {
@@ -178,23 +171,43 @@ func checkRunMerge(t *testing.T, data []byte, legacy *fileHandle) {
 	}
 }
 
-// openLegacyFixture opens testdata/v3dup.gtsf, written by the last
-// tsfile writer that accepted equal timestamps.
-func openLegacyFixture(t testing.TB) *fileHandle {
-	path := filepath.Join("..", "tsfile", "testdata", "v3dup.gtsf")
-	r, err := tsfile.Open(path)
-	if err != nil {
-		t.Fatal(err)
+// legacyRun is one sensor of a fixture a parent writer wrote.
+type legacyRun struct {
+	fh     *fileHandle
+	sensor string
+}
+
+// openLegacyFixtures opens the fixtures written by parent tsfile
+// writers: testdata/v3dup.gtsf, from the last writer that accepted
+// equal timestamps ("a" with duplicate runs inside blocks, "b" with one
+// straddling its first block edge), and testdata/v3edge.gtsf, from the
+// last writer that let a chunk open on its predecessor's last time
+// ("c" with two such edges, "d" with three chunks in a row holding
+// only the timestamp the one before ended on).
+func openLegacyFixtures(t testing.TB) []legacyRun {
+	var runs []legacyRun
+	for _, f := range []struct {
+		name    string
+		sensors []string
+	}{{"v3dup.gtsf", []string{"a", "b"}}, {"v3edge.gtsf", []string{"c", "d"}}} {
+		path := filepath.Join("..", "tsfile", "testdata", f.name)
+		r, err := tsfile.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := newFileHandle(path, r, false)
+		t.Cleanup(func() { fh.release() })
+		for _, sensor := range f.sensors {
+			runs = append(runs, legacyRun{fh, sensor})
+		}
 	}
-	fh := newFileHandle(path, r, false)
-	t.Cleanup(func() { fh.release() })
-	return fh
+	return runs
 }
 
 // TestRunMergeMatchesReference is FuzzRunMerge's tier-1 run over
 // seeded random inputs.
 func TestRunMergeMatchesReference(t *testing.T) {
-	legacy := openLegacyFixture(t)
+	legacy := openLegacyFixtures(t)
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 400; i++ {
 		data := make([]byte, rng.Intn(160))
@@ -204,11 +217,11 @@ func TestRunMergeMatchesReference(t *testing.T) {
 }
 
 // FuzzRunMerge checks the run merge against referenceMerge on
-// overlapping and disjoint runs, equal timestamps across ranks, chunk
-// edges that repeat a timestamp, and the parent-written duplicate run
-// straddling a block edge.
+// overlapping and disjoint runs, equal timestamps across ranks, and the
+// parent-written duplicate runs inside a block, straddling a block
+// edge and straddling chunk edges.
 func FuzzRunMerge(f *testing.F) {
-	legacy := openLegacyFixture(f)
+	legacy := openLegacyFixtures(f)
 	f.Add([]byte{0, 43, 5, 0, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 3, 1, 2, 1, 0})
 	f.Add([]byte{2, 30, 3, 1, 6, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 1, 2, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -217,12 +230,16 @@ func FuzzRunMerge(f *testing.F) {
 }
 
 // TestFileSourceRunsStrictlyIncrease drains file sources over the
-// parent-written fixture run by run: across runs, as inside one, times
+// parent-written fixtures run by run: across runs, as inside one, times
 // strictly increase and the first record of each duplicate run is the
-// one kept — also for "b"'s run straddling its first block edge, and
+// one kept — also for "b"'s run straddling its first block edge, for
+// "c" and "d"'s chunks opening on their predecessor's last time, and
 // when the range starts inside a run.
 func TestFileSourceRunsStrictlyIncrease(t *testing.T) {
-	legacy := openLegacyFixture(t)
+	legacy := map[string]*fileHandle{}
+	for _, l := range openLegacyFixtures(t) {
+		legacy[l.sensor] = l.fh
+	}
 	for _, c := range []struct {
 		sensor     string
 		minT, maxT int64
@@ -231,8 +248,12 @@ func TestFileSourceRunsStrictlyIncrease(t *testing.T) {
 		{"a", 0, 100, []TV{{0, 100}, {1, 101}, {2, 102}, {3, 103}, {4, 106}, {5, 107}, {6, 108}, {7, 110}, {8, 111}, {9, 112}, {10, 113}, {11, 114}}},
 		{"b", 0, 100, []TV{{0, 200}, {2, 201}, {4, 202}, {6, 203}, {8, 206}, {10, 207}, {12, 208}, {14, 209}, {16, 210}, {18, 211}}},
 		{"b", 6, 12, []TV{{6, 203}, {8, 206}, {10, 207}, {12, 208}}},
+		{"c", 0, 100, []TV{{0, 300}, {2, 301}, {4, 302}, {6, 303}, {8, 304}, {10, 306}, {12, 307}, {14, 308}, {16, 310}}},
+		{"c", 8, 14, []TV{{8, 304}, {10, 306}, {12, 307}, {14, 308}}},
+		{"d", 0, 100, []TV{{5, 400}, {7, 404}}},
 	} {
-		s := newFileSource(legacy, overlapping(legacy, c.sensor, c.minT, c.maxT), c.minT, c.maxT)
+		fh := legacy[c.sensor]
+		s := newFileSource(fh, overlapping(fh, c.sensor, c.minT, c.maxT), c.minT, c.maxT)
 		var got []TV
 		for {
 			ok, err := s.fill()

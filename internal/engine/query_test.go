@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,6 +77,47 @@ func TestStatsSnapshotIndependentOfQueries(t *testing.T) {
 	after := e.Stats()
 	if after.FlushCount != before.FlushCount || after.SeqPoints != before.SeqPoints {
 		t.Fatalf("queries mutated write stats: %+v vs %+v", before, after)
+	}
+}
+
+// TestFileSourceAllocsIndependentOfBlocks: a file source decodes its
+// blocks into two scratch sets it reuses, so a Query's allocations do
+// not grow by a fixed count per block decoded. Over one compacted file,
+// a sensor of 32 blocks costs fewer extra allocations than it has extra
+// blocks over a sensor of 4; the result column's growth is the rest.
+func TestFileSourceAllocsIndependentOfBlocks(t *testing.T) {
+	e := openTest(t, Config{MemTableSize: 1 << 20, blockPoints: 64})
+	sensors := map[string]int{"few": 4, "many": 32}
+	for sensor, blocks := range sensors {
+		for ts := int64(0); ts < int64(blocks*64); ts++ {
+			if err := e.Insert(sensor, ts, float64(ts%7)/4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.Flush()
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if e.FileCount() != 1 {
+		t.Fatalf("store holds %d files, want 1", e.FileCount())
+	}
+	allocs := map[string]float64{}
+	for sensor, blocks := range sensors {
+		before := e.Stats().BlocksDecoded
+		var err error
+		allocs[sensor] = testing.AllocsPerRun(10, func() {
+			_, err = e.Query(sensor, math.MinInt64, math.MaxInt64)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (e.Stats().BlocksDecoded - before) / 11; got != int64(blocks) {
+			t.Fatalf("%s: a query decodes %d blocks, want %d", sensor, got, blocks)
+		}
+	}
+	if extra := allocs["many"] - allocs["few"]; extra >= 32-4 {
+		t.Fatalf("28 more blocks cost %v more allocations (%v vs %v)", extra, allocs["many"], allocs["few"])
 	}
 }
 

@@ -204,10 +204,12 @@ func TestAppendEncodedRejectsOutOfOrderSensorChunks(t *testing.T) {
 	if err := w.WriteChunk("s", []int64{15, 25}, []float64{3, 4}); err == nil {
 		t.Fatal("overlapping same-sensor chunk accepted")
 	}
-	// Touching at the boundary is allowed (nondecreasing, like the
-	// chunks a flush splits).
-	if err := w.WriteChunk("s", []int64{20, 30}, []float64{5, 6}); err != nil {
-		t.Fatalf("boundary-touching chunk rejected: %v", err)
+	// Touching at the boundary repeats a timestamp: refused too.
+	if err := w.WriteChunk("s", []int64{20, 30}, []float64{5, 6}); err == nil {
+		t.Fatal("boundary-touching same-sensor chunk accepted")
+	}
+	if err := w.WriteChunk("s", []int64{21, 30}, []float64{5, 6}); err != nil {
+		t.Fatalf("chunk after the previous max rejected: %v", err)
 	}
 	// Other sensors are independent.
 	if err := w.WriteChunk("other", []int64{1}, []float64{1}); err != nil {

@@ -52,7 +52,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/encoding"
 	"repro/internal/faultfs"
@@ -288,11 +288,11 @@ func (w *Writer) AppendEncoded(enc *EncodedChunk) error {
 		return errors.New("tsfile: AppendEncoded during an open streaming chunk")
 	}
 	meta := enc.Meta
-	// Same-sensor chunks must land in nondecreasing time order: the
-	// engine's streaming merge returns their concatenation as "sorted"
-	// without re-checking.
-	if last, ok := w.lastMax[meta.Sensor]; ok && meta.MinTime < last {
-		return fmt.Errorf("tsfile: chunk for %q out of time order: min %d after previous max %d",
+	// Same-sensor chunks must land in strictly increasing time order,
+	// like the records inside a chunk: the engine's merge hands their
+	// runs out without re-checking across chunk edges.
+	if last, ok := w.lastMax[meta.Sensor]; ok && meta.MinTime <= last {
+		return fmt.Errorf("tsfile: chunk for %q out of time order: min %d not after previous max %d",
 			meta.Sensor, meta.MinTime, last)
 	}
 	w.lastMax[meta.Sensor] = meta.MaxTime
@@ -349,9 +349,9 @@ func (w *Writer) BeginChunk(sensor string) error {
 }
 
 // AppendBlock appends one block to the streaming chunk. times must be
-// strictly increasing, start after the previous block's max time, and
-// (across chunks of the same sensor) respect the file's nondecreasing
-// chunk order.
+// strictly increasing and start after the previous block's max time —
+// for a chunk's first block, after the max time of the sensor's
+// previous chunk in the file.
 func (w *Writer) AppendBlock(times []int64, values []float64) error {
 	c := w.cur
 	if c == nil {
@@ -361,8 +361,8 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 		return err
 	}
 	if len(c.blocks) == 0 {
-		if last, ok := w.lastMax[c.sensor]; ok && times[0] < last {
-			return fmt.Errorf("tsfile: chunk for %q out of time order: min %d after previous max %d",
+		if last, ok := w.lastMax[c.sensor]; ok && times[0] <= last {
+			return fmt.Errorf("tsfile: chunk for %q out of time order: min %d not after previous max %d",
 				c.sensor, times[0], last)
 		}
 	} else if prev := c.blocks[len(c.blocks)-1]; times[0] <= prev.MaxTime {
@@ -644,8 +644,10 @@ func (r *Reader) loadIndex() error {
 			return fmt.Errorf("%w: index entry %d: min time %d > max time %d",
 				ErrCorrupt, i, m.MinTime, m.MaxTime)
 		}
-		// The engine's streaming merge relies on a sensor's chunks being
-		// indexed in nondecreasing time order.
+		// The engine's merge relies on a sensor's chunks being indexed
+		// in time order. The writer refuses a chunk opening on its
+		// predecessor's last time, but files written before it did may
+		// hold one, so an equal edge still opens.
 		if last, ok := lastMax[m.Sensor]; ok && m.MinTime < last {
 			return fmt.Errorf("%w: index entry %d: chunks for %q out of time order (%d after %d)",
 				ErrCorrupt, i, m.Sensor, m.MinTime, last)
@@ -798,38 +800,55 @@ func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, err
 // touches; this keeps it from paying for the part of the block past
 // its range. The whole block is still read and CRC-checked.
 func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64, []float64, error) {
+	_, times, values, err := r.ReadBlockInto(meta, b, maxT, nil, nil, nil)
+	return times, values, err
+}
+
+// ReadBlockInto is ReadBlockUpTo reading into caller scratch: the raw
+// block into buf, the decoded columns into times and values, each from
+// [:0] and reallocated only when its capacity is short. It returns the
+// three, so a caller keeps whatever grew for its next block.
+func (r *Reader) ReadBlockInto(meta ChunkMeta, b BlockMeta, maxT int64, buf []byte, times []int64, values []float64) ([]byte, []int64, []float64, error) {
 	// A v2 chunk's CRC also covers its name header.
 	start := b.Offset
 	if r.version == 2 {
 		start = meta.Offset
 	}
-	buf := make([]byte, b.Offset+b.Size-start)
+	if n := int(b.Offset + b.Size - start); cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
+	}
 	if _, err := r.f.ReadAt(buf, start); err != nil {
-		return nil, nil, fmt.Errorf("%w: block read: %v", ErrCorrupt, err)
+		return nil, nil, nil, fmt.Errorf("%w: block read: %v", ErrCorrupt, err)
 	}
 	payload := buf[:len(buf)-4]
 	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, nil, fmt.Errorf("%w: block crc mismatch: %08x != %08x", ErrCorrupt, got, want)
+		return nil, nil, nil, fmt.Errorf("%w: block crc mismatch: %08x != %08x", ErrCorrupt, got, want)
 	}
 	payload = payload[b.Offset-start:]
-	times, consumed, err := encoding.DecodeTS2Diff(payload)
+	times, consumed, err := encoding.DecodeTS2DiffInto(times, payload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: block timestamps: %v", ErrCorrupt, err)
+		return nil, nil, nil, fmt.Errorf("%w: block timestamps: %v", ErrCorrupt, err)
 	}
 	if len(times) != b.Count {
-		return nil, nil, fmt.Errorf("%w: block count %d, index says %d", ErrCorrupt, len(times), b.Count)
+		return nil, nil, nil, fmt.Errorf("%w: block count %d, index says %d", ErrCorrupt, len(times), b.Count)
 	}
-	// A block's times are nondecreasing (enforced at write time).
-	times = times[:sort.Search(len(times), func(i int) bool { return times[i] > maxT })]
-	values, _, err := encoding.DecodeGorillaPrefix(payload[consumed:], len(times))
+	// A block's times ascend (with ties only in files written before
+	// the writer refused them); keep those up to maxT.
+	if maxT < math.MaxInt64 {
+		i, _ := slices.BinarySearch(times, maxT+1)
+		times = times[:i]
+	}
+	values, _, err = encoding.DecodeGorillaInto(values, payload[consumed:], len(times))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: block values: %v", ErrCorrupt, err)
+		return nil, nil, nil, fmt.Errorf("%w: block values: %v", ErrCorrupt, err)
 	}
 	if len(values) != len(times) {
-		return nil, nil, fmt.Errorf("%w: block has %d values for %d of %d timestamps", ErrCorrupt, len(values), len(times), b.Count)
+		return nil, nil, nil, fmt.Errorf("%w: block has %d values for %d of %d timestamps", ErrCorrupt, len(values), len(times), b.Count)
 	}
-	return times, values, nil
+	return buf, times, values, nil
 }
 
 // VerifyChunk checks the name header at the start of a chunk against
@@ -860,20 +879,26 @@ func (r *Reader) VerifyChunk(meta ChunkMeta) error {
 }
 
 // ReadChunk decodes the whole chunk at meta, verifying its name header
-// and every block's CRC.
+// and every block's CRC. Each block decodes straight into its place in
+// the result columns.
 func (r *Reader) ReadChunk(meta ChunkMeta) ([]int64, []float64, error) {
 	if err := r.VerifyChunk(meta); err != nil {
 		return nil, nil, err
 	}
-	times := make([]int64, 0, meta.Count)
-	values := make([]float64, 0, meta.Count)
+	// The index's block counts sum to meta.Count, and each block must
+	// decode to its count, so every block fits where it lands.
+	times := make([]int64, meta.Count)
+	values := make([]float64, meta.Count)
+	var buf []byte
+	n := 0
 	for _, b := range meta.Blocks {
-		ts, vs, err := r.ReadBlock(meta, b)
+		var ts []int64
+		var err error
+		buf, ts, _, err = r.ReadBlockInto(meta, b, math.MaxInt64, buf, times[n:n], values[n:n])
 		if err != nil {
 			return nil, nil, err
 		}
-		times = append(times, ts...)
-		values = append(values, vs...)
+		n += len(ts)
 	}
 	return times, values, nil
 }

@@ -339,9 +339,44 @@ func TestV3ParentDuplicatesReadable(t *testing.T) {
 	}
 }
 
+// TestV3ParentChunkEdgesReadable opens testdata/v3edge.gtsf, written
+// by the last writer that let a chunk open on its predecessor's last
+// time: "c" in chunks {0 2 4 | 6 8} {8 10 12 | 14} {14 16}
+// (v = 300 + i) and "d" in chunks {5} {5} {5} {5 7} (v = 400 + i). The
+// index still accepts such edges, and every chunk reads back as
+// written.
+func TestV3ParentChunkEdgesReadable(t *testing.T) {
+	r, err := Open(filepath.Join("testdata", "v3edge.gtsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want := map[string][]int64{"c": {0, 2, 4, 6, 8, 8, 10, 12, 14, 14, 16}, "d": {5, 5, 5, 5, 7}}
+	base := map[string]float64{"c": 300, "d": 400}
+	got := map[string][]int64{}
+	for _, m := range r.Index() {
+		ts, vs, err := r.ReadChunk(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vs {
+			if want := base[m.Sensor] + float64(len(got[m.Sensor])+i); v != want {
+				t.Fatalf("%s: value %v, want %v", m.Sensor, v, want)
+			}
+		}
+		got[m.Sensor] = append(got[m.Sensor], ts...)
+	}
+	for sensor, w := range want {
+		if !slices.Equal(got[sensor], w) {
+			t.Fatalf("%s: times %v, want %v", sensor, got[sensor], w)
+		}
+	}
+}
+
 // TestWriterRefusesEqualTimestamps: every write path refuses a
-// timestamp equal to the one before it, inside a chunk and across a
-// streamed block boundary.
+// timestamp equal to the one before it, inside a chunk, across a
+// streamed block boundary, and across the edge between a sensor's
+// chunks, whether the next chunk arrives encoded or streamed.
 func TestWriterRefusesEqualTimestamps(t *testing.T) {
 	if _, err := EncodeChunkBlocks("s", []int64{1, 2, 2, 3}, []float64{1, 2, 3, 4}, 2); err == nil {
 		t.Fatal("EncodeChunkBlocks accepted an equal timestamp")
@@ -370,6 +405,25 @@ func TestWriterRefusesEqualTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.EndChunk(); err != nil {
+		t.Fatal(err)
+	}
+	// The chunk edge: "s" last wrote t = 4.
+	if err := w.WriteChunk("s", []int64{4, 5}, []float64{1, 2}); err == nil {
+		t.Fatal("WriteChunk accepted a chunk opening on its predecessor's last time")
+	}
+	if err := w.BeginChunk("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBlock([]int64{4, 5}, []float64{1, 2}); err == nil {
+		t.Fatal("AppendBlock accepted a chunk opening on its predecessor's last time")
+	}
+	if err := w.AppendBlock([]int64{5, 6}, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EndChunk(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteChunk("s", []int64{7}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 }
