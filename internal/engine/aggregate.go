@@ -11,11 +11,11 @@
 // file rather than materializing everything before sorting.
 //
 // AggregateWindows additionally prunes: a chunk — or an individual
-// block of it — whose index entry carries value statistics is
-// answered from those statistics, without decoding, when
-// the stats provably equal its contribution to the deduplicated
-// stream. The condition (checked per candidate span in
-// buildAggPlan/spanEligible) is:
+// block of it — is answered from the value statistics its index entry
+// carries, without decoding, when the stats provably equal its
+// contribution to the deduplicated stream. Every served file is strict
+// (Open upgrades the rest), so every chunk and block has statistics.
+// The condition (checked per candidate span in buildAggPlan) is:
 //
 //  1. the span's time range lies entirely inside the query range and
 //     inside a single window bucket, so every one of its points lands
@@ -27,12 +27,7 @@
 //     source could shadow the span's points; overlap from an *older*
 //     source could itself be shadowed; either way the per-point
 //     outcome differs from the raw statistics, so any overlap
-//     disqualifies;
-//  3. the span has statistics at all. The writer records them for
-//     every chunk and block; only a file written before timestamps had
-//     to strictly increase holds chunks/blocks with internal duplicate
-//     timestamps, stored without statistics because dedup would drop
-//     points the statistics counted. Compact rewrites such files.
+//     disqualifies.
 //
 // Block granularity is what makes the pushdown useful on windows much
 // smaller than a chunk: a 100k-point chunk whose blocks each span one
@@ -161,7 +156,7 @@ type statsContrib struct {
 // the newest write wins, exactly as in Query.
 //
 // Chunks whose statistics provably equal their contribution to the
-// deduplicated stream (see statsEligible) are answered from the index
+// deduplicated stream (see buildAggPlan) are answered from the index
 // without decoding; everything else streams through the same merge
 // Query uses, so memory stays O(windows) + one block per file.
 func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
@@ -303,7 +298,7 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 			ownSpan := func(si int) bool {
 				return spans[si].chunkID == id
 			}
-			if m.Stats != nil && inOneWindow(m.MinTime, m.MaxTime) && shadowFree(m.MinTime, m.MaxTime, ownSpan) {
+			if inOneWindow(m.MinTime, m.MaxTime) && shadowFree(m.MinTime, m.MaxTime, ownSpan) {
 				contribs = append(contribs, statsContrib{m.MinTime, m.Count, m.Stats})
 				e.chunksFromStats.Add(1)
 				e.pointsSkipped.Add(int64(m.Count))
@@ -318,7 +313,7 @@ func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, win
 				if b.MaxTime >= startT && b.MinTime <= maxT {
 					self := si
 					si++
-					if b.Stats != nil && inOneWindow(b.MinTime, b.MaxTime) &&
+					if inOneWindow(b.MinTime, b.MaxTime) &&
 						shadowFree(b.MinTime, b.MaxTime, func(i int) bool { return i == self }) {
 						contribs = append(contribs, statsContrib{b.MinTime, b.Count, b.Stats})
 						e.blocksFromStats.Add(1)

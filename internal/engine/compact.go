@@ -10,9 +10,8 @@
 //     partition (the LSM-side complement of the separation policy —
 //     the paper's companion study "Separation or Not", ICDE 2022:
 //     out-of-order data parked in unsequence files is eventually
-//     folded back so reads stop paying a merge penalty). Legacy v2
-//     files are upgraded to the block-indexed layout. Open uses it to
-//     fold a flat-layout store into partitions.
+//     folded back so reads stop paying a merge penalty). Open uses it
+//     to fold a flat-layout store into partitions.
 //   - maybeCompact rides the flush path (outside the paper profile):
 //     when a partition's L0 file count or a level's total size crosses
 //     its bound, a bounded pass merges an oldest-first prefix of that
@@ -32,7 +31,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"repro/internal/tsfile"
@@ -347,7 +345,7 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 	outLevel := level + 1
 	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", part), fmt.Sprintf("L%d", outLevel),
 		fmt.Sprintf("seq-%06d.gtsf", seq))
-	err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
+	err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
 		return mergeInto(w, inputs, math.MinInt64, math.MaxInt64)
 	})
 	if err != nil {
@@ -397,21 +395,13 @@ func (e *Engine) maybeCompact() {
 	}
 }
 
-// upToDate reports whether fh is already what Compact writes: a v3
-// partition file whose chunks all carry statistics (a v3 chunk lacks
-// them only when an older writer stored duplicate timestamps in it).
-func upToDate(fh *fileHandle) bool {
-	return fh.legacyParts == nil && fh.reader.Version() >= 3 &&
-		!slices.ContainsFunc(fh.index, func(m tsfile.ChunkMeta) bool { return m.Stats == nil })
-}
-
 // Compact folds the whole store: every partition's files fold into
 // one terminal-level (DefaultMaxLevel) file per partition, and legacy
 // root-level files are migrated — each one's points are split at
 // partition boundaries and folded into the partitions they belong to.
-// v2 inputs come out as v3, the legacy upgrade path, and chunks with
-// duplicate timestamps come out strictly increasing. Partitions
-// already reduced to a single up-to-date file are left alone.
+// A partition already reduced to one file is left alone: every file
+// the engine serves is strict (Open upgrades the rest), so rewriting
+// it alone would change nothing.
 // Newest-wins semantics for rewritten timestamps are preserved, and
 // queries that snapshotted the old files keep reading them through
 // their reference counts even after the files are unlinked. As a
@@ -475,7 +465,7 @@ func (e *Engine) Compact() error {
 				inputs = append(inputs, fh)
 			}
 		}
-		if len(inputs) == 1 && upToDate(inputs[0]) {
+		if len(inputs) == 1 && inputs[0].legacyParts == nil {
 			continue
 		}
 		e.mu.Lock()
@@ -484,7 +474,7 @@ func (e *Engine) Compact() error {
 		e.mu.Unlock()
 		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.maxLevel),
 			fmt.Sprintf("seq-%06d.gtsf", seq))
-		err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
+		err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
 			return mergeInto(w, inputs, lo, hi)
 		})
 		if err != nil {

@@ -327,7 +327,9 @@ func (h *fileHandle) release() error {
 // Open creates or opens an engine over cfg.Dir. Flushed files from a
 // previous run are recovered: their indexes are loaded, the separation
 // watermarks restored from the sequence files, and their data becomes
-// queryable again. Chunk files a flat-layout store left at the root are
+// queryable again. A file an older writer left not strict is upgraded
+// in place first (openStrict), so every file the engine serves is
+// strict. Chunk files a flat-layout store left at the root are then
 // folded into partitions once, before WAL replay. (Without the WAL,
 // unflushed memtable contents are lost on crash — as in an IoTDB
 // deployment without its write-ahead log, which the paper's
@@ -577,37 +579,42 @@ func (e *Engine) quarantine(path string) error {
 
 // recoverChunkDir loads the chunk files of one directory. Leftover
 // flush temporaries (crash before the publishing rename) and chunk
-// files that fail header/footer/index validation (a root-level file:
-// any read) are quarantined rather than served or fatal: a crash
-// mid-publication must never leave the directory unopenable, and a
-// torn file must never answer a query. Handles are returned in
-// directory (lexicographic) order.
+// files that fail header/footer/index validation (a root-level file or
+// one Open upgrades: any read) are quarantined rather than served or
+// fatal: a crash mid-publication must never leave the directory
+// unopenable, and a torn file must never answer a query. Handles are
+// returned in directory (lexicographic) order.
 func (e *Engine) recoverChunkDir(dir string, part int64, level int) ([]*fileHandle, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []*fileHandle
+	// Temporaries go first: an upgrade below publishes through one.
+	var names []string
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() {
 			continue
 		}
 		if strings.HasSuffix(name, ".gtsf.tmp") {
-			// A flush or compaction died between Create and the
+			// A flush, compaction or upgrade died between Create and the
 			// publishing rename. The WAL still covers any unflushed
-			// generation; the partial file is garbage.
+			// generation, and an upgrade's input is still in place; the
+			// partial file is garbage.
 			if err := e.quarantine(filepath.Join(dir, name)); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		unseq, ok := chunkFileKind(name)
-		if !ok {
-			continue
+		if _, ok := chunkFileKind(name); ok {
+			names = append(names, name)
 		}
+	}
+	var out []*fileHandle
+	for _, name := range names {
+		unseq, _ := chunkFileKind(name)
 		path := filepath.Join(dir, name)
-		r, err := tsfile.Open(path)
+		r, err := e.openStrict(path)
 		var legacyParts map[int64]bool
 		if err == nil && dir == e.cfg.Dir {
 			// Open folds a root file into the partitions its points
@@ -639,6 +646,26 @@ func (e *Engine) recoverChunkDir(dir string, part int64, level int) ([]*fileHand
 		out = append(out, fh)
 	}
 	return out, nil
+}
+
+// openStrict opens the chunk file at path, first upgrading it in place
+// when an older writer left it not strict (tsfile.Upgrade): the
+// upgraded file answers what the old one did. It replaces the old file
+// under the same name, because the name is the file's newest-wins
+// rank; the publishing rename is atomic, so a crash leaves one or the
+// other. Reading the old file reads every block, so a bad one fails
+// with tsfile.ErrCorrupt before anything is replaced.
+func (e *Engine) openStrict(path string) (*tsfile.Reader, error) {
+	r, err := tsfile.Open(path)
+	if err != nil || r.Strict() {
+		return r, err
+	}
+	err = e.writeChunkFile(path, true, func(w *tsfile.Writer) error { return tsfile.Upgrade(r, w) })
+	r.Close()
+	if err != nil {
+		return nil, fmt.Errorf("engine: upgrade %s: %w", filepath.Base(path), err)
+	}
+	return tsfile.Open(path)
 }
 
 // chunkFileKind reports whether name is a published chunk file
@@ -946,8 +973,11 @@ func (e *Engine) partitionBounds(p int64) (lo, hi int64) {
 // rename into place only once complete — and, under a durable sync
 // policy, fsync the file before the rename and the directory after. A
 // crash at any point leaves either no file or a .tmp that recovery
-// quarantines, never a torn file at a servable name.
-func (e *Engine) writeChunkFile(path string, write func(w *tsfile.Writer) error) error {
+// quarantines, never a torn file at a servable name. When a directory
+// fsync fails, a new file is removed again, but one that replaced
+// another file at path (replace) is the only copy of its data and
+// stays.
+func (e *Engine) writeChunkFile(path string, replace bool, write func(w *tsfile.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := e.fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("engine: flush mkdir %s: %w", dir, err)
@@ -973,15 +1003,15 @@ func (e *Engine) writeChunkFile(path string, write func(w *tsfile.Writer) error)
 		return fmt.Errorf("engine: flush publish %s: %w", path, err)
 	}
 	if e.walDurable {
-		if err := e.fs.SyncDir(dir); err != nil {
-			e.fs.Remove(path)
-			return fmt.Errorf("engine: flush publish sync %s: %w", dir, err)
-		}
 		// The partition/level directories may be new; their own
 		// durability hangs off the root directory entry.
-		if err := e.fs.SyncDir(e.cfg.Dir); err != nil {
-			e.fs.Remove(path)
-			return fmt.Errorf("engine: flush publish sync %s: %w", e.cfg.Dir, err)
+		for _, d := range []string{dir, e.cfg.Dir} {
+			if err := e.fs.SyncDir(d); err != nil {
+				if !replace {
+					e.fs.Remove(path)
+				}
+				return fmt.Errorf("engine: flush publish sync %s: %w", d, err)
+			}
 		}
 	}
 	return nil
@@ -1086,7 +1116,7 @@ func (e *Engine) drain(unit *flushUnit) {
 			e.mu.Unlock()
 			path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), "L0",
 				fmt.Sprintf("%s-%06d.gtsf", part.kind, seq))
-			err := e.writeChunkFile(path, func(w *tsfile.Writer) error {
+			err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
 				for _, enc := range perPart[p] {
 					if err := w.AppendEncoded(enc); err != nil {
 						return err

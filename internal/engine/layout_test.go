@@ -62,7 +62,7 @@ func plantFlatStore(t *testing.T, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	copyGoldenV2(t, filepath.Join(dir, "seq-000001.gtsf"))
+	plantFixture(t, "v2.gtsf", filepath.Join(dir, "seq-000001.gtsf"))
 	writeRuns(t, filepath.Join(dir, "seq-000002.gtsf"),
 		chunkRun{"far", []int64{0, 1 << 62}, func(x int64) float64 { return 1 }},
 		chunkRun{"s", span(400, 600), func(x int64) float64 { return float64(x) * 0.5 }},
@@ -153,11 +153,7 @@ func TestFoldFlatStoreAtOpen(t *testing.T) {
 			}
 			defer func() { e.Close() }()
 			checkFolded(t, dir)
-			for _, v := range fileVersions(t, dir) {
-				if v != 3 {
-					t.Fatalf("folded store holds a v%d file", v)
-				}
-			}
+			checkStrictlyIncreasing(t, dir)
 			if got := e.Stats().PartitionsActive; got != tc.parts {
 				t.Fatalf("PartitionsActive = %d, want %d", got, tc.parts)
 			}

@@ -12,7 +12,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/tsfile"
@@ -42,7 +41,10 @@ type blockCols struct {
 // increase across runs. times/values hold the current run's records
 // not yet handed out. A file source refills them block by block from
 // pending, decoding into one of its two scratch sets; a snapshot
-// source has nothing pending.
+// source has nothing pending. A file source reads strict files only
+// (tsfile.Reader.Strict, which Open establishes for every file it
+// serves): their blocks' times strictly increase inside and across
+// blocks and chunks, which the reader checks as it decodes.
 type source struct {
 	times  []int64
 	values []float64
@@ -50,7 +52,7 @@ type source struct {
 
 	fh         *fileHandle
 	pending    []blockRef
-	minT, maxT int64 // a file source's range; minT rises past each yielded run
+	minT, maxT int64 // a file source's range
 	reads      readTally
 	scratch    [2]blockCols
 	cur        int // the scratch set times/values live in
@@ -79,11 +81,7 @@ func newFileSource(fh *fileHandle, chunks []tsfile.ChunkMeta, minT, maxT int64) 
 
 // fill makes the current run non-empty, decoding pending blocks as
 // needed, and reports false once the source is exhausted. A decoded
-// block keeps its records in [minT, maxT], the first of each
-// equal-timestamp run, and none at or before the last time this source
-// yielded. Duplicates inside a block, across a block edge or across a
-// chunk edge exist only in files written before timestamps had to
-// strictly increase; the first record always won them (DESIGN §16).
+// block keeps its records in [minT, maxT].
 //
 // The run the merge last handed out may alias the scratch set the
 // current run lives in, and must stay valid until the merge's next
@@ -107,27 +105,10 @@ func (s *source) fill() (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("engine: read %s: %w", s.fh.path, err)
 		}
-		ts, vs := sc.times, sc.values
 		s.reads.blocks++
 		s.reads.bytes += p.block.Size
-		i, _ := slices.BinarySearch(ts, s.minT)
-		ts, vs = ts[i:], vs[i:]
-		n := 0
-		for j, t := range ts {
-			if j == 0 || t != ts[j-1] {
-				ts[n], vs[n] = t, vs[j]
-				n++
-			}
-		}
-		s.times, s.values = ts[:n], vs[:n]
-		if n == 0 {
-			continue
-		}
-		if last := ts[n-1]; last < math.MaxInt64 {
-			s.minT = last + 1
-		} else {
-			s.pending = nil
-		}
+		i, _ := slices.BinarySearch(sc.times, s.minT)
+		s.times, s.values = sc.times[i:], sc.values[i:]
 	}
 	return true, nil
 }

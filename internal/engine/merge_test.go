@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -21,8 +22,8 @@ type mergeCase struct {
 // buildMergeCase turns fuzz bytes into 1–6 newest-first sources over
 // times in [0, 40): snapshot sources (one strictly increasing run) and
 // file sources written to one tsfile — one sensor each, in blocks of
-// 1–4 points, split into two chunks. One of the legacy sensors,
-// written by a parent writer, may join at a rank the bytes choose.
+// 1–4 points, split into two chunks. One of the legacy sensors — a
+// parent writer's, upgraded — may join at a rank the bytes choose.
 func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 	t.Helper()
 	pos := 0
@@ -171,36 +172,48 @@ func checkRunMerge(t *testing.T, data []byte, legacy []legacyRun) {
 	}
 }
 
-// legacyRun is one sensor of a fixture a parent writer wrote.
+// legacyRun is one sensor of an upgraded fixture a parent writer wrote.
 type legacyRun struct {
 	fh     *fileHandle
 	sensor string
 }
 
-// openLegacyFixtures opens the fixtures written by parent tsfile
-// writers: testdata/v3dup.gtsf, from the last writer that accepted
-// equal timestamps ("a" with duplicate runs inside blocks, "b" with one
-// straddling its first block edge), and testdata/v3edge.gtsf, from the
-// last writer that let a chunk open on its predecessor's last time
-// ("c" with two such edges, "d" with three chunks in a row holding
-// only the timestamp the one before ended on).
+// openLegacyFixtures opens upgraded copies (tsfile.Upgrade) of the
+// fixtures parent tsfile writers left, described at parentAnswers:
+// file sources read strict files only.
 func openLegacyFixtures(t testing.TB) []legacyRun {
 	var runs []legacyRun
-	for _, f := range []struct {
-		name    string
-		sensors []string
-	}{{"v3dup.gtsf", []string{"a", "b"}}, {"v3edge.gtsf", []string{"c", "d"}}} {
-		path := filepath.Join("..", "tsfile", "testdata", f.name)
+	for name, sensors := range parentAnswers {
+		old, err := tsfile.Open(filepath.Join("..", "tsfile", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		w, err := tsfile.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tsfile.Upgrade(old, w)
+		old.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 		r, err := tsfile.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fh := newFileHandle(path, r, false)
 		t.Cleanup(func() { fh.release() })
-		for _, sensor := range f.sensors {
+		for sensor := range sensors {
 			runs = append(runs, legacyRun{fh, sensor})
 		}
 	}
+	slices.SortFunc(runs, func(a, b legacyRun) int {
+		return cmp.Or(cmp.Compare(filepath.Base(a.fh.path), filepath.Base(b.fh.path)), cmp.Compare(a.sensor, b.sensor))
+	})
 	return runs
 }
 
@@ -217,9 +230,8 @@ func TestRunMergeMatchesReference(t *testing.T) {
 }
 
 // FuzzRunMerge checks the run merge against referenceMerge on
-// overlapping and disjoint runs, equal timestamps across ranks, and the
-// parent-written duplicate runs inside a block, straddling a block
-// edge and straddling chunk edges.
+// overlapping and disjoint runs, equal timestamps across ranks, and
+// runs drawn from the upgraded copies of the parent-written fixtures.
 func FuzzRunMerge(f *testing.F) {
 	legacy := openLegacyFixtures(f)
 	f.Add([]byte{0, 43, 5, 0, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 3, 1, 2, 1, 0})
@@ -230,46 +242,40 @@ func FuzzRunMerge(f *testing.F) {
 }
 
 // TestFileSourceRunsStrictlyIncrease drains file sources over the
-// parent-written fixtures run by run: across runs, as inside one, times
-// strictly increase and the first record of each duplicate run is the
-// one kept — also for "b"'s run straddling its first block edge, for
-// "c" and "d"'s chunks opening on their predecessor's last time, and
-// when the range starts inside a run.
+// upgraded fixtures run by run, over their whole range and over ranges
+// starting or ending inside them: across runs, as inside one, times
+// strictly increase, and the records are parentAnswers' — the first of
+// each equal-timestamp run the parent writers left, also for "b"'s run
+// straddling its first block edge and for "c" and "d"'s chunks opening
+// on their predecessor's last time.
 func TestFileSourceRunsStrictlyIncrease(t *testing.T) {
-	legacy := map[string]*fileHandle{}
 	for _, l := range openLegacyFixtures(t) {
-		legacy[l.sensor] = l.fh
-	}
-	for _, c := range []struct {
-		sensor     string
-		minT, maxT int64
-		want       []TV
-	}{
-		{"a", 0, 100, []TV{{0, 100}, {1, 101}, {2, 102}, {3, 103}, {4, 106}, {5, 107}, {6, 108}, {7, 110}, {8, 111}, {9, 112}, {10, 113}, {11, 114}}},
-		{"b", 0, 100, []TV{{0, 200}, {2, 201}, {4, 202}, {6, 203}, {8, 206}, {10, 207}, {12, 208}, {14, 209}, {16, 210}, {18, 211}}},
-		{"b", 6, 12, []TV{{6, 203}, {8, 206}, {10, 207}, {12, 208}}},
-		{"c", 0, 100, []TV{{0, 300}, {2, 301}, {4, 302}, {6, 303}, {8, 304}, {10, 306}, {12, 307}, {14, 308}, {16, 310}}},
-		{"c", 8, 14, []TV{{8, 304}, {10, 306}, {12, 307}, {14, 308}}},
-		{"d", 0, 100, []TV{{5, 400}, {7, 404}}},
-	} {
-		fh := legacy[c.sensor]
-		s := newFileSource(fh, overlapping(fh, c.sensor, c.minT, c.maxT), c.minT, c.maxT)
-		var got []TV
-		for {
-			ok, err := s.fill()
-			if err != nil {
-				t.Fatal(err)
+		all := parentAnswers[filepath.Base(l.fh.path)][l.sensor]
+		for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {6, 12}, {8, 14}, {1, 399}} {
+			var want []TV
+			for _, tv := range all {
+				if tv.T >= r[0] && tv.T <= r[1] {
+					want = append(want, tv)
+				}
 			}
-			if !ok {
-				break
+			s := newFileSource(l.fh, overlapping(l.fh, l.sensor, r[0], r[1]), r[0], r[1])
+			var got []TV
+			for {
+				ok, err := s.fill()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				for i, tm := range s.times {
+					got = append(got, TV{tm, s.values[i]})
+				}
+				s.times, s.values = nil, nil
 			}
-			for i, tm := range s.times {
-				got = append(got, TV{tm, s.values[i]})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s %v: runs %v, want %v", filepath.Base(l.fh.path), l.sensor, r, got, want)
 			}
-			s.times, s.values = nil, nil
-		}
-		if !slices.Equal(got, c.want) {
-			t.Fatalf("%s [%d, %d]: runs %v, want %v", c.sensor, c.minT, c.maxT, got, c.want)
 		}
 	}
 }

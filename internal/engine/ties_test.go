@@ -115,28 +115,36 @@ func TestEqualTimestampsInOneMemtable(t *testing.T) {
 	}
 }
 
-// checkStrictlyIncreasing fails unless every chunk of every chunk file
-// under dir has strictly increasing timestamps and statistics.
-func checkStrictlyIncreasing(t *testing.T, dir string) {
+// checkStrictlyIncreasing fails unless no chunk file is left at the
+// root of dir and every chunk file under its p*/L*/ tree opens strict,
+// with statistics on every chunk and each sensor's times strictly
+// increasing through all its chunks, and returns how many files there
+// are.
+func checkStrictlyIncreasing(t *testing.T, dir string) int {
 	t.Helper()
-	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
-	if len(files) == 0 {
-		t.Fatal("no chunk files")
+	if root, _ := filepath.Glob(filepath.Join(dir, "*.gtsf")); len(root) != 0 {
+		t.Fatalf("chunk files left at the root: %v", root)
 	}
+	files, _ := filepath.Glob(filepath.Join(dir, "p*", "L*", "*.gtsf"))
 	for _, f := range files {
 		r, err := tsfile.Open(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !r.Strict() {
+			t.Fatalf("%s: not strict", f)
+		}
+		last := map[string]int64{}
 		for _, m := range r.Index() {
 			ts, _, err := r.ReadChunk(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < len(ts); i++ {
-				if ts[i] <= ts[i-1] {
-					t.Fatalf("%s: chunk %q repeats or reorders t=%d", f, m.Sensor, ts[i])
+			for i, x := range ts {
+				if l, ok := last[m.Sensor]; (i > 0 || ok) && x <= l {
+					t.Fatalf("%s: sensor %q repeats or reorders t=%d", f, m.Sensor, x)
 				}
+				last[m.Sensor] = x
 			}
 			if m.Stats == nil {
 				t.Fatalf("%s: chunk %q has no statistics", f, m.Sensor)
@@ -144,57 +152,113 @@ func checkStrictlyIncreasing(t *testing.T, dir string) {
 		}
 		r.Close()
 	}
+	return len(files)
 }
 
-// TestParentFileWithDuplicates serves testdata/v3dup.gtsf (see
-// tsfile's TestV3ParentDuplicatesReadable), written when the tsfile
-// writer still accepted equal timestamps: sensor "a" with duplicate
-// runs inside blocks, sensor "b" with a run straddling a block
-// boundary. Query returns one record per timestamp, the first of its
-// run, as such files have always answered; AggregateWindows matches
-// the decoded answer for every operator and several window sizes, so
-// no statistics-free or straddled span is answered from metadata; and
-// Compact rewrites the lone file into strictly increasing chunks
-// without changing an answer.
-func TestParentFileWithDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	l0 := filepath.Join(dir, "p0", "L0")
-	if err := os.MkdirAll(l0, 0o755); err != nil {
-		t.Fatal(err)
+// checkServedStrict fails unless every file e serves is strict.
+func checkServedStrict(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, fh := range e.files {
+		if !fh.reader.Strict() {
+			t.Fatalf("%s served non-strict", fh.path)
+		}
 	}
-	raw, err := os.ReadFile(filepath.Join("..", "tsfile", "testdata", "v3dup.gtsf"))
+}
+
+// plantFixture copies tsfile's testdata/name to path, creating its
+// directory.
+func plantFixture(t *testing.T, name, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "tsfile", "testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(l0, "seq-000001.gtsf"), raw, 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	e := openTest(t, Config{Dir: dir})
-	want := map[string][]TV{
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parentAnswers is what each fixture older tsfile writers left
+// answers, per sensor: the first record of each equal-timestamp run.
+//   - testdata/v3dup.gtsf, from the last writer that accepted equal
+//     timestamps: "a" with duplicate runs inside blocks, "b" with one
+//     straddling its first block edge;
+//   - testdata/v3edge.gtsf, from the last writer that let a chunk open
+//     on its predecessor's last time: "c" with two such edges, "d"
+//     with three chunks in a row holding only the timestamp the one
+//     before ended on;
+//   - testdata/v2.gtsf, the golden v2 file: "s" at t = i, v = i/2 for
+//     i < 400 in four chunks, and "d" at (1, 5), (1, 6), (2, 7).
+var parentAnswers = map[string]map[string][]TV{
+	"v3dup.gtsf": {
 		"a": {{0, 100}, {1, 101}, {2, 102}, {3, 103}, {4, 106}, {5, 107}, {6, 108},
 			{7, 110}, {8, 111}, {9, 112}, {10, 113}, {11, 114}},
 		"b": {{0, 200}, {2, 201}, {4, 202}, {6, 203}, {8, 206}, {10, 207},
 			{12, 208}, {14, 209}, {16, 210}, {18, 211}},
-	}
-	answers := func(stage string) {
-		t.Helper()
-		for sensor, w := range want {
-			out, err := e.Query(sensor, math.MinInt64, math.MaxInt64)
-			if err != nil {
+	},
+	"v3edge.gtsf": {
+		"c": {{0, 300}, {2, 301}, {4, 302}, {6, 303}, {8, 304}, {10, 306},
+			{12, 307}, {14, 308}, {16, 310}},
+		"d": {{5, 400}, {7, 404}},
+	},
+	"v2.gtsf": {
+		"s": func() []TV {
+			var out []TV
+			for i := int64(0); i < 400; i++ {
+				out = append(out, TV{i, float64(i) * 0.5})
+			}
+			return out
+		}(),
+		"d": {{1, 5}, {2, 7}},
+	},
+}
+
+// TestParentFileWithDuplicates plants each fixture of parentAnswers
+// alone at p0/L0/. Open must upgrade it in place to one strict file,
+// and Query and AggregateWindows (for every operator and several
+// window sizes) must answer parentAnswers after Open, after Compact
+// and across a reopen.
+func TestParentFileWithDuplicates(t *testing.T) {
+	for name, want := range parentAnswers {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			plantFixture(t, name, filepath.Join(dir, "p0", "L0", "seq-000001.gtsf"))
+			cfg := Config{Dir: dir, blockPoints: 16}
+			e := openTest(t, cfg)
+			answers := func(stage string) {
+				t.Helper()
+				if n := checkStrictlyIncreasing(t, dir); n != 1 {
+					t.Fatalf("%s: %d files, want 1", stage, n)
+				}
+				checkServedStrict(t, e)
+				for sensor, w := range want {
+					out, err := e.Query(sensor, math.MinInt64, math.MaxInt64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(out, w) {
+						t.Fatalf("%s: %s reads %v, want %v", stage, sensor, out, w)
+					}
+					for _, window := range []int64{1, 2, 3, 4, 5, 7, 20} {
+						checkAllOps(t, e, sensor, 0, w[len(w)-1].T+1, window)
+					}
+				}
+			}
+			answers("open")
+			if err := e.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(out, w) {
-				t.Fatalf("%s: %s reads %v, want %v", stage, sensor, out, w)
+			answers("compact")
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
 			}
-			for _, window := range []int64{1, 2, 3, 4, 5, 7, 20} {
-				checkAllOps(t, e, sensor, 0, 20, window)
-			}
-		}
+			e = openTest(t, cfg)
+			answers("reopen")
+		})
 	}
-	answers("open")
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	checkStrictlyIncreasing(t, dir)
-	answers("compact")
 }

@@ -131,8 +131,8 @@ func TestV2GoldenReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() != 2 {
-		t.Fatalf("version = %d, want 2", r.Version())
+	if r.Strict() {
+		t.Fatal("golden v2 file opens strict")
 	}
 	idx := r.Index()
 	if len(idx) != 5 {
@@ -168,7 +168,7 @@ func TestV2GoldenReadable(t *testing.T) {
 			Sum: float64(100*base+4950) * 0.5, First: float64(base) * 0.5, Last: float64(base+99) * 0.5}); m.Stats == nil || *m.Stats != want {
 			t.Fatalf("chunk %d stats %+v, want %+v", i, m.Stats, want)
 		}
-		if ct, _, err := r.ReadBlockUpTo(m, b, base+50); err != nil || len(ct) != 51 {
+		if _, ct, _, err := r.ReadBlockInto(m, b, base+50, nil, nil, nil); err != nil || len(ct) != 51 {
 			t.Fatalf("chunk %d cut at %d: %d records, %v", i, base+50, len(ct), err)
 		}
 	}
@@ -182,8 +182,8 @@ func TestV2GoldenReadable(t *testing.T) {
 	}
 	defer rb.Close()
 	m := rb.Index()[1]
-	if _, _, err := rb.ReadBlockUpTo(m, m.Blocks[0], m.MaxTime); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("renamed chunk: ReadBlockUpTo = %v, want ErrCorrupt", err)
+	if _, _, _, err := rb.ReadBlockInto(m, m.Blocks[0], m.MaxTime, nil, nil, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("renamed chunk: ReadBlockInto = %v, want ErrCorrupt", err)
 	}
 	if _, _, err := rb.ReadChunk(m); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("renamed chunk: ReadChunk = %v, want ErrCorrupt", err)

@@ -35,8 +35,14 @@
 // each of their chunks is one unit [name header | timestamps | values |
 // CRC-32 of all three] with no block entries, and Open presents it as a
 // chunk of one block whose CRC starts at the chunk offset. Every chunk
-// a Reader returns therefore has at least one block. The engine
-// rewrites such files to v3 on its next compaction.
+// a Reader returns therefore has at least one block.
+//
+// A file is strict (Reader.Strict) when it is v3, every chunk and block
+// carries statistics, and its times strictly increase across every
+// block edge and every same-sensor chunk edge — what Writer produces.
+// Files written before the writer refused equal timestamps are not;
+// Upgrade rewrites one into a strict file with the answers it always
+// gave, and the engine does so when it opens a store.
 //
 // Sorted regular timestamps compress to ~1–2 bytes each under TS2Diff
 // (IoTDB's TS_2DIFF family) and slowly varying values to a few bits
@@ -501,11 +507,12 @@ func (w *Writer) Index() []ChunkMeta {
 }
 
 // Reader reads a tsfile. It is safe for concurrent ReadChunk and
-// ReadBlockUpTo calls.
+// ReadBlockInto calls.
 type Reader struct {
 	f       *os.File
 	index   []ChunkMeta
-	version int // index format version: 2 or 3
+	version int  // index format version: 2 or 3
+	strict  bool // see the package comment
 }
 
 // Open opens a tsfile and loads its index.
@@ -522,8 +529,11 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// Version reports the file's index format version (2 or 3).
-func (r *Reader) Version() int { return r.version }
+// Strict reports whether the file holds what Writer writes: v3,
+// statistics on every chunk and block, and times strictly increasing
+// across every block and same-sensor chunk edge. Inside the blocks of a
+// strict file, reads check that the times strictly increase.
+func (r *Reader) Strict() bool { return r.strict }
 
 // readStatsEntry parses a flags byte + optional statistics.
 func readStatsEntry(br *sliceReader) (*ValueStats, error) {
@@ -570,7 +580,7 @@ func (r *Reader) loadIndex() error {
 	case magicTailV2:
 		r.version = 2
 	case magicTailV3:
-		r.version = 3
+		r.version, r.strict = 3, true
 	default:
 		return fmt.Errorf("%w: bad tail magic %q", ErrCorrupt, tail[8:])
 	}
@@ -644,17 +654,23 @@ func (r *Reader) loadIndex() error {
 			return fmt.Errorf("%w: index entry %d: min time %d > max time %d",
 				ErrCorrupt, i, m.MinTime, m.MaxTime)
 		}
-		// The engine's merge relies on a sensor's chunks being indexed
-		// in time order. The writer refuses a chunk opening on its
-		// predecessor's last time, but files written before it did may
-		// hold one, so an equal edge still opens.
-		if last, ok := lastMax[m.Sensor]; ok && m.MinTime < last {
-			return fmt.Errorf("%w: index entry %d: chunks for %q out of time order (%d after %d)",
-				ErrCorrupt, i, m.Sensor, m.MinTime, last)
+		// A sensor's chunks are indexed in time order. The writer
+		// refuses a chunk opening on its predecessor's last time, but
+		// files written before it did may hold one: such a file opens,
+		// not strict.
+		if last, ok := lastMax[m.Sensor]; ok && m.MinTime <= last {
+			if m.MinTime < last {
+				return fmt.Errorf("%w: index entry %d: chunks for %q out of time order (%d after %d)",
+					ErrCorrupt, i, m.Sensor, m.MinTime, last)
+			}
+			r.strict = false
 		}
 		lastMax[m.Sensor] = m.MaxTime
 		if m.Stats, err = readStatsEntry(br); err != nil {
 			return fmt.Errorf("%w: index entry %d stats: %v", ErrCorrupt, i, err)
+		}
+		if m.Stats == nil {
+			r.strict = false
 		}
 		if r.version == 3 {
 			if err := r.loadBlockIndex(br, &m, i, indexOff); err != nil {
@@ -760,11 +776,17 @@ func (r *Reader) loadBlockIndex(br *sliceReader, m *ChunkMeta, i uint64, indexOf
 			return fmt.Errorf("%w: index entry %d block %d: time range [%d, %d] outside chunk [%d, %d]",
 				ErrCorrupt, i, j, b.MinTime, b.MaxTime, m.MinTime, m.MaxTime)
 		}
-		if len(blocks) > 0 && b.MinTime < blocks[len(blocks)-1].MaxTime {
-			return fmt.Errorf("%w: index entry %d block %d: out of time order", ErrCorrupt, i, j)
+		if len(blocks) > 0 && b.MinTime <= blocks[len(blocks)-1].MaxTime {
+			if b.MinTime < blocks[len(blocks)-1].MaxTime {
+				return fmt.Errorf("%w: index entry %d block %d: out of time order", ErrCorrupt, i, j)
+			}
+			r.strict = false
 		}
 		if b.Stats, err = readStatsEntry(br); err != nil {
 			return fmt.Errorf("%w: index entry %d block %d stats: %v", ErrCorrupt, i, j, err)
+		}
+		if b.Stats == nil {
+			r.strict = false
 		}
 		sum += b.Count
 		blocks = append(blocks, b)
@@ -791,20 +813,15 @@ func (r *Reader) Index() []ChunkMeta {
 // block's extent was validated against the file layout at Open, so a
 // read never leaves the chunk region.
 func (r *Reader) ReadBlock(meta ChunkMeta, b BlockMeta) ([]int64, []float64, error) {
-	return r.ReadBlockUpTo(meta, b, math.MaxInt64)
-}
-
-// ReadBlockUpTo is ReadBlock cut at maxT: it returns the block's
-// records up to and including time maxT and does not decode the values
-// after them. A narrow range read pays for a whole block per file it
-// touches; this keeps it from paying for the part of the block past
-// its range. The whole block is still read and CRC-checked.
-func (r *Reader) ReadBlockUpTo(meta ChunkMeta, b BlockMeta, maxT int64) ([]int64, []float64, error) {
-	_, times, values, err := r.ReadBlockInto(meta, b, maxT, nil, nil, nil)
+	_, times, values, err := r.ReadBlockInto(meta, b, math.MaxInt64, nil, nil, nil)
 	return times, values, err
 }
 
-// ReadBlockInto is ReadBlockUpTo reading into caller scratch: the raw
+// ReadBlockInto decodes one block like ReadBlock, cut at maxT: it
+// returns the block's records up to and including time maxT and does
+// not decode the values after them, so a narrow range read pays for
+// the part of a block before its range end only (the whole block is
+// still read and CRC-checked). It reads into caller scratch: the raw
 // block into buf, the decoded columns into times and values, each from
 // [:0] and reallocated only when its capacity is short. It returns the
 // three, so a caller keeps whatever grew for its next block.
@@ -835,8 +852,12 @@ func (r *Reader) ReadBlockInto(meta ChunkMeta, b BlockMeta, maxT int64, buf []by
 	if len(times) != b.Count {
 		return nil, nil, nil, fmt.Errorf("%w: block count %d, index says %d", ErrCorrupt, len(times), b.Count)
 	}
-	// A block's times ascend (with ties only in files written before
-	// the writer refused them); keep those up to maxT.
+	// A strict file's index promises that its blocks' times strictly
+	// increase from MinTime to MaxTime; what a file written before that
+	// rule holds, Upgrade sorts out.
+	if r.strict && !strictSpan(times, b.MinTime, b.MaxTime) {
+		return nil, nil, nil, fmt.Errorf("%w: block times not strictly increasing over [%d, %d]", ErrCorrupt, b.MinTime, b.MaxTime)
+	}
 	if maxT < math.MaxInt64 {
 		i, _ := slices.BinarySearch(times, maxT+1)
 		times = times[:i]
@@ -849,6 +870,20 @@ func (r *Reader) ReadBlockInto(meta ChunkMeta, b BlockMeta, maxT int64, buf []by
 		return nil, nil, nil, fmt.Errorf("%w: block has %d values for %d of %d timestamps", ErrCorrupt, len(values), len(times), b.Count)
 	}
 	return buf, times, values, nil
+}
+
+// strictSpan reports whether the nonempty times strictly increase from
+// lo to hi.
+func strictSpan(times []int64, lo, hi int64) bool {
+	if times[0] != lo || times[len(times)-1] != hi {
+		return false
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyChunk checks the name header at the start of a chunk against
@@ -905,6 +940,68 @@ func (r *Reader) ReadChunk(meta ChunkMeta) ([]int64, []float64, error) {
 
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
+
+// Upgrade rewrites r into w as a strict file that answers what r
+// answered: chunk by chunk in index order and block by block, it keeps
+// the first record of each equal-timestamp run and drops every record
+// at or before the last one it kept for the sensor — the rule reads of
+// files written before the strict rule always followed. Each block is
+// cut into blocks of at most w.BlockPoints points (a v2 chunk is a
+// single block), and a chunk left empty is dropped. Every failure to
+// read r is ErrCorrupt; either way the caller closes w.
+func Upgrade(r *Reader, w *Writer) error {
+	cut := w.BlockPoints
+	if cut <= 0 {
+		cut = DefaultBlockPoints
+	}
+	kept := map[string]int64{} // per sensor, the last time kept
+	var buf []byte
+	var times []int64
+	var values []float64
+	for _, m := range r.index {
+		if err := r.VerifyChunk(m); err != nil {
+			return err
+		}
+		begun := false
+		for _, b := range m.Blocks {
+			var err error
+			buf, times, values, err = r.ReadBlockInto(m, b, math.MaxInt64, buf, times, values)
+			if err != nil {
+				return err
+			}
+			last, seen := kept[m.Sensor]
+			n := 0
+			for i, t := range times {
+				if !seen || t > last {
+					times[n], values[n] = t, values[i]
+					n++
+					last, seen = t, true
+				}
+			}
+			if n > 0 {
+				kept[m.Sensor] = last
+			}
+			for lo := 0; lo < n; lo += cut {
+				if !begun {
+					if err := w.BeginChunk(m.Sensor); err != nil {
+						return err
+					}
+					begun = true
+				}
+				hi := min(lo+cut, n)
+				if err := w.AppendBlock(times[lo:hi], values[lo:hi]); err != nil {
+					return err
+				}
+			}
+		}
+		if begun {
+			if err := w.EndChunk(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // sliceReader is a byte-slice io.ByteReader with a take helper.
 type sliceReader struct {

@@ -378,9 +378,9 @@ func TestConcurrentReads(t *testing.T) {
 						}
 						for _, b := range m.Blocks {
 							maxT := b.MinTime + int64(g)
-							ts, _, err := r.ReadBlockUpTo(m, b, maxT)
+							_, ts, _, err := r.ReadBlockInto(m, b, maxT, nil, nil, nil)
 							if want := min(int64(b.Count), maxT-b.MinTime+1); err == nil && int64(len(ts)) != want {
-								err = fmt.Errorf("ReadBlockUpTo(%d) %+v: %d records, want %d", maxT, b, len(ts), want)
+								err = fmt.Errorf("ReadBlockInto(%d) %+v: %d records, want %d", maxT, b, len(ts), want)
 							}
 							if err != nil {
 								errs <- err

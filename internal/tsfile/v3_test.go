@@ -3,12 +3,15 @@ package tsfile
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/encoding"
 )
 
 func TestV3RoundTrip(t *testing.T) {
@@ -40,8 +43,8 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() != 3 {
-		t.Fatalf("version = %d, want 3", r.Version())
+	if !r.Strict() {
+		t.Fatal("writer output does not open strict")
 	}
 	idx := r.Index()
 	if len(idx) != 2 {
@@ -90,7 +93,7 @@ func TestV3RoundTrip(t *testing.T) {
 			sum += b.Count
 			// A read cut at maxT returns exactly the records up to it.
 			for _, maxT := range []int64{b.MinTime - 1, b.MinTime, bt[len(bt)/2], b.MaxTime} {
-				ct, cv, err := r.ReadBlockUpTo(m, b, maxT)
+				_, ct, cv, err := r.ReadBlockInto(m, b, maxT, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +122,7 @@ func rangeRead(t *testing.T, r *Reader, sensor string, lo, hi int64) (ts []int64
 			if b.MaxTime < lo || b.MinTime > hi {
 				continue
 			}
-			bt, bv, err := r.ReadBlockUpTo(m, b, hi)
+			_, bt, bv, err := r.ReadBlockInto(m, b, hi, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,8 +146,8 @@ func TestV3QueryMatchesV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	if v2.Version() != 2 {
-		t.Fatalf("golden file is v%d, want v2", v2.Version())
+	if v2.Strict() {
+		t.Fatal("golden v2 file opens strict")
 	}
 	p := filepath.Join(t.TempDir(), "v3.gtsf")
 	w, err := Create(p)
@@ -295,8 +298,8 @@ func TestV3ParentDuplicatesReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() != 3 {
-		t.Fatalf("version = %d, want 3", r.Version())
+	if r.Strict() {
+		t.Fatal("file with duplicate timestamps opens strict")
 	}
 	want := map[string]struct {
 		times     []int64
@@ -488,5 +491,64 @@ func TestV3TornTailReadsAsCorrupt(t *testing.T) {
 		if _, err := Open(torn); err == nil {
 			t.Fatalf("truncation at %d opened cleanly", cut)
 		}
+	}
+}
+
+// TestStrictFileBlockOutOfOrderIsCorrupt rewrites the timestamps of a
+// strict file's block, CRC and all, without touching its index: a tie
+// or a time past the indexed bounds fails every read of the block with
+// ErrCorrupt, and Upgrade with it, instead of being served.
+func TestStrictFileBlockOutOfOrderIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gtsf")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteChunk("s", []int64{1, 2, 3}, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.Index()[0].Blocks[0]
+	r.Close()
+	for _, times := range [][]int64{{1, 1, 3}, {1, 2, 4}, {0, 2, 3}} {
+		bad := append([]byte(nil), raw...)
+		block := bad[b.Offset : b.Offset+b.Size-4]
+		if enc := encoding.AppendTS2Diff(nil, times); copy(block, enc) != len(enc) {
+			t.Fatal("timestamps do not fit the block")
+		}
+		binary.LittleEndian.PutUint32(bad[b.Offset+b.Size-4:], crc32.ChecksumIEEE(block))
+		r, err := Open(writeFile(t, bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if !r.Strict() {
+			t.Fatal("rewritten block changed the index")
+		}
+		m := r.Index()[0]
+		if _, _, err := r.ReadChunk(m); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("times %v: ReadChunk = %v, want ErrCorrupt", times, err)
+		}
+		if _, _, _, err := r.ReadBlockInto(m, m.Blocks[0], 1, nil, nil, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("times %v: ReadBlockInto = %v, want ErrCorrupt", times, err)
+		}
+		w, err := Create(filepath.Join(t.TempDir(), "up.gtsf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Upgrade(r, w); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("times %v: Upgrade = %v, want ErrCorrupt", times, err)
+		}
+		w.Close()
 	}
 }
