@@ -6,15 +6,19 @@
 //     timestamp;
 //   - Gorilla: XOR-based float64 compression (Facebook's Gorilla
 //     scheme, used by IoTDB for floating point columns) — slowly
-//     varying sensor values cost a few bits per point.
+//     varying sensor values cost a few bits per point;
+//   - Batch: a sensor's name, TS2Diff times and plain float64 values,
+//     the one record a batch of points takes outside chunk files (a
+//     WAL record, an RPC insert, an RPC query reply).
 //
 // All encoders append to a caller-provided buffer. Every decoder has an
 // Into form that decodes into a caller's column from [:0], allocating
 // only when the column's capacity is short, so a reader decoding block
 // after block into the same columns allocates nothing once they are
 // big enough. Decoders report malformed input as errors rather than
-// panicking: encoded bytes cross a disk boundary, so they are
-// untrusted.
+// panicking: encoded bytes cross a disk or network boundary, so they
+// are untrusted. The TS2Diff, plain and batch decoders refuse overlong
+// varints: what they accept is what their encoder writes.
 //
 // Gorilla's bit stream moves a 64-bit word at a time. The writer packs
 // bits into an accumulator and stores it a whole big-endian word at a
@@ -36,6 +40,16 @@ import (
 
 // ErrCorrupt is wrapped by every decoder failure.
 var ErrCorrupt = errors.New("encoding: corrupt data")
+
+// uvarint is binary.Uvarint refusing an overlong encoding (a final zero
+// byte after the first), reporting it like a truncated one.
+func uvarint(src []byte) (uint64, int) {
+	v, n := binary.Uvarint(src)
+	if n > 1 && src[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
 
 // column returns dst resized to n, reusing its backing array when the
 // capacity suffices.
@@ -70,7 +84,7 @@ func DecodeTS2Diff(src []byte) ([]int64, int, error) { return DecodeTS2DiffInto(
 
 // DecodeTS2DiffInto is DecodeTS2Diff decoding into dst[:0].
 func DecodeTS2DiffInto(dst []int64, src []byte) ([]int64, int, error) {
-	n, read := binary.Uvarint(src)
+	n, read := uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: ts2diff count", ErrCorrupt)
 	}
@@ -88,7 +102,7 @@ func DecodeTS2DiffInto(dst []int64, src []byte) ([]int64, int, error) {
 			pos++
 		} else {
 			d, read := binary.Varint(src[pos:])
-			if read <= 0 {
+			if read <= 0 || src[pos+read-1] == 0 { // truncated or overlong
 				return nil, 0, fmt.Errorf("%w: ts2diff value %d", ErrCorrupt, i)
 			}
 			pos += read
@@ -356,15 +370,11 @@ func AppendPlainFloat64(dst []byte, values []float64) []byte {
 	return dst
 }
 
-// DecodePlainFloat64 decodes a sequence produced by
-// AppendPlainFloat64.
-func DecodePlainFloat64(src []byte) ([]float64, int, error) {
-	return DecodePlainFloat64Into(nil, src)
-}
-
-// DecodePlainFloat64Into is DecodePlainFloat64 decoding into dst[:0].
+// DecodePlainFloat64Into decodes a sequence produced by
+// AppendPlainFloat64 into dst[:0], returning the values and the number
+// of bytes consumed.
 func DecodePlainFloat64Into(dst []float64, src []byte) ([]float64, int, error) {
-	n, read := binary.Uvarint(src)
+	n, read := uvarint(src)
 	if read <= 0 {
 		return nil, 0, fmt.Errorf("%w: plain count", ErrCorrupt)
 	}
@@ -378,4 +388,47 @@ func DecodePlainFloat64Into(dst []float64, src []byte) ([]float64, int, error) {
 		pos += 8
 	}
 	return out, pos, nil
+}
+
+// --- Batch (one sensor's column pair) -------------------------------------
+
+// AppendBatch appends one sensor's batch to dst as uvarint len(sensor)
+// | sensor | TS2Diff(times) | Plain(values), growing dst at most once.
+// The caller ensures len(times) == len(values).
+func AppendBatch(dst []byte, sensor string, times []int64, values []float64) []byte {
+	dst = slices.Grow(dst, len(sensor)+3*binary.MaxVarintLen64+(binary.MaxVarintLen64+8)*len(times))
+	dst = append(binary.AppendUvarint(dst, uint64(len(sensor))), sensor...)
+	return AppendPlainFloat64(AppendTS2Diff(dst, times), values)
+}
+
+// DecodeBatch decodes an AppendBatch record into fresh columns. All of
+// src must be the record, and the columns equally long. A point count
+// past what the rest of src holds at 9 bytes a point (a one-byte time
+// delta and the value), or a value count other than the time count, is
+// refused before its column is allocated.
+func DecodeBatch(src []byte) (sensor string, times []int64, values []float64, err error) {
+	nameLen, pos := uvarint(src)
+	if pos <= 0 || uint64(len(src)-pos) < nameLen {
+		return "", nil, nil, fmt.Errorf("%w: batch sensor name", ErrCorrupt)
+	}
+	sensor = string(src[pos : pos+int(nameLen)])
+	pos += int(nameLen)
+	if n, _ := uvarint(src[pos:]); n > uint64(len(src)-pos)/9 {
+		return "", nil, nil, fmt.Errorf("%w: batch point count %d exceeds input", ErrCorrupt, n)
+	}
+	times, read, err := DecodeTS2DiffInto(nil, src[pos:])
+	if err != nil {
+		return "", nil, nil, err
+	}
+	pos += read
+	if n, _ := uvarint(src[pos:]); n != uint64(len(times)) {
+		return "", nil, nil, fmt.Errorf("%w: batch has %d times, not as many values", ErrCorrupt, len(times))
+	}
+	if values, read, err = DecodePlainFloat64Into(nil, src[pos:]); err != nil {
+		return "", nil, nil, err
+	}
+	if pos += read; pos != len(src) {
+		return "", nil, nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(src)-pos)
+	}
+	return sensor, times, values, nil
 }

@@ -221,7 +221,7 @@ func TestGorillaCorruptFuzz(t *testing.T) {
 func TestPlainFloat64RoundTrip(t *testing.T) {
 	vals := []float64{1.5, -2.25, math.Inf(1), 0}
 	enc := AppendPlainFloat64(nil, vals)
-	got, n, err := DecodePlainFloat64(enc)
+	got, n, err := DecodePlainFloat64Into(nil, enc)
 	if err != nil || n != len(enc) {
 		t.Fatalf("err=%v n=%d", err, n)
 	}
@@ -230,11 +230,11 @@ func TestPlainFloat64RoundTrip(t *testing.T) {
 			t.Fatalf("got %v", got)
 		}
 	}
-	if _, _, err := DecodePlainFloat64(enc[:5]); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodePlainFloat64Into(nil, enc[:5]); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("truncated plain accepted")
 	}
 	// A count whose byte size overflows int is truncation, not a panic.
-	if _, _, err := DecodePlainFloat64(binary.AppendUvarint(nil, 1<<61)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodePlainFloat64Into(nil, binary.AppendUvarint(nil, 1<<61)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("count 2^61 over no bytes: %v", err)
 	}
 }

@@ -15,9 +15,11 @@ import (
 	"testing"
 )
 
+// refDecodeTS2Diff also refuses overlong varints (a final zero byte
+// after the first), as DecodeTS2DiffInto does.
 func refDecodeTS2Diff(src []byte) ([]int64, int, error) {
 	n, read := binary.Uvarint(src)
-	if read <= 0 {
+	if read <= 0 || read > 1 && src[read-1] == 0 {
 		return nil, 0, fmt.Errorf("%w: ts2diff count", ErrCorrupt)
 	}
 	pos := read
@@ -28,7 +30,7 @@ func refDecodeTS2Diff(src []byte) ([]int64, int, error) {
 	var prev int64
 	for i := range out {
 		d, read := binary.Varint(src[pos:])
-		if read <= 0 {
+		if read <= 0 || read > 1 && src[pos+read-1] == 0 {
 			return nil, 0, fmt.Errorf("%w: ts2diff value %d", ErrCorrupt, i)
 		}
 		pos += read

@@ -97,6 +97,9 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	unitRefs := append([]*flushUnit(nil), e.flushing...)
 	for i := len(e.files) - 1; i >= 0; i-- {
 		fh := e.files[i]
+		if fh.maxTime < minT || fh.minTime > maxT {
+			continue
+		}
 		fh.acquire()
 		qs.files = append(qs.files, fh)
 	}

@@ -294,6 +294,9 @@ type fileHandle struct {
 	unseq  bool
 	refs   atomic.Int64
 	size   int64 // on-disk bytes, for level bounds and pass accounting
+	// minTime and maxTime bound every timestamp in the file, so a query
+	// skips a file outside its range without snapshotting it.
+	minTime, maxTime int64
 	// Placement: partition p<part>/, level L<level>/. A legacy file —
 	// one a flat-layout store left at the root of the directory — lives
 	// only inside Open, which folds it into partitions; legacyParts is
@@ -305,7 +308,11 @@ type fileHandle struct {
 }
 
 func newFileHandle(path string, r *tsfile.Reader, unseq bool) *fileHandle {
-	h := &fileHandle{path: path, reader: r, index: r.Index(), unseq: unseq}
+	h := &fileHandle{path: path, reader: r, index: r.Index(), unseq: unseq,
+		minTime: math.MaxInt64, maxTime: math.MinInt64}
+	for _, m := range h.index {
+		h.minTime, h.maxTime = min(h.minTime, m.MinTime), max(h.maxTime, m.MaxTime)
+	}
 	if st, err := os.Stat(path); err == nil {
 		h.size = st.Size()
 	}

@@ -340,3 +340,35 @@ func TestDefaultLayoutBoundsFileCount(t *testing.T) {
 		}
 	}
 }
+
+// TestQuerySnapshotsFilesInRange: a query pins only the files whose
+// time bounds meet its range, so a narrow query over many partitions
+// neither holds every file nor scans every file's index, and still
+// answers from each file it needs.
+func TestQuerySnapshotsFilesInRange(t *testing.T) {
+	e := openTest(t, Config{PartitionDuration: 100})
+	for _, ts := range []int64{10, 150, 250, -40} {
+		if err := e.Insert("s", ts, float64(ts)); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+	}
+	for _, c := range []struct {
+		minT, maxT int64
+		files      int
+	}{{140, 160, 1}, {0, 199, 2}, {-50, -1, 1}, {300, 400, 0}, {math.MinInt64, math.MaxInt64, 4}} {
+		qs, err := e.gatherSources("s", c.minT, c.maxT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(qs.files)
+		qs.release()
+		out, err := e.Query("s", c.minT, c.maxT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != c.files || len(out) != c.files {
+			t.Fatalf("[%d, %d]: snapshotted %d files and read %d points, want %d of each", c.minT, c.maxT, n, len(out), c.files)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/query"
 )
@@ -399,13 +400,7 @@ func encodeInsert(sensor string, times []int64, values []float64) ([]byte, error
 	if len(times) != len(values) {
 		return nil, fmt.Errorf("rpc: batch shape mismatch")
 	}
-	payload := appendString(nil, sensor)
-	payload = binary.AppendUvarint(payload, uint64(len(times)))
-	for i := range times {
-		payload = binary.AppendVarint(payload, times[i])
-		payload = appendFloat64(payload, values[i])
-	}
-	return payload, nil
+	return encoding.AppendBatch(nil, sensor, times, values), nil
 }
 
 // InsertBatch implements bench.Target.
@@ -459,39 +454,43 @@ func (c *Client) InsertBatchAsync(sensor string, times []int64, values []float64
 	return &PendingInsert{ch: ch}
 }
 
-// Query returns the records in [minT, maxT] for sensor.
-func (c *Client) Query(sensor string, minT, maxT int64) ([]engine.TV, error) {
+// query fetches the OpQuery reply: one batch record of the sensor's
+// points in [minT, maxT].
+func (c *Client) query(sensor string, minT, maxT int64) ([]byte, error) {
 	payload := appendString(nil, sensor)
 	payload = binary.AppendVarint(payload, minT)
 	payload = binary.AppendVarint(payload, maxT)
-	resp, err := c.callIdempotent(OpQuery, payload)
+	return c.callIdempotent(OpQuery, payload)
+}
+
+// Query returns the records in [minT, maxT] for sensor.
+func (c *Client) Query(sensor string, minT, maxT int64) ([]engine.TV, error) {
+	resp, err := c.query(sensor, minT, maxT)
 	if err != nil {
 		return nil, err
 	}
-	p := &payloadReader{b: resp}
-	n, err := p.uvarint()
+	_, times, values, err := encoding.DecodeBatch(resp)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(resp))/9+1 {
-		return nil, fmt.Errorf("rpc: result count %d exceeds frame", n)
-	}
-	out := make([]engine.TV, n)
+	out := make([]engine.TV, len(times))
 	for i := range out {
-		if out[i].T, err = p.varint(); err != nil {
-			return nil, err
-		}
-		if out[i].V, err = p.float64(); err != nil {
-			return nil, err
-		}
+		out[i] = engine.TV{T: times[i], V: values[i]}
 	}
 	return out, nil
 }
 
-// QueryCount implements bench.Target.
+// QueryCount implements bench.Target. It reads the point count off the
+// reply's TS2Diff header without decoding the points.
 func (c *Client) QueryCount(sensor string, minT, maxT int64) (int, error) {
-	out, err := c.Query(sensor, minT, maxT)
-	return len(out), err
+	resp, err := c.query(sensor, minT, maxT)
+	if err != nil {
+		return 0, err
+	}
+	p := &payloadReader{b: resp}
+	p.str()
+	n := p.uvarint()
+	return int(n), p.err
 }
 
 // Latest implements bench.Target.
@@ -501,15 +500,11 @@ func (c *Client) Latest(sensor string) (int64, bool, error) {
 		return 0, false, err
 	}
 	p := &payloadReader{b: resp}
-	okByte, err := p.ReadByte()
-	if err != nil {
-		return 0, false, err
+	found, t := p.bytes(1), p.varint()
+	if p.err != nil {
+		return 0, false, p.err
 	}
-	t, err := p.varint()
-	if err != nil {
-		return 0, false, err
-	}
-	return t, okByte == 1, nil
+	return t, found[0] == 1, nil
 }
 
 // Stats implements bench.Target: it returns the server's aggregate
@@ -548,26 +543,16 @@ func (c *Client) Aggregate(sensor string, startT, endT, window int64, agg query.
 		return nil, err
 	}
 	p := &payloadReader{b: resp}
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	n := p.uvarint()
 	if n > uint64(len(resp))/10+1 {
 		return nil, fmt.Errorf("rpc: window count %d exceeds frame", n)
 	}
 	out := make([]query.WindowResult, n)
 	for i := range out {
-		if out[i].Start, err = p.varint(); err != nil {
-			return nil, err
-		}
-		cnt, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		out[i].Count = int(cnt)
-		if out[i].Value, err = p.float64(); err != nil {
-			return nil, err
-		}
+		out[i] = query.WindowResult{Start: p.varint(), Count: int(p.varint()), Value: p.float64()}
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return out, nil
 }

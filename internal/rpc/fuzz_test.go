@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/query"
 )
@@ -15,12 +16,9 @@ import (
 // frame could hold. Seeded with one valid payload per opcode.
 func FuzzDispatch(f *testing.F) {
 	sensor := appendString(nil, "s")
-	insert, err := encodeInsert("s", []int64{3, 1, 2}, []float64{1, 2, 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	rng := binary.AppendVarint(binary.AppendVarint(sensor, 0), 100)
-	agg := sensor
+	insert := encoding.AppendBatch(nil, "s", []int64{3, 1, 2}, []float64{1, 2, 3})
+	rng := binary.AppendVarint(binary.AppendVarint(bytes.Clone(sensor), 0), 100)
+	agg := bytes.Clone(sensor)
 	for _, v := range []int64{0, 40, 40, int64(query.Avg)} {
 		agg = binary.AppendVarint(agg, v)
 	}
@@ -33,7 +31,9 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(OpAgg, agg)
 	f.Add(OpHello, helloPayload())
 	// A count far beyond the frame must be refused before allocating.
-	f.Add(OpInsert, binary.AppendUvarint(sensor, 1<<40))
+	f.Add(OpInsert, append(binary.AppendUvarint(bytes.Clone(sensor), 1<<40), make([]byte, 32)...))
+	// A well-formed batch with a trailing byte is refused whole.
+	f.Add(OpInsert, append(bytes.Clone(insert), 0))
 	// A string length that wraps int negative must not index the payload.
 	f.Add(OpInsert, binary.AppendUvarint(nil, 1<<63+5))
 

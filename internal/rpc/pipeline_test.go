@@ -575,12 +575,13 @@ func (b *oversizeBackend) Query(sensor string, _, _ int64) ([]engine.TV, error) 
 // ErrRemote rather than a broken socket, does not redial and
 // re-execute the oversized query.
 func TestOversizedReplyFailsOneTag(t *testing.T) {
-	// MaxInt64 timestamps encode as 10-byte varints: 18 bytes a point.
+	// Times alternating MaxInt64 and 0 make every TS2Diff delta a
+	// 10-byte varint: 18 bytes a point with the 8-byte value.
 	b := &oversizeBackend{
 		blockingBackend: blockingBackend{started: make(chan struct{}), release: make(chan struct{})},
 		big:             make([]engine.TV, MaxFrame/18+1),
 	}
-	for i := range b.big {
+	for i := 0; i < len(b.big); i += 2 {
 		b.big[i].T = math.MaxInt64
 	}
 	srv := NewServer(b)

@@ -19,8 +19,12 @@
 //	response: uint32 length | byte status | uint32 tag | payload
 //
 // Integers are little-endian; payloads use uvarint-prefixed strings,
-// varint timestamps and float64 bits. StatusError carries the error
-// text. StatusOverloaded means the bounded dispatch queue (or the
+// varint timestamps and float64 bits. A batch of points travels in one
+// encoding: the OpInsert payload and the OpQuery reply are each one
+// encoding.AppendBatch record (uvarint name length, sensor, TS2Diff
+// times, plain float64 values), the same bytes as the payload of the
+// WAL record the engine logs for an insert. StatusError carries the
+// error text. StatusOverloaded means the bounded dispatch queue (or the
 // connection's in-flight budget) was full: the request was NOT
 // executed and the payload is a uvarint retry-after hint in ms.
 //
@@ -45,8 +49,8 @@ import (
 
 // Opcodes.
 const (
-	OpInsert byte = 1 // sensor, n, n*(varint delta-less time, float64)
-	OpQuery  byte = 2 // sensor, minT, maxT -> n, n*(time, value)
+	OpInsert byte = 1 // batch record (encoding.AppendBatch) -> empty
+	OpQuery  byte = 2 // sensor, minT, maxT -> batch record of the sensor's points
 	OpLatest byte = 3 // sensor -> bool, time
 	OpStats  byte = 4 // -> uvarint shard count, aggregate stats block, shard stats blocks
 	OpFlush  byte = 5 // force flush
@@ -58,7 +62,7 @@ const (
 // ProtocolVersion is the one version this build speaks and accepts.
 // Bump it when any frame or payload changes shape: the handshake then
 // refuses the mixed pair instead of letting it misparse.
-const ProtocolVersion = 10
+const ProtocolVersion = 11
 
 // Response status bytes.
 const (
@@ -226,8 +230,8 @@ func encodeOverloadPayload(hint time.Duration) []byte {
 
 func decodeOverloadPayload(payload []byte) *OverloadedError {
 	p := &payloadReader{b: payload}
-	ms, err := p.uvarint()
-	if err != nil || ms == 0 {
+	ms := p.uvarint()
+	if p.err != nil || ms == 0 {
 		ms = 50 // malformed hint: fall back to a sane default
 	}
 	return &OverloadedError{RetryAfter: time.Duration(ms) * time.Millisecond}
@@ -246,44 +250,64 @@ func appendFloat64(b []byte, f float64) []byte {
 	return append(b, v[:]...)
 }
 
-// payloadReader decodes the helpers above.
+// payloadReader decodes the helpers above straight from its slice. The
+// first failure sticks in err and every later read returns zero, so a
+// decoder reads all its fields and then checks err once.
 type payloadReader struct {
 	b   []byte
 	pos int
+	err error
 }
 
-func (p *payloadReader) ReadByte() (byte, error) {
-	if p.pos >= len(p.b) {
-		return 0, io.ErrUnexpectedEOF
+var errShortPayload = errors.New("rpc: truncated payload or overflowing varint")
+
+// rest returns the undecoded bytes, none once a read has failed.
+func (p *payloadReader) rest() []byte {
+	if p.err != nil {
+		return nil
 	}
-	c := p.b[p.pos]
-	p.pos++
-	return c, nil
+	return p.b[p.pos:]
 }
 
-func (p *payloadReader) varint() (int64, error)   { return binary.ReadVarint(p) }
-func (p *payloadReader) uvarint() (uint64, error) { return binary.ReadUvarint(p) }
+// advance consumes a varint binary decoded as n bytes from rest; n <= 0
+// means it was truncated or overflowed.
+func (p *payloadReader) advance(n int) {
+	if n <= 0 && p.err == nil {
+		p.err = errShortPayload
+	}
+	p.pos += max(n, 0)
+}
 
-func (p *payloadReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
+func (p *payloadReader) varint() int64 {
+	v, n := binary.Varint(p.rest())
+	p.advance(n)
+	return v
+}
+
+func (p *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(p.rest())
+	p.advance(n)
+	return v
+}
+
+// bytes consumes the next n bytes (nil when fewer remain).
+func (p *payloadReader) bytes(n uint64) []byte {
+	r := p.rest()
+	if n > uint64(len(r)) { // compared unsigned: a huge n must not wrap negative
+		p.advance(0)
+		return nil
 	}
-	if n > uint64(p.remaining()) { // compared unsigned: a huge n must not wrap negative
-		return "", io.ErrUnexpectedEOF
-	}
-	s := string(p.b[p.pos : p.pos+int(n)])
 	p.pos += int(n)
-	return s, nil
+	return r[:n]
 }
 
-func (p *payloadReader) float64() (float64, error) {
-	if p.pos+8 > len(p.b) {
-		return 0, io.ErrUnexpectedEOF
+func (p *payloadReader) str() string { return string(p.bytes(p.uvarint())) }
+
+func (p *payloadReader) float64() float64 {
+	if b := p.bytes(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.pos:]))
-	p.pos += 8
-	return v, nil
+	return 0
 }
 
 // remaining reports how many undecoded payload bytes are left.
@@ -309,33 +333,20 @@ func appendStats(b []byte, st engine.Stats) []byte {
 // count other than this build's means the peer's engine.Stats differs
 // — a build skew ProtocolVersion should have caught — and is refused
 // rather than misread.
-func (p *payloadReader) stats() (engine.Stats, error) {
+func (p *payloadReader) stats() engine.Stats {
 	var st engine.Stats
-	n, err := p.uvarint()
-	if err != nil {
-		return st, err
-	}
-	if n != uint64(len(engine.StatsFields)) {
-		return st, fmt.Errorf("rpc: stats block has %d fields, this build has %d", n, len(engine.StatsFields))
+	if n := p.uvarint(); p.err == nil && n != uint64(len(engine.StatsFields)) {
+		p.err = fmt.Errorf("rpc: stats block has %d fields, this build has %d", n, len(engine.StatsFields))
 	}
 	v := reflect.ValueOf(&st).Elem()
 	for i, sf := range engine.StatsFields {
-		f := v.Field(i)
 		if sf.Kind == reflect.Float64 {
-			x, err := p.float64()
-			if err != nil {
-				return st, err
-			}
-			f.SetFloat(x)
-			continue
+			v.Field(i).SetFloat(p.float64())
+		} else {
+			v.Field(i).SetInt(p.varint())
 		}
-		x, err := p.varint()
-		if err != nil {
-			return st, err
-		}
-		f.SetInt(x)
 	}
-	return st, nil
+	return st
 }
 
 // appendStatsReply encodes the OpStats reply: uvarint shard count, the
@@ -352,24 +363,19 @@ func appendStatsReply(b []byte, agg engine.Stats, per []engine.Stats) []byte {
 // decodeStatsReply is the inverse of appendStatsReply.
 func decodeStatsReply(payload []byte) (engine.Stats, []engine.Stats, error) {
 	p := &payloadReader{b: payload}
-	n, err := p.uvarint()
-	if err != nil {
-		return engine.Stats{}, nil, err
-	}
+	n := p.uvarint()
 	// A block spends at least one byte per field plus its count; reject
 	// shard counts the frame cannot hold before allocating.
 	if n > uint64(p.remaining())/uint64(len(engine.StatsFields)+1) {
 		return engine.Stats{}, nil, fmt.Errorf("rpc: shard count %d exceeds frame", n)
 	}
-	agg, err := p.stats()
-	if err != nil {
-		return agg, nil, err
-	}
+	agg := p.stats()
 	per := make([]engine.Stats, n)
 	for i := range per {
-		if per[i], err = p.stats(); err != nil {
-			return agg, nil, err
-		}
+		per[i] = p.stats()
+	}
+	if p.err != nil {
+		return engine.Stats{}, nil, p.err
 	}
 	return agg, per, nil
 }

@@ -1,8 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/shard"
+	"repro/internal/wal"
 )
 
 // openRouter opens the one-shard router a default tsdbd serves; it
@@ -40,6 +44,48 @@ func startServer(t *testing.T) (*shard.Router, string) {
 	return e, addr
 }
 
+// TestInsertPayloadIsWALRecord pins the one batch encoding: the
+// OpInsert payload a client sends is byte for byte the payload of the
+// WAL record the engine logs for that batch.
+func TestInsertPayloadIsWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(openRouter(t, engine.Config{Dir: dir, WAL: true, SyncFlush: true}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	times := []int64{500, 100, 300, 300, math.MaxInt64, -7}
+	values := []float64{1.5, math.Inf(-1), 2, 3, math.MaxFloat64, 0}
+	sent, err := encodeInsert("cpu,host=a.usage", times, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertBatch("cpu,host=a.usage", times, values); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("WAL segments %v (%v), want one", segs, err)
+	}
+	var logged [][]byte
+	if err := wal.ReadFrames(segs[0], "wal", MaxFrame, func(payload []byte, _ int64) error {
+		logged = append(logged, bytes.Clone(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 || !bytes.Equal(logged[0], sent) {
+		t.Fatalf("WAL records %x, want the one insert payload %x", logged, sent)
+	}
+}
+
 func TestClientServerRoundTrip(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)
@@ -57,6 +103,13 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 	if len(out) != 3 || out[0].T != 1 || out[1].T != 3 || out[2].T != 5 || out[2].V != 50 {
 		t.Fatalf("query = %+v", out)
+	}
+	for _, r := range []struct{ minT, maxT int64 }{{0, 10}, {2, 4}, {6, 9}} {
+		n, err := c.QueryCount("s", r.minT, r.maxT)
+		want, _ := c.Query("s", r.minT, r.maxT)
+		if err != nil || n != len(want) {
+			t.Fatalf("QueryCount[%d,%d] = %d, %v; Query holds %d", r.minT, r.maxT, n, err, len(want))
+		}
 	}
 
 	latest, ok, err := c.Latest("s")

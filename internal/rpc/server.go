@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/ingestq"
 	"repro/internal/query"
@@ -425,60 +426,31 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 	p := &payloadReader{b: payload}
 	switch op {
 	case OpInsert:
-		sensor, err := p.str()
+		sensor, times, values, err := encoding.DecodeBatch(payload)
 		if err != nil {
 			return nil, err
-		}
-		n, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		// Every record costs at least 9 payload bytes (1-byte varint
-		// time + 8-byte value); reject counts the frame cannot hold
-		// before allocating.
-		if n > uint64(len(payload))/9+1 {
-			return nil, fmt.Errorf("rpc: insert count %d exceeds frame", n)
-		}
-		times := make([]int64, n)
-		values := make([]float64, n)
-		for i := range times {
-			if times[i], err = p.varint(); err != nil {
-				return nil, err
-			}
-			if values[i], err = p.float64(); err != nil {
-				return nil, err
-			}
 		}
 		return nil, s.eng.InsertBatch(sensor, times, values)
 
 	case OpQuery:
-		sensor, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		minT, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		maxT, err := p.varint()
-		if err != nil {
-			return nil, err
+		sensor, minT, maxT := p.str(), p.varint(), p.varint()
+		if p.err != nil {
+			return nil, p.err
 		}
 		out, err := s.eng.Query(sensor, minT, maxT)
 		if err != nil {
 			return nil, err
 		}
-		resp := binary.AppendUvarint(nil, uint64(len(out)))
-		for _, tv := range out {
-			resp = binary.AppendVarint(resp, tv.T)
-			resp = appendFloat64(resp, tv.V)
+		times, values := make([]int64, len(out)), make([]float64, len(out))
+		for i, tv := range out {
+			times[i], values[i] = tv.T, tv.V
 		}
-		return resp, nil
+		return encoding.AppendBatch(nil, sensor, times, values), nil
 
 	case OpLatest:
-		sensor, err := p.str()
-		if err != nil {
-			return nil, err
+		sensor := p.str()
+		if p.err != nil {
+			return nil, p.err
 		}
 		t, ok := s.eng.LatestTime(sensor)
 		resp := []byte{0}
@@ -506,15 +478,9 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return nil, nil
 
 	case OpAgg:
-		sensor, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		var startT, endT, window, aggCode int64
-		for _, dst := range []*int64{&startT, &endT, &window, &aggCode} {
-			if *dst, err = p.varint(); err != nil {
-				return nil, err
-			}
+		sensor, startT, endT, window, aggCode := p.str(), p.varint(), p.varint(), p.varint(), p.varint()
+		if p.err != nil {
+			return nil, p.err
 		}
 		wins, err := query.WindowQuery(s.eng, sensor, startT, endT, window, query.Aggregator(aggCode))
 		if err != nil {

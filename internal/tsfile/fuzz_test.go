@@ -72,9 +72,7 @@ func checkUpgrade(t *testing.T, r *Reader, path string, blockPoints int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close refuses to finish a file with a chunk still open, and
-	// leaves it open; a failed upgrade may stop mid-chunk.
-	defer w.f.Close()
+	defer w.Close() // a failed upgrade may stop mid-chunk
 	w.BlockPoints = blockPoints
 	err = Upgrade(r, w)
 	if err != nil || readErr != nil {

@@ -216,23 +216,12 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 	payload = binary.AppendUvarint(payload, uint64(len(sensor)))
 	payload = append(payload, sensor...)
 	var blocks []BlockMeta
-	for start := 0; start < len(times); {
+	stats := newStats(values[0])
+	for start := 0; start < len(times); start += blockPoints {
 		end := min(start+blockPoints, len(times))
-		bt, bv := times[start:end], values[start:end]
-		blockStart := len(payload)
-		payload = encoding.AppendTS2Diff(payload, bt)
-		payload = encoding.AppendGorilla(payload, bv)
-		sum := crc32.ChecksumIEEE(payload[blockStart:])
-		payload = binary.LittleEndian.AppendUint32(payload, sum)
-		blocks = append(blocks, BlockMeta{
-			Offset:  int64(blockStart), // relative until AppendEncoded rebases
-			Size:    int64(len(payload) - blockStart),
-			Count:   len(bt),
-			MinTime: bt[0],
-			MaxTime: bt[len(bt)-1],
-			Stats:   computeStats(bv),
-		})
-		start = end
+		var b BlockMeta
+		payload, b = appendBlock(payload, times[start:end], values[start:end], stats)
+		blocks = append(blocks, b) // Offset relative until AppendEncoded rebases
 	}
 	return &EncodedChunk{
 		Meta: ChunkMeta{
@@ -241,11 +230,35 @@ func EncodeChunkBlocks(sensor string, times []int64, values []float64, blockPoin
 			Count:   len(times),
 			MinTime: times[0],
 			MaxTime: times[len(times)-1],
-			Stats:   computeStats(values),
+			Stats:   stats,
 			Blocks:  blocks,
 		},
 		payload: payload,
 	}, nil
+}
+
+// appendBlock appends one block of a validated column pair to dst —
+// TS2Diff times, Gorilla values, the CRC-32 of both — folds the values
+// into the chunk's statistics, and returns the block's index entry,
+// its Offset where the block starts in dst. WriteChunk and the
+// streaming AppendBlock both encode every block here, so the same cuts
+// give the same bytes.
+func appendBlock(dst []byte, times []int64, values []float64, chunk *ValueStats) ([]byte, BlockMeta) {
+	start := len(dst)
+	dst = encoding.AppendTS2Diff(dst, times)
+	dst = encoding.AppendGorilla(dst, values)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	chunk.fold(values)
+	stats := newStats(values[0])
+	stats.fold(values)
+	return dst, BlockMeta{
+		Offset:  int64(start),
+		Size:    int64(len(dst) - start),
+		Count:   len(times),
+		MinTime: times[0],
+		MaxTime: times[len(times)-1],
+		Stats:   stats,
+	}
 }
 
 // validateChunk checks the shared chunk invariants: a nonempty column
@@ -265,12 +278,14 @@ func validateChunk(sensor string, times []int64, values []float64) error {
 	return nil
 }
 
-// computeStats summarizes a validated (nonempty) value column.
-func computeStats(values []float64) *ValueStats {
-	s := &ValueStats{
-		Min: values[0], Max: values[0],
-		First: values[0], Last: values[len(values)-1],
-	}
+// newStats starts the statistics of a column whose first value is
+// first; fold then adds the column's values, first included, in order.
+func newStats(first float64) *ValueStats {
+	return &ValueStats{Min: first, Max: first, First: first}
+}
+
+// fold adds a nonempty run of values, in column order, to s.
+func (s *ValueStats) fold(values []float64) {
 	for _, v := range values {
 		if v < s.Min {
 			s.Min = v
@@ -280,7 +295,7 @@ func computeStats(values []float64) *ValueStats {
 		}
 		s.Sum += v
 	}
-	return s
+	s.Last = values[len(values)-1]
 }
 
 // AppendEncoded appends a chunk prepared by EncodeChunkBlocks. Like
@@ -375,37 +390,17 @@ func (w *Writer) AppendBlock(times []int64, values []float64) error {
 		return fmt.Errorf("tsfile: block for %q out of time order: min %d not after previous max %d",
 			c.sensor, times[0], prev.MaxTime)
 	}
-	payload := encoding.AppendTS2Diff(nil, times)
-	payload = encoding.AppendGorilla(payload, values)
-	sum := crc32.ChecksumIEEE(payload)
-	payload = binary.LittleEndian.AppendUint32(payload, sum)
+	if c.stats == nil {
+		c.stats = newStats(values[0])
+	}
+	payload, b := appendBlock(nil, times, values, c.stats)
 	if _, err := w.w.Write(payload); err != nil {
 		return err
 	}
-	bs := computeStats(values)
-	c.blocks = append(c.blocks, BlockMeta{
-		Offset:  w.off,
-		Size:    int64(len(payload)),
-		Count:   len(times),
-		MinTime: times[0],
-		MaxTime: times[len(times)-1],
-		Stats:   bs,
-	})
+	b.Offset = w.off
+	c.blocks = append(c.blocks, b)
 	w.off += int64(len(payload))
 	c.count += len(times)
-	if c.stats == nil {
-		s := *bs
-		c.stats = &s
-	} else {
-		if bs.Min < c.stats.Min {
-			c.stats.Min = bs.Min
-		}
-		if bs.Max > c.stats.Max {
-			c.stats.Max = bs.Max
-		}
-		c.stats.Sum += bs.Sum
-		c.stats.Last = bs.Last
-	}
 	return nil
 }
 
@@ -446,15 +441,23 @@ func appendStatsEntry(idx []byte, s *ValueStats) []byte {
 	return idx
 }
 
-// Close writes the index and footer and syncs the file.
-func (w *Writer) Close() error {
+// Close writes the index and footer, syncs the file when SyncOnClose
+// is set, and closes it. The file is closed whatever fails first —
+// including a streaming chunk left open, which leaves the file without
+// an index — and that first error is returned.
+func (w *Writer) Close() (err error) {
 	if w.closed {
 		return nil
 	}
+	w.closed = true
+	defer func() {
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if w.cur != nil {
 		return fmt.Errorf("tsfile: Close with streaming chunk for %q still open", w.cur.sensor)
 	}
-	w.closed = true
 	indexOff := w.off
 	idx := make([]byte, 0, 64*len(w.index))
 	idx = binary.AppendUvarint(idx, uint64(len(w.index)))
@@ -491,11 +494,9 @@ func (w *Writer) Close() error {
 		return err
 	}
 	if w.SyncOnClose {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
+		return w.f.Sync()
 	}
-	return w.f.Close()
+	return nil
 }
 
 // Index returns the chunk metadata written so far; after Close it is

@@ -1,6 +1,7 @@
 package tsfile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -9,9 +10,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/faultfs"
 )
 
 func TestV3RoundTrip(t *testing.T) {
@@ -269,9 +272,6 @@ func TestV3StreamingGuards(t *testing.T) {
 	if err := w.AppendBlock([]int64{4}, []float64{0}); err == nil {
 		t.Fatal("out-of-order block accepted")
 	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close accepted with an open streaming chunk")
-	}
 	if err := w.EndChunk(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +281,124 @@ func TestV3StreamingGuards(t *testing.T) {
 	}
 	if err := w.AppendBlock([]int64{2}, []float64{2}); err == nil {
 		t.Fatal("cross-chunk time-order violation accepted")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close accepted with an open streaming chunk")
+	}
+}
+
+// closeRecorder is the real filesystem, recording the name of every
+// file closed through it.
+type closeRecorder struct {
+	faultfs.FS
+	closed []string
+}
+
+func (r *closeRecorder) Create(path string) (faultfs.File, error) {
+	f, err := r.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &recordedFile{File: f, r: r}, nil
+}
+
+type recordedFile struct {
+	faultfs.File
+	r *closeRecorder
+}
+
+func (f *recordedFile) Close() error {
+	f.r.closed = append(f.r.closed, f.Name())
+	return f.File.Close()
+}
+
+// TestCloseWithOpenChunkClosesFile: a writer abandoned mid-chunk (a
+// compaction read error, an upgrade stopping at a bad block) is closed
+// by Close, which still reports the open chunk, and only once.
+func TestCloseWithOpenChunkClosesFile(t *testing.T) {
+	fs := &closeRecorder{FS: faultfs.OS}
+	path := filepath.Join(t.TempDir(), "open.gtsf")
+	w, err := CreateFS(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BeginChunk("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBlock([]int64{1, 2}, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "still open") {
+		t.Fatalf("Close with an open chunk = %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if len(fs.closed) != 1 || fs.closed[0] != path {
+		t.Fatalf("files closed: %v, want [%s]", fs.closed, path)
+	}
+}
+
+// TestStreamedChunkMatchesWriteChunk: a chunk streamed block by block
+// with WriteChunk's cuts is byte for byte the file WriteChunk writes,
+// statistics included (values chosen so a different summation order
+// would change the chunk's Sum).
+func TestStreamedChunkMatchesWriteChunk(t *testing.T) {
+	const bp = 4
+	times := make([]int64, 11)
+	values := make([]float64, len(times))
+	for i := range times {
+		times[i] = int64(i*i) - 7
+		values[i] = 1e16/float64(i+1) + 0.1*float64(i)
+	}
+	dir := t.TempDir()
+	write := func(name string, fill func(w *Writer) error) []byte {
+		path := filepath.Join(dir, name)
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BlockPoints = bp
+		if err := fill(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	whole := write("whole.gtsf", func(w *Writer) error {
+		if err := w.WriteChunk("a", times, values); err != nil {
+			return err
+		}
+		return w.WriteChunk("b", times[:1], values[:1])
+	})
+	streamed := write("streamed.gtsf", func(w *Writer) error {
+		for _, c := range []struct {
+			sensor string
+			n      int
+		}{{"a", len(times)}, {"b", 1}} {
+			if err := w.BeginChunk(c.sensor); err != nil {
+				return err
+			}
+			for start := 0; start < c.n; start += bp {
+				end := min(start+bp, c.n)
+				if err := w.AppendBlock(times[start:end], values[start:end]); err != nil {
+					return err
+				}
+			}
+			if err := w.EndChunk(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if !bytes.Equal(whole, streamed) {
+		t.Fatalf("streamed file differs from WriteChunk's:\n%x\n%x", streamed, whole)
 	}
 }
 

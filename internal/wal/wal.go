@@ -9,8 +9,10 @@
 //
 //	uint32 payloadLen | payload | uint32 CRC-32(payload)
 //
-// where payload = sensor string + TS2Diff times + plain float64
-// values (one record per ingested batch). Replay stops at the first
+// where payload is the batch encoded by encoding.AppendBatch (uvarint
+// name length, sensor, TS2Diff times, plain float64 values; one record
+// per ingested batch) — byte for byte the payload of the RPC insert
+// that carried the batch. Replay stops at the first
 // torn or corrupt record — everything before it is intact, everything
 // after it was never acknowledged.
 //
@@ -26,7 +28,6 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -131,17 +132,12 @@ func (s *Segment) Append(sensor string, times []int64, values []float64) error {
 	if len(times) != len(values) {
 		return fmt.Errorf("wal: batch shape mismatch: %d times, %d values", len(times), len(values))
 	}
-	// One buffer holds the whole frame (AppendFrame's layout), sized
-	// for the worst case so nothing regrows: a varint per timestamp
-	// and per count (three), 8 bytes per value, the sensor, and the
-	// length and CRC words. The payload is appended after a reserved
-	// length word, which is patched once the payload's size is known.
+	// One buffer, sized so AppendBatch never regrows it, holds the whole
+	// frame (AppendFrame's layout): a reserved length word, patched once
+	// the payload's size is known, the payload and the CRC word.
 	n := len(times)
 	rec := make([]byte, 4, 8+len(sensor)+binary.MaxVarintLen64*(n+3)+8*n)
-	rec = binary.AppendUvarint(rec, uint64(len(sensor)))
-	rec = append(rec, sensor...)
-	rec = encoding.AppendTS2Diff(rec, times)
-	rec = encoding.AppendPlainFloat64(rec, values)
+	rec = encoding.AppendBatch(rec, sensor, times, values)
 	payload := rec[4:]
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record too large: %d bytes", len(payload))
@@ -295,11 +291,12 @@ func AppendFrame(b, payload []byte) []byte {
 // append order, with ReadFrames' torn-tail and corruption rules.
 func Replay(path string, fn func(Batch) error) error {
 	return ReadFrames(path, "wal", maxRecord, func(payload []byte, offset int64) error {
-		batch, err := decodeBatch(payload)
-		if err != nil {
+		var b Batch
+		var err error
+		if b.Sensor, b.Times, b.Values, err = encoding.DecodeBatch(payload); err != nil {
 			return fmt.Errorf("wal: %s: offset %d: %w", path, offset, err)
 		}
-		return fn(batch)
+		return fn(b)
 	})
 }
 
@@ -361,35 +358,6 @@ func ReadFrames(path, prefix string, maxLen int, fn func(payload []byte, offset 
 		}
 		offset += int64(4 + plen + 4)
 	}
-}
-
-func decodeBatch(payload []byte) (Batch, error) {
-	var b Batch
-	nameLen, read := binary.Uvarint(payload)
-	if read <= 0 || uint64(len(payload)-read) < nameLen {
-		return b, errors.New("wal: bad sensor name")
-	}
-	b.Sensor = string(payload[read : read+int(nameLen)])
-	pos := read + int(nameLen)
-	times, consumed, err := encoding.DecodeTS2Diff(payload[pos:])
-	if err != nil {
-		return b, err
-	}
-	pos += consumed
-	values, consumed, err := encoding.DecodePlainFloat64(payload[pos:])
-	if err != nil {
-		return b, err
-	}
-	pos += consumed
-	if pos != len(payload) {
-		return b, fmt.Errorf("wal: %d trailing bytes", len(payload)-pos)
-	}
-	if len(times) != len(values) {
-		return b, errors.New("wal: times/values mismatch")
-	}
-	b.Times = times
-	b.Values = values
-	return b, nil
 }
 
 // SegmentName returns the canonical file name for a segment sequence

@@ -474,3 +474,50 @@ func TestReplayEmptySegment(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplayParentSegment replays testdata/v10.log, a segment written
+// by the WAL before its records were encoded by encoding.AppendBatch
+// (wire protocol version 10), and requires the batches it was written
+// with.
+func TestReplayParentSegment(t *testing.T) {
+	want := []Batch{
+		{"root.sg.d1.s1", []int64{1000, 1001, 1002, 1003}, []float64{20.5, 20.5, 20.75, 21}},
+		{"cpu,host=a.usage", []int64{30, 10, 20, 20, -5}, []float64{0.5, 0.25, 1, 2, -3}},
+		{"s", []int64{math.MaxInt64, 0, math.MinInt64}, []float64{math.Inf(1), 0, math.MaxFloat64}},
+		{"empty", nil, nil},
+	}
+	var got []Batch
+	if err := Replay(filepath.Join("testdata", "v10.log"), func(b Batch) error {
+		got = append(got, b)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d batches, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Sensor != w.Sensor || fmt.Sprint(g.Times) != fmt.Sprint(w.Times) || fmt.Sprint(g.Values) != fmt.Sprint(w.Values) {
+			t.Fatalf("batch %d = %+v, want %+v", i, g, w)
+		}
+	}
+	// The segment is also exactly what Append writes today.
+	path := filepath.Join(t.TempDir(), "wal-000000001.log")
+	s, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range want {
+		if err := s.Append(b.Sensor, b.Times, b.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := os.ReadFile(filepath.Join("testdata", "v10.log"))
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
+		t.Fatal("Append no longer writes the bytes of testdata/v10.log")
+	}
+}
