@@ -132,12 +132,17 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 }
 
 // overlapping returns fh's chunks for sensor that intersect
-// [minT, maxT], in index (time) order.
+// [minT, maxT], in index (time) order. It visits only the sensor's
+// chunks, and stops at the first one past maxT.
 func overlapping(fh *fileHandle, sensor string, minT, maxT int64) []tsfile.ChunkMeta {
 	var out []tsfile.ChunkMeta
-	for _, m := range fh.index {
-		if m.Sensor == sensor && m.MaxTime >= minT && m.MinTime <= maxT {
-			out = append(out, m)
+	for _, p := range fh.chunks[sensor] {
+		m := &fh.index[p]
+		if m.MinTime > maxT {
+			break
+		}
+		if m.MaxTime >= minT {
+			out = append(out, *m)
 		}
 	}
 	return out

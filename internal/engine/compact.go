@@ -31,6 +31,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/tsfile"
@@ -43,17 +44,14 @@ import (
 // materialize at once. Blocks are also cut at the edges of clean
 // input blocks (see cleanBounds).
 func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
-	seen := map[string]bool{}
 	var sensors []string
 	for _, fh := range inputs {
-		for _, m := range fh.index {
-			if !seen[m.Sensor] && m.MaxTime >= minT && m.MinTime <= maxT {
-				seen[m.Sensor] = true
-				sensors = append(sensors, m.Sensor)
-			}
+		for sensor := range fh.chunks {
+			sensors = append(sensors, sensor)
 		}
 	}
-	sort.Strings(sensors)
+	slices.Sort(sensors)
+	sensors = slices.Compact(sensors)
 	cut := w.BlockPoints
 	if cut <= 0 {
 		cut = DefaultBlockPoints
@@ -73,6 +71,9 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 			}
 			srcs = append(srcs, newFileSource(inputs[i], chunks, minT, maxT))
 			all = append(all, chunks...)
+		}
+		if len(all) == 0 {
+			continue // the sensor has no chunk in [minT, maxT]
 		}
 		bounds := cleanBounds(all, minT, maxT, cut/4)
 		m, err := newMerge(srcs)

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -291,6 +292,12 @@ type fileHandle struct {
 	path   string
 	reader *tsfile.Reader
 	index  []tsfile.ChunkMeta
+	// chunks maps each sensor to the positions of its chunks in index,
+	// in index order, which is time order: a file's chunks of one
+	// sensor are strictly time-ordered, though other sensors' chunks
+	// may sit between them. Built once at open, it is how every
+	// per-sensor lookup finds its chunks without walking the index.
+	chunks map[string][]int32
 	unseq  bool
 	refs   atomic.Int64
 	size   int64 // on-disk bytes, for level bounds and pass accounting
@@ -310,8 +317,11 @@ type fileHandle struct {
 func newFileHandle(path string, r *tsfile.Reader, unseq bool) *fileHandle {
 	h := &fileHandle{path: path, reader: r, index: r.Index(), unseq: unseq,
 		minTime: math.MaxInt64, maxTime: math.MinInt64}
-	for _, m := range h.index {
+	h.chunks = make(map[string][]int32, len(h.index))
+	for i := range h.index {
+		m := &h.index[i]
 		h.minTime, h.maxTime = min(h.minTime, m.MinTime), max(h.maxTime, m.MaxTime)
+		h.chunks[m.Sensor] = append(h.chunks[m.Sensor], int32(i))
 	}
 	if st, err := os.Stat(path); err == nil {
 		h.size = st.Size()
@@ -561,11 +571,21 @@ func (e *Engine) routeLocked(sensor string, times []int64, values []float64) (se
 			e.working.Write(sensor, t, values[i])
 			seq++
 		}
-		if t > e.latest[sensor] {
-			e.latest[sensor] = t
-		}
+	}
+	if len(times) > 0 {
+		raiseTo(e.latest, sensor, slices.Max(times))
 	}
 	return seq, unseq
+}
+
+// raiseTo sets m[sensor] to t unless it already holds a later time. A
+// sensor not yet in m takes t whatever its sign: comparing against the
+// map's zero default would leave out a sensor whose times are all
+// negative.
+func raiseTo(m map[string]int64, sensor string, t int64) {
+	if cur, ok := m[sensor]; !ok || t > cur {
+		m[sensor] = t
+	}
 }
 
 // quarantineSuffix marks files recovery set aside instead of serving:
@@ -784,14 +804,14 @@ func (e *Engine) recover() error {
 	})
 	e.files = append(e.files, parts...)
 
+	// A sensor's last chunk in a file holds its latest time there.
 	for _, fh := range e.files {
-		for _, m := range fh.index {
-			if !fh.unseq && m.MaxTime > e.lastFlushed[m.Sensor] {
-				e.lastFlushed[m.Sensor] = m.MaxTime
+		for sensor, ps := range fh.chunks {
+			maxT := fh.index[ps[len(ps)-1]].MaxTime
+			if !fh.unseq {
+				raiseTo(e.lastFlushed, sensor, maxT)
 			}
-			if m.MaxTime > e.latest[m.Sensor] {
-				e.latest[m.Sensor] = m.MaxTime
-			}
+			raiseTo(e.latest, sensor, maxT)
 		}
 	}
 	if e.quarantined > 0 && e.walDurable {
@@ -917,9 +937,7 @@ func (e *Engine) rotateLocked() *flushUnit {
 	// Advance the separation watermark now: anything older than what
 	// is being flushed must go to the unsequence path from here on.
 	for _, s := range unit.seq.Sensors() {
-		if maxT := unit.seq.Chunk(s).MaxTime(); maxT > e.lastFlushed[s] {
-			e.lastFlushed[s] = maxT
-		}
+		raiseTo(e.lastFlushed, s, unit.seq.Chunk(s).MaxTime())
 	}
 	e.newWorking()
 	return unit

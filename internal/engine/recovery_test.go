@@ -211,3 +211,60 @@ func TestRecoverQuarantinesTmpFile(t *testing.T) {
 		t.Fatalf("quarantined tmp missing: %v", err)
 	}
 }
+
+// TestNegativeTimesKeepWatermarkAndLatest: a sensor whose timestamps
+// are all negative has a latest time before a flush and after a
+// reopen, and its flush sets the separation watermark, so rewriting an
+// already flushed timestamp takes the unsequence path.
+func TestNegativeTimesKeepWatermarkAndLatest(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), MemTableSize: 1000, SyncFlush: true}
+	e1, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.InsertBatch("s", []int64{-30, -20, -10}, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if latest, ok := e1.LatestTime("s"); !ok || latest != -10 {
+		t.Fatalf("latest before flush = %d, %v; want -10, true", latest, ok)
+	}
+	e1.Flush()
+	if err := e1.Insert("s", -20, 22); err != nil {
+		t.Fatal(err)
+	}
+	if st := e1.Stats(); st.SeqPoints != 3 || st.UnseqPoints != 1 {
+		t.Fatalf("rewrite of a flushed time: seq=%d unseq=%d, want 3 and 1", st.SeqPoints, st.UnseqPoints)
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if latest, ok := e2.LatestTime("s"); !ok || latest != -10 {
+		t.Fatalf("latest after reopen = %d, %v; want -10, true", latest, ok)
+	}
+	before := e2.Stats().UnseqPoints
+	if err := e2.Insert("s", -30, 33); err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Stats().UnseqPoints - before; got != 1 {
+		t.Fatalf("rewrite after reopen took the unsequence path %d times, want 1", got)
+	}
+	out, err := e2.Query("s", -100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TV{{-30, 33}, {-20, 22}, {-10, 3}}
+	if len(out) != len(want) {
+		t.Fatalf("query = %v, want %v", out, want)
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("query = %v, want %v", out, want)
+		}
+	}
+}
