@@ -70,8 +70,8 @@ func report(res bench.Result) {
 		res.FlushCount, res.AvgFlushMillis, res.AvgSortMillis, res.AvgEncodeMillis, res.AvgWriteMillis, res.FlushWorkers)
 	fmt.Printf("  engine lock: %d contended acquisitions (avg %.1f µs, p99 ≤ %.0f µs), %d queries blocked, %d sorts skipped\n",
 		res.LockWaits, res.AvgLockWaitMicros, res.P99LockWaitMicros, res.QueriesBlocked, res.SortsSkipped)
-	fmt.Printf("  sort kernel: %d serving sorts (flat, %.3f ms), %d paper-profile sorts (interface, %.3f ms)\n",
-		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis)
+	fmt.Printf("  sort kernel: %d serving sorts (flat, %.3f ms), %d paper-profile sorts (interface, %.3f ms), %d records sorted by queries\n",
+		res.FlatSorts, res.FlatSortMillis, res.InterfaceSorts, res.InterfaceSortMillis, res.QuerySortedPoints)
 	fmt.Printf("  separation: %d seq points, %d unseq points\n", res.SeqPoints, res.UnseqPoints)
 	avgGroup := 0.0
 	if res.WALSyncs > 0 {

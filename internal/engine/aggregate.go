@@ -5,10 +5,11 @@
 // flushed files — becomes a source of sorted column runs, ranked
 // newest-first, and the run merge (merge.go) combines them with
 // newest-wins dedup: on equal timestamps the lowest rank wins. A
-// memtable or flushing-unit snapshot is one run holding one record per
-// timestamp (tvlist.LastPerTime); a file source decodes one block at a
-// time, so a long range scan holds one block's points in memory per
-// file rather than materializing everything before sorting.
+// memtable or flushing-unit chunk is two sorted runs with one record
+// per timestamp, its image's base and tail (tvlist.View.Resolve); a
+// file source decodes one block at a time, so a long range scan holds
+// one block's points in memory per file rather than materializing
+// everything before sorting.
 //
 // AggregateWindows additionally prunes: a chunk — or an individual
 // block of it — is answered from the value statistics its index entry
@@ -45,8 +46,8 @@ import (
 	"repro/internal/winagg"
 )
 
-// querySources is one query's snapshot of the engine: one-run sources
-// copied out of the memtables and flushing units (newest-first) and
+// querySources is one query's snapshot of the engine: sorted-run
+// sources of the memtables and flushing units (newest-first) and
 // pinned file handles (newest-first). release must be called when the
 // query finishes.
 type querySources struct {
@@ -62,19 +63,26 @@ func (qs *querySources) release() {
 
 // gatherSources snapshots every source that may hold records of sensor
 // in [minT, maxT], ordered newest generation first (within a
-// generation, unsequence before sequence). The engine lock is held
-// only to snapshot; sorting and scanning of snapshotted chunks happen
-// after it is released. Config.PaperProfile restores the paper's
-// behavior of sorting the live working TVLists under the lock.
+// generation, unsequence before sequence). Under the engine lock a
+// query only captures each memtable chunk — its published sorted image
+// and the count of writes after it, O(1) — and pins files; it sorts
+// those later writes and answers after releasing the lock, so writers
+// never wait on a sort. Config.PaperProfile restores the paper's
+// behavior of sorting the live working TVLists in place under the
+// lock.
 func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, error) {
 	qs := &querySources{}
-	// sortScan sorts one memtable chunk and copies its records in
-	// range out as one run.
+	addRun := func(r tvlist.Run[float64]) {
+		if r = r.Range(minT, maxT); r.Len() > 0 {
+			qs.mem = append(qs.mem, &source{times: r.Times, values: r.Values})
+		}
+	}
+	// sortScan sorts one paper-profile chunk in place and copies its
+	// records in range out as one run.
 	sortScan := func(c *tvlist.TVList[float64]) {
 		e.sortChunk(c)
-		if ts, vs := c.LastPerTime(minT, maxT); len(ts) > 0 {
-			qs.mem = append(qs.mem, &source{times: ts, values: vs})
-		}
+		ts, vs := c.LastPerTime(minT, maxT)
+		addRun(tvlist.Run[float64]{Times: ts, Values: vs})
 	}
 
 	e.lockContended(true)
@@ -82,19 +90,28 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 		e.mu.Unlock()
 		return nil, errClosed
 	}
-	// Unsequence before sequence — index 0 is the unsequence memtable,
-	// here and in the flushing units below.
-	var workChunks [2]*tvlist.TVList[float64]
-	for i, mt := range []*memtable.MemTable{e.workingUn, e.working} {
-		if e.cfg.PaperProfile {
-			if chunk := mt.Chunk(sensor); chunk != nil {
+	// Unsequence before sequence — the first memtable of each
+	// generation is its unsequence one — and flushing units
+	// newest-first, so an in-flight rewrite outranks the older
+	// in-flight generation it rewrites.
+	units := append([]*flushUnit(nil), e.flushing...)
+	gens := [][2]*memtable.MemTable{{e.workingUn, e.working}}
+	for i := len(units) - 1; i >= 0; i-- {
+		gens = append(gens, [2]*memtable.MemTable{units[i].unseq, units[i].seq})
+	}
+	var views []tvlist.View[float64]
+	for g, mts := range gens {
+		for _, mt := range mts {
+			chunk := mt.Chunk(sensor)
+			switch {
+			case chunk == nil:
+			case !e.cfg.PaperProfile:
+				views = append(views, chunk.Capture())
+			case g == 0:
 				sortScan(chunk)
 			}
-		} else {
-			workChunks[i] = mt.SnapshotChunk(sensor)
 		}
 	}
-	unitRefs := append([]*flushUnit(nil), e.flushing...)
 	for i := len(e.files) - 1; i >= 0; i-- {
 		fh := e.files[i]
 		if fh.maxTime < minT || fh.minTime > maxT {
@@ -105,27 +122,26 @@ func (e *Engine) gatherSources(sensor string, minT, maxT int64) (*querySources, 
 	}
 	e.mu.Unlock()
 
-	// Snapshotted working chunks: sorted and scanned outside the lock;
-	// writers proceed in parallel.
-	for _, c := range workChunks {
-		if c != nil {
-			sortScan(c)
-		}
+	// Each captured chunk answers as two runs, its tail outranking its
+	// base.
+	for _, v := range views {
+		img, _ := e.resolve(v, false)
+		addRun(img.Tail)
+		addRun(img.Base)
 	}
-
-	// Flushing units newest-first, so an in-flight rewrite outranks
-	// the older in-flight generation it rewrites.
-	for i := len(unitRefs) - 1; i >= 0; i-- {
-		unit := unitRefs[i]
-		for _, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
-			chunk := mt.Chunk(sensor)
-			if chunk == nil {
-				continue
+	if e.cfg.PaperProfile {
+		for i := len(units) - 1; i >= 0; i-- {
+			unit := units[i]
+			for _, mt := range []*memtable.MemTable{unit.unseq, unit.seq} {
+				chunk := mt.Chunk(sensor)
+				if chunk == nil {
+					continue
+				}
+				mu := unit.lockChunk(chunk)
+				mu.Lock()
+				sortScan(chunk)
+				mu.Unlock()
 			}
-			mu := unit.lockChunk(chunk)
-			mu.Lock()
-			sortScan(chunk)
-			mu.Unlock()
 		}
 	}
 	return qs, nil

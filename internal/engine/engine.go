@@ -215,7 +215,8 @@ type Engine struct {
 	files       []*fileHandle
 	fileSeq     int
 	walSeq      int
-	walSeg      *wal.Segment // active segment covering the working memtables
+	walSeg      *wal.Segment  // active segment covering the working memtables
+	lastUnit    chan struct{} // done of the newest flushing unit rotated
 	closed      bool
 	closeDone   chan struct{} // closed when the winning Close finishes
 	closeErr    error         // the winning Close's result; read after closeDone
@@ -245,6 +246,7 @@ type Engine struct {
 	ifaceSorts     atomic.Int64
 	flatSortNanos  atomic.Int64
 	ifaceSortNanos atomic.Int64
+	querySorted    atomic.Int64
 
 	// Aggregation-pushdown observability (lock-free; Query and
 	// AggregateWindows feed them).
@@ -267,15 +269,24 @@ type Engine struct {
 }
 
 // flushUnit is one immutable memtable pair being drained. Its chunks
-// are sorted in place by drain workers and by queries; chunkLocks
-// serializes those sorts per chunk (the map is built at rotation and
-// read-only afterwards, so lookups need no extra locking).
+// are read through tvlist.View like working chunks; only under the
+// paper profile do drain workers and queries sort them in place, and
+// chunkLocks — built at rotation for the paper profile alone, and
+// read-only afterwards, so lookups need no extra locking — serializes
+// those sorts per chunk.
 type flushUnit struct {
 	seq        *memtable.MemTable
 	unseq      *memtable.MemTable
 	walSeg     *wal.Segment // segment covering this generation, if WAL is on
 	started    time.Time
 	chunkLocks map[*tvlist.TVList[float64]]*sync.Mutex
+	// Drains sort and encode in parallel but write and publish in
+	// rotation order, so a newer generation's files never rank below
+	// an older one's, in the files list or by sequence number: a drain
+	// writes only once the previous unit's drain closed after, and
+	// closes done once its own files are published (or it failed).
+	after <-chan struct{}
+	done  chan struct{}
 }
 
 func (u *flushUnit) lockChunk(c *tvlist.TVList[float64]) *sync.Mutex {
@@ -291,7 +302,7 @@ func (u *flushUnit) lockChunk(c *tvlist.TVList[float64]) *sync.Mutex {
 type fileHandle struct {
 	path   string
 	reader *tsfile.Reader
-	index  []tsfile.ChunkMeta
+	index  []tsfile.ChunkMeta // the reader's own index (tsfile.Reader.SharedIndex): read-only
 	// chunks maps each sensor to the positions of its chunks in index,
 	// in index order, which is time order: a file's chunks of one
 	// sensor are strictly time-ordered, though other sensors' chunks
@@ -315,9 +326,18 @@ type fileHandle struct {
 }
 
 func newFileHandle(path string, r *tsfile.Reader, unseq bool) *fileHandle {
-	h := &fileHandle{path: path, reader: r, index: r.Index(), unseq: unseq,
+	h := &fileHandle{path: path, reader: r, index: r.SharedIndex(), unseq: unseq,
 		minTime: math.MaxInt64, maxTime: math.MinInt64}
-	h.chunks = make(map[string][]int32, len(h.index))
+	// Sized by the index's runs of one sensor, which bound its sensors
+	// and equal them when a writer groups each sensor's chunks: a
+	// one-sensor file gets a one-entry map, not one per chunk.
+	runs := 0
+	for i := range h.index {
+		if i == 0 || h.index[i].Sensor != h.index[i-1].Sensor {
+			runs++
+		}
+	}
+	h.chunks = make(map[string][]int32, runs)
 	for i := range h.index {
 		m := &h.index[i]
 		h.minTime, h.maxTime = min(h.minTime, m.MinTime), max(h.maxTime, m.MaxTime)
@@ -912,16 +932,21 @@ func (e *Engine) rotateLocked() *flushUnit {
 		return nil
 	}
 	unit := &flushUnit{
-		seq:        e.working,
-		unseq:      e.workingUn,
-		started:    time.Now(),
-		chunkLocks: make(map[*tvlist.TVList[float64]]*sync.Mutex),
+		seq:     e.working,
+		unseq:   e.workingUn,
+		started: time.Now(),
+		after:   e.lastUnit,
+		done:    make(chan struct{}),
 	}
+	e.lastUnit = unit.done
 	unit.seq.MarkFlushing()
 	unit.unseq.MarkFlushing()
-	for _, mt := range []*memtable.MemTable{unit.seq, unit.unseq} {
-		for _, s := range mt.Sensors() {
-			unit.chunkLocks[mt.Chunk(s)] = &sync.Mutex{}
+	if e.cfg.PaperProfile {
+		unit.chunkLocks = make(map[*tvlist.TVList[float64]]*sync.Mutex)
+		for _, mt := range []*memtable.MemTable{unit.seq, unit.unseq} {
+			for _, s := range mt.Sensors() {
+				unit.chunkLocks[mt.Chunk(s)] = &sync.Mutex{}
+			}
 		}
 	}
 	if e.cfg.WAL {
@@ -1054,6 +1079,8 @@ func (e *Engine) writeChunkFile(path string, replace bool, write func(w *tsfile.
 // recover() to trip over on the next Open) — and records the error for
 // Query/Close to surface.
 func (e *Engine) drain(unit *flushUnit) {
+	closeDone := sync.OnceFunc(func() { close(unit.done) })
+	defer closeDone()
 	var sortNanos, encodeNanos atomic.Int64
 	var writeDur time.Duration
 	var handles []*fileHandle
@@ -1086,12 +1113,7 @@ func (e *Engine) drain(unit *flushUnit) {
 			i := i
 			jobs[i] = func() {
 				sensor := sensors[i]
-				chunk := mt.Chunk(sensor)
-				mu := unit.lockChunk(chunk)
-				mu.Lock()
-				sortNanos.Add(e.sortChunk(chunk))
-				ts, vs := chunk.LastPerTime(math.MinInt64, math.MaxInt64)
-				mu.Unlock()
+				ts, vs := e.drainColumns(unit, mt.Chunk(sensor), &sortNanos)
 				t1 := time.Now()
 				defer func() { encodeNanos.Add(int64(time.Since(t1))) }()
 				// Split the sorted run at partition boundaries (a binary
@@ -1133,6 +1155,9 @@ func (e *Engine) drain(unit *flushUnit) {
 		}
 		sort.Slice(partIDs, func(a, b int) bool { return partIDs[a] < partIDs[b] })
 
+		if unit.after != nil {
+			<-unit.after
+		}
 		t2 := time.Now()
 		for _, p := range partIDs {
 			e.mu.Lock()
@@ -1177,6 +1202,7 @@ func (e *Engine) drain(unit *flushUnit) {
 		}
 	}
 	e.mu.Unlock()
+	closeDone()
 
 	// The generation is durable as chunk files: its WAL segment is no
 	// longer needed.
@@ -1204,6 +1230,25 @@ func (e *Engine) drain(unit *flushUnit) {
 	if !e.cfg.PaperProfile {
 		e.maybeCompact()
 	}
+}
+
+// drainColumns returns one flushing chunk's records sorted, one per
+// timestamp, adding the sort's time to sortNanos. A serving chunk is
+// its resolved image folded to one run, so a flush sorts only what no
+// query sorted before it, and a chunk written in order is encoded
+// straight from its live array. A paper-profile chunk is sorted in
+// place under its chunk lock.
+func (e *Engine) drainColumns(unit *flushUnit, chunk *tvlist.TVList[float64], sortNanos *atomic.Int64) ([]int64, []float64) {
+	if !e.cfg.PaperProfile {
+		img, nanos := e.resolve(chunk.Capture(), true)
+		sortNanos.Add(nanos)
+		return img.Base.Times, img.Base.Values
+	}
+	mu := unit.lockChunk(chunk)
+	mu.Lock()
+	defer mu.Unlock()
+	sortNanos.Add(e.sortChunk(chunk))
+	return chunk.LastPerTime(math.MinInt64, math.MaxInt64)
 }
 
 // Flush forces the current working memtables to disk (synchronously).
@@ -1257,6 +1302,9 @@ func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
 		return nil, err
 	}
 	var out []TV
+	if n := pointsBound(srcs); n > 0 {
+		out = make([]TV, 0, n)
+	}
 	for {
 		ts, vs, err := m.next()
 		if err != nil {
@@ -1316,6 +1364,7 @@ func (e *Engine) Stats() Stats {
 	s.InterfaceSorts = e.ifaceSorts.Load()
 	s.FlatSortMillis = float64(e.flatSortNanos.Load()) / 1e6
 	s.InterfaceSortMillis = float64(e.ifaceSortNanos.Load()) / 1e6
+	s.QuerySortedPoints = e.querySorted.Load()
 	s.QueriesBlocked = e.queriesBlocked.Load()
 	s.LockWaits = e.lockHist.n.Load()
 	if s.LockWaits > 0 {

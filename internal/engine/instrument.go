@@ -84,17 +84,20 @@ func (e *Engine) lockContended(isQuery bool) {
 }
 
 // sortChunk is the engine's one sort entry point: every TVList sort,
-// in the flush drain and on the query side, goes through it. Outside
-// the paper profile, with the "backward" algorithm, the flat kernel
-// sorts the chunk in place and picks its block size by the paper's
-// search (Algorithm 1 lines 1–8). Otherwise — the paper profile, or an
-// algorithm other than "backward" — the configured registry algorithm
-// sorts through the core.Sortable interface, which is also the
-// reference the flat kernel is tested against.
+// in the flush drain and on the query side, goes through it — a
+// paper-profile chunk in place, a serving chunk's unsorted writes as
+// the copy resolve hands it. Outside the paper profile, with the
+// "backward" algorithm, the flat kernel sorts the list in place and
+// picks its block size by the paper's search (Algorithm 1 lines 1–8).
+// Otherwise — the paper profile, or an algorithm other than
+// "backward" — the configured registry algorithm sorts through the
+// core.Sortable interface, which is also the reference the flat kernel
+// is tested against.
 //
 // It returns the elapsed nanoseconds (0 when the sorted flag let the
-// sort be skipped — an earlier query or drain paid for it, or the data
-// arrived ordered — which feeds the SortsSkipped counter), and tallies
+// sort be skipped — the records arrived ordered or, under the paper
+// profile, an earlier query or drain sorted the chunk — which feeds
+// the SortsSkipped counter), and tallies
 // per-kernel counts and cumulative time for Stats.
 func (e *Engine) sortChunk(c *tvlist.TVList[float64]) int64 {
 	if c.Sorted() {
@@ -114,4 +117,24 @@ func (e *Engine) sortChunk(c *tvlist.TVList[float64]) int64 {
 	e.flatSorts.Add(1)
 	e.flatSortNanos.Add(d)
 	return d
+}
+
+// resolve returns a captured serving chunk as a sorted image
+// (tvlist.View.Resolve): only the writes after the chunk's published
+// image are sorted, through sortChunk. A flush folds the image to one
+// run, the columns it encodes; a query's sorted writes feed
+// QuerySortedPoints. A view with nothing to sort counts as a skipped
+// sort. It returns the image and the sort's nanoseconds.
+func (e *Engine) resolve(v tvlist.View[float64], flush bool) (*tvlist.Image[float64], int64) {
+	var nanos int64
+	if v.Unsorted() == 0 {
+		e.sortsSkipped.Add(1)
+	}
+	img := v.Resolve(func(c *tvlist.TVList[float64]) {
+		if !flush && !c.Sorted() {
+			e.querySorted.Add(int64(c.Len()))
+		}
+		nanos = e.sortChunk(c)
+	}, flush)
+	return img, nanos
 }

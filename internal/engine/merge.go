@@ -224,6 +224,20 @@ func (e *Engine) noteReads(srcs []*source) {
 	e.bytesRead.Add(t.bytes)
 }
 
+// pointsBound bounds the records the sources can yield: every record
+// of their current runs and of their pending blocks. A reply sized by
+// it is allocated once instead of grown by copying.
+func pointsBound(srcs []*source) int {
+	n := 0
+	for _, s := range srcs {
+		n += len(s.times)
+		for _, p := range s.pending {
+			n += p.block.Count
+		}
+	}
+	return n
+}
+
 // anyPointIn reports whether the ascending times hold one in [lo, hi].
 func anyPointIn(times []int64, lo, hi int64) bool {
 	i, _ := slices.BinarySearch(times, lo)

@@ -171,3 +171,57 @@ func BenchmarkAggregateWideFile(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perSeries, "ns/series")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perSeries, "allocs/series")
 }
+
+// TestFileHandleSharesIndex: a file handle reads the reader's own
+// index rather than a copy of it, so an open file holds its chunk
+// metadata once, and sizes its per-sensor position map by the sensors
+// the index holds, not by its chunks. Over 500 chunks (88-byte
+// ChunkMeta each) a handle allocated about 103 KB while it copied the
+// index into a map sized for 500 sensors, for one sensor's chunks and
+// for 500 sensors' alike; what is left is the position map.
+func TestFileHandleSharesIndex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations inflate allocated bytes")
+	}
+	const chunks = 500
+	f := func(x int64) float64 { return float64(x) }
+	for _, tc := range []struct {
+		name  string
+		run   func(i int) chunkRun
+		bound int64
+	}{
+		{"one sensor", func(i int) chunkRun { return chunkRun{"s", span(int64(i)*4, int64(i)*4+4), f} }, 49_500 / 2},
+		{"a sensor a chunk", func(i int) chunkRun { return chunkRun{fmt.Sprintf("s%03d", i), span(0, 4), f} }, 80_000},
+	} {
+		runs := make([]chunkRun, chunks)
+		for i := range runs {
+			runs[i] = tc.run(i)
+		}
+		path := filepath.Join(t.TempDir(), "wide.gtsf")
+		writeRuns(t, path, runs...)
+		r, err := tsfile.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if fh := newFileHandle(path, r, false); len(fh.index) != chunks || &fh.index[0] != &r.SharedIndex()[0] {
+			t.Fatalf("%s: handle index of %d chunks, shares the reader's: %v",
+				tc.name, len(fh.index), &fh.index[0] == &r.SharedIndex()[0])
+		}
+		// Bytes per handle, the least of three rounds, so allocations
+		// elsewhere in the process during one round do not count.
+		perHandle := func() int64 {
+			const n = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				newFileHandle(path, r, false)
+			}
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc-before.TotalAlloc) / n
+		}
+		if got := min(perHandle(), perHandle(), perHandle()); got >= tc.bound {
+			t.Fatalf("%s: a %d-chunk file handle allocates %d bytes, want under %d", tc.name, chunks, got, tc.bound)
+		}
+	}
+}

@@ -53,8 +53,9 @@ func TestSortRouting(t *testing.T) {
 			}
 		}
 	}
-	// nearClean feeds 3 generations of 1000 points with one inversion
-	// each: disorder 1/1000.
+	// nearClean feeds 3 generations of 1000 points with one record
+	// displaced two places each: disorder 2/1000, all of it past the
+	// in-order prefix, so a sort is still due.
 	nearClean := func(t *testing.T, e *Engine) {
 		for g := 0; g < 3; g++ {
 			ts := make([]int64, 1000)
@@ -62,7 +63,7 @@ func TestSortRouting(t *testing.T) {
 			for i := range ts {
 				ts[i] = int64(g*1000+i) * 10
 			}
-			ts[500], ts[501] = ts[501], ts[500]
+			ts[500], ts[502] = ts[502], ts[500]
 			if err := e.InsertBatch("s", ts, vs); err != nil {
 				t.Fatal(err)
 			}
@@ -140,9 +141,11 @@ func TestWorkingChunkLayout(t *testing.T) {
 	}
 }
 
-// TestQuerySortsAreRouted: query-side sorts follow the same rule as
-// flush sorts. A query over a dirty sequence working chunk takes the
-// flat kernel, and so does one over an unsequence working chunk.
+// TestQuerySortsAreRouted: query-side sorts follow the same kernel
+// rule as flush sorts, and sort only what no earlier query sorted. A
+// query over a dirty sequence working chunk, or an unsequence one,
+// sorts at most the batch written since the last query, through the
+// flat kernel; a second query with no write in between sorts nothing.
 func TestQuerySortsAreRouted(t *testing.T) {
 	e := openTest(t, Config{MemTableSize: 1 << 20})
 	r := rand.New(rand.NewSource(5))
@@ -151,25 +154,33 @@ func TestQuerySortsAreRouted(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Flush()
-	// A query sorts snapshots, so every query re-sorts every dirty
-	// working chunk: one after the sequence insert, two after the
-	// unsequence one.
-	for i, tc := range []struct {
+	query := func() Stats {
+		t.Helper()
+		if _, err := e.Query("s", -1<<62, 1<<62); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats()
+	}
+	for _, tc := range []struct {
 		name  string
 		start int64 // above the flushed watermark: sequence; below: unsequence
-	}{{"sequence", 2_000_000}, {"unsequence", 0}} {
+	}{{"sequence", 2_000_000}, {"sequence again", 2_005_000}, {"unsequence", 0}} {
 		ts, vs := oooSeries(tc.start, 500, 2000, r)
 		if err := e.InsertBatch("s", ts, vs); err != nil {
 			t.Fatal(err)
 		}
 		before := e.Stats()
-		if _, err := e.Query("s", -1<<62, 1<<62); err != nil {
-			t.Fatal(err)
+		after := query()
+		if sorted := after.QuerySortedPoints - before.QuerySortedPoints; sorted == 0 || sorted > 500 {
+			t.Fatalf("after the %s insert: query sorted %d records, want 1..500", tc.name, sorted)
 		}
-		after := e.Stats()
-		if after.FlatSorts != before.FlatSorts+int64(i)+1 || after.InterfaceSorts != before.InterfaceSorts {
-			t.Fatalf("after the %s insert: query sorted %d flat, %d interface; want %d flat",
-				tc.name, after.FlatSorts-before.FlatSorts, after.InterfaceSorts-before.InterfaceSorts, i+1)
+		if after.FlatSorts == before.FlatSorts || after.InterfaceSorts != before.InterfaceSorts {
+			t.Fatalf("after the %s insert: query sorted %d flat, %d interface; want flat only",
+				tc.name, after.FlatSorts-before.FlatSorts, after.InterfaceSorts-before.InterfaceSorts)
+		}
+		if again := query(); again.QuerySortedPoints != after.QuerySortedPoints || again.FlatSorts != after.FlatSorts {
+			t.Fatalf("after the %s insert: a second query sorted %d records in %d sorts, want none",
+				tc.name, again.QuerySortedPoints-after.QuerySortedPoints, again.FlatSorts-after.FlatSorts)
 		}
 	}
 	if st := e.Stats(); st.UnseqPoints != 500 {

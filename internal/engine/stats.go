@@ -37,7 +37,7 @@ type Stats struct {
 	Files           int
 	MemTablePoints  int
 	FlushWorkers    int   `merge:"first"` // resolved worker-pool size
-	SortsSkipped    int64 // TVList sorts avoided via the sorted flag
+	SortsSkipped    int64 // TVList sorts avoided: nothing new since the last sort, or it arrived in order
 	// Sort kernels: how many TVList sorts took the flat kernel (every
 	// sort outside the paper profile, with "backward") vs the
 	// core.Sortable interface
@@ -48,6 +48,10 @@ type Stats struct {
 	InterfaceSorts      int64
 	FlatSortMillis      float64
 	InterfaceSortMillis float64
+	// QuerySortedPoints counts the records queries sorted: outside the
+	// paper profile only the writes since a chunk's last published
+	// sorted image, so back-to-back queries add nothing.
+	QuerySortedPoints int64
 	// Engine-lock contention, recorded only when an acquisition had to
 	// wait (the uncontended fast path is not counted). A merged p99 is
 	// the worst snapshot's p99, an upper bound: an exact cross-shard

@@ -81,21 +81,6 @@ func (m *MemTable) Chunk(sensor string) *tvlist.TVList[float64] {
 	return m.chunks[sensor]
 }
 
-// SnapshotChunk returns a deep copy of the sensor's TVList, or nil if
-// the sensor has no data. Queries use it to snapshot a *working*
-// (still-mutable) chunk under the engine lock and then sort and scan
-// the copy outside it — the copy is O(points) memcpy, far cheaper than
-// holding the lock across an O(n log n) sort. The copy preserves the
-// sorted flag, so an in-order chunk's snapshot skips its sort
-// entirely.
-func (m *MemTable) SnapshotChunk(sensor string) *tvlist.TVList[float64] {
-	c := m.chunks[sensor]
-	if c == nil {
-		return nil
-	}
-	return c.Clone()
-}
-
 // Sensors returns the sensors present, sorted for deterministic
 // iteration.
 func (m *MemTable) Sensors() []string {

@@ -3,7 +3,6 @@ package memtable
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/tvlist"
 )
 
@@ -64,51 +63,4 @@ func TestStateTransition(t *testing.T) {
 		}
 	}()
 	m.Write("s", 2, 2)
-}
-
-func TestSnapshotChunkIsIndependent(t *testing.T) {
-	m := New(4)
-	m.Write("s", 3, 30)
-	m.Write("s", 1, 10)
-	if m.SnapshotChunk("missing") != nil {
-		t.Fatal("missing sensor should snapshot to nil")
-	}
-	snap := m.SnapshotChunk("s")
-	if snap.Len() != 2 || snap.Sorted() {
-		t.Fatalf("snapshot shape wrong: len=%d sorted=%v", snap.Len(), snap.Sorted())
-	}
-	// Writes to the live chunk must not reach the snapshot...
-	m.Write("s", 2, 20)
-	if snap.Len() != 2 {
-		t.Fatal("snapshot saw a later write")
-	}
-	// ...and sorting the snapshot must not touch the live chunk.
-	snap.Sort(func(s core.Sortable) {
-		// trivial exchange sort via the Sortable interface
-		n := s.Len()
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if s.Time(j) < s.Time(i) {
-					s.Swap(i, j)
-				}
-			}
-		}
-	})
-	if !snap.Sorted() || snap.Time(0) != 1 {
-		t.Fatal("snapshot sort failed")
-	}
-	live := m.Chunk("s")
-	if live.Sorted() {
-		t.Fatal("sorting the snapshot marked the live chunk sorted")
-	}
-	if live.Time(0) != 3 {
-		t.Fatal("sorting the snapshot reordered the live chunk")
-	}
-	// Sorted-flag preservation: a sorted live chunk snapshots as sorted.
-	m2 := New(0)
-	m2.Write("t", 1, 1)
-	m2.Write("t", 2, 2)
-	if !m2.SnapshotChunk("t").Sorted() {
-		t.Fatal("sorted flag not preserved by snapshot")
-	}
 }

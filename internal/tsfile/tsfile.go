@@ -803,12 +803,19 @@ func (r *Reader) loadBlockIndex(br *sliceReader, m *ChunkMeta, i uint64, indexOf
 	return nil
 }
 
-// Index returns the file's chunk metadata.
+// Index returns a copy of the file's chunk metadata, the caller's to
+// change.
 func (r *Reader) Index() []ChunkMeta {
 	out := make([]ChunkMeta, len(r.index))
 	copy(out, r.index)
 	return out
 }
+
+// SharedIndex returns the file's chunk metadata without copying it:
+// the reader's own slice, which the caller must not change. A
+// long-lived holder of the reader, such as an engine's file handle,
+// reads the index through it instead of keeping a second copy.
+func (r *Reader) SharedIndex() []ChunkMeta { return r.index }
 
 // ReadBlock decodes one block of a chunk, verifying its CRC. The
 // block's extent was validated against the file layout at Open, so a

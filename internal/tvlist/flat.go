@@ -15,7 +15,7 @@ func (l *TVList[V]) EnsureSortedFlat(opts core.FlatOptions) bool {
 	}
 	l.coalesce()
 	core.SortFlat(l.times[0][:l.size], l.values[0][:l.size], opts)
-	l.sorted = true
+	l.sortedInPlace()
 	return true
 }
 

@@ -4,26 +4,36 @@
 // deque-style compromise between per-point allocation and one huge
 // buffer. The array size is configurable with IoTDB's default of 32.
 // The same type also has a contiguous layout (NewContiguous): one
-// (times, values) pair grown 2× at a time, which the flat kernel sorts
-// in place. Serving engines store that layout; the paper profile keeps
-// List<Array>.
+// (times, values) pair grown 2× at a time. Serving engines store that
+// layout; the paper profile keeps List<Array>.
 //
 // A TVList implements core.Sortable, so any sorting algorithm in this
 // repository (Backward-Sort included) sorts it in place without
 // copying records out, exactly as the sort interface abstraction of
 // the paper's Section V-C intends. Like IoTDB's implementation, the
 // list tracks whether appended data is already in time order so that
-// flush and query paths can skip sorting entirely.
+// flush and query paths can skip sorting entirely. The paper profile
+// sorts its lists this way, in place under the engine lock.
+//
+// A serving list is never sorted in place: it is an append-only live
+// array plus one immutable sorted image of its first N writes, held
+// behind an atomic pointer (run.go). Capture takes, in O(1), the image
+// and the writes after it; Resolve sorts only those writes — Prop. 4
+// bounds their overlap with the image by the delay tail — and
+// publishes the result, so the next reader starts from it. While
+// writes arrive strictly in order the live array's prefix is the image
+// and nothing is copied.
 //
 // Equal timestamps are decided here, once: a sorted list yields the
-// last record of each equal-timestamp run (LastPerTime) — the newest
-// write after the flat kernel's stable sort, otherwise whichever record
-// the sorting algorithm's tie order put last.
+// last record of each equal-timestamp run (LastPerTime, Resolve) — the
+// newest write after a stable sort, otherwise whichever record the
+// sorting algorithm's tie order put last.
 package tvlist
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -51,6 +61,13 @@ type TVList[V any] struct {
 	sorted  bool
 	minTime int64
 	maxTime int64
+
+	// inorder counts the leading records whose times strictly
+	// increase: while it equals size, every write so far arrived in
+	// order and the live array is its own sorted run.
+	inorder int
+	// image is the newest sorted image a Resolve published (run.go).
+	image atomic.Pointer[Image[V]]
 }
 
 // New creates a TVList with the default array length.
@@ -94,6 +111,9 @@ func (l *TVList[V]) Put(t int64, v V) {
 	}
 	l.times[blk][off] = t
 	l.values[blk][off] = v
+	if l.inorder == l.size && (l.size == 0 || t > l.maxTime) {
+		l.inorder++
+	}
 	l.size++
 	if t < l.maxTime {
 		l.sorted = false
@@ -206,8 +226,16 @@ func (l *TVList[V]) EnsureSorted(algo func(core.Sortable)) bool {
 		return false
 	}
 	algo(l)
-	l.sorted = true
+	l.sortedInPlace()
 	return true
+}
+
+// sortedInPlace records an in-place sort: the list is sorted, and no
+// prefix or published image of its old order stands any more.
+func (l *TVList[V]) sortedInPlace() {
+	l.sorted = true
+	l.inorder = 0
+	l.image.Store(nil)
 }
 
 // SeekTime returns the first index whose timestamp is >= t. The list
@@ -254,19 +282,11 @@ func (l *TVList[V]) LastPerTime(minT, maxT int64) ([]int64, []V) {
 		hi = max(lo, l.SeekTime(maxT+1))
 	}
 	ts, vs := l.copyOut(lo, hi)
-	n := 0
-	for i := range ts {
-		if i+1 < len(ts) && ts[i+1] == ts[i] {
-			continue
-		}
-		ts[n], vs[n] = ts[i], vs[i]
-		n++
-	}
-	return ts[:n], vs[:n]
+	return lastPerTime(ts, vs)
 }
 
-// Clone deep-copies the list (scratch space excluded). A contiguous
-// clone holds exactly the live records.
+// Clone deep-copies the list (scratch space and published image
+// excluded). A contiguous clone holds exactly the live records.
 func (l *TVList[V]) Clone() *TVList[V] {
 	c := NewWithArrayLen[V](l.arrayLen)
 	c.contiguous = l.contiguous
@@ -274,6 +294,7 @@ func (l *TVList[V]) Clone() *TVList[V] {
 	c.sorted = l.sorted
 	c.minTime = l.minTime
 	c.maxTime = l.maxTime
+	c.inorder = l.inorder
 	if l.contiguous {
 		if l.size > 0 {
 			ts, vs := l.ToSlices()
@@ -298,6 +319,8 @@ func (l *TVList[V]) Clone() *TVList[V] {
 // cleared under the same rule.
 func (l *TVList[V]) Reset() {
 	l.size = 0
+	l.inorder = 0
+	l.image.Store(nil)
 	l.sorted = true
 	l.minTime = math.MaxInt64
 	l.maxTime = math.MinInt64
