@@ -13,32 +13,17 @@
 //
 // AggregateWindows additionally prunes: a chunk — or an individual
 // block of it — is answered from the value statistics its index entry
-// carries, without decoding, when the stats provably equal its
-// contribution to the deduplicated stream. Every served file is strict
-// (Open upgrades the rest), so every chunk and block has statistics.
-// The condition (checked per candidate span in buildAggPlan) is:
-//
-//  1. the span's time range lies entirely inside the query range and
-//     inside a single window bucket, so every one of its points lands
-//     in that window;
-//  2. no other source — memtable point, flushing point, or any other
-//     span of the sensor (another chunk, another chunk's block, or a
-//     sibling block sharing a boundary timestamp) — has a timestamp
-//     inside the span's [MinTime, MaxTime]. Overlap from a *newer*
-//     source could shadow the span's points; overlap from an *older*
-//     source could itself be shadowed; either way the per-point
-//     outcome differs from the raw statistics, so any overlap
-//     disqualifies.
-//
-// Block granularity is what makes the pushdown useful on windows much
-// smaller than a chunk: a 100k-point chunk whose blocks each span one
-// window still answers every fully-covered block from metadata and
-// decodes only the two boundary blocks.
+// carries, without decoding, when the merge finds it stand-alone (see
+// merge.go) and its range lies inside one window. Every served file is
+// strict (Open upgrades the rest), so every chunk and block has
+// statistics. Block granularity is what makes the pushdown useful on
+// windows much smaller than a chunk: a 100k-point chunk whose blocks
+// each span one window still answers every fully-covered block from
+// metadata and decodes only the two boundary blocks.
 package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/memtable"
 	"repro/internal/tsfile"
@@ -164,13 +149,17 @@ func overlapping(fh *fileHandle, sensor string, minT, maxT int64) []tsfile.Chunk
 	return out
 }
 
-// statsContrib is one stats-answered chunk, folded into its window at
-// minTime (sound: no other contribution lies inside the chunk's
-// range, so time order is preserved).
-type statsContrib struct {
-	minTime int64
-	count   int
-	stats   *tsfile.ValueStats
+// sources returns the merge inputs for sensor over [minT, maxT]: the
+// memtable runs, then a source per file with chunks in range, all
+// newest-first.
+func (qs *querySources) sources(sensor string, minT, maxT int64) []*source {
+	srcs := append(make([]*source, 0, len(qs.mem)+len(qs.files)), qs.mem...)
+	for _, fh := range qs.files {
+		if chunks := overlapping(fh, sensor, minT, maxT); len(chunks) > 0 {
+			srcs = append(srcs, newFileSource(fh, chunks, minT, maxT))
+		}
+	}
+	return srcs
 }
 
 // AggregateWindows evaluates op over window-sized buckets of the
@@ -179,10 +168,10 @@ type statsContrib struct {
 // start order. When the same timestamp appears in multiple generations
 // the newest write wins, exactly as in Query.
 //
-// Chunks whose statistics provably equal their contribution to the
-// deduplicated stream (see buildAggPlan) are answered from the index
-// without decoding; everything else streams through the same merge
-// Query uses, so memory stays O(windows) + one block per file.
+// The sources stream through the same merge Query uses, so memory
+// stays O(windows) + one block per file; a chunk or block the merge
+// finds stand-alone inside one window is folded from its statistics
+// without decoding.
 func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op winagg.Op) ([]winagg.Window, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("engine: window must be positive, got %d", window)
@@ -204,14 +193,13 @@ func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op 
 	}
 	defer qs.release()
 
-	contribs, srcs := e.buildAggPlan(qs, sensor, startT, maxT, window)
-	sort.Slice(contribs, func(a, b int) bool { return contribs[a].minTime < contribs[b].minTime })
-
-	m, err := newMerge(srcs)
-	if err != nil {
-		return nil, err
-	}
-	// Points and stats contributions arrive in time order, so windows
+	srcs := qs.sources(sensor, startT, maxT)
+	// The merge keeps a whole chunk or block inside [startT, maxT]
+	// itself; folded from statistics, it must also fall in one window.
+	m := newMerge(srcs, func(lo, hi int64) bool {
+		return winagg.WindowStart(startT, lo, window) == winagg.WindowStart(startT, hi, window)
+	})
+	// Runs and whole chunks or blocks arrive in time order, so windows
 	// open in start order and only the last one is ever added to.
 	var out []winagg.Window
 	var accs []winagg.Acc
@@ -222,137 +210,26 @@ func (e *Engine) AggregateWindows(sensor string, startT, endT, window int64, op 
 		}
 		return &accs[len(accs)-1]
 	}
-	fold := func(c statsContrib) {
-		get(c.minTime).AddStats(c.count, c.stats.Min, c.stats.Max, c.stats.Sum, c.stats.First, c.stats.Last)
-	}
-	ci := 0
 	for {
-		ts, vs, err := m.next()
+		ts, vs, whole, err := m.next()
 		if err != nil {
 			return nil, err
+		}
+		if whole.Count > 0 {
+			st := whole.Stats
+			get(whole.MinTime).AddStats(whole.Count, st.Min, st.Max, st.Sum, st.First, st.Last)
+			continue
 		}
 		if len(ts) == 0 {
 			break
 		}
 		for i, t := range ts {
-			// A stats chunk whose range precedes this point is
-			// complete: eligibility guarantees no point falls inside
-			// its range, so minTime <= t implies the whole chunk is
-			// earlier.
-			for ci < len(contribs) && contribs[ci].minTime <= t {
-				fold(contribs[ci])
-				ci++
-			}
 			get(t).AddPoint(vs[i])
 		}
 	}
 	e.noteReads(srcs)
-	for ; ci < len(contribs); ci++ {
-		fold(contribs[ci])
-	}
 	for i := range out {
 		out[i].Count, out[i].Value = accs[i].Count(), accs[i].Result()
 	}
 	return out, nil
-}
-
-// aggSpan is one pruning unit the aggregation planner considers: a
-// single block of a chunk. chunkID ties sibling blocks to their chunk
-// so a whole-chunk candidate can exclude its own blocks from the
-// overlap check.
-type aggSpan struct {
-	chunkID    int
-	minT, maxT int64
-}
-
-// buildAggPlan partitions every overlapping chunk — whole, or block by
-// block — into stats-answered contributions and decode sources. The
-// overlap check needs every candidate span across all files: a span
-// fully inside the query range can only be shadowed by spans that also
-// intersect the range.
-func (e *Engine) buildAggPlan(qs *querySources, sensor string, startT, maxT, window int64) ([]statsContrib, []*source) {
-	perFile := make([][]tsfile.ChunkMeta, len(qs.files))
-	var spans []aggSpan
-	chunkSpanStart := []int{} // span index where each chunkID's spans begin
-	chunkID := 0
-	for i, fh := range qs.files {
-		perFile[i] = overlapping(fh, sensor, startT, maxT)
-		for _, m := range perFile[i] {
-			chunkSpanStart = append(chunkSpanStart, len(spans))
-			for _, b := range m.Blocks {
-				if b.MaxTime >= startT && b.MinTime <= maxT {
-					spans = append(spans, aggSpan{chunkID, b.MinTime, b.MaxTime})
-				}
-			}
-			chunkID++
-		}
-	}
-
-	// shadowFree reports that no span other than the excluded ones, and
-	// no memtable/flushing point, has a timestamp inside [lo, hi].
-	shadowFree := func(lo, hi int64, exclude func(si int) bool) bool {
-		for si, sp := range spans {
-			if exclude(si) {
-				continue
-			}
-			if sp.maxT >= lo && sp.minT <= hi {
-				return false
-			}
-		}
-		for _, s := range qs.mem {
-			if anyPointIn(s.times, lo, hi) {
-				return false
-			}
-		}
-		return true
-	}
-	inOneWindow := func(lo, hi int64) bool {
-		return lo >= startT && hi <= maxT &&
-			winagg.WindowStart(startT, lo, window) == winagg.WindowStart(startT, hi, window)
-	}
-
-	var contribs []statsContrib
-	srcs := append(make([]*source, 0, len(qs.mem)+len(qs.files)), qs.mem...)
-	chunkID = 0
-	for i, fh := range qs.files {
-		var decode []tsfile.ChunkMeta
-		for _, m := range perFile[i] {
-			id := chunkID
-			chunkID++
-			ownSpan := func(si int) bool {
-				return spans[si].chunkID == id
-			}
-			if inOneWindow(m.MinTime, m.MaxTime) && shadowFree(m.MinTime, m.MaxTime, ownSpan) {
-				contribs = append(contribs, statsContrib{m.MinTime, m.Count, m.Stats})
-				e.chunksFromStats.Add(1)
-				e.pointsSkipped.Add(int64(m.Count))
-				continue
-			}
-			// Block granularity: answer what the per-block statistics
-			// can and leave the rest to the source, which decodes the
-			// blocks in range and seeks past the others.
-			si := chunkSpanStart[id]
-			var rest []tsfile.BlockMeta
-			for _, b := range m.Blocks {
-				if b.MaxTime >= startT && b.MinTime <= maxT {
-					self := si
-					si++
-					if inOneWindow(b.MinTime, b.MaxTime) &&
-						shadowFree(b.MinTime, b.MaxTime, func(i int) bool { return i == self }) {
-						contribs = append(contribs, statsContrib{b.MinTime, b.Count, b.Stats})
-						e.blocksFromStats.Add(1)
-						e.pointsSkipped.Add(int64(b.Count))
-						continue
-					}
-				}
-				rest = append(rest, b)
-			}
-			m.Blocks = rest
-			decode = append(decode, m)
-		}
-		if len(decode) > 0 {
-			srcs = append(srcs, newFileSource(fh, decode, startT, maxT))
-		}
-	}
-	return contribs, srcs
 }

@@ -181,3 +181,43 @@ func TestAggregateWindowsGuards(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateAnswersBlockInOlderGap: an older file's one block holds
+// records at 0 and 1000 only; a newer file's chunk holds 128 points in
+// 64-point blocks inside that gap. No record of the older block lies
+// in the newer first block's range, so with windows of 500 that block
+// is answered from its statistics; the second block straddles a
+// window edge and the older block overlaps the newer chunk, so both
+// are decoded. A check of whole block ranges against each other would
+// decode all three.
+func TestAggregateAnswersBlockInOlderGap(t *testing.T) {
+	e := openTest(t, Config{MemTableSize: 1 << 20, blockPoints: 64, l0CompactFiles: 100})
+	for _, ts := range []int64{0, 1000} {
+		if err := e.Insert("s", ts, float64(ts)/1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	for ts := int64(400); ts < 528; ts++ {
+		if err := e.Insert("s", ts, float64(ts%97)/1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	if e.FileCount() != 2 {
+		t.Fatalf("store holds %d files, want 2", e.FileCount())
+	}
+	s0 := e.Stats()
+	got, err := e.AggregateWindows("s", 0, 1500, 500, winagg.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := e.Stats()
+	if fromStats, chunks, decoded := s1.BlocksFromStats-s0.BlocksFromStats, s1.ChunksFromStats-s0.ChunksFromStats, s1.BlocksDecoded-s0.BlocksDecoded; fromStats != 1 || chunks != 0 || decoded != 2 {
+		t.Fatalf("answered %d blocks and %d chunks from statistics and decoded %d blocks, want 1, 0 and 2", fromStats, chunks, decoded)
+	}
+	if want := oracleWindows(t, e, "s", 0, 1500, 500, winagg.Sum); !sameWindows(got, want) {
+		t.Fatalf("pushdown %v != oracle %v", got, want)
+	}
+	checkAllOps(t, e, "s", 0, 1500, 500)
+}

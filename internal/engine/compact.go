@@ -76,10 +76,7 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 			continue // the sensor has no chunk in [minT, maxT]
 		}
 		bounds := cleanBounds(all, minT, maxT, cut/4)
-		m, err := newMerge(srcs)
-		if err != nil {
-			return err
-		}
+		m := newMerge(srcs, nil)
 		ts := make([]int64, 0, cut)
 		vs := make([]float64, 0, cut)
 		begun := false
@@ -100,7 +97,7 @@ func mergeInto(w *tsfile.Writer, inputs []*fileHandle, minT, maxT int64) error {
 			return nil
 		}
 		for {
-			rts, rvs, err := m.next()
+			rts, rvs, _, err := m.next()
 			if err != nil {
 				return err
 			}
@@ -327,6 +324,32 @@ func (e *Engine) pickCompaction() (inputs []*fileHandle, part int64, level int) 
 	return nil, 0, 0
 }
 
+// writeMerged writes the merge of inputs (oldest first) over
+// [minT, maxT] as the next sequence-numbered file of partition part at
+// level, and opens it.
+func (e *Engine) writeMerged(part int64, level int, inputs []*fileHandle, minT, maxT int64) (*fileHandle, error) {
+	e.mu.Lock()
+	e.fileSeq++
+	seq := e.fileSeq
+	e.mu.Unlock()
+	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", part), fmt.Sprintf("L%d", level),
+		fmt.Sprintf("seq-%06d.gtsf", seq))
+	err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
+		return mergeInto(w, inputs, minT, maxT)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: compact p%d/L%d: %w", part, level, err)
+	}
+	r, err := tsfile.Open(path)
+	if err != nil {
+		e.fs.Remove(path)
+		return nil, err
+	}
+	out := newFileHandle(path, r, false)
+	out.part, out.level, out.seqNo = part, level, seq
+	return out, nil
+}
+
 // compactPass merges inputs (one partition, one level, pinned by
 // pickCompaction) into a single file at the next level.
 func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error {
@@ -339,33 +362,17 @@ func (e *Engine) compactPass(part int64, level int, inputs []*fileHandle) error 
 	for _, fh := range inputs {
 		passBytes += fh.size
 	}
-	e.mu.Lock()
-	e.fileSeq++
-	seq := e.fileSeq
-	e.mu.Unlock()
-	outLevel := level + 1
-	path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", part), fmt.Sprintf("L%d", outLevel),
-		fmt.Sprintf("seq-%06d.gtsf", seq))
-	err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
-		return mergeInto(w, inputs, math.MinInt64, math.MaxInt64)
-	})
+	out, err := e.writeMerged(part, level+1, inputs, math.MinInt64, math.MaxInt64)
 	if err != nil {
-		return fmt.Errorf("engine: compact p%d/L%d: %w", part, level, err)
-	}
-	r, err := tsfile.Open(path)
-	if err != nil {
-		e.fs.Remove(path)
 		return err
 	}
-	out := newFileHandle(path, r, false)
-	out.part, out.level, out.seqNo = part, outLevel, seq
 	inSet := make(map[*fileHandle]bool, len(inputs))
 	for _, fh := range inputs {
 		inSet[fh] = true
 	}
 	if err := e.swapCompacted(inSet, []*fileHandle{out}); err != nil {
 		out.release()
-		e.fs.Remove(path)
+		e.fs.Remove(out.path)
 		return err
 	}
 	e.notePass(passBytes)
@@ -469,25 +476,10 @@ func (e *Engine) Compact() error {
 		if len(inputs) == 1 && inputs[0].legacyParts == nil {
 			continue
 		}
-		e.mu.Lock()
-		e.fileSeq++
-		seq := e.fileSeq
-		e.mu.Unlock()
-		path := filepath.Join(e.cfg.Dir, fmt.Sprintf("p%d", p), fmt.Sprintf("L%d", e.cfg.maxLevel),
-			fmt.Sprintf("seq-%06d.gtsf", seq))
-		err := e.writeChunkFile(path, false, func(w *tsfile.Writer) error {
-			return mergeInto(w, inputs, lo, hi)
-		})
+		out, err := e.writeMerged(p, e.cfg.maxLevel, inputs, lo, hi)
 		if err != nil {
-			return fail(fmt.Errorf("engine: compact p%d: %w", p, err))
-		}
-		r, err := tsfile.Open(path)
-		if err != nil {
-			e.fs.Remove(path)
 			return fail(err)
 		}
-		out := newFileHandle(path, r, false)
-		out.part, out.level, out.seqNo = p, e.cfg.maxLevel, seq
 		outputs = append(outputs, out)
 		for _, fh := range inputs {
 			inputsUsed[fh] = true

@@ -338,10 +338,27 @@ func newFileHandle(path string, r *tsfile.Reader, unseq bool) *fileHandle {
 		}
 	}
 	h.chunks = make(map[string][]int32, runs)
+	// A run of one sensor's chunks at positions [i, j) is pos[i:j],
+	// capped, so every sensor of a grouping writer shares pos; a
+	// sensor whose chunks a writer interleaved with others' (A, B, A)
+	// copies its later runs onto its first by append.
+	pos := make([]int32, len(h.index))
 	for i := range h.index {
 		m := &h.index[i]
 		h.minTime, h.maxTime = min(h.minTime, m.MinTime), max(h.maxTime, m.MaxTime)
-		h.chunks[m.Sensor] = append(h.chunks[m.Sensor], int32(i))
+		pos[i] = int32(i)
+	}
+	for i := 0; i < len(h.index); {
+		j := i + 1
+		for j < len(h.index) && h.index[j].Sensor == h.index[i].Sensor {
+			j++
+		}
+		if ps, ok := h.chunks[h.index[i].Sensor]; ok {
+			h.chunks[h.index[i].Sensor] = append(ps, pos[i:j]...)
+		} else {
+			h.chunks[h.index[i].Sensor] = pos[i:j:j]
+		}
+		i = j
 	}
 	if st, err := os.Stat(path); err == nil {
 		h.size = st.Size()
@@ -1291,22 +1308,14 @@ func (e *Engine) Query(sensor string, minT, maxT int64) ([]TV, error) {
 		return nil, err
 	}
 	defer qs.release()
-	srcs := append(make([]*source, 0, len(qs.mem)+len(qs.files)), qs.mem...)
-	for _, fh := range qs.files {
-		if chunks := overlapping(fh, sensor, minT, maxT); len(chunks) > 0 {
-			srcs = append(srcs, newFileSource(fh, chunks, minT, maxT))
-		}
-	}
-	m, err := newMerge(srcs)
-	if err != nil {
-		return nil, err
-	}
+	srcs := qs.sources(sensor, minT, maxT)
+	m := newMerge(srcs, nil)
 	var out []TV
 	if n := pointsBound(srcs); n > 0 {
 		out = make([]TV, 0, n)
 	}
 	for {
-		ts, vs, err := m.next()
+		ts, vs, _, err := m.next()
 		if err != nil {
 			return nil, err
 		}

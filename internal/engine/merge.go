@@ -8,20 +8,36 @@
 // the merge whole and the heap is entered only where runs interleave —
 // Phase 3 of Backward-Sort moved to read time, touching only the
 // overlap that Prop. 4 bounds by the delay tail.
+//
+// A file source decodes lazily: until the merge needs its records, its
+// head is the MinTime of its next pending block, a lower bound read
+// from the index. A pending block at the root whose whole range lies
+// strictly above the last time handed out and strictly below every
+// other head is stand-alone: no other source holds a record in its
+// range, and none was handed out there, so it holds exactly the
+// deduplicated stream's records in that range. When the caller accepts
+// its range, the merge hands it out undecoded — the whole chunk when it
+// opens one that is stand-alone too — to be answered from its count
+// and statistics.
 package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/tsfile"
 )
 
 // readTally counts one source's file work: chunks and blocks decoded,
-// blocks its range seek skipped, bytes fetched. Query and
-// AggregateWindows add it to the engine's read counters once per call;
-// compaction leaves its reads uncounted.
-type readTally struct{ chunks, blocks, skipped, bytes int64 }
+// blocks its range seek skipped, bytes fetched, and the chunks, blocks
+// and points handed out whole. Query and AggregateWindows add it to
+// the engine's read counters once per call; compaction leaves its
+// reads uncounted.
+type readTally struct {
+	chunks, blocks, skipped, bytes        int64
+	wholeChunks, wholeBlocks, wholePoints int64
+}
 
 // blockRef is one block a file source still has to decode.
 type blockRef struct {
@@ -29,19 +45,11 @@ type blockRef struct {
 	block tsfile.BlockMeta
 }
 
-// blockCols is scratch one file source decodes blocks into: the raw
-// block bytes and the decoded columns, kept for the next block.
-type blockCols struct {
-	buf    []byte
-	times  []int64
-	values []float64
-}
-
 // source is one merge input: sorted column runs whose times strictly
 // increase across runs. times/values hold the current run's records
 // not yet handed out. A file source refills them block by block from
-// pending, decoding into one of its two scratch sets; a snapshot
-// source has nothing pending. A file source reads strict files only
+// pending, decoding into its one scratch set; a snapshot source has
+// nothing pending. A file source reads strict files only
 // (tsfile.Reader.Strict, which Open establishes for every file it
 // serves): their blocks' times strictly increase inside and across
 // blocks and chunks, which the reader checks as it decodes.
@@ -54,8 +62,10 @@ type source struct {
 	pending    []blockRef
 	minT, maxT int64 // a file source's range
 	reads      readTally
-	scratch    [2]blockCols
-	cur        int // the scratch set times/values live in
+	decoded    *tsfile.ChunkMeta // the chunk last decoded from
+	buf        []byte            // scratch the blocks are read and decoded into
+	bufT       []int64
+	bufV       []float64
 }
 
 // newFileSource streams fh's blocks of chunks (in index order) that
@@ -64,7 +74,6 @@ func newFileSource(fh *fileHandle, chunks []tsfile.ChunkMeta, minT, maxT int64) 
 	s := &source{fh: fh, minT: minT, maxT: maxT}
 	for i := range chunks {
 		m := &chunks[i]
-		n := len(s.pending)
 		for _, b := range m.Blocks {
 			if b.MaxTime < minT || b.MinTime > maxT {
 				s.reads.skipped++
@@ -72,78 +81,71 @@ func newFileSource(fh *fileHandle, chunks []tsfile.ChunkMeta, minT, maxT int64) 
 			}
 			s.pending = append(s.pending, blockRef{m, b})
 		}
-		if len(s.pending) > n {
-			s.reads.chunks++
-		}
 	}
 	return s
 }
 
-// fill makes the current run non-empty, decoding pending blocks as
-// needed, and reports false once the source is exhausted. A decoded
-// block keeps its records in [minT, maxT].
-//
-// The run the merge last handed out may alias the scratch set the
-// current run lives in, and must stay valid until the merge's next
-// call, so fill decodes into the other set — switching once per call,
-// not once per block: blocks the range empties are decoded over each
-// other in the same set.
-func (s *source) fill() (bool, error) {
-	if len(s.times) > 0 || len(s.pending) == 0 {
-		return len(s.times) > 0, nil
+// head is the source's first record time, or, before its next pending
+// block is decoded, that block's MinTime: a lower bound.
+func (s *source) head() int64 {
+	if len(s.times) > 0 {
+		return s.times[0]
 	}
-	s.cur ^= 1
-	sc := &s.scratch[s.cur]
-	for len(s.times) == 0 {
-		if len(s.pending) == 0 {
-			return false, nil
-		}
-		p := s.pending[0]
-		s.pending = s.pending[1:]
-		var err error
-		sc.buf, sc.times, sc.values, err = s.fh.reader.ReadBlockInto(*p.chunk, p.block, s.maxT, sc.buf, sc.times, sc.values)
-		if err != nil {
-			return false, fmt.Errorf("engine: read %s: %w", s.fh.path, err)
-		}
-		s.reads.blocks++
-		s.reads.bytes += p.block.Size
-		i, _ := slices.BinarySearch(sc.times, s.minT)
-		s.times, s.values = sc.times[i:], sc.values[i:]
+	return s.pending[0].block.MinTime
+}
+
+// decode replaces the current run with the next pending block's
+// records in [minT, maxT], which may be none.
+func (s *source) decode() error {
+	p := s.pending[0]
+	s.pending = s.pending[1:]
+	var err error
+	s.buf, s.bufT, s.bufV, err = s.fh.reader.ReadBlockInto(*p.chunk, p.block, s.maxT, s.buf, s.bufT, s.bufV)
+	if err != nil {
+		return fmt.Errorf("engine: read %s: %w", s.fh.path, err)
 	}
-	return true, nil
+	if p.chunk != s.decoded {
+		s.decoded = p.chunk
+		s.reads.chunks++
+	}
+	s.reads.blocks++
+	s.reads.bytes += p.block.Size
+	i, _ := slices.BinarySearch(s.bufT, s.minT)
+	s.times, s.values = s.bufT[i:], s.bufV[i:]
+	return nil
 }
 
 // merge combines sources with newest-wins dedup. Sources are passed
 // newest-first; on equal timestamps the lowest rank wins. The heap
-// orders sources by (head time, rank).
+// orders sources by (head, rank). accept, when non-nil, is the
+// caller's say on which stand-alone ranges it takes undecoded.
 type merge struct {
 	heap    []*source
+	accept  func(minT, maxT int64) bool
 	emitted bool
 	lastT   int64 // last time handed out
 }
 
-func newMerge(sources []*source) (*merge, error) {
-	m := &merge{}
+// newMerge builds the merge without decoding anything. With a nil
+// accept, next hands out decoded runs only.
+func newMerge(sources []*source, accept func(minT, maxT int64) bool) *merge {
+	m := &merge{accept: accept}
 	for rank, s := range sources {
 		s.rank = rank
-		ok, err := s.fill()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+		if len(s.times) > 0 || len(s.pending) > 0 {
 			m.heap = append(m.heap, s)
 		}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
 	}
-	return m, nil
+	return m
 }
 
 func (m *merge) less(a, b int) bool {
 	sa, sb := m.heap[a], m.heap[b]
-	if sa.times[0] != sb.times[0] {
-		return sa.times[0] < sb.times[0]
+	if ha, hb := sa.head(), sb.head(); ha != hb {
+		return ha < hb
 	}
 	return sa.rank < sb.rank
 }
@@ -166,46 +168,100 @@ func (m *merge) siftDown(i int) {
 	}
 }
 
-// next returns the next run of deduplicated records in time order, or
-// empty columns when every source is exhausted. The run is the longest
+// fixRoot restores the heap after the root's head moved on, dropping
+// the root once it is exhausted.
+func (m *merge) fixRoot() {
+	if s := m.heap[0]; len(s.times) == 0 && len(s.pending) == 0 {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.siftDown(0)
+}
+
+// standAlone reports whether [lo, hi] of the root source s lies inside
+// its range, strictly above the last time handed out and strictly
+// below bound, and is accepted by the caller.
+// Strict inequalities keep a boundary timestamp another source holds,
+// or one already handed out, out of the range.
+func (m *merge) standAlone(s *source, lo, hi, bound int64) bool {
+	return lo >= s.minT && hi <= s.maxT && (!m.emitted || lo > m.lastT) && hi < bound && m.accept(lo, hi)
+}
+
+// takeWhole hands out the root s's next pending block undecoded — or
+// the whole chunk it opens, when that qualifies too — if it is
+// stand-alone below bound, the least other head.
+func (m *merge) takeWhole(s *source, bound int64) (tsfile.BlockMeta, bool) {
+	p := s.pending[0]
+	c := p.chunk
+	whole, n := p.block, 1
+	switch {
+	case p.block.Offset == c.Blocks[0].Offset && m.standAlone(s, c.MinTime, c.MaxTime, bound):
+		whole = tsfile.BlockMeta{Offset: c.Offset, Size: c.Size, Count: c.Count, MinTime: c.MinTime, MaxTime: c.MaxTime, Stats: c.Stats}
+		n = len(c.Blocks)
+		s.reads.wholeChunks++
+	case m.standAlone(s, p.block.MinTime, p.block.MaxTime, bound):
+		s.reads.wholeBlocks++
+	default:
+		return tsfile.BlockMeta{}, false
+	}
+	s.reads.wholePoints += int64(whole.Count)
+	s.pending = s.pending[n:]
+	m.emitted, m.lastT = true, whole.MaxTime
+	m.fixRoot()
+	return whole, true
+}
+
+// next returns the next piece of the deduplicated records in time
+// order: a run of records, or — with whole.Count > 0 and no records —
+// a stand-alone chunk or block the caller accepted, undecoded. It
+// returns neither once every source is exhausted. A run is the longest
 // prefix of the root's run below both children's heads — and so below
 // every other source's — and at least one record: on a tie the root
 // wins by rank, and each loser drops its record when it surfaces. The
-// columns alias the source and are valid until the next call.
-func (m *merge) next() ([]int64, []float64, error) {
+// columns alias the source and are valid until the next call; a source
+// decodes only here, before anything is handed out, so one scratch set
+// per source suffices.
+func (m *merge) next() ([]int64, []float64, tsfile.BlockMeta, error) {
 	for len(m.heap) > 0 {
 		s := m.heap[0]
+		bound := int64(math.MaxInt64)
+		if len(m.heap) > 1 {
+			bound = m.heap[1].head()
+			if len(m.heap) > 2 {
+				bound = min(bound, m.heap[2].head())
+			}
+		}
+		if len(s.times) == 0 {
+			if m.accept != nil {
+				if whole, ok := m.takeWhole(s, bound); ok {
+					return nil, nil, whole, nil
+				}
+			}
+			if err := s.decode(); err != nil {
+				return nil, nil, tsfile.BlockMeta{}, err
+			}
+			m.fixRoot()
+			continue
+		}
 		// A stale head: a newer source already supplied this timestamp.
 		stale := m.emitted && s.times[0] == m.lastT
 		n := len(s.times)
 		if stale {
 			n = 1
 		} else if len(m.heap) > 1 {
-			bound := m.heap[1].times[0]
-			if len(m.heap) > 2 {
-				bound = min(bound, m.heap[2].times[0])
-			}
 			below, _ := slices.BinarySearch(s.times, bound)
 			n = max(1, below)
 		}
 		ts, vs := s.times[:n], s.values[:n]
 		s.times, s.values = s.times[n:], s.values[n:]
-		ok, err := s.fill()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			last := len(m.heap) - 1
-			m.heap[0] = m.heap[last]
-			m.heap = m.heap[:last]
-		}
-		m.siftDown(0)
+		m.fixRoot()
 		if !stale {
 			m.emitted, m.lastT = true, ts[n-1]
-			return ts, vs, nil
+			return ts, vs, tsfile.BlockMeta{}, nil
 		}
 	}
-	return nil, nil, nil
+	return nil, nil, tsfile.BlockMeta{}, nil
 }
 
 // noteReads adds the sources' read tallies to the engine's
@@ -217,29 +273,37 @@ func (e *Engine) noteReads(srcs []*source) {
 		t.blocks += s.reads.blocks
 		t.skipped += s.reads.skipped
 		t.bytes += s.reads.bytes
+		t.wholeChunks += s.reads.wholeChunks
+		t.wholeBlocks += s.reads.wholeBlocks
+		t.wholePoints += s.reads.wholePoints
 	}
 	e.chunksDecoded.Add(t.chunks)
 	e.blocksDecoded.Add(t.blocks)
 	e.blocksSkipped.Add(t.skipped)
 	e.bytesRead.Add(t.bytes)
+	e.chunksFromStats.Add(t.wholeChunks)
+	e.blocksFromStats.Add(t.wholeBlocks)
+	e.pointsSkipped.Add(t.wholePoints)
 }
 
 // pointsBound bounds the records the sources can yield: every record
-// of their current runs and of their pending blocks. A reply sized by
-// it is allocated once instead of grown by copying.
+// of their current runs, and of each pending block at most its count
+// and at most one per tick of its overlap with the source's range —
+// times strictly increase — so a block straddling a narrow range
+// counts for the range, not the block. A reply sized by it is
+// allocated once instead of grown by copying.
 func pointsBound(srcs []*source) int {
 	n := 0
 	for _, s := range srcs {
 		n += len(s.times)
 		for _, p := range s.pending {
-			n += p.block.Count
+			lo, hi := max(p.block.MinTime, s.minT), min(p.block.MaxTime, s.maxT)
+			if ticks := uint64(hi) - uint64(lo); ticks < uint64(p.block.Count) {
+				n += int(ticks) + 1
+			} else {
+				n += p.block.Count
+			}
 		}
 	}
 	return n
-}
-
-// anyPointIn reports whether the ascending times hold one in [lo, hi].
-func anyPointIn(times []int64, lo, hi int64) bool {
-	i, _ := slices.BinarySearch(times, lo)
-	return i < len(times) && times[i] <= hi
 }

@@ -9,14 +9,29 @@ import (
 	"testing"
 
 	"repro/internal/tsfile"
+	"repro/internal/winagg"
 )
 
 // mergeCase is one decoded merge input set: the sources newest-first
-// and, for the reference, each source's raw records in order.
+// and, for the reference, each source's raw records in order; the
+// ranges the merge may hand out whole; and, keyed by their statistics,
+// a decoder for every chunk and block a file source may hand out.
 type mergeCase struct {
 	srcs       []*source
 	raw        [][]TV
 	minT, maxT int64
+	accept     func(lo, hi int64) bool
+	pieces     map[*tsfile.ValueStats]func() ([]int64, []float64, error)
+}
+
+// addPieces registers a decoder for each of fh's chunks and blocks.
+func (c *mergeCase) addPieces(fh *fileHandle, chunks []tsfile.ChunkMeta) {
+	for _, m := range chunks {
+		c.pieces[m.Stats] = func() ([]int64, []float64, error) { return fh.reader.ReadChunk(m) }
+		for _, b := range m.Blocks {
+			c.pieces[b.Stats] = func() ([]int64, []float64, error) { return fh.reader.ReadBlock(m, b) }
+		}
+	}
 }
 
 // buildMergeCase turns fuzz bytes into 1–6 newest-first sources over
@@ -24,6 +39,9 @@ type mergeCase struct {
 // file sources written to one tsfile — one sensor each, in blocks of
 // 1–4 points, split into two chunks. One of the legacy sensors — a
 // parent writer's, upgraded — may join at a rank the bytes choose.
+// The last byte picks the ranges the merge may hand out whole: any,
+// none (nil), those inside one window of 1–16 ticks, or those of at
+// most 0–7 ticks' span.
 func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 	t.Helper()
 	pos := 0
@@ -34,7 +52,7 @@ func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 		pos++
 		return int(data[pos-1])
 	}
-	c := mergeCase{minT: int64(byteAt()%44) - 2}
+	c := mergeCase{minT: int64(byteAt()%44) - 2, pieces: map[*tsfile.ValueStats]func() ([]int64, []float64, error){}}
 	c.maxT = c.minT + int64(byteAt()%44)
 	k := 1 + byteAt()%6
 	path := filepath.Join(t.TempDir(), "runs.gtsf")
@@ -92,7 +110,9 @@ func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 	t.Cleanup(func() { fh.release() })
 	for i, run := range c.raw {
 		if isFile[i] {
-			c.srcs = append(c.srcs, newFileSource(fh, overlapping(fh, string(rune('a'+i)), c.minT, c.maxT), c.minT, c.maxT))
+			chunks := overlapping(fh, string(rune('a'+i)), c.minT, c.maxT)
+			c.addPieces(fh, chunks)
+			c.srcs = append(c.srcs, newFileSource(fh, chunks, c.minT, c.maxT))
 			continue
 		}
 		s := &source{}
@@ -116,9 +136,22 @@ func buildMergeCase(t *testing.T, data []byte, legacy []legacyRun) mergeCase {
 				run = append(run, TV{ts[i], vs[i]})
 			}
 		}
-		src := newFileSource(l.fh, overlapping(l.fh, l.sensor, c.minT, c.maxT), c.minT, c.maxT)
-		c.srcs = slices.Insert(c.srcs, at, src)
+		chunks := overlapping(l.fh, l.sensor, c.minT, c.maxT)
+		c.addPieces(l.fh, chunks)
+		c.srcs = slices.Insert(c.srcs, at, newFileSource(l.fh, chunks, c.minT, c.maxT))
 		c.raw = slices.Insert(c.raw, at, run)
+	}
+	switch byteAt() % 4 {
+	case 0:
+		c.accept = func(lo, hi int64) bool { return true }
+	case 2:
+		w := int64(1 + byteAt()%16)
+		c.accept = func(lo, hi int64) bool {
+			return winagg.WindowStart(c.minT, lo, w) == winagg.WindowStart(c.minT, hi, w)
+		}
+	case 3:
+		span := int64(byteAt() % 8)
+		c.accept = func(lo, hi int64) bool { return hi-lo <= span }
 	}
 	return c
 }
@@ -145,19 +178,38 @@ func referenceMerge(raw [][]TV, minT, maxT int64) []TV {
 	return out
 }
 
+// checkRunMerge drains the merge, decoding each whole chunk or block
+// it hands out, and checks the stream against referenceMerge: each
+// whole piece must be one the caller accepted, inside the range, and
+// hold exactly the reference's records in its range.
 func checkRunMerge(t *testing.T, data []byte, legacy []legacyRun) {
 	c := buildMergeCase(t, data, legacy)
-	m, err := newMerge(c.srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceMerge(c.raw, c.minT, c.maxT)
+	m := newMerge(c.srcs, c.accept)
 	var got []TV
 	for {
-		ts, vs, err := m.next()
+		ts, vs, whole, err := m.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ts) == 0 {
+		if whole.Count > 0 {
+			if len(ts) > 0 || c.accept == nil || !c.accept(whole.MinTime, whole.MaxTime) || whole.MinTime < c.minT || whole.MaxTime > c.maxT {
+				t.Fatalf("[%d, %d] over %v: merge handed out %d records with whole piece %+v", c.minT, c.maxT, c.raw, len(ts), whole)
+			}
+			decode, ok := c.pieces[whole.Stats]
+			if !ok {
+				t.Fatalf("whole piece %+v is no chunk or block of a source", whole)
+			}
+			if ts, vs, err = decode(); err != nil {
+				t.Fatal(err)
+			}
+			lo, _ := slices.BinarySearchFunc(want, whole.MinTime, func(tv TV, t int64) int { return cmp.Compare(tv.T, t) })
+			hi, _ := slices.BinarySearchFunc(want, whole.MaxTime+1, func(tv TV, t int64) int { return cmp.Compare(tv.T, t) })
+			if len(ts) != whole.Count || hi-lo != len(ts) {
+				t.Fatalf("[%d, %d] over %v: whole piece %+v decodes to %v, reference holds %v in its range",
+					c.minT, c.maxT, c.raw, whole, ts, want[lo:hi])
+			}
+		} else if len(ts) == 0 {
 			break
 		}
 		if len(vs) != len(ts) {
@@ -167,7 +219,7 @@ func checkRunMerge(t *testing.T, data []byte, legacy []legacyRun) {
 			got = append(got, TV{ts[i], vs[i]})
 		}
 	}
-	if want := referenceMerge(c.raw, c.minT, c.maxT); !slices.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("[%d, %d] over %v:\nmerge     %v\nreference %v", c.minT, c.maxT, c.raw, got, want)
 	}
 }
@@ -236,6 +288,13 @@ func FuzzRunMerge(f *testing.F) {
 	legacy := openLegacyFixtures(f)
 	f.Add([]byte{0, 43, 5, 0, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 3, 1, 2, 1, 0})
 	f.Add([]byte{2, 30, 3, 1, 6, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 9, 0, 1, 2, 0, 1, 1})
+	// A newer file's one-block chunk [1, 2] in the gap of an older
+	// file's block {0, 3}: it comes out whole, as a chunk.
+	f.Add([]byte{2, 43, 1, 1, 2, 10, 0, 11, 0, 1, 1, 3, 0, 2, 20, 2, 21, 0, 1, 1, 3, 0, 0})
+	// The newer chunk {1, 2 | 5, 6} in 2-point blocks over the same
+	// older block, 8-tick windows: the chunk overlaps the older
+	// block's 3, so each of its blocks comes out whole on its own.
+	f.Add([]byte{2, 43, 1, 1, 4, 10, 0, 11, 2, 12, 0, 13, 0, 1, 3, 1, 0, 2, 20, 2, 21, 0, 1, 1, 3, 0, 2, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRunMerge(t, data, legacy)
 	})
@@ -260,22 +319,45 @@ func TestFileSourceRunsStrictlyIncrease(t *testing.T) {
 			}
 			s := newFileSource(l.fh, overlapping(l.fh, l.sensor, r[0], r[1]), r[0], r[1])
 			var got []TV
-			for {
-				ok, err := s.fill()
-				if err != nil {
+			for len(s.pending) > 0 {
+				if err := s.decode(); err != nil {
 					t.Fatal(err)
-				}
-				if !ok {
-					break
 				}
 				for i, tm := range s.times {
 					got = append(got, TV{tm, s.values[i]})
 				}
-				s.times, s.values = nil, nil
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s %s %v: runs %v, want %v", filepath.Base(l.fh.path), l.sensor, r, got, want)
 			}
+		}
+	}
+}
+
+// TestPointsBoundCountsTheRange: before anything is decoded, a pending
+// block counts for at most one record per tick of its overlap with the
+// source's range, so a narrow query over a wide block sizes its reply
+// by the range — also over the whole int64 range, where the tick count
+// does not fit an int64.
+func TestPointsBoundCountsTheRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.gtsf")
+	writeRuns(t, path, chunkRun{"s", span(0, 4096), func(x int64) float64 { return float64(x) }})
+	r, err := tsfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := newFileHandle(path, r, false)
+	defer fh.release()
+	for _, c := range []struct{ minT, maxT, want int64 }{
+		{5000, 5015, 0},
+		{1000, 1015, 16},
+		{4090, 5000, 6},
+		{-10, 0, 1},
+		{math.MinInt64, math.MaxInt64, 4096},
+	} {
+		srcs := []*source{newFileSource(fh, overlapping(fh, "s", c.minT, c.maxT), c.minT, c.maxT)}
+		if got := pointsBound(srcs); int64(got) != c.want {
+			t.Fatalf("[%d, %d]: bound %d, want %d", c.minT, c.maxT, got, c.want)
 		}
 	}
 }

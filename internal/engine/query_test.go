@@ -81,7 +81,7 @@ func TestStatsSnapshotIndependentOfQueries(t *testing.T) {
 }
 
 // TestFileSourceAllocsIndependentOfBlocks: a file source decodes its
-// blocks into two scratch sets it reuses, so a Query's allocations do
+// blocks into one scratch set it reuses, so a Query's allocations do
 // not grow by a fixed count per block decoded. Over one compacted file,
 // a sensor of 32 blocks costs fewer extra allocations than it has extra
 // blocks over a sensor of 4; the result column's growth is the rest.

@@ -178,7 +178,10 @@ func BenchmarkAggregateWideFile(b *testing.B) {
 // the index holds, not by its chunks. Over 500 chunks (88-byte
 // ChunkMeta each) a handle allocated about 103 KB while it copied the
 // index into a map sized for 500 sensors, for one sensor's chunks and
-// for 500 sensors' alike; what is left is the position map.
+// for 500 sensors' alike; what is left is the position map. Its
+// position lists share one array, so a handle's allocations do not
+// grow with its sensors: a position slice per sensor cost a 500-sensor
+// handle 507 allocations.
 func TestFileHandleSharesIndex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate allocated bytes")
@@ -193,6 +196,7 @@ func TestFileHandleSharesIndex(t *testing.T) {
 		{"one sensor", func(i int) chunkRun { return chunkRun{"s", span(int64(i)*4, int64(i)*4+4), f} }, 49_500 / 2},
 		{"a sensor a chunk", func(i int) chunkRun { return chunkRun{fmt.Sprintf("s%03d", i), span(0, 4), f} }, 80_000},
 	} {
+		const maxAllocs = 16
 		runs := make([]chunkRun, chunks)
 		for i := range runs {
 			runs[i] = tc.run(i)
@@ -222,6 +226,9 @@ func TestFileHandleSharesIndex(t *testing.T) {
 		}
 		if got := min(perHandle(), perHandle(), perHandle()); got >= tc.bound {
 			t.Fatalf("%s: a %d-chunk file handle allocates %d bytes, want under %d", tc.name, chunks, got, tc.bound)
+		}
+		if got := testing.AllocsPerRun(20, func() { newFileHandle(path, r, false) }); got > maxAllocs {
+			t.Fatalf("%s: a %d-chunk file handle makes %v allocations, want at most %d", tc.name, chunks, got, maxAllocs)
 		}
 	}
 }

@@ -143,7 +143,9 @@ func TestInsertBatchAsyncPipelines(t *testing.T) {
 func TestOverloadedRPC(t *testing.T) {
 	b := newBlockingBackend()
 	srv := NewServer(b)
-	srv.SetQueueBounds(1, 1)
+	q := ingestq.New(1, 1)
+	t.Cleanup(q.Close)
+	srv.SetIngestQueue(q)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +197,9 @@ func TestOverloadedRPC(t *testing.T) {
 func TestOverloadRetriesInIdempotentPath(t *testing.T) {
 	b := newBlockingBackend()
 	srv := NewServer(b)
-	srv.SetQueueBounds(1, 1)
+	q := ingestq.New(1, 1)
+	t.Cleanup(q.Close)
+	srv.SetIngestQueue(q)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -489,30 +493,6 @@ func TestStalledWriterDoesNotWedgePool(t *testing.T) {
 	}
 }
 
-// TestSetQueueBoundsReplacesQueue: re-sizing the private dispatch
-// queue must stop the previous pool's workers, not leak them.
-func TestSetQueueBoundsReplacesQueue(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	srv := NewServer(newBlockingBackend())
-	for i := 0; i < 8; i++ {
-		srv.SetQueueBounds(4, 3)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("SetQueueBounds leaked workers: baseline %d, now %d",
-				baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSharedQueueAcrossServers: two servers sharing one ingestq see a
 // single overload domain — counters accumulate across both.
 func TestSharedQueueAcrossServers(t *testing.T) {
@@ -585,7 +565,9 @@ func TestOversizedReplyFailsOneTag(t *testing.T) {
 		b.big[i].T = math.MaxInt64
 	}
 	srv := NewServer(b)
-	srv.SetQueueBounds(64, 8) // spare workers: a regression re-executes queries, and must fail below, not starve
+	q := ingestq.New(64, 8) // spare workers: a regression re-executes queries, and must fail below, not starve
+	t.Cleanup(q.Close)
+	srv.SetIngestQueue(q)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ type Server struct {
 	idleTimeout  time.Duration
 
 	queue    *ingestq.Queue
-	ownQueue bool
+	ownQueue bool // Listen made queue, so Close and Shutdown close it
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -130,21 +130,6 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 // Call before Listen.
 func (s *Server) SetIngestQueue(q *ingestq.Queue) {
 	s.queue = q
-	s.ownQueue = false
-}
-
-// SetQueueBounds sizes the server's own dispatch queue (ignored after
-// SetIngestQueue): capacity slots and workers executing ops. Zeros
-// pick the ingestq defaults. Call before Listen.
-func (s *Server) SetQueueBounds(capacity, workers int) {
-	if s.queue != nil {
-		if !s.ownQueue {
-			return
-		}
-		s.queue.Close() // don't leak the previous pool's workers
-	}
-	s.queue = ingestq.New(capacity, workers)
-	s.ownQueue = true
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the
@@ -572,7 +557,7 @@ func (s *Server) Close() error {
 	ownQueue := s.ownQueue
 	s.mu.Unlock()
 	s.wg.Wait()
-	if ownQueue && s.queue != nil {
+	if ownQueue {
 		s.queue.Close()
 	}
 	return ignoreNetClosed(err)
