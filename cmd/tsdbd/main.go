@@ -50,7 +50,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle longer than this, reclaiming their goroutines (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown drain deadline on SIGTERM/SIGINT")
 	shards := flag.Int("shards", 1, "hash-routed engine shards (0 = GOMAXPROCS); must match an existing -dir")
-	flushWorkers := flag.Int("flush-workers", 0, "flush worker pool size, shared across shards (0 = GOMAXPROCS)")
+	flushWorkers := flag.Int("flush-workers", 0, "most sensor chunks sorted and encoded at once by flushes, one bound across all shards (0 = GOMAXPROCS)")
 	paperProfile := flag.Bool("paper-profile", false, "run as the paper benchmarked IoTDB: queries sort under the engine lock, every sort takes the interface path, working chunks are List<Array> of 32; off, every sort is the flat kernel in place")
 	partitionDuration := flag.Int64("partition-duration", engine.DefaultPartitionDuration, "time-partition width in timestamp units, one week of nanoseconds by default; files live under shard-NNN/p<epoch>/L<n>/ and whole partitions drop in O(1)")
 	flag.Parse()

@@ -2,9 +2,60 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
+
+// settleGoroutines waits, a bounded while, for runtime.NumGoroutine to
+// fall back to base (exiting goroutines take a moment to be counted
+// out) and returns the last count seen.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 400 && n > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestNoGoroutineOutlivesDrains: an engine without a WAL ticker runs
+// background work only while a flush drains. Once WaitFlushes returns,
+// and again after Close, the process is back at the goroutine count it
+// had before Open — no parked flush workers or other helpers remain.
+func TestNoGoroutineOutlivesDrains(t *testing.T) {
+	base := settleGoroutines(runtime.NumGoroutine())
+	e, err := Open(Config{Dir: t.TempDir(), MemTableSize: 200, FlushWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 10; b++ {
+		for s := 0; s < 4; s++ {
+			times := make([]int64, 60)
+			values := make([]float64, 60)
+			for i := range times {
+				times[i] = int64(b*60 + i)
+			}
+			if err := e.InsertBatch(fmt.Sprintf("d0.s%d", s), times, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.WaitFlushes()
+	if st := e.Stats(); st.FlushCount < 3 {
+		t.Fatalf("only %d flushes: the workload should pass several memtables", st.FlushCount)
+	}
+	if n := settleGoroutines(base); n != base {
+		t.Fatalf("after WaitFlushes: %d goroutines, baseline %d", n, base)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settleGoroutines(base); n != base {
+		t.Fatalf("after Close: %d goroutines, baseline %d", n, base)
+	}
+}
 
 // TestConcurrentClose: two goroutines racing Engine.Close() must BOTH
 // block until background flushes have drained and resources are

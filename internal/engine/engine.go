@@ -9,8 +9,8 @@
 //     not-too-distant future (Section II);
 //   - when the memtable is full it becomes immutable (*flushing*) and
 //     is drained asynchronously: each TVList is sorted with the
-//     configured algorithm and encoded on a bounded worker pool, then
-//     written to a TsFile-like chunk file in deterministic sensor
+//     configured algorithm and encoded, at most FlushWorkers at once,
+//     then written to a TsFile-like chunk file in deterministic sensor
 //     order — the flush-time metric of Figures 16–18 measures exactly
 //     this state-transition-to-disk window;
 //   - queries snapshot the engine state under the engine lock and do
@@ -25,7 +25,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -105,10 +104,10 @@ type Config struct {
 	// SyncFlush makes flushes run inline on the triggering Insert,
 	// for deterministic tests. Production-style async is the default.
 	SyncFlush bool
-	// FlushWorkers bounds the worker pool that sorts and encodes
-	// sensor chunks during a flush (default GOMAXPROCS). 1 keeps the
-	// drain fully sequential, as the original IoTDB-style pipeline
-	// was.
+	// FlushWorkers bounds how many sensor chunks are sorted and
+	// encoded at once across the engine's flushes (default
+	// GOMAXPROCS). 1 keeps the drain fully sequential, as the original
+	// IoTDB-style pipeline was.
 	FlushWorkers int
 	// PaperProfile runs the engine as the paper benchmarked IoTDB:
 	// queries sort the live working TVLists in place while holding the
@@ -142,11 +141,10 @@ type Config struct {
 	// faultfs.OS). Crash tests inject fault filesystems here; it
 	// threads through the WAL, chunk-file writes, renames and removes.
 	FS faultfs.FS
-	// SharedPool, when set, replaces the engine's own flush worker
-	// pool with one shared across engines (the shard layer uses this
-	// so N shards stay within one machine-wide sort/encode bound).
-	// FlushWorkers is ignored then, and Close leaves the pool running
-	// for its owner to stop.
+	// SharedPool, when set, replaces the engine's own flush bound with
+	// one shared across engines (the shard layer uses this so N shards
+	// stay within one machine-wide sort/encode bound). FlushWorkers is
+	// ignored then.
 	SharedPool *SharedFlushPool
 	// PartitionDuration is the width of a time partition, in timestamp
 	// units (default DefaultPartitionDuration; negative is an error).
@@ -173,10 +171,9 @@ type TV struct {
 // Engine is the storage engine. All methods are safe for concurrent
 // use.
 type Engine struct {
-	cfg        Config
-	algo       sortalgo.Func
-	pool       *flushPool
-	poolShared bool // pool belongs to cfg.SharedPool's owner, not us
+	cfg  Config
+	algo sortalgo.Func
+	pool *SharedFlushPool // Config.SharedPool, or the engine's own
 
 	// Durability plumbing, resolved at Open: the filesystem seam, the
 	// sync policy split into its two consequences (walDurable: segment
@@ -188,8 +185,8 @@ type Engine struct {
 	walAlways  bool
 	walStats   wal.SyncStats
 
-	// Recovery outcomes from Open (written before Open returns, then
-	// read-only).
+	// Recovery outcomes, written only inside Open and read-only
+	// afterwards, so they need no lock.
 	quarantined      int
 	recoveredBatches int64
 
@@ -218,21 +215,27 @@ type Engine struct {
 	walSeg      *wal.Segment  // active segment covering the working memtables
 	lastUnit    chan struct{} // done of the newest flushing unit rotated
 	closed      bool
-	closeDone   chan struct{} // closed when the winning Close finishes
-	closeErr    error         // the winning Close's result; read after closeDone
 
-	flushWG   sync.WaitGroup
-	compactMu sync.Mutex // serializes Compact calls
-
-	// statsMu guards the flush timings, flushErr, closeErr and the
-	// recovery outcomes; every other counter is a lock-free atomic.
-	statsMu     sync.Mutex
+	// Flush timings, added by each drain when it publishes its files,
+	// so a Stats snapshot never shows a drain's files without its
+	// flush counted.
 	flushTotal  time.Duration
 	sortTotal   time.Duration
 	encodeTotal time.Duration
 	writeTotal  time.Duration
 	flushCount  int
-	flushErr    error // first background flush failure, surfaced on Query/Close
+
+	flushWG   sync.WaitGroup
+	compactMu sync.Mutex // serializes compaction passes; taken before mu, never under it
+
+	// Close runs once; every caller waits for it and returns its
+	// result.
+	closeOnce sync.Once
+	closeErr  error
+
+	// flushErr holds the first background flush failure, surfaced on
+	// Query/Close. Every other counter below is a lock-free atomic.
+	flushErr atomic.Pointer[error]
 
 	seqPoints      atomic.Int64
 	unseqPoints    atomic.Int64
@@ -405,10 +408,6 @@ func Open(cfg Config) (*Engine, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	workers := cfg.FlushWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	switch cfg.WALSync {
 	case "", WALSyncNone, WALSyncInterval, WALSyncAlways:
 	default:
@@ -450,11 +449,8 @@ func Open(cfg Config) (*Engine, error) {
 		flat:        cfg.Algorithm == "backward" && !cfg.PaperProfile,
 	}
 	e.newWorking()
-	if cfg.SharedPool != nil {
-		e.pool = cfg.SharedPool.p
-		e.poolShared = true
-	} else {
-		e.pool = newFlushPool(workers)
+	if e.pool = cfg.SharedPool; e.pool == nil {
+		e.pool = NewSharedFlushPool(cfg.FlushWorkers)
 	}
 	opened := false
 	defer func() {
@@ -463,9 +459,6 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		for _, fh := range e.files {
 			fh.release()
-		}
-		if !e.poolShared {
-			e.pool.close()
 		}
 	}()
 	if err := e.recover(); err != nil {
@@ -1000,11 +993,7 @@ func (e *Engine) newWorking() {
 // recordFlushErr stores the first background failure for Query/Close
 // to surface.
 func (e *Engine) recordFlushErr(err error) {
-	e.statsMu.Lock()
-	if e.flushErr == nil {
-		e.flushErr = err
-	}
-	e.statsMu.Unlock()
+	e.flushErr.CompareAndSwap(nil, &err)
 }
 
 // partitionOf returns the time-partition index of t (floor division,
@@ -1086,7 +1075,7 @@ func (e *Engine) writeChunkFile(path string, replace bool, write func(w *tsfile.
 
 // drain sorts, encodes and writes one flushing unit to disk, then
 // publishes the resulting files and retires the unit. Chunk sorting
-// and encoding fan out across the engine's flush worker pool; the
+// and encoding fan out under the engine's flush bound; the
 // encoded chunks are appended to the file in deterministic (sorted
 // sensor) order by this goroutine. A sensor's sorted points are split
 // at time-partition boundaries and each partition gets its own level-0
@@ -1096,8 +1085,8 @@ func (e *Engine) writeChunkFile(path string, replace bool, write func(w *tsfile.
 // recover() to trip over on the next Open) — and records the error for
 // Query/Close to surface.
 func (e *Engine) drain(unit *flushUnit) {
-	closeDone := sync.OnceFunc(func() { close(unit.done) })
-	defer closeDone()
+	publishDone := sync.OnceFunc(func() { close(unit.done) })
+	defer publishDone()
 	var sortNanos, encodeNanos atomic.Int64
 	var writeDur time.Duration
 	var handles []*fileHandle
@@ -1218,8 +1207,13 @@ func (e *Engine) drain(unit *flushUnit) {
 			break
 		}
 	}
+	e.flushCount++
+	e.flushTotal += elapsed
+	e.sortTotal += time.Duration(sortNanos.Load())
+	e.encodeTotal += time.Duration(encodeNanos.Load())
+	e.writeTotal += writeDur
 	e.mu.Unlock()
-	closeDone()
+	publishDone()
 
 	// The generation is durable as chunk files: its WAL segment is no
 	// longer needed.
@@ -1228,14 +1222,6 @@ func (e *Engine) drain(unit *flushUnit) {
 			e.recordFlushErr(err)
 		}
 	}
-
-	e.statsMu.Lock()
-	e.flushCount++
-	e.flushTotal += elapsed
-	e.sortTotal += time.Duration(sortNanos.Load())
-	e.encodeTotal += time.Duration(encodeNanos.Load())
-	e.writeTotal += writeDur
-	e.statsMu.Unlock()
 
 	// Leveled compaction rides the flush path: each published flush
 	// may tip a partition's L0 file count or a level's size bound over
@@ -1338,18 +1324,18 @@ func (e *Engine) LatestTime(sensor string) (int64, bool) {
 	return t, ok
 }
 
-// Stats returns a metrics snapshot. Both locks are held together (in
-// the engine's usual e.mu → statsMu order) so the flush counters, the
-// averages derived from them, and the files/memtable numbers all
-// describe the same instant.
+// Stats returns a metrics snapshot. The engine lock is held while the
+// flush counters, the averages derived from them, and the
+// files/memtable numbers are read, so they describe the same instant.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	e.statsMu.Lock()
 	s := Stats{
-		FlushCount:     e.flushCount,
-		Files:          len(e.files),
-		MemTablePoints: e.working.Points() + e.workingUn.Points(),
-		FlushWorkers:   e.pool.size,
+		FlushCount:          e.flushCount,
+		Files:               len(e.files),
+		MemTablePoints:      e.working.Points() + e.workingUn.Points(),
+		FlushWorkers:        e.pool.Size(),
+		QuarantinedFiles:    e.quarantined,
+		RecoveredWALBatches: e.recoveredBatches,
 	}
 	parts := map[int64]struct{}{}
 	for _, fh := range e.files {
@@ -1363,7 +1349,6 @@ func (e *Engine) Stats() Stats {
 		s.AvgEncodeMillis = float64(e.encodeTotal.Microseconds()) / 1000 / n
 		s.AvgWriteMillis = float64(e.writeTotal.Microseconds()) / 1000 / n
 	}
-	e.statsMu.Unlock()
 	e.mu.Unlock()
 
 	s.SeqPoints = e.seqPoints.Load()
@@ -1394,10 +1379,6 @@ func (e *Engine) Stats() Stats {
 	s.CompactionBytesRead = e.compactionBytesRead.Load()
 	s.MaxCompactionPassBytes = e.maxCompactionPass.Load()
 	s.PartitionsDropped = e.partitionsDropped.Load()
-	e.statsMu.Lock()
-	s.QuarantinedFiles = e.quarantined
-	s.RecoveredWALBatches = e.recoveredBatches
-	e.statsMu.Unlock()
 	return s
 }
 
@@ -1407,44 +1388,37 @@ func (e *Engine) WaitFlushes() { e.flushWG.Wait() }
 
 // FlushError returns the first background flush failure, if any.
 func (e *Engine) FlushError() error {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.flushErr
+	if err := e.flushErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
-// Close flushes remaining data, waits for in-flight flushes, stops the
-// flush worker pool, and releases the engine's file references
-// (queries still reading a file keep it open until they finish).
+// Close flushes remaining data, waits for in-flight flushes, and
+// releases the engine's file references (queries still reading a file
+// keep it open until they finish).
 //
 // Close is safe to call concurrently: exactly one caller performs the
 // shutdown, and every other caller blocks until it has finished (and
 // returns the same result) rather than returning while flushes are
 // still draining.
 func (e *Engine) Close() error {
+	e.closeOnce.Do(func() { e.closeErr = e.close() })
+	return e.closeErr
+}
+
+func (e *Engine) close() error {
 	e.Flush()
 	e.mu.Lock()
-	if e.closed {
-		done := e.closeDone
-		e.mu.Unlock()
-		<-done
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-		return e.closeErr
-	}
 	e.closed = true
-	done := make(chan struct{})
-	e.closeDone = done
 	e.mu.Unlock()
 	if e.walTickStop != nil {
 		close(e.walTickStop)
 		<-e.walTickDone
 	}
 	// closed is set: no new drain can be registered, so the wait is
-	// complete and the pool can be stopped safely.
+	// complete.
 	e.flushWG.Wait()
-	if !e.poolShared {
-		e.pool.close()
-	}
 
 	e.mu.Lock()
 	firstErr := e.FlushError()
@@ -1477,16 +1451,8 @@ func (e *Engine) Close() error {
 	}
 	e.files = nil
 	e.mu.Unlock()
-
-	e.statsMu.Lock()
-	e.closeErr = firstErr
-	e.statsMu.Unlock()
-	close(done)
 	return firstErr
 }
-
-// Algorithm returns the engine's configured sorting algorithm name.
-func (e *Engine) Algorithm() string { return e.cfg.Algorithm }
 
 // sortableGuard: the engine relies on TVList implementing
 // core.Sortable; keep the dependency explicit.

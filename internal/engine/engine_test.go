@@ -38,8 +38,8 @@ func TestOpenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Algorithm() != "backward" {
-		t.Fatalf("default algorithm = %q", e.Algorithm())
+	if e.cfg.Algorithm != "backward" {
+		t.Fatalf("default algorithm = %q", e.cfg.Algorithm)
 	}
 	e.Close()
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkFlushWorkers measures the wall time of draining one
-// multi-sensor memtable generation at different flush pool sizes. Each
+// multi-sensor memtable generation at different FlushWorkers bounds. Each
 // sensor's chunk is an independent sort+encode job, so on multi-core
 // machines flush wall time should drop as workers increase (on a
-// single-core machine the pool can only show parity, since sort and
+// single-core machine the bound can only show parity, since sort and
 // encode are CPU-bound).
 func BenchmarkFlushWorkers(b *testing.B) {
 	const (

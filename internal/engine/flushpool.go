@@ -5,103 +5,62 @@ import (
 	"sync"
 )
 
-// flushPool is the engine's bounded worker pool for the CPU side of
-// flushing: sorting sensor chunks and encoding them into tsfile chunk
-// payloads. One pool serves every drain of the engine, so the bound
-// holds even when several memtable generations flush concurrently —
-// the file itself is still written by the draining goroutine, in
-// deterministic sensor order, from the workers' encoded results.
+// SharedFlushPool bounds the CPU side of flushing — sorting sensor
+// chunks and encoding them into tsfile chunk payloads — with a counting
+// semaphore: every job holds one slot while it runs. One pool serves
+// every drain of an engine, and every engine handed it through
+// Config.SharedPool (the shard layer gives one to all its shards), so
+// the bound holds however many memtable generations and shards flush
+// at once. The file itself is still written by the draining goroutine,
+// in deterministic sensor order, from the jobs' encoded results.
 //
-// With size 1 the pool runs jobs inline on the submitting goroutine:
-// the paper-reproduction mode (cmd/repro) uses that to keep per-flush
-// wall time attributable to the sorting algorithm rather than to
-// scheduling.
-type flushPool struct {
-	size int
-	jobs chan func()
-	wg   sync.WaitGroup
+// A pool holds no goroutines between calls, so it is never started or
+// stopped. With size 1 jobs run inline on the calling goroutine without
+// a slot: the paper-reproduction mode (cmd/repro) uses that to keep
+// per-flush wall time attributable to the sorting algorithm rather
+// than to scheduling.
+type SharedFlushPool struct {
+	slots chan struct{}
 }
 
-// newFlushPool starts a pool with the given number of workers
-// (minimum 1).
-func newFlushPool(size int) *flushPool {
-	if size < 1 {
-		size = 1
+// NewSharedFlushPool returns a pool running at most workers jobs at
+// once (0 or less selects GOMAXPROCS).
+func NewSharedFlushPool(workers int) *SharedFlushPool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &flushPool{size: size}
-	if size > 1 {
-		p.jobs = make(chan func())
-		for i := 0; i < size; i++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				for fn := range p.jobs {
-					fn()
-				}
-			}()
-		}
-	}
-	return p
+	return &SharedFlushPool{slots: make(chan struct{}, workers)}
 }
 
-// do runs every job and returns when all have finished. Jobs may run
-// on pool workers in any order and must synchronize among themselves
-// where they touch shared state.
-func (p *flushPool) do(jobs []func()) {
-	if p.size <= 1 || len(jobs) == 1 {
+// Size reports the resolved bound.
+func (p *SharedFlushPool) Size() int { return cap(p.slots) }
+
+// do runs every job and returns when all have finished. Each job runs
+// on its own goroutine once it holds a slot, except the last, which
+// runs on the caller (so a single job never spawns one). Jobs may run
+// in any order and must synchronize among themselves where they touch
+// shared state.
+func (p *SharedFlushPool) do(jobs []func()) {
+	if cap(p.slots) == 1 {
 		for _, fn := range jobs {
 			fn()
 		}
 		return
 	}
-	var done sync.WaitGroup
-	done.Add(len(jobs))
-	for _, fn := range jobs {
-		fn := fn
-		p.jobs <- func() {
-			defer done.Done()
+	var wg sync.WaitGroup
+	for i, fn := range jobs {
+		p.slots <- struct{}{}
+		if i == len(jobs)-1 {
 			fn()
+			<-p.slots
+			break
 		}
+		wg.Add(1)
+		go func() {
+			fn()
+			<-p.slots
+			wg.Done()
+		}()
 	}
-	done.Wait()
-}
-
-// close stops the workers. The caller must guarantee no do() call is
-// in flight or can start afterwards (the engine does: Close marks the
-// engine closed, waits out in-flight drains, then closes the pool).
-func (p *flushPool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-		p.wg.Wait()
-		p.jobs = nil
-	}
-}
-
-// SharedFlushPool is a sort/encode worker pool shared by several
-// engines — the shard layer hands one to every shard so N shards
-// cannot oversubscribe the machine with N independent GOMAXPROCS-sized
-// pools. An engine given a shared pool does not close it; the owner
-// (the shard router) closes it after every sharing engine has closed.
-type SharedFlushPool struct {
-	once sync.Once
-	p    *flushPool
-}
-
-// NewSharedFlushPool starts a shared pool with the given number of
-// workers (0 or less selects GOMAXPROCS, matching the engine's own
-// FlushWorkers default).
-func NewSharedFlushPool(workers int) *SharedFlushPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &SharedFlushPool{p: newFlushPool(workers)}
-}
-
-// Size reports the resolved worker count.
-func (s *SharedFlushPool) Size() int { return s.p.size }
-
-// Close stops the workers. Callers must guarantee every engine sharing
-// the pool has finished closing first. Safe to call more than once.
-func (s *SharedFlushPool) Close() {
-	s.once.Do(s.p.close)
+	wg.Wait()
 }

@@ -4,11 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestFlushPoolRunsEveryJob(t *testing.T) {
 	for _, size := range []int{0, 1, 2, 4} {
-		p := newFlushPool(size)
+		p := NewSharedFlushPool(size)
 		var ran atomic.Int64
 		jobs := make([]func(), 37)
 		for i := range jobs {
@@ -24,15 +25,16 @@ func TestFlushPoolRunsEveryJob(t *testing.T) {
 		if ran.Load() != 1 {
 			t.Fatalf("size %d: single-job do ran %d", size, ran.Load())
 		}
-		p.close()
+		if len(p.slots) != 0 {
+			t.Fatalf("size %d: %d slots still held after do returned", size, len(p.slots))
+		}
 	}
 }
 
 func TestFlushPoolConcurrentDo(t *testing.T) {
 	// Multiple drains can share the pool; their job sets must not
 	// interfere.
-	p := newFlushPool(4)
-	defer p.close()
+	p := NewSharedFlushPool(4)
 	var wg sync.WaitGroup
 	var ran atomic.Int64
 	for d := 0; d < 8; d++ {
@@ -49,6 +51,52 @@ func TestFlushPoolConcurrentDo(t *testing.T) {
 	wg.Wait()
 	if ran.Load() != 8*20 {
 		t.Fatalf("ran %d of %d jobs", ran.Load(), 8*20)
+	}
+}
+
+// TestFlushPoolBoundAcrossCallers: several callers (the drains of
+// several shards) share one pool of n, and at no moment do more than n
+// of their jobs run — including each caller's last job, which runs on
+// the caller itself.
+func TestFlushPoolBoundAcrossCallers(t *testing.T) {
+	const n, callers, perCaller = 3, 6, 10
+	p := NewSharedFlushPool(n)
+	var running, peak atomic.Int64
+	job := func() {
+		cur := running.Add(1)
+		for {
+			old := peak.Load()
+			if cur <= old || peak.CompareAndSwap(old, cur) {
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Caller 0 submits single jobs, the others batches.
+			if c == 0 {
+				for i := 0; i < perCaller; i++ {
+					p.do([]func(){job})
+				}
+				return
+			}
+			jobs := make([]func(), perCaller)
+			for i := range jobs {
+				jobs[i] = job
+			}
+			p.do(jobs)
+		}(c)
+	}
+	wg.Wait()
+	if got := peak.Load(); got > n {
+		t.Fatalf("peak concurrency %d exceeds the bound %d", got, n)
+	} else if got < 2 {
+		t.Fatalf("peak concurrency %d: jobs never overlapped", got)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 // Stats is a snapshot of engine-side metrics. The flush count, the
 // per-flush averages and the file and memtable numbers are read
-// together under the engine lock and statsMu; every other counter is a
+// together under the engine lock, which a drain holds while it
+// publishes its files and counts its flush; every other counter is a
 // lock-free atomic read just after. InsertBatch bumps SeqPoints and
 // UnseqPoints after it releases the engine lock, so under concurrent
 // load a snapshot can hold a batch in MemTablePoints that those two do
@@ -36,7 +37,7 @@ type Stats struct {
 	UnseqPoints     int64   // points diverted by the separation policy
 	Files           int
 	MemTablePoints  int
-	FlushWorkers    int   `merge:"first"` // resolved worker-pool size
+	FlushWorkers    int   `merge:"first"` // resolved flush concurrency bound
 	SortsSkipped    int64 // TVList sorts avoided: nothing new since the last sort, or it arrived in order
 	// Sort kernels: how many TVList sorts took the flat kernel (every
 	// sort outside the paper profile, with "backward") vs the

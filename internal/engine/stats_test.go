@@ -3,8 +3,65 @@ package engine
 import (
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// TestStatsCountsFlushWithItsFiles: a drain publishes its files and
+// counts its flush in one step, so no Stats snapshot taken while async
+// flushes run shows a file whose flush is not yet counted. With one
+// partition, sequence-only writes and compaction held off, every flush
+// writes exactly one file, so Files == FlushCount in every snapshot.
+func TestStatsCountsFlushWithItsFiles(t *testing.T) {
+	e, err := Open(Config{
+		Dir:            t.TempDir(),
+		MemTableSize:   64,
+		FlushWorkers:   2,
+		l0CompactFiles: 1 << 20,
+		levelBaseBytes: 1 << 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var stop atomic.Bool
+	var snapshots, bad atomic.Int64
+	var mismatch atomic.Value
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s := e.Stats()
+			snapshots.Add(1)
+			if s.Files != s.FlushCount {
+				bad.Add(1)
+				mismatch.Store(s)
+			}
+		}
+	}()
+	times := make([]int64, 16)
+	values := make([]float64, 16)
+	for b := 0; b < 400; b++ {
+		for i := range times {
+			times[i] = int64(b*len(times) + i)
+		}
+		if err := e.InsertBatch("d0.s0", times, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.WaitFlushes()
+	stop.Store(true)
+	wg.Wait()
+	if n := bad.Load(); n > 0 {
+		s := mismatch.Load().(Stats)
+		t.Fatalf("%d of %d snapshots torn, e.g. Files=%d FlushCount=%d", n, snapshots.Load(), s.Files, s.FlushCount)
+	}
+	if s := e.Stats(); s.FlushCount < 50 || s.Files != s.FlushCount || s.PartitionsActive != 1 {
+		t.Fatalf("final stats: %d flushes, %d files, %d partitions", s.FlushCount, s.Files, s.PartitionsActive)
+	}
+}
 
 // TestMergeStatsFollowsDeclaredRules walks every Stats field, merges
 // three snapshots (the middle one all zero, so a zero weight is in

@@ -103,8 +103,9 @@ func runSystemCell(spec SystemSpec, pct float64, algo string, sc Scale) (bench.R
 		// the flush still blocks ingestion exactly as IoTDB's sorting
 		// step does.
 		SyncFlush: true,
-		// Paper mode: one flush worker (so per-flush sort time is the
-		// algorithm's sequential cost, not pool scheduling) and the
+		// Paper mode: one flush worker, so every chunk sorts inline on
+		// the flushing goroutine (per-flush sort time is the
+		// algorithm's sequential cost, not goroutine scheduling), and the
 		// paper profile: queries sort under the engine lock, blocking
 		// writes — the contention Figures 13–15 measure — and every
 		// sort runs the paper's algorithm through the TVList interface

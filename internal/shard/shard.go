@@ -4,8 +4,8 @@
 // groups so ingestion, flushing and recovery scale across cores and
 // directories. Each shard owns its own data directory (shard-%03d/
 // under the router root), its own WAL segments and its own memtable
-// budget; one machine-wide sort/encode worker pool is shared by every
-// shard so N shards cannot oversubscribe the CPU.
+// budget; one machine-wide sort/encode bound is shared by every shard
+// so N shards cannot oversubscribe the CPU.
 //
 // Routing is FNV-1a over the sensor id, modulo the shard count — a
 // pure function of (sensor, N), so the same sensor lands on the same
@@ -41,7 +41,7 @@ import (
 // lives in Dir/shard-%03d), MemTableSize is the per-shard flush
 // threshold, and the remaining fields apply to every shard verbatim.
 // SharedPool and FlushWorkers interact as follows: the router always
-// builds one engine.SharedFlushPool of FlushWorkers workers (default
+// builds one engine.SharedFlushPool bounded by FlushWorkers (default
 // GOMAXPROCS) and hands it to every shard, so the flush-concurrency
 // bound is global, not per shard.
 type Config struct {
@@ -56,7 +56,6 @@ type Config struct {
 type Router struct {
 	cfg    Config
 	shards []*engine.Engine
-	pool   *engine.SharedFlushPool
 
 	// Label-series layer (labels.go): store-level inverted index plus
 	// selector fan-out accounting.
@@ -130,8 +129,8 @@ func Open(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:    cfg,
 		shards: make([]*engine.Engine, cfg.ShardCount),
-		pool:   engine.NewSharedFlushPool(cfg.FlushWorkers),
 	}
+	pool := engine.NewSharedFlushPool(cfg.FlushWorkers)
 	errs := make([]error, cfg.ShardCount)
 	var wg sync.WaitGroup
 	for i := range r.shards {
@@ -140,7 +139,7 @@ func Open(cfg Config) (*Router, error) {
 			defer wg.Done()
 			shardCfg := cfg.Config
 			shardCfg.Dir = filepath.Join(cfg.Dir, fmt.Sprintf(shardDirFmt, i))
-			shardCfg.SharedPool = r.pool
+			shardCfg.SharedPool = pool
 			r.shards[i], errs[i] = engine.Open(shardCfg)
 		}(i)
 	}
@@ -153,7 +152,6 @@ func Open(cfg Config) (*Router, error) {
 					e.Close()
 				}
 			}
-			r.pool.Close()
 			return nil, fmt.Errorf("shard: open: %w", err)
 		}
 	}
@@ -174,7 +172,6 @@ func Open(cfg Config) (*Router, error) {
 		for _, e := range r.shards {
 			e.Close()
 		}
-		r.pool.Close()
 		return nil, fmt.Errorf("shard: open index: %w", err)
 	}
 	r.idx = idx
@@ -314,13 +311,11 @@ func (r *Router) FileCount() int {
 }
 
 // Close closes every shard in parallel (each flushes its remaining
-// data and waits out its drains), then stops the shared flush pool.
-// The first per-shard error by shard order is returned. Safe to call
-// more than once and concurrently, like engine.Close.
+// data and waits out its drains), then the label index. The first
+// per-shard error by shard order is returned. Safe to call more than
+// once and concurrently, like engine.Close.
 func (r *Router) Close() error {
 	err := r.fanOut((*engine.Engine).Close)
-	// All shards are closed: no drain can submit pool work anymore.
-	r.pool.Close()
 	if cerr := r.idx.Close(); err == nil {
 		err = cerr
 	}
@@ -351,6 +346,3 @@ func (r *Router) StatsAll() (engine.Stats, []engine.Stats) {
 	r.injectIndexStats(&m)
 	return m, per
 }
-
-// Algorithm returns the shards' configured sorting algorithm name.
-func (r *Router) Algorithm() string { return r.shards[0].Algorithm() }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/query"
@@ -378,5 +380,50 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Open(Config{ShardCount: 2, Config: engine.Config{Dir: t.TempDir(), Algorithm: "nope"}}); err == nil {
 		t.Fatal("unknown algorithm should fail per shard")
+	}
+}
+
+// TestRouterNoGoroutineOutlivesDrains: shards share one flush bound
+// that holds no goroutines, so once WaitFlushes returns, and again
+// after Close, a router without a WAL ticker is back at the goroutine
+// count the process had before Open.
+func TestRouterNoGoroutineOutlivesDrains(t *testing.T) {
+	settle := func(base int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 400 && n > base; i++ {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	base := settle(runtime.NumGoroutine())
+	r, err := Open(Config{ShardCount: 2, Config: engine.Config{Dir: t.TempDir(), MemTableSize: 200, FlushWorkers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 10; b++ {
+		for s := 0; s < 8; s++ {
+			times := make([]int64, 60)
+			values := make([]float64, 60)
+			for i := range times {
+				times[i] = int64(b*60 + i)
+			}
+			if err := r.InsertBatch(fmt.Sprintf("d0.s%d", s), times, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r.WaitFlushes()
+	if st := r.Stats(); st.FlushCount < 4 {
+		t.Fatalf("only %d flushes: the workload should pass several memtables per shard", st.FlushCount)
+	}
+	if n := settle(base); n != base {
+		t.Fatalf("after WaitFlushes: %d goroutines, baseline %d", n, base)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settle(base); n != base {
+		t.Fatalf("after Close: %d goroutines, baseline %d", n, base)
 	}
 }

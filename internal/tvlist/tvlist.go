@@ -355,20 +355,8 @@ func (l *TVList[V]) MemoryArrays() int { return len(l.times) }
 // primitive; Go generics give the same unboxed layout from one
 // implementation.
 
-// NewInt32 creates an int32-valued TVList.
-func NewInt32() *TVList[int32] { return New[int32]() }
-
-// NewInt64 creates an int64-valued TVList (IoTDB's "long").
-func NewInt64() *TVList[int64] { return New[int64]() }
-
-// NewFloat creates a float32-valued TVList.
-func NewFloat() *TVList[float32] { return New[float32]() }
-
 // NewDouble creates a float64-valued TVList (IoTDB's "double").
 func NewDouble() *TVList[float64] { return New[float64]() }
-
-// NewBool creates a bool-valued TVList.
-func NewBool() *TVList[bool] { return New[bool]() }
 
 // NewText creates a string-valued TVList (IoTDB's "text").
 func NewText() *TVList[string] { return New[string]() }

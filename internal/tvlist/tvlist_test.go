@@ -230,11 +230,7 @@ func TestInvalidArrayLenPanics(t *testing.T) {
 }
 
 func TestTypedConstructors(t *testing.T) {
-	NewInt32().Put(1, 2)
-	NewInt64().Put(1, 2)
-	NewFloat().Put(1, 2)
 	NewDouble().Put(1, 2)
-	NewBool().Put(1, true)
 	NewText().Put(1, "x")
 }
 
